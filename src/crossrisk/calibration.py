@@ -19,6 +19,8 @@ from .risk import (
     ThresholdInterval,
     ThresholdMode,
     classify_offline,
+    component_values,
+    hit_count,
 )
 from .stream import AgentCategory
 
@@ -221,34 +223,6 @@ class CalibrationResult:
         object.__setattr__(self, "cv_accuracy", dict(self.cv_accuracy))
 
 
-def _component_matrix(
-    episodes: Sequence[Episode], role: AreaRole, scenario: ConflictScenario
-) -> list[np.ndarray]:
-    # NaN marks unavailable components; NaN never satisfies interval membership.
-    out = []
-    for e in episodes:
-        vals = np.full(len(e.trace), np.nan)
-        for i, vec in enumerate(e.trace):
-            v = vec.component(role.value, scenario)
-            if v is not None:
-                vals[i] = v
-        out.append(vals)
-    return out
-
-
-def _hits_for_config(
-    pf_vals: Sequence[np.ndarray], vf_vals: Sequence[np.ndarray],
-    pf: ThresholdInterval, vf: ThresholdInterval,
-) -> np.ndarray:
-    """Per-episode count of frames with any in-interval component."""
-    counts = np.zeros(len(pf_vals), dtype=int)
-    for i, (pv, vv) in enumerate(zip(pf_vals, vf_vals)):
-        with np.errstate(invalid="ignore"):
-            hits = ((pv >= pf.alpha) & (pv <= pf.beta)) | ((vv >= vf.alpha) & (vv <= vf.beta))
-        counts[i] = int(np.count_nonzero(hits))
-    return counts
-
-
 def confusion_from_labels(
     pairs: Iterable[tuple[RiskLevel, RiskLevel]]
 ) -> ConfusionCounts:
@@ -266,6 +240,16 @@ def confusion_from_labels(
         else:
             tn += 1
     return ConfusionCounts(tp, tn, fp, fn)
+
+
+def confusion(episodes: Iterable[Episode], config: RiskThresholdConfig) -> ConfusionCounts:
+    """Confusion counts of the offline classification under config against
+    the episodes' labels, one (predicted, truth) pair per labeled area."""
+    pairs: list[tuple[RiskLevel, RiskLevel]] = []
+    for e in episodes:
+        outcome = classify_offline(e.trace, e.category, config)
+        pairs.extend((outcome[role], truth) for role, truth in e.labels.items())
+    return confusion_from_labels(pairs)
 
 
 def _search_role(
@@ -289,22 +273,17 @@ def _search_role(
             fold_of[e.ped_id] = fi
     fold_index = np.array([fold_of[e.ped_id] for e in episodes])
 
-    merged = mode is ThresholdMode.MERGED_AREA
-    if merged:
-        pf_closer = _component_matrix(episodes, AreaRole.CLOSER, ConflictScenario.PEDESTRIAN_FIRST)
-        vf_closer = _component_matrix(episodes, AreaRole.CLOSER, ConflictScenario.VEHICLE_FIRST)
-        pf_further = _component_matrix(episodes, AreaRole.FURTHER, ConflictScenario.PEDESTRIAN_FIRST)
-        vf_further = _component_matrix(episodes, AreaRole.FURTHER, ConflictScenario.VEHICLE_FIRST)
-        truth = np.array(
-            [
-                [e.labels[AreaRole.CLOSER] == RiskLevel.RISK2 for e in episodes],
-                [e.labels[AreaRole.FURTHER] == RiskLevel.RISK2 for e in episodes],
-            ]
-        )
-    else:
-        pf_vals = _component_matrix(episodes, role, ConflictScenario.PEDESTRIAN_FIRST)
-        vf_vals = _component_matrix(episodes, role, ConflictScenario.VEHICLE_FIRST)
-        truth = np.array([[e.labels[role] == RiskLevel.RISK2 for e in episodes]])
+    # The areas whose hits count against this role's threshold: both in
+    # merged mode, where one count per episode is judged against both labels.
+    counted = (AreaRole.CLOSER, AreaRole.FURTHER) if mode is ThresholdMode.MERGED_AREA else (role,)
+    values = []
+    for e in episodes:
+        per_area = [component_values(e.trace, r) for r in counted]
+        values.append((
+            np.concatenate([pf for pf, _ in per_area]),
+            np.concatenate([vf for _, vf in per_area]),
+        ))
+    truth = np.array([[e.labels[r] == RiskLevel.RISK2 for e in episodes] for r in counted])
 
     best: tuple[ThresholdInterval, ThresholdInterval, int] | None = None
     best_acc = -1.0
@@ -312,15 +291,8 @@ def _search_role(
     n_folds = len(folds)
     category = episodes[0].category
 
-    found_any = False
     for pf, vf, theta in grid.configs_for_role(role):
-        found_any = True
-        if merged:
-            counts = _hits_for_config(pf_closer, vf_closer, pf, vf) + _hits_for_config(
-                pf_further, vf_further, pf, vf
-            )
-        else:
-            counts = _hits_for_config(pf_vals, vf_vals, pf, vf)
+        counts = np.array([hit_count(pv, vv, pf, vf) for pv, vv in values])
         predicted = counts > theta
         correct = predicted[None, :] == truth  # (areas, episodes)
         fold_acc = np.array(
@@ -335,7 +307,7 @@ def _search_role(
             best = (pf, vf, theta)
             best_acc = acc
             best_width = width
-    if not found_any or best is None:
+    if best is None:
         raise EmptyGrid(f"no grid points for area {role.value}")
     return best[0], best[1], best[2], best_acc
 
@@ -388,12 +360,5 @@ def grid_search(
         categories[category] = CategoryThresholds(mode, intervals, counters)
 
     config = RiskThresholdConfig(categories)
-    pairs: list[tuple[RiskLevel, RiskLevel]] = []
-    for e in test_set:
-        if e.category not in categories:
-            continue
-        outcome = classify_offline(e.trace, e.category, config)
-        for area_role in (AreaRole.CLOSER, AreaRole.FURTHER):
-            pairs.append((outcome[area_role], e.labels[area_role]))
-    test_metrics = metrics(confusion_from_labels(pairs)) if pairs else MetricsReport(None, None, None, None)
+    test_metrics = metrics(confusion((e for e in test_set if e.category in categories), config))
     return CalibrationResult(config, cv_accuracy, test_metrics, seed, tuple(rows))

@@ -16,15 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .calibration import (
-    ConfusionCounts,
-    Episode,
-    GridSpec,
-    confusion_from_labels,
-    grid_search,
-    metrics,
-)
-from .errors import BudgetExceeded, CrossRiskError, DegenerateAnchors, ManifestError
+from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics
+from .errors import BudgetExceeded, CategoryChanged, CrossRiskError, DegenerateAnchors, ManifestError
 from .geometry import (
     HomographyTile,
     PixelPoint,
@@ -45,29 +38,21 @@ from .pipeline import (
     write_risk_scenarios,
     write_trace_csv,
 )
+from .ppet import PPetVector
 from .predictors import (
     AgentAnnotation,
     TrainedModelBundle,
     TrainingConfig,
     build_labeled_dataset,
+    train_bundle,
 )
-from .predictors.bundle import ALL_PAIRS
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
-from .predictors.historical import HistoricalAveragePredictor
-from .predictors.training import (
-    MIN_TRAINING_SAMPLES,
-    evaluate_mae,
-    split_samples,
-    train_and_select,
-    usable_samples,
-)
-from .risk import AreaRole, RiskThresholdConfig, ThresholdMode, classify_offline
+from .risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode
 from .stream import (
-    STREAM_HEADER_PIXEL,
-    STREAM_HEADER_WORLD,
-    AgentCategory,
     Observation,
+    StreamRow,
     read_stream_csv,
+    read_stream_rows,
     write_stream_csv,
 )
 from .synthgen import GroundTruth, ScenarioSpec, generate, reference_area_map
@@ -78,11 +63,10 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _require(path: str, what: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
+def _require(path: str | None, what: str) -> Path:
+    if not path or not Path(path).is_file():
         raise ManifestError(f"{what} not found: {path}")
-    return p
+    return Path(path)
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -180,7 +164,13 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     by_agent: dict[str, list[Observation]] = {}
     for frame in sorted(frames):
         for obs in frames[frame]:
-            by_agent.setdefault(obs.agent_id, []).append(obs)
+            track = by_agent.setdefault(obs.agent_id, [])
+            if track and track[0].category is not obs.category:
+                raise CategoryChanged(
+                    f"agent {obs.agent_id} is category {int(obs.category)} in frame {frame}, "
+                    f"category {int(track[0].category)} before"
+                )
+            track.append(obs)
     trajectories = [by_agent[k] for k in sorted(by_agent)]
     samples = build_labeled_dataset(trajectories, area_map, annotations=annotations)
     write_samples_jsonl(args.out, samples)
@@ -202,32 +192,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 raise ManifestError(f"bad training config {args.config}: {exc}") from exc
     if args.seed is not None:
         config = TrainingConfig(**{**config.__dict__, "seed": args.seed})
-
-    groups: dict[tuple[AgentCategory, int], list] = {}
-    for s in samples:
-        groups.setdefault((s.category, s.q.q), []).append(s)
-
-    bundle = TrainedModelBundle(predictors={}, validation_mae={})
-    report = {}
-    for pair in ALL_PAIRS:
-        group = groups.get(pair, [])
-        usable = usable_samples(group)
-        if len(usable) >= MIN_TRAINING_SAMPLES:
-            predictor, mae = train_and_select(group, config)
-        else:
-            predictor = HistoricalAveragePredictor()
-            if usable:
-                _, val = split_samples(usable, config.seed)
-                mae = evaluate_mae(predictor, val) if val else None
-            else:
-                mae = None
-        bundle.predictors[pair] = predictor
-        bundle.validation_mae[pair] = mae
-        report[f"i={int(pair[0])},q={pair[1]}"] = {
-            "chosen": getattr(predictor, "name", "historical_average"),
-            "validation_mae": mae,
-            "samples": len(group),
-        }
+    bundle, report = train_bundle(samples, config)
     bundle.save(args.out)
     if args.report:
         _write_json(args.report, report)
@@ -270,15 +235,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     if args.truth:
         truth = GroundTruth.load(str(_require(args.truth, "ground truth")))
-        pairs = []
-        for (ped_id, role_name), level in sorted(truth.risk.items()):
-            agent = truth.agents.get(ped_id)
-            if agent is None:
-                continue
-            trace = result.vectors_by_ped.get(ped_id, [])
-            outcome = classify_offline(trace, agent.category, thresholds)
-            pairs.append((outcome[AreaRole(role_name)], level))
-        summary["metrics"] = metrics(confusion_from_labels(pairs)).to_dict()
+        counts = confusion(_truth_episodes(truth, result.vectors_by_ped), thresholds)
+        summary["metrics"] = metrics(counts).to_dict()
         _write_json(str(out / "metrics.json"), summary["metrics"])
     _write_json(str(out / "summary.json"), summary)
     print(f"evaluate: {summary['risk_scenarios']} risk scenarios "
@@ -289,21 +247,28 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- tune -----------------------------------------------------------------------------
 
 
+def _truth_episodes(truth: GroundTruth, vectors: dict[str, list[PPetVector]]) -> list[Episode]:
+    """One episode per labeled pedestrian of the ground truth, by id; a
+    pedestrian without a trace gets an empty one."""
+    labels: dict[str, dict[AreaRole, RiskLevel]] = {}
+    for (ped_id, role), level in sorted(truth.risk.items()):
+        if ped_id in truth.agents:
+            labels.setdefault(ped_id, {})[AreaRole(role)] = level
+    return [
+        Episode(ped_id, truth.agents[ped_id].category, tuple(vectors.get(ped_id, ())), ped_labels)
+        for ped_id, ped_labels in labels.items()
+    ]
+
+
 def _episodes_from_files(trace_path: str, truth_path: str) -> list[Episode]:
+    """Episodes of the traced pedestrians labeled in both areas."""
     vectors = read_trace_csv(str(_require(trace_path, "trace file")))
     truth = GroundTruth.load(str(_require(truth_path, "ground truth")))
-    episodes = []
-    for ped_id in sorted(vectors):
-        agent = truth.agents.get(ped_id)
-        labels = {
-            AreaRole(role): truth.risk[(ped_id, role)]
-            for role in ("closer", "further")
-            if (ped_id, role) in truth.risk
-        }
-        if agent is None or len(labels) != 2:
-            continue
-        episodes.append(Episode(ped_id, agent.category, tuple(vectors[ped_id]), labels))
-    return episodes
+    both = {AreaRole.CLOSER, AreaRole.FURTHER}
+    return [
+        e for e in _truth_episodes(truth, vectors)
+        if e.ped_id in vectors and set(e.labels) == both
+    ]
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
@@ -347,57 +312,32 @@ def cmd_tune(args: argparse.Namespace) -> int:
 # --- replay ---------------------------------------------------------------------------
 
 
-def _read_pixel_rows(path: str) -> dict[int, list[tuple[float, str, AgentCategory, PixelPoint]]]:
-    frames: dict[int, list[tuple[float, str, AgentCategory, PixelPoint]]] = {}
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header validated by the caller
-        for row in reader:
-            if not row:
-                continue
-            frames.setdefault(int(row[0]), []).append(
-                (float(row[1]), row[2], AgentCategory(int(row[3])), PixelPoint(float(row[4]), float(row[5])))
-            )
-    return frames
-
-
-def _stream_header(path: str) -> list[str]:
-    with open(path, encoding="utf-8", newline="") as fh:
-        return next(csv.reader(fh), [])
+# perfbench/workloads.py reads its pixel recordings, untransformed, through this name.
+def _read_pixel_rows(path: str) -> dict[int, list[StreamRow]]:
+    return read_stream_rows(path)[1]
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
     area_map = load_area_map(str(_require(args.area_map, "area map")))
     thresholds = _load_thresholds(args)
     bundle = _load_bundle(args)
-    stream_path = str(_require(args.stream, "stream file"))
-    header = _stream_header(stream_path)
-    pixel = header == STREAM_HEADER_PIXEL
-    if pixel:
-        grid = load_tile_grid(str(_require(args.tile_grid, "tile grid")))
-        pixel_frames = _read_pixel_rows(stream_path)
-        frame_range = (min(pixel_frames), max(pixel_frames)) if pixel_frames else None
-    elif header == STREAM_HEADER_WORLD:
-        frames = read_stream_csv(stream_path)
-        frame_range = (min(frames), max(frames)) if frames else None
-    else:
-        raise ManifestError(f"{stream_path}: unrecognized stream header {header}")
+    point, rows = read_stream_rows(str(_require(args.stream, "stream file")))
+    pixel = point is PixelPoint
+    grid = load_tile_grid(str(_require(args.tile_grid, "tile grid"))) if pixel else None
 
     pipeline = RiskPipeline(area_map, thresholds, bundle, fps=args.fps)
     transform_ms: list[float] = []
-    if frame_range is not None:
+    if rows:
         frame_period = 1.0 / args.fps
         wall_start = time.perf_counter()
-        for index, frame in enumerate(range(frame_range[0], frame_range[1] + 1)):
+        for index, frame in enumerate(range(min(rows), max(rows) + 1)):
+            t0 = time.perf_counter()
+            observations = [
+                Observation(frame, t, agent_id, category, transform_point(grid, p) if pixel else p)
+                for (t, agent_id, category, p) in rows.get(frame, [])
+            ]
             if pixel:
-                t0 = time.perf_counter()
-                observations = [
-                    Observation(frame, t, agent_id, category, transform_point(grid, p))
-                    for (t, agent_id, category, p) in pixel_frames.get(frame, [])
-                ]
                 transform_ms.append((time.perf_counter() - t0) * 1000.0)
-            else:
-                observations = frames.get(frame, [])
             pipeline.process_frame(frame, observations)
             if args.realtime:
                 target = wall_start + (index + 1) * frame_period
@@ -427,13 +367,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
 def cmd_metrics(args: argparse.Namespace) -> int:
     if args.trace and args.truth:
         thresholds = _load_thresholds(args)
-        episodes = _episodes_from_files(args.trace, args.truth)
-        pairs = []
-        for e in episodes:
-            outcome = classify_offline(e.trace, e.category, thresholds)
-            for role in (AreaRole.CLOSER, AreaRole.FURTHER):
-                pairs.append((outcome[role], e.labels[role]))
-        counts = confusion_from_labels(pairs)
+        counts = confusion(_episodes_from_files(args.trace, args.truth), thresholds)
     elif None not in (args.tp, args.tn, args.fp, args.fn):
         counts = ConfusionCounts(args.tp, args.tn, args.fp, args.fn)
     else:

@@ -39,6 +39,10 @@ class UnknownDirection(CrossRiskError):
     """Crossing direction could not be inferred yet."""
 
 
+class CategoryChanged(CrossRiskError):
+    """An agent id reappears under another category."""
+
+
 # --- predictors ---------------------------------------------------------------
 
 class PredictionError(CrossRiskError):

@@ -32,13 +32,13 @@ from .risk import (
     FrameContext,
     RiskScenario,
     RiskThresholdConfig,
+    in_evaluation_zone,
     select_conflict_vehicle,
     step_evaluate,
 )
 from .stream import (
     AgentCategory,
     Direction,
-    LifecycleEvent,
     Observation,
     PedestrianStatus,
     StreamEngine,
@@ -46,12 +46,8 @@ from .stream import (
 )
 
 # Vehicle class that serves each conflict area (approach-zone association).
-CONFLICT_AREA_VEHICLE = {
-    "3.1": AgentCategory.VEHICLE_AREA_41,
-    "3.2": AgentCategory.VEHICLE_AREA_42,
-}
+CONFLICT_AREA_VEHICLE = {c.conflict_area: c for c in AgentCategory if c.conflict_area is not None}
 
-_EVAL_AREA_PREFIXES = ("2.", "3.")
 _PF = ConflictScenario.PEDESTRIAN_FIRST
 _VF = ConflictScenario.VEHICLE_FIRST
 
@@ -72,7 +68,6 @@ class TraceRow:
 class EvaluationResult:
     risk_scenarios: list[RiskScenario] = field(default_factory=list)
     trace: list[TraceRow] = field(default_factory=list)
-    events: list[LifecycleEvent] = field(default_factory=list)
     vectors_by_ped: dict[str, list[PPetVector]] = field(default_factory=dict)
     prediction_ms: list[float] = field(default_factory=list)
     ppet_risk_ms: list[float] = field(default_factory=list)
@@ -160,8 +155,7 @@ class RiskPipeline:
 
     def process_frame(self, frame: int, observations: Sequence[Observation]) -> list[Decision]:
         """Ingest one frame and evaluate every ready target pedestrian."""
-        events = self.engine.ingest_frame(frame, observations)
-        self.result.events.extend(events)
+        self.engine.ingest_frame(frame, observations)
         t = frame / self.fps
         decisions_out: list[Decision] = []
 
@@ -169,15 +163,14 @@ class RiskPipeline:
         # one vehicle snapshot per frame, shared across pedestrians
         snapshot = {
             category: self.engine.agents_in_areas([category], ("3.", "4."))
-            for category in (AgentCategory.VEHICLE_AREA_41, AgentCategory.VEHICLE_AREA_42)
+            for category in CONFLICT_AREA_VEHICLE.values()
         }
         vehicle_cache: dict = {}
         evaluations = []
         for ped_id, state in self.engine.pedestrians.items():
             if state.status is not PedestrianStatus.TARGET:
                 continue
-            area = state.current_area
-            if area is None or not any(area.startswith(p) for p in _EVAL_AREA_PREFIXES):
+            if not in_evaluation_zone(state.current_area):
                 continue
             if not self.engine.window_ready(ped_id) or state.direction is Direction.UNKNOWN:
                 continue

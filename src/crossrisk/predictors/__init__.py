@@ -21,6 +21,7 @@ from .training import (
     split_samples,
     train,
     train_and_select,
+    train_bundle,
     usable_samples,
 )
 
@@ -49,6 +50,7 @@ __all__ = [
     "targets_for_agent",
     "train",
     "train_and_select",
+    "train_bundle",
     "usable_samples",
     "window_features",
 ]

@@ -10,16 +10,15 @@ import numpy as np
 
 from ..errors import ManifestError, MissingPredictor
 from ..stream import AgentCategory
+from .base import ArrivalTimePredictor
 from .historical import HistoricalAveragePredictor
 from .recurrent import PARAM_NAMES, RecurrentRegressor
-from .training import ArrivalTimePredictor
 
 BUNDLE_VERSION = 1
 
 # All (category, q) pairs the evaluation pipeline can ask for.
 ALL_PAIRS: tuple[tuple[AgentCategory, int], ...] = tuple(
-    [(c, q) for c in (AgentCategory.ADULT, AgentCategory.KID, AgentCategory.CYCLIST) for q in (0, 1, 2)]
-    + [(c, q) for c in (AgentCategory.VEHICLE_AREA_41, AgentCategory.VEHICLE_AREA_42) for q in (0, 1)]
+    (c, q) for c in AgentCategory for q in ((0, 1) if c.conflict_area is not None else (0, 1, 2))
 )
 
 

@@ -4,14 +4,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Protocol, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from ..errors import DatasetTooSmall, DivergedLoss, EmptyCandidates, PredictionError
-from ..geometry import TargetLine
-from ..stream import SlidingWindowTrajectory
-from .base import ARRIVAL_TIME_CAP_S, ArrivalPrediction
+from ..stream import AgentCategory
+from .base import ARRIVAL_TIME_CAP_S, ArrivalTimePredictor
+from .bundle import ALL_PAIRS, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
 from .historical import HistoricalAveragePredictor
 from .recurrent import RecurrentRegressor, window_features
@@ -23,12 +23,6 @@ TRAIN_FRACTION = 0.8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
-
-
-class ArrivalTimePredictor(Protocol):
-    name: str
-
-    def predict(self, window: SlidingWindowTrajectory, line: TargetLine) -> ArrivalPrediction: ...
 
 
 @dataclass(frozen=True)
@@ -193,3 +187,39 @@ def train_and_select(
         trained, _ = train(model, samples, config)
         candidates.append(trained)
     return select_model(candidates, val_set)
+
+
+def train_bundle(
+    samples: Sequence[LabeledSample], config: TrainingConfig
+) -> tuple[TrainedModelBundle, dict[str, dict]]:
+    """One predictor per (category, q) pair, and a report of the choices.
+
+    A pair with enough unaware samples gets the best of the baseline and
+    the trained recurrent candidates; any other pair falls back to the
+    baseline, scored on its validation split when it has unaware samples.
+    The report maps "i=<category>,q=<q>" to the chosen predictor's name,
+    its validation MAE and the pair's sample count.
+    """
+    groups: dict[tuple[AgentCategory, int], list[LabeledSample]] = {}
+    for s in samples:
+        groups.setdefault((s.category, s.q.q), []).append(s)
+
+    bundle = TrainedModelBundle(predictors={}, validation_mae={})
+    report = {}
+    for pair in ALL_PAIRS:
+        group = groups.get(pair, [])
+        usable = usable_samples(group)
+        if len(usable) >= MIN_TRAINING_SAMPLES:
+            predictor, mae = train_and_select(group, config)
+        else:
+            predictor = HistoricalAveragePredictor()
+            _, val = split_samples(usable, config.seed)
+            mae = evaluate_mae(predictor, val) if val else None
+        bundle.predictors[pair] = predictor
+        bundle.validation_mae[pair] = mae
+        report[f"i={int(pair[0])},q={pair[1]}"] = {
+            "chosen": predictor.name,
+            "validation_mae": mae,
+            "samples": len(group),
+        }
+    return bundle, report

@@ -270,6 +270,11 @@ class FrameContext:
 _EVAL_AREA_PREFIXES = ("2.", "3.")
 
 
+def in_evaluation_zone(area: str | None) -> bool:
+    """True for the areas where a pedestrian's risk is evaluated (2.x, 3.x)."""
+    return area is not None and area.startswith(_EVAL_AREA_PREFIXES)
+
+
 def _role_hit(
     vector: PPetVector, component_role: AreaRole, thresholds: CategoryThresholds,
     interval_role: AreaRole,
@@ -298,8 +303,7 @@ def step_evaluate(
     scenario snapshot.
     """
     thresholds = config.for_category(state.category)
-    area = state.current_area
-    if area is None or not any(area.startswith(p) for p in _EVAL_AREA_PREFIXES):
+    if not in_evaluation_zone(state.current_area):
         return []
 
     merged = thresholds.mode is ThresholdMode.MERGED_AREA
@@ -334,6 +338,35 @@ def step_evaluate(
     return decisions
 
 
+def component_values(
+    trace: Sequence[PPetVector], role: AreaRole
+) -> tuple[np.ndarray, np.ndarray]:
+    """One area's pedestrian-first and vehicle-first components per frame of
+    a trace; NaN marks an unavailable component and never hits an interval."""
+    pf = np.full(len(trace), np.nan)
+    vf = np.full(len(trace), np.nan)
+    for i, vec in enumerate(trace):
+        value = vec.component(role.value, ConflictScenario.PEDESTRIAN_FIRST)
+        if value is not None:
+            pf[i] = value
+        value = vec.component(role.value, ConflictScenario.VEHICLE_FIRST)
+        if value is not None:
+            vf[i] = value
+    return pf, vf
+
+
+def hit_count(
+    pf_values: np.ndarray, vf_values: np.ndarray,
+    pf: ThresholdInterval, vf: ThresholdInterval,
+) -> int:
+    """Frames where either component lies in its closed interval."""
+    with np.errstate(invalid="ignore"):
+        hits = ((pf_values >= pf.alpha) & (pf_values <= pf.beta)) | (
+            (vf_values >= vf.alpha) & (vf_values <= vf.beta)
+        )
+    return int(np.count_nonzero(hits))
+
+
 def classify_offline(
     trace: Sequence[PPetVector],
     category: AgentCategory,
@@ -348,22 +381,17 @@ def classify_offline(
     outcome to both areas.
     """
     thresholds = config.for_category(category)
-    counts = {AreaRole.CLOSER: 0, AreaRole.FURTHER: 0}
+    merged = thresholds.mode is ThresholdMode.MERGED_AREA
+    counts = {}
     for role in (AreaRole.CLOSER, AreaRole.FURTHER):
-        interval_role = AreaRole.MERGED if thresholds.mode is ThresholdMode.MERGED_AREA else role
-        hits = np.zeros(len(trace), dtype=bool)
-        for s in ConflictScenario:
-            bounds = thresholds.interval(interval_role, s)
-            values = np.full(len(trace), np.nan)
-            for i, vec in enumerate(trace):
-                component = vec.component(role.value, s)
-                if component is not None:
-                    values[i] = component
-            with np.errstate(invalid="ignore"):
-                hits |= (values >= bounds.alpha) & (values <= bounds.beta)
-        counts[role] = int(np.count_nonzero(hits))
+        interval_role = AreaRole.MERGED if merged else role
+        counts[role] = hit_count(
+            *component_values(trace, role),
+            thresholds.interval(interval_role, ConflictScenario.PEDESTRIAN_FIRST),
+            thresholds.interval(interval_role, ConflictScenario.VEHICLE_FIRST),
+        )
 
-    if thresholds.mode is ThresholdMode.MERGED_AREA:
+    if merged:
         total = counts[AreaRole.CLOSER] + counts[AreaRole.FURTHER]
         level = RiskLevel.RISK2 if total > thresholds.counter_limit(AreaRole.MERGED) else RiskLevel.RISK1
         return {AreaRole.CLOSER: level, AreaRole.FURTHER: level}

@@ -8,7 +8,9 @@ serialized in frame order. Snapshot queries are read-only.
 from __future__ import annotations
 
 import csv
+import math
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Iterable, Iterator, Sequence
@@ -16,6 +18,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import (
+    CategoryChanged,
     DuplicateAgentInFrame,
     InsufficientHistory,
     ManifestError,
@@ -306,6 +309,12 @@ class StreamEngine:
             if obs.agent_id in seen:
                 raise DuplicateAgentInFrame(f"agent {obs.agent_id} twice in frame {frame}")
             seen.add(obs.agent_id)
+            buf = self.buffers.get(obs.agent_id)
+            if buf is not None and buf.category is not obs.category:
+                raise CategoryChanged(
+                    f"agent {obs.agent_id} is category {int(obs.category)} in frame {frame}, "
+                    f"category {int(buf.category)} before"
+                )
         self.last_frame = frame
 
         events: list[LifecycleEvent] = []
@@ -391,6 +400,55 @@ def write_stream_csv(path: str, frames: Iterable[Sequence[Observation]]) -> None
                 )
 
 
+# One parsed stream row: (t, agent id, category, point).
+StreamRow = tuple[float, str, AgentCategory, WorldPoint | PixelPoint]
+
+
+@contextmanager
+def open_stream(path: str) -> Iterator[tuple[type, Iterator[tuple[int, StreamRow]]]]:
+    """Open a stream CSV as (point class, (frame, row) in file order): WorldPoint
+    under the (x, y) header, untransformed PixelPoint under (u, v). A row that is
+    short, does not parse or has a non-finite time or coordinate raises
+    ManifestError naming path:line."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header == STREAM_HEADER_WORLD:
+                point = WorldPoint
+            elif header == STREAM_HEADER_PIXEL:
+                point = PixelPoint
+            else:
+                raise ManifestError(f"{path}: unrecognized stream header {header}")
+            yield point, _parse_rows(path, reader, point)
+    except OSError as exc:
+        raise ManifestError(f"cannot read stream {path}: {exc}") from exc
+
+
+def _parse_rows(path: str, reader, point: type) -> Iterator[tuple[int, StreamRow]]:
+    for row in reader:
+        if not row:
+            continue
+        try:
+            frame = int(row[0])
+            t = float(row[1])
+            if not math.isfinite(t):
+                raise ValueError(f"time must be finite, got {t}")
+            parsed = (t, row[2], AgentCategory(int(row[3])), point(float(row[4]), float(row[5])))
+        except (IndexError, ValueError) as exc:
+            raise ManifestError(f"{path}:{reader.line_num}: bad stream row {row}: {exc}") from exc
+        yield frame, parsed
+
+
+def read_stream_rows(path: str) -> tuple[type, dict[int, list[StreamRow]]]:
+    """Read a stream CSV into its point class and frame -> rows, pixel points untransformed."""
+    frames: dict[int, list[StreamRow]] = {}
+    with open_stream(path) as (point, rows):
+        for frame, row in rows:
+            frames.setdefault(frame, []).append(row)
+    return point, frames
+
+
 def read_stream_csv(path: str, tile_grid: TileGrid | None = None) -> dict[int, list[Observation]]:
     """Read a stream CSV into frame -> observations.
 
@@ -398,38 +456,14 @@ def read_stream_csv(path: str, tile_grid: TileGrid | None = None) -> dict[int, l
     the pixel variant requires a tile grid to transform on ingest.
     """
     frames: dict[int, list[Observation]] = {}
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header == STREAM_HEADER_WORLD:
-                pixel = False
-            elif header == STREAM_HEADER_PIXEL:
-                pixel = True
-                if tile_grid is None:
-                    raise ManifestError(f"{path} is a pixel stream; a tile grid is required")
-            else:
-                raise ManifestError(f"{path}: unrecognized stream header {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    frame = int(row[0])
-                    t = float(row[1])
-                    agent_id = row[2]
-                    category = AgentCategory(int(row[3]))
-                    a, b = float(row[4]), float(row[5])
-                except (IndexError, ValueError) as exc:
-                    raise ManifestError(f"{path}:{lineno}: bad stream row {row}: {exc}") from exc
-                if pixel:
-                    position = transform_point(tile_grid, PixelPoint(a, b))
-                else:
-                    position = WorldPoint(a, b)
-                frames.setdefault(frame, []).append(
-                    Observation(frame, t, agent_id, category, position)
-                )
-    except OSError as exc:
-        raise ManifestError(f"cannot read stream {path}: {exc}") from exc
+    with open_stream(path) as (point, rows):
+        pixel = point is PixelPoint
+        if pixel and tile_grid is None:
+            raise ManifestError(f"{path} is a pixel stream; a tile grid is required")
+        for frame, (t, agent_id, category, p) in rows:
+            if pixel:
+                p = transform_point(tile_grid, p)
+            frames.setdefault(frame, []).append(Observation(frame, t, agent_id, category, p))
     return frames
 
 

@@ -29,7 +29,7 @@ from .geometry import (
     vehicle_line_name,
 )
 from .predictors.dataset import Awareness, Reaction
-from .risk import RiskLevel
+from .risk import RiskLevel, in_evaluation_zone
 from .stream import AgentCategory, Direction, Observation, infer_direction
 
 # --- reference site layout ------------------------------------------------------
@@ -684,7 +684,7 @@ def _took_evasive_action(
     baseline = float(np.median(smooth[:baseline_n]))
     if baseline <= 0:
         return False
-    active = np.array([a is not None and a.startswith(("2.", "3.")) for a in areas[: len(smooth)]])
+    active = np.array([in_evaluation_zone(a) for a in areas[: len(smooth)]])
     if not np.any(active):
         return False
     lo = float(np.min(smooth[active]))

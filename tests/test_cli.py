@@ -360,3 +360,79 @@ class TestReplayAndMetrics:
             "--area-map", str(tmp_path / "nope.json"), "--out", str(tmp_path),
         ])
         assert code == EXIT_INPUT
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize(
+    "header, bad_row",
+    [
+        ("x,y", "2,0.0667,a0,0,nan,1.0"),
+        ("x,y", "2,nan,a0,0,3.0,1.0"),
+        ("x,y", "2,0.0667,a0,0,inf,1.0"),
+        ("x,y", "2,0.0667,a0,0,3.0"),
+        ("u,v", "2,0.0667,a0,0,nan,400.0"),
+        ("u,v", "2,0.0667,a0,0,640.0"),
+    ],
+    ids=["world-nan", "world-nan-time", "world-inf", "world-short", "pixel-nan", "pixel-short"],
+)
+def test_malformed_stream_row_is_input_error(command, header, bad_row, tmp_path, capsys):
+    from crossrisk.geometry import WorldPoint, save_area_map, save_tile_grid
+    from crossrisk.synthgen import camera_pixel_of, reference_tile_grid
+
+    good = WorldPoint(3.0, 1.0)
+    if header == "u,v":
+        pixel = camera_pixel_of(good)
+        good_cells = f"{pixel.u!r},{pixel.v!r}"
+    else:
+        good_cells = f"{good.x!r},{good.y!r}"
+    stream = tmp_path / "stream.csv"
+    stream.write_text(
+        f"frame,t,id,category,{header}\n"
+        f"0,0.0,a0,0,{good_cells}\n"
+        f"1,0.0333,a0,0,{good_cells}\n"
+        f"{bad_row}\n",
+        encoding="utf-8",
+    )
+    area_map = tmp_path / "area_map.json"
+    save_area_map(str(area_map), reference_area_map())
+    grid = tmp_path / "grid.json"
+    save_tile_grid(str(grid), reference_tile_grid())
+    out = tmp_path / ("samples.jsonl" if command == "build-dataset" else "out")
+    code = main([
+        command, "--stream", str(stream), "--area-map", str(area_map),
+        "--tile-grid", str(grid), "--out", str(out),
+    ])
+    assert code == EXIT_INPUT
+    assert f"{stream}:4" in capsys.readouterr().err
+
+
+def _stream_command(command, stream, tmp_path, *extra):
+    from crossrisk.geometry import save_area_map
+
+    area_map = tmp_path / "area_map.json"
+    save_area_map(str(area_map), reference_area_map())
+    out = tmp_path / ("samples.jsonl" if command == "build-dataset" else "out")
+    return main([command, "--stream", str(stream), "--area-map", str(area_map), "--out", str(out), *extra])
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("rows", ["", "0,0.0,a0,0,640.0,400.0\n"], ids=["header-only", "one-row"])
+def test_pixel_stream_without_tile_grid_is_exit_2(command, rows, tmp_path, capsys):
+    stream = tmp_path / "pixels.csv"
+    stream.write_text("frame,t,id,category,u,v\n" + rows, encoding="utf-8")
+    assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
+    assert "tile grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+def test_category_change_is_input_error(command, tmp_path, capsys):
+    stream = tmp_path / "stream.csv"
+    stream.write_text(
+        "frame,t,id,category,x,y\n"
+        "0,0.0,a0,0,3.0,1.0\n"
+        "1,0.0333,a0,0,3.0,1.1\n"
+        "2,0.0667,a0,2,3.0,1.2\n",
+        encoding="utf-8",
+    )
+    assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
+    assert "agent a0 is category 2 in frame 2" in capsys.readouterr().err

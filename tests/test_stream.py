@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crossrisk.errors import (
+    CategoryChanged,
     DuplicateAgentInFrame,
     InsufficientHistory,
     OutOfOrderFrame,
@@ -162,6 +163,17 @@ class TestLifecycle:
         engine = StreamEngine(area_map)
         with pytest.raises(DuplicateAgentInFrame):
             engine.ingest_frame(0, [obs(0), obs(0)])
+
+    def test_category_change_rejected(self, area_map):
+        engine = StreamEngine(area_map)
+        vehicle = AgentCategory.VEHICLE_AREA_41
+        for o in walk("a0", -5.0, 0.1, WINDOW_SIZE, category=vehicle):
+            engine.ingest_frame(o.frame, [o])
+        with pytest.raises(CategoryChanged):
+            engine.ingest_frame(WINDOW_SIZE, [obs(WINDOW_SIZE, x=-2.0)])
+        assert engine.buffer("a0").category is vehicle
+        assert {o.category for o in engine.buffer("a0").observations()} == {vehicle}
+        assert "a0" not in engine.pedestrians
 
     def test_out_of_order_frame_rejected(self, area_map):
         engine = StreamEngine(area_map)
