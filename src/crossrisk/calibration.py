@@ -3,13 +3,14 @@ cross-validation, plus the four evaluation metrics."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import EmptyGrid, TooFewEpisodes
+from .errors import EmptyGrid, ManifestError, TooFewEpisodes
 from .ppet import ConflictScenario, PPetVector
 from .risk import (
     AreaRole,
@@ -180,6 +181,22 @@ class GridSpec:
         }
         return cls(axes, theta)
 
+    @classmethod
+    def load(cls, path: str) -> tuple[dict, "GridSpec", ThresholdMode]:
+        """Read a grid spec file: its raw document, the grid and the threshold
+        mode it sets ("mode", per_area when absent). A file that cannot be read
+        or does not describe a grid raises ManifestError naming the file."""
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise TypeError("expected a JSON object")
+            return doc, cls.from_dict(doc), ThresholdMode(doc.get("mode", ThresholdMode.PER_AREA.value))
+        except KeyError as exc:
+            raise ManifestError(f"bad grid spec {path}: missing key {exc}") from exc
+        except (OSError, AttributeError, TypeError, ValueError) as exc:
+            raise ManifestError(f"bad grid spec {path}: {exc}") from exc
+
     def configs_for_role(
         self, role: AreaRole
     ) -> Iterator[tuple[ThresholdInterval, ThresholdInterval, int]]:
@@ -291,8 +308,12 @@ def _search_role(
     n_folds = len(folds)
     category = episodes[0].category
 
+    pair = None
     for pf, vf, theta in grid.configs_for_role(role):
-        counts = np.array([hit_count(pv, vv, pf, vf) for pv, vv in values])
+        # theta varies innermost, so one hit count per (PF, VF) pair serves all its thetas
+        if (pf, vf) != pair:
+            pair = (pf, vf)
+            counts = np.array([hit_count(pv, vv, pf, vf) for pv, vv in values])
         predicted = counts > theta
         correct = predicted[None, :] == truth  # (areas, episodes)
         fold_acc = np.array(

@@ -47,7 +47,7 @@ from .predictors import (
     train_bundle,
 )
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
-from .risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode
+from .risk import AreaRole, RiskLevel, RiskThresholdConfig
 from .stream import (
     Observation,
     StreamRow,
@@ -273,10 +273,7 @@ def _episodes_from_files(trace_path: str, truth_path: str) -> list[Episode]:
 
 def cmd_tune(args: argparse.Namespace) -> int:
     episodes = _episodes_from_files(args.trace, args.truth)
-    with open(_require(args.grid, "grid spec"), encoding="utf-8") as fh:
-        grid_doc = json.load(fh)
-    grid = GridSpec.from_dict(grid_doc)
-    mode = ThresholdMode(grid_doc.get("mode", args.mode))
+    grid_doc, grid, mode = GridSpec.load(str(_require(args.grid, "grid spec")))
     seed = args.seed if args.seed is not None else 0
     result = grid_search(episodes, grid, k=args.k, seed=seed, mode=mode)
     report = {
@@ -430,8 +427,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tune", parents=[common], help="Grid-search thresholds with k-fold CV")
     p.add_argument("--trace", required=True, help="P-PET trace CSV from evaluate")
     p.add_argument("--truth", required=True)
-    p.add_argument("--grid", required=True, help="Grid spec JSON")
-    p.add_argument("--mode", default="per_area", choices=[m.value for m in ThresholdMode])
+    p.add_argument("--grid", required=True, help="Grid spec JSON; its mode (default per_area) sets the threshold mode")
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--out", required=True, help="Calibration report JSON")
     p.add_argument("--thresholds-out", help="Write the best config as a threshold file")

@@ -285,15 +285,6 @@ class TargetLine:
         if abs(norm - 1.0) > 1e-9:
             raise ValueError(f"target line normal must be unit length, got {norm}")
 
-    @classmethod
-    def from_direction(cls, p0: WorldPoint, p1: WorldPoint, toward: tuple[float, float]) -> "TargetLine":
-        """Build a line normalizing the given inward direction."""
-        nx, ny = toward
-        norm = math.hypot(nx, ny)
-        if norm < 1e-12:
-            raise ValueError("inward direction must be nonzero")
-        return cls(p0, p1, (nx / norm, ny / norm))
-
 
 def signed_distance_to_line(p: WorldPoint, line: TargetLine) -> float:
     """Distance from p to the target line, positive on the approach side."""
@@ -451,16 +442,15 @@ def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.N
     return TileGrid(tuple(tiles), fallback_policy)
 
 
-def save_tile_grid(path: str, grid: TileGrid, include_matrix: bool = True) -> None:
-    entries = []
-    for tile in grid.tiles:
-        entry: dict = {
+def save_tile_grid(path: str, grid: TileGrid) -> None:
+    entries = [
+        {
             "pixel": [[c.u, c.v] for c in tile.pixel_region],
             "world": [[c.x, c.y] for c in tile.world_region] if tile.world_region else None,
+            "matrix": tile.matrix.tolist(),
         }
-        if include_matrix:
-            entry["matrix"] = tile.matrix.tolist()
-        entries.append(entry)
+        for tile in grid.tiles
+    ]
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(entries, fh, indent=2)
         fh.write("\n")

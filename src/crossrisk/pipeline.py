@@ -9,13 +9,14 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import PredictionError
+from .errors import ManifestError, PredictionError
 from .geometry import (
     AreaMap,
     WorldPoint,
@@ -87,7 +88,7 @@ class RiskPipeline:
         self.thresholds = thresholds
         self.bundle = bundle if bundle is not None else TrainedModelBundle.historical_average()
         self.fps = fps
-        self.engine = StreamEngine(area_map, fps)
+        self.engine = StreamEngine(area_map)
         self.result = EvaluationResult()
 
     # -- prediction helpers -------------------------------------------------------
@@ -139,17 +140,11 @@ class RiskPipeline:
 
     def _conflict_vehicle(
         self, ped_position: WorldPoint, area_id: str,
-        snapshot: Mapping[AgentCategory, list[tuple[str, WorldPoint, str]]],
+        snapshot: Mapping[AgentCategory, dict[str, WorldPoint]],
     ) -> tuple[str, WorldPoint] | None:
-        serving = CONFLICT_AREA_VEHICLE[area_id]
-        candidates = [(veh_id, pos) for veh_id, pos, _ in snapshot.get(serving, [])]
-        veh_id = select_conflict_vehicle(ped_position, candidates)
-        if veh_id is None:
-            return None
-        for cand_id, pos in candidates:
-            if cand_id == veh_id:
-                return veh_id, pos
-        return None
+        candidates = snapshot[CONFLICT_AREA_VEHICLE[area_id]]
+        veh_id = select_conflict_vehicle(ped_position, candidates.items())
+        return None if veh_id is None else (veh_id, candidates[veh_id])
 
     # -- frame loop ----------------------------------------------------------------
 
@@ -162,7 +157,7 @@ class RiskPipeline:
         t0 = time.perf_counter()
         # one vehicle snapshot per frame, shared across pedestrians
         snapshot = {
-            category: self.engine.agents_in_areas([category], ("3.", "4."))
+            category: dict(self.engine.agents_in_areas([category], ("3.", "4.")))
             for category in CONFLICT_AREA_VEHICLE.values()
         }
         vehicle_cache: dict = {}
@@ -261,26 +256,50 @@ def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
             writer.writerow([row.frame, row.ped_id, row.veh_id, row.area.value] + cells)
 
 
+_TRACE_COMPONENTS = TRACE_HEADER[4:]
+# The component columns each trace area fills; the other area's stay empty.
+_TRACE_AREA_COLUMNS = {AreaRole.CLOSER.value: _TRACE_COMPONENTS[:2], AreaRole.FURTHER.value: _TRACE_COMPONENTS[2:]}
+
+
+def _trace_component(cell: str) -> float | None:
+    if not cell:
+        return None
+    value = float(cell)
+    if not math.isfinite(value):
+        raise ValueError(f"component must be finite, got {cell}")
+    return value
+
+
 def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
-    """Rebuild per-pedestrian P-PET vector sequences from a trace file."""
+    """Rebuild per-pedestrian P-PET vector sequences from a trace file.
+
+    A missing column, a row whose cell count differs from the header's, a
+    non-integer frame, an area other than closer/further, a component that is
+    neither empty nor a finite float, or a value in the other area's columns
+    raises ManifestError naming path:line.
+    """
     per_key: dict[tuple[str, int], dict[str, float | None]] = {}
-    order: list[tuple[str, int]] = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
+        missing = [c for c in TRACE_HEADER if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ManifestError(f"{path}:1: trace header lacks columns {missing}")
         for row in reader:
-            key = (row["ped_id"], int(row["frame"]))
-            if key not in per_key:
-                per_key[key] = {"c_pf": None, "c_vf": None, "f_pf": None, "f_vf": None}
-                order.append(key)
-            if row["area"] == AreaRole.CLOSER.value:
-                per_key[key]["c_pf"] = float(row["c_pf"]) if row["c_pf"] else None
-                per_key[key]["c_vf"] = float(row["c_vf"]) if row["c_vf"] else None
-            else:
-                per_key[key]["f_pf"] = float(row["f_pf"]) if row["f_pf"] else None
-                per_key[key]["f_vf"] = float(row["f_vf"]) if row["f_vf"] else None
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} cells")
+                key = (row["ped_id"], int(row["frame"]))
+                own = _TRACE_AREA_COLUMNS.get(row["area"])
+                if own is None:
+                    raise ValueError(f"area must be closer or further, got {row['area']!r}")
+                if any(row[c] for c in _TRACE_COMPONENTS if c not in own):
+                    raise ValueError("a value in the other area's columns")
+                values = {c: _trace_component(row[c]) for c in own}
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{reader.line_num}: bad trace row: {exc}") from exc
+            per_key.setdefault(key, dict.fromkeys(_TRACE_COMPONENTS)).update(values)
     vectors: dict[str, list[PPetVector]] = {}
-    for ped_id, frame in order:
-        parts = per_key[(ped_id, frame)]
+    for (ped_id, _), parts in per_key.items():
         vectors.setdefault(ped_id, []).append(PPetVector(**parts))
     return vectors
 

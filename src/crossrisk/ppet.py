@@ -19,14 +19,6 @@ class ConflictScenario(Enum):
     VEHICLE_FIRST = "vf"
 
 
-@dataclass(frozen=True)
-class PetObservation:
-    """Observed post-encroachment time for one completed conflict."""
-
-    scenario: ConflictScenario
-    value: float
-
-
 def pet(
     t_p_enter: float, t_p_leave: float, t_v_enter: float, t_v_leave: float
 ) -> tuple[float, float]:

@@ -12,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -226,7 +226,7 @@ class RiskScenario:
 
 
 def select_conflict_vehicle(
-    ped_position: WorldPoint, candidates: Sequence[tuple[str, WorldPoint]]
+    ped_position: WorldPoint, candidates: Iterable[tuple[str, WorldPoint]]
 ) -> str | None:
     """Nearest candidate vehicle by Euclidean world distance, or None.
 

@@ -112,16 +112,15 @@ class TrajectoryBuffer:
 
     Gaps of up to MAX_INTERPOLATED_GAP missed frames are filled by linear
     interpolation; anything longer resets the buffer because the window
-    would be semantically stale.
+    would be semantically stale. `area` is the area of the last real
+    observation, set by StreamEngine.ingest_frame (None once cleared).
     """
 
-    def __init__(self, agent_id: str, category: AgentCategory, capacity: int = WINDOW_SIZE):
-        if capacity < WINDOW_SIZE:
-            raise ValueError(f"capacity must be >= {WINDOW_SIZE}")
+    def __init__(self, agent_id: str, category: AgentCategory):
         self.agent_id = agent_id
         self.category = category
-        self._ring: deque[Observation] = deque(maxlen=capacity)
-        self.total_observed = 0
+        self._ring: deque[Observation] = deque(maxlen=WINDOW_SIZE)
+        self.area: str | None = None
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -132,13 +131,12 @@ class TrajectoryBuffer:
 
     def clear(self) -> None:
         self._ring.clear()
-        self.total_observed = 0
+        self.area = None
 
     def append(self, obs: Observation) -> None:
         last = self.last
         if last is None:
             self._ring.append(obs)
-            self.total_observed = 1
             return
         gap = obs.frame - last.frame
         if gap <= 0:
@@ -148,7 +146,6 @@ class TrajectoryBuffer:
         if gap > MAX_INTERPOLATED_GAP + 1:
             self.clear()
             self._ring.append(obs)
-            self.total_observed = 1
             return
         for step in range(1, gap):
             frac = step / gap
@@ -165,7 +162,6 @@ class TrajectoryBuffer:
                 )
             )
         self._ring.append(obs)
-        self.total_observed += gap
 
     @property
     def window_ready(self) -> bool:
@@ -235,21 +231,6 @@ class PedestrianState:
         self.flagged_risk2.clear()
 
 
-class LifecycleEventKind(Enum):
-    BECAME_TARGET = "became_target"
-    BECAME_NON_TARGET = "became_non_target"
-    ENTERED_AREA = "entered_area"
-    WINDOW_READY = "window_ready"
-
-
-@dataclass(frozen=True)
-class LifecycleEvent:
-    kind: LifecycleEventKind
-    agent_id: str
-    frame: int
-    area: str | None = None
-
-
 # Areas that promote a pedestrian to Target.
 _TARGET_ENTRY_PREFIXES = ("1.", "2.", "3.")
 
@@ -262,13 +243,11 @@ class StreamEngine:
     its trajectory buffer is cleared. Vehicles are buffered without lifecycle.
     """
 
-    def __init__(self, area_map: AreaMap, fps: float = 30.0):
+    def __init__(self, area_map: AreaMap):
         self.area_map = area_map
-        self.fps = fps
         self.buffers: dict[str, TrajectoryBuffer] = {}
         self.pedestrians: dict[str, PedestrianState] = {}
         self.last_frame: int | None = None
-        self._window_signaled: dict[str, bool] = {}
 
     def buffer(self, agent_id: str) -> TrajectoryBuffer:
         return self.buffers[agent_id]
@@ -282,21 +261,19 @@ class StreamEngine:
 
     def agents_in_areas(
         self, categories: Iterable[AgentCategory], prefixes: Sequence[str]
-    ) -> list[tuple[str, WorldPoint, str]]:
-        """(agent_id, position, area) for agents of the given categories whose
-        current position lies in an area matching one of the name prefixes."""
+    ) -> list[tuple[str, WorldPoint]]:
+        """(agent_id, position) for agents of the given categories whose last
+        observation lies in an area matching one of the name prefixes."""
         wanted = set(categories)
-        found = []
-        for agent_id, buf in self.buffers.items():
-            if buf.category not in wanted or buf.last is None:
-                continue
-            area = locate_area(self.area_map, buf.last.position)
-            if area is not None and any(area.startswith(p) for p in prefixes):
-                found.append((agent_id, buf.last.position, area))
-        return found
+        prefixes = tuple(prefixes)
+        return [
+            (agent_id, buf.last.position)
+            for agent_id, buf in self.buffers.items()
+            if buf.category in wanted and buf.area is not None and buf.area.startswith(prefixes)
+        ]
 
-    def ingest_frame(self, frame: int, observations: Sequence[Observation]) -> list[LifecycleEvent]:
-        """Feed one frame of observations; returns lifecycle events in order."""
+    def ingest_frame(self, frame: int, observations: Sequence[Observation]) -> None:
+        """Feed one frame of observations, locating each agent's area once."""
         if self.last_frame is not None and frame != self.last_frame + 1:
             raise OutOfOrderFrame(f"expected frame {self.last_frame + 1}, got {frame}")
         seen: set[str] = set()
@@ -317,38 +294,24 @@ class StreamEngine:
                 )
         self.last_frame = frame
 
-        events: list[LifecycleEvent] = []
         for obs in observations:
             buf = self.buffers.get(obs.agent_id)
             if buf is None:
                 buf = TrajectoryBuffer(obs.agent_id, obs.category)
                 self.buffers[obs.agent_id] = buf
-            before = buf.total_observed
             buf.append(obs)
-            if before > 0 and buf.total_observed == 1:
-                # long gap reset happened
-                self._window_signaled[obs.agent_id] = False
-            if buf.window_ready and not self._window_signaled.get(obs.agent_id, False):
-                self._window_signaled[obs.agent_id] = True
-                events.append(LifecycleEvent(LifecycleEventKind.WINDOW_READY, obs.agent_id, frame))
-
+            buf.area = locate_area(self.area_map, obs.position)
             if obs.category.is_pedestrian:
-                events.extend(self._step_pedestrian(obs, buf))
-        return events
+                self._step_pedestrian(obs, buf)
 
-    def _step_pedestrian(self, obs: Observation, buf: TrajectoryBuffer) -> list[LifecycleEvent]:
-        events: list[LifecycleEvent] = []
-        area = locate_area(self.area_map, obs.position)
+    def _step_pedestrian(self, obs: Observation, buf: TrajectoryBuffer) -> None:
+        area = buf.area
         state = self.pedestrians.get(obs.agent_id)
         if state is None:
             state = PedestrianState(obs.agent_id, obs.category)
             self.pedestrians[obs.agent_id] = state
 
         prev_area = state.current_area
-        if area is not None and area != prev_area:
-            events.append(
-                LifecycleEvent(LifecycleEventKind.ENTERED_AREA, obs.agent_id, obs.frame, area)
-            )
         state.current_area = area
         state.direction = infer_direction(buf.observations())
 
@@ -362,11 +325,7 @@ class StreamEngine:
                 state.status = PedestrianStatus.EXITED
                 state.reset_counters()
                 buf.clear()
-                self._window_signaled[obs.agent_id] = False
-                events.append(
-                    LifecycleEvent(LifecycleEventKind.BECAME_NON_TARGET, obs.agent_id, obs.frame)
-                )
-            return events
+            return
 
         # NonTarget (or exited, starting a fresh episode) entering the crossing
         enters = area is not None and area.startswith(_TARGET_ENTRY_PREFIXES)
@@ -376,10 +335,6 @@ class StreamEngine:
             state.status = PedestrianStatus.TARGET
             state.episode += 1
             state.reset_counters()
-            events.append(
-                LifecycleEvent(LifecycleEventKind.BECAME_TARGET, obs.agent_id, obs.frame)
-            )
-        return events
 
 
 # --- stream files -------------------------------------------------------------
@@ -465,12 +420,3 @@ def read_stream_csv(path: str, tile_grid: TileGrid | None = None) -> dict[int, l
                 p = transform_point(tile_grid, p)
             frames.setdefault(frame, []).append(Observation(frame, t, agent_id, category, p))
     return frames
-
-
-def iter_frames(frames: dict[int, list[Observation]]) -> Iterator[tuple[int, list[Observation]]]:
-    """Iterate the full contiguous frame range, yielding empty frames too."""
-    if not frames:
-        return
-    first, last = min(frames), max(frames)
-    for frame in range(first, last + 1):
-        yield frame, frames.get(frame, [])

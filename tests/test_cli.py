@@ -213,26 +213,28 @@ class TestEvaluate:
         assert (eval_out / "risk_scenarios.jsonl").read_text() == ""
 
 
-class TestTune:
-    def _write_episode_files(self, tmp_path):
-        episodes = planted_episodes(40, seed=3)
-        rows = []
-        truth = GroundTruth(fps=30)
-        for e in episodes:
-            truth.agents[e.ped_id] = AgentTruth(category=e.category)
-            for role, level in e.labels.items():
-                truth.risk[(e.ped_id, role.value)] = level
-            for frame, vec in enumerate(e.trace):
-                rows.append(TraceRow(frame, e.ped_id, "v0", AreaRole.CLOSER, vec.c_pf, vec.c_vf))
-                rows.append(TraceRow(frame, e.ped_id, "", AreaRole.FURTHER, vec.f_pf, vec.f_vf))
-        trace_path = tmp_path / "trace.csv"
-        truth_path = tmp_path / "truth.json"
-        write_trace_csv(str(trace_path), rows)
-        truth.save(str(truth_path))
-        return trace_path, truth_path
+def _write_episode_files(tmp_path):
+    """A planted-rule trace CSV and its ground truth, 40 episodes."""
+    episodes = planted_episodes(40, seed=3)
+    rows = []
+    truth = GroundTruth(fps=30)
+    for e in episodes:
+        truth.agents[e.ped_id] = AgentTruth(category=e.category)
+        for role, level in e.labels.items():
+            truth.risk[(e.ped_id, role.value)] = level
+        for frame, vec in enumerate(e.trace):
+            rows.append(TraceRow(frame, e.ped_id, "v0", AreaRole.CLOSER, vec.c_pf, vec.c_vf))
+            rows.append(TraceRow(frame, e.ped_id, "", AreaRole.FURTHER, vec.f_pf, vec.f_vf))
+    trace_path = tmp_path / "trace.csv"
+    truth_path = tmp_path / "truth.json"
+    write_trace_csv(str(trace_path), rows)
+    truth.save(str(truth_path))
+    return trace_path, truth_path
 
+
+class TestTune:
     def test_recovers_planted_interval(self, tmp_path):
-        trace_path, truth_path = self._write_episode_files(tmp_path)
+        trace_path, truth_path = _write_episode_files(tmp_path)
         grid = {
             "axes": {
                 "closer": {
@@ -257,6 +259,7 @@ class TestTune:
         ])
         assert code == EXIT_OK
         report = json.loads(report_path.read_text())
+        assert report["mode"] == "per_area"  # the default when the grid sets no mode
         best = report["best_config"]["categories"]["0"]
         alpha, beta = best["intervals"]["closer"]["pf"]
         assert abs(alpha - (-1.0)) <= 0.25 + 1e-9
@@ -436,3 +439,69 @@ def test_category_change_is_input_error(command, tmp_path, capsys):
     )
     assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
     assert "agent a0 is category 2 in frame 2" in capsys.readouterr().err
+
+
+# One grid point per area; the grid spec tests break it one way at a time.
+_SMALL_GRID = {
+    "axes": {
+        role: {s: {"alpha": [-1.0, -1.0, 1.0], "beta": [0.0, 0.0, 1.0]} for s in ("pf", "vf")}
+        for role in ("closer", "further")
+    },
+    "theta": {"closer": [2], "further": [2]},
+}
+
+
+def _tune_or_metrics(command, trace_path, truth_path, tmp_path, grid_text=None):
+    if command == "metrics":
+        return main(["metrics", "--trace", str(trace_path), "--truth", str(truth_path)])
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(grid_text or json.dumps(_SMALL_GRID), encoding="utf-8")
+    return main([
+        "tune", "--trace", str(trace_path), "--truth", str(truth_path), "--grid", str(grid_path),
+        "--k", "5", "--out", str(tmp_path / "report.json"),
+    ])
+
+
+@pytest.mark.parametrize("command", ["tune", "metrics"])
+def test_well_formed_trace_and_grid_are_accepted(command, tmp_path):
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    assert _tune_or_metrics(command, trace_path, truth_path, tmp_path) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["tune", "metrics"])
+@pytest.mark.parametrize(
+    "header, row, line",
+    [
+        ("frame,ped_id,veh_id,area,c_pf,c_vf,f_pf", None, 1),
+        (None, "x1,p000,v0,closer,-0.5,-3.0,,", 2),
+        (None, "0,p000,v0,merged,-0.5,-3.0,,", 2),
+        (None, "0,p000,v0,closer,abc,-3.0,,", 2),
+        (None, "0,p000,v0,closer,-0.5,inf,,", 2),
+        (None, "0,p000,v0,closer,-0.5,-3.0,0.5,", 2),
+        (None, "0,p000,v0,closer,-0.5", 2),
+    ],
+    ids=["missing-column", "frame", "area", "component", "non-finite", "other-area", "short-row"],
+)
+def test_malformed_trace_row_is_input_error(command, header, row, line, tmp_path, capsys):
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    lines = trace_path.read_text(encoding="utf-8").splitlines()
+    lines[0] = header or lines[0]
+    lines[1] = row or lines[1]  # the first closer row
+    trace_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert _tune_or_metrics(command, trace_path, truth_path, tmp_path) == EXIT_INPUT
+    assert f"{trace_path}:{line}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        json.dumps({"theta": _SMALL_GRID["theta"]}),
+        json.dumps({**_SMALL_GRID, "mode": "bogus"}),
+    ],
+    ids=["invalid-json", "missing-axes", "bogus-mode"],
+)
+def test_malformed_grid_spec_is_input_error(text, tmp_path, capsys):
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    assert _tune_or_metrics("tune", trace_path, truth_path, tmp_path, text) == EXIT_INPUT
+    assert str(tmp_path / "grid.json") in capsys.readouterr().err

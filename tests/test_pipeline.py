@@ -126,6 +126,27 @@ class TestPipeline:
         estimates = pipeline._pedestrian_estimates(window, Direction.LEFT_TO_RIGHT)
         assert estimates == [5.0, 5.0, 5.0]
 
+    def test_run_fills_frame_gaps(self):
+        """run processes the contiguous frame range, empty frames included."""
+        from crossrisk.geometry import WorldPoint
+        from crossrisk.stream import AgentCategory, Observation
+
+        processed = []
+
+        class Recording(RiskPipeline):
+            def process_frame(self, frame, observations):
+                processed.append((frame, list(observations)))
+                return super().process_frame(frame, observations)
+
+        def seen(frame):
+            return [Observation(frame, frame / 30.0, "a0", AgentCategory.ADULT, WorldPoint(-3.0, 1.0))]
+
+        pipeline = Recording(reference_area_map(), RiskThresholdConfig.default())
+        pipeline.run({3: seen(3), 6: seen(6)})
+        assert [f for f, _ in processed] == [3, 4, 5, 6]
+        assert processed[1][1] == [] and processed[2][1] == []
+        assert len(pipeline.result.prediction_ms) == 4
+
 
 class TestTraceFiles:
     def test_trace_round_trip(self, tmp_path, run):

@@ -13,14 +13,12 @@ from crossrisk.stream import (
     WINDOW_SIZE,
     AgentCategory,
     Direction,
-    LifecycleEventKind,
     Observation,
     PedestrianStatus,
     StreamEngine,
     TrajectoryBuffer,
     closer_further_assignment,
     infer_direction,
-    iter_frames,
     read_stream_csv,
     window,
     write_stream_csv,
@@ -117,10 +115,11 @@ class TestDirection:
 class TestLifecycle:
     def test_became_target_in_area_1(self, area_map):
         engine = StreamEngine(area_map)
-        events = engine.ingest_frame(0, [obs(0, x=-9.0)])
-        kinds = [e.kind for e in events]
-        assert LifecycleEventKind.BECAME_TARGET in kinds
-        assert engine.pedestrians["a0"].status is PedestrianStatus.TARGET
+        assert engine.ingest_frame(0, [obs(0, x=-9.0)]) is None
+        state = engine.pedestrians["a0"]
+        assert state.status is PedestrianStatus.TARGET
+        assert state.current_area == "1.1"
+        assert state.episode == 1
 
     def test_first_seen_inside_area_2_promotes(self, area_map):
         engine = StreamEngine(area_map)
@@ -129,35 +128,38 @@ class TestLifecycle:
 
     def test_exit_after_leaving_conflict_area(self, area_map):
         engine = StreamEngine(area_map)
-        events = []
+        exit_frames = []
         # march from inside 3.2 out into 2.2
         frame = 0
         for x in np.arange(10.0, 11.6, 0.1):
-            events += engine.ingest_frame(frame, [obs(frame, x=float(x))])
+            before = engine.pedestrians["a0"].status if "a0" in engine.pedestrians else None
+            engine.ingest_frame(frame, [obs(frame, x=float(x))])
+            state = engine.pedestrians["a0"]
+            if state.status is PedestrianStatus.EXITED and before is not PedestrianStatus.EXITED:
+                exit_frames.append(frame)
+                assert state.current_area == "2.2"
+                assert not engine.window_ready("a0")
             frame += 1
-        exit_events = [e for e in events if e.kind is LifecycleEventKind.BECAME_NON_TARGET]
-        assert len(exit_events) == 1
-        state = engine.pedestrians["a0"]
-        assert state.status is PedestrianStatus.EXITED
+        assert len(exit_frames) == 1
+        assert engine.pedestrians["a0"].status is PedestrianStatus.EXITED
         # trajectory was cleared at the exit: only post-exit points remain
         remaining = engine.buffer("a0").observations()
-        assert all(o.frame > exit_events[0].frame for o in remaining)
+        assert all(o.frame > exit_frames[0] for o in remaining)
 
     def test_window_ready_on_thirtieth_point(self, area_map):
         engine = StreamEngine(area_map)
-        events = []
+        ready = []
         for i in range(WINDOW_SIZE):
-            events += engine.ingest_frame(i, [obs(i, x=-5.0 + 0.02 * i)])
-        ready = [e for e in events if e.kind is LifecycleEventKind.WINDOW_READY]
-        assert len(ready) == 1
-        assert ready[0].frame == WINDOW_SIZE - 1
+            engine.ingest_frame(i, [obs(i, x=-5.0 + 0.02 * i)])
+            ready.append(engine.window_ready("a0"))
+        assert ready == [False] * (WINDOW_SIZE - 1) + [True]
+        assert engine.window("a0").end.frame == WINDOW_SIZE - 1
 
     def test_no_window_ready_before_thirty(self, area_map):
         engine = StreamEngine(area_map)
-        events = []
         for i in range(WINDOW_SIZE - 1):
-            events += engine.ingest_frame(i, [obs(i, x=-5.0 + 0.02 * i)])
-        assert all(e.kind is not LifecycleEventKind.WINDOW_READY for e in events)
+            engine.ingest_frame(i, [obs(i, x=-5.0 + 0.02 * i)])
+            assert not engine.window_ready("a0")
 
     def test_duplicate_agent_rejected(self, area_map):
         engine = StreamEngine(area_map)
@@ -199,11 +201,54 @@ class TestLifecycle:
         runs = []
         for _ in range(2):
             engine = StreamEngine(area_map)
-            events = []
+            states = []
             for i, o in enumerate(frames):
-                events += engine.ingest_frame(i, [o])
-            runs.append(events)
+                engine.ingest_frame(i, [o])
+                state = engine.pedestrians["a0"]
+                states.append(
+                    (state.status, state.current_area, state.direction, state.episode,
+                     engine.window_ready("a0"))
+                )
+            runs.append(states)
         assert runs[0] == runs[1]
+
+
+class TestZoneLookup:
+    def test_one_lookup_per_observation(self, area_map, monkeypatch):
+        """The per-frame chain locates each observation once, at ingest; a
+        vehicle that stops being observed keeps its buffer and stored area and
+        stays a conflict candidate."""
+        import crossrisk.stream as stream_module
+        from crossrisk.pipeline import RiskPipeline
+        from crossrisk.risk import RiskThresholdConfig
+
+        calls = []
+        real = stream_module.locate_area
+
+        def counting(amap, p):
+            calls.append(p)
+            return real(amap, p)
+
+        monkeypatch.setattr(stream_module, "locate_area", counting)
+        pipeline = RiskPipeline(area_map, RiskThresholdConfig.default())
+        vehicle = AgentCategory.VEHICLE_AREA_41
+        ingested = 0
+        for frame in range(60):
+            observations = [obs(frame, "p0", x=-3.0 + 0.05 * frame)]
+            if frame < 35:  # the vehicle approaches through 4.1, then is lost
+                observations.append(obs(frame, "v0", x=2.75, y=8.0 - 0.1 * frame, category=vehicle))
+            pipeline.process_frame(frame, observations)
+            ingested += len(observations)
+
+        assert len(calls) == ingested
+        engine = pipeline.engine
+        last = engine.buffer("v0").last
+        assert last.frame == 34
+        assert engine.buffer("v0").area == "4.1"
+        assert engine.agents_in_areas([vehicle], ("3.", "4.")) == [("v0", last.position)]
+        closer = [r for r in pipeline.result.trace if r.area.value == "closer"]
+        assert closer and {r.veh_id for r in closer if r.frame >= 35} == {"v0"}
+        assert len(calls) == ingested  # snapshot queries located nothing
 
 
 class TestStreamCsv(object):
@@ -235,9 +280,3 @@ class TestStreamCsv(object):
         got = back[0][0].position
         assert abs(got.x - world.x) < 1e-6
         assert abs(got.y - world.y) < 1e-6
-
-    def test_iter_frames_fills_gaps(self):
-        frames = {3: [obs(3)], 6: [obs(6)]}
-        seq = list(iter_frames(frames))
-        assert [f for f, _ in seq] == [3, 4, 5, 6]
-        assert seq[1][1] == []
