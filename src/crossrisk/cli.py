@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics
-from .errors import BudgetExceeded, CategoryChanged, CrossRiskError, DegenerateAnchors, ManifestError
+from .errors import BudgetExceeded, CrossRiskError, DegenerateAnchors, ManifestError
 from .geometry import (
     HomographyTile,
     PixelPoint,
@@ -51,6 +51,7 @@ from .risk import AreaRole, RiskLevel, RiskThresholdConfig
 from .stream import (
     Observation,
     StreamRow,
+    agent_trajectories,
     read_stream_csv,
     read_stream_rows,
     write_stream_csv,
@@ -161,17 +162,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     annotations = None
     if args.truth:
         annotations = _annotations_from_truth(GroundTruth.load(str(_require(args.truth, "ground truth"))))
-    by_agent: dict[str, list[Observation]] = {}
-    for frame in sorted(frames):
-        for obs in frames[frame]:
-            track = by_agent.setdefault(obs.agent_id, [])
-            if track and track[0].category is not obs.category:
-                raise CategoryChanged(
-                    f"agent {obs.agent_id} is category {int(obs.category)} in frame {frame}, "
-                    f"category {int(track[0].category)} before"
-                )
-            track.append(obs)
-    trajectories = [by_agent[k] for k in sorted(by_agent)]
+    trajectories = agent_trajectories(frames)
     samples = build_labeled_dataset(trajectories, area_map, annotations=annotations)
     write_samples_jsonl(args.out, samples)
     print(f"build-dataset: {len(samples)} samples from {len(trajectories)} trajectories")

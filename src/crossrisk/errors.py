@@ -43,6 +43,10 @@ class CategoryChanged(CrossRiskError):
     """An agent id reappears under another category."""
 
 
+class NonIncreasingTime(CrossRiskError):
+    """An agent's time does not strictly increase from one observation to the next."""
+
+
 # --- predictors ---------------------------------------------------------------
 
 class PredictionError(CrossRiskError):
@@ -75,10 +79,6 @@ class DatasetTooSmall(CrossRiskError):
 
 class DivergedLoss(CrossRiskError):
     """Validation loss exploded during training."""
-
-
-class NeverReachesTarget(CrossRiskError):
-    """Trajectory never crosses the requested target line."""
 
 
 class EmptyCandidates(CrossRiskError):

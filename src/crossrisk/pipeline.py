@@ -96,7 +96,7 @@ class RiskPipeline:
     def _predict(self, category: AgentCategory, q: int, window, line) -> float | None:
         """Arrival seconds or None when the line is behind the agent or the
         predictor cannot produce an estimate."""
-        if signed_distance_to_line(window.end.position, line) < 0.0:
+        if signed_distance_to_line(window.end_position, line) < 0.0:
             return None
         predictor = self.bundle.predictor_for(category, q)
         try:
@@ -172,7 +172,7 @@ class RiskPipeline:
             window = self.engine.window(ped_id)
             closer_id, further_id = closer_further_assignment(state.direction)
             ped_est = self._pedestrian_estimates(window, state.direction)
-            ped_position = window.end.position
+            ped_position = window.end_position
 
             vehicles: dict[AreaRole, tuple[str, WorldPoint]] = {}
             veh_est = {}

@@ -9,7 +9,6 @@ from .dataset import (
     LabeledSample,
     Reaction,
     build_labeled_dataset,
-    crossing_time,
     targets_for_agent,
 )
 from .historical import HistoricalAveragePredictor, arrival_time, average_velocity, direction_vector
@@ -42,7 +41,6 @@ __all__ = [
     "arrival_time",
     "average_velocity",
     "build_labeled_dataset",
-    "crossing_time",
     "direction_vector",
     "evaluate_mae",
     "select_model",

@@ -16,6 +16,9 @@ from .recurrent import PARAM_NAMES, RecurrentRegressor
 
 BUNDLE_VERSION = 1
 
+# Train and validation shares of training.split_samples, recorded in every bundle.
+SPLIT_RATIO = (0.8, 0.2)
+
 # All (category, q) pairs the evaluation pipeline can ask for.
 ALL_PAIRS: tuple[tuple[AgentCategory, int], ...] = tuple(
     (c, q) for c in AgentCategory for q in ((0, 1) if c.conflict_area is not None else (0, 1, 2))
@@ -28,8 +31,6 @@ class TrainedModelBundle:
 
     predictors: dict[tuple[AgentCategory, int], ArrivalTimePredictor]
     validation_mae: dict[tuple[AgentCategory, int], float | None] = field(default_factory=dict)
-    split_ratio: tuple[float, float] = (0.8, 0.2)
-    version: int = BUNDLE_VERSION
 
     def predictor_for(self, category: AgentCategory, q: int) -> ArrivalTimePredictor:
         try:
@@ -71,8 +72,8 @@ class TrainedModelBundle:
                 entry["kind"] = "historical_average"
             models.append(entry)
         return {
-            "version": self.version,
-            "split_ratio": list(self.split_ratio),
+            "version": BUNDLE_VERSION,
+            "split_ratio": list(SPLIT_RATIO),
             "models": models,
         }
 
@@ -105,8 +106,7 @@ class TrainedModelBundle:
             else:
                 raise ManifestError(f"unknown predictor kind {kind!r}")
             maes[key] = entry.get("validation_mae")
-        ratio = doc.get("split_ratio", [0.8, 0.2])
-        return cls(predictors, maes, (float(ratio[0]), float(ratio[1])))
+        return cls(predictors, maes)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:

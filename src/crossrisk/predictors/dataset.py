@@ -5,13 +5,14 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ManifestError, NeverReachesTarget
+from ..errors import ManifestError
 from ..geometry import (
     AreaMap,
     TargetLine,
@@ -66,8 +67,8 @@ class LabeledSample:
     risk_level: int = 1
 
     def __post_init__(self) -> None:
-        if self.arrival_time < 0.0:
-            raise ValueError(f"arrival time must be >= 0, got {self.arrival_time}")
+        if not math.isfinite(self.arrival_time) or self.arrival_time < 0.0:
+            raise ValueError(f"arrival time must be finite and >= 0, got {self.arrival_time}")
         if self.risk_level not in (0, 1, 2):
             raise ValueError(f"risk level must be 0, 1 or 2, got {self.risk_level}")
 
@@ -97,21 +98,6 @@ def targets_for_agent(
     ]
 
 
-def crossing_time(trajectory: Sequence[Observation], target: TargetLocation) -> float:
-    """First time the trajectory crosses the target line.
-
-    Raises NeverReachesTarget when the agent never gets there.
-    """
-    positions = np.array([[o.position.x, o.position.y] for o in trajectory])
-    times = np.array([o.t for o in trajectory])
-    t_cross = first_crossing_time(positions, times, target.line)
-    if t_cross is None:
-        raise NeverReachesTarget(
-            f"agent {trajectory[0].agent_id} never crosses q={target.q}"
-        )
-    return t_cross
-
-
 def build_labeled_dataset(
     trajectories: Sequence[Sequence[Observation]],
     area_map: AreaMap,
@@ -123,37 +109,44 @@ def build_labeled_dataset(
     For each trajectory and each target q the label of window j is the
     crossing time minus the window-end time; windows ending after the agent
     passed q are excluded. Trajectories that never reach a target are skipped
-    for that target and logged.
+    for that target and logged. Each trajectory's time and position arrays
+    are built once; its windows are slices of them.
     """
     annotations = annotations or {}
     samples: list[LabeledSample] = []
     for trajectory in trajectories:
         if len(trajectory) < WINDOW_SIZE:
             continue
-        agent_id = trajectory[0].agent_id
+        agent_id, category = trajectory[0].agent_id, trajectory[0].category
         note = annotations.get(agent_id, AgentAnnotation())
         agent_targets = list(targets) if targets is not None else targets_for_agent(trajectory, area_map)
         if not agent_targets:
             log.info("agent %s skipped: no resolvable targets", agent_id)
             continue
+        frames = [o.frame for o in trajectory]
+        times = np.array([o.t for o in trajectory])
+        positions = np.array([(o.position.x, o.position.y) for o in trajectory])
+        # the windows are overlapping views of these arrays
+        times.flags.writeable = positions.flags.writeable = False
         for target in agent_targets:
-            try:
-                t_cross = crossing_time(trajectory, target)
-            except NeverReachesTarget as exc:
-                log.info("%s", exc)
+            t_cross = first_crossing_time(positions, times, target.line)
+            if t_cross is None:
+                log.info("agent %s never crosses q=%d", agent_id, target.q)
                 continue
             for j in range(len(trajectory) - WINDOW_SIZE + 1):
-                chunk = trajectory[j : j + WINDOW_SIZE]
-                if chunk[-1].frame - chunk[0].frame != WINDOW_SIZE - 1:
+                end = j + WINDOW_SIZE
+                if frames[end - 1] - frames[j] != WINDOW_SIZE - 1:
                     continue  # gap in the stored trajectory
-                t_end = chunk[-1].t
+                t_end = trajectory[end - 1].t
                 if t_end > t_cross:
                     break
                 samples.append(
                     LabeledSample(
-                        window=SlidingWindowTrajectory(tuple(chunk)),
+                        window=SlidingWindowTrajectory(
+                            agent_id, category, frames[j], times[j:end], positions[j:end]
+                        ),
                         arrival_time=t_cross - t_end,
-                        category=trajectory[0].category,
+                        category=category,
                         q=target,
                         awareness=note.awareness,
                         reaction=note.reaction,
@@ -169,9 +162,9 @@ def build_labeled_dataset(
 def write_samples_jsonl(path: str, samples: Sequence[LabeledSample]) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for s in samples:
-            obs = s.window.observations
+            w = s.window
             doc = {
-                "agent_id": obs[0].agent_id,
+                "agent_id": w.agent_id,
                 "category": int(s.category),
                 "kind": s.q.kind.value,
                 "q": s.q.q,
@@ -179,10 +172,10 @@ def write_samples_jsonl(path: str, samples: Sequence[LabeledSample]) -> None:
                 "awareness": int(s.awareness),
                 "reaction": int(s.reaction),
                 "risk_level": s.risk_level,
-                "first_frame": obs[0].frame,
-                "t": [o.t for o in obs],
-                "x": [o.position.x for o in obs],
-                "y": [o.position.y for o in obs],
+                "first_frame": w.first_frame,
+                "t": w.times.tolist(),
+                "x": w.positions[:, 0].tolist(),
+                "y": w.positions[:, 1].tolist(),
                 "line": {
                     "p0": [s.q.line.p0.x, s.q.line.p0.y],
                     "p1": [s.q.line.p1.x, s.q.line.p1.y],
@@ -193,45 +186,55 @@ def write_samples_jsonl(path: str, samples: Sequence[LabeledSample]) -> None:
             fh.write("\n")
 
 
-def read_samples_jsonl(path: str) -> list[LabeledSample]:
-    from .base import AgentKind, TargetLocation
+def _parse_sample(doc: Mapping) -> LabeledSample:
+    category = AgentCategory(int(doc["category"]))
+    t, x, y = doc["t"], doc["x"], doc["y"]
+    if not len(t) == len(x) == len(y):
+        raise ValueError(f"t, x and y hold {len(t)}, {len(x)} and {len(y)} points")
+    window = SlidingWindowTrajectory(
+        doc["agent_id"],
+        category,
+        int(doc["first_frame"]),
+        np.array(t, dtype=float),
+        np.column_stack([np.array(x, dtype=float), np.array(y, dtype=float)]),
+    )
+    if not (np.isfinite(window.times).all() and np.isfinite(window.positions).all()):
+        raise ValueError("t, x and y must be finite")
+    if np.any(np.diff(window.times) <= 0):
+        raise ValueError("t must strictly increase")
+    line = TargetLine(
+        WorldPoint(*map(float, doc["line"]["p0"])),
+        WorldPoint(*map(float, doc["line"]["p1"])),
+        (float(doc["line"]["normal"][0]), float(doc["line"]["normal"][1])),
+    )
+    return LabeledSample(
+        window=window,
+        arrival_time=float(doc["arrival_time"]),
+        category=category,
+        q=TargetLocation(AgentKind(doc["kind"]), int(doc["q"]), line),
+        awareness=Awareness(int(doc["awareness"])),
+        reaction=Reaction(int(doc["reaction"])),
+        risk_level=int(doc["risk_level"]),
+    )
 
+
+def read_samples_jsonl(path: str) -> list[LabeledSample]:
+    """Read a labeled-samples file. A line that is not valid JSON, lacks a key,
+    has t/x/y of unequal length or other than WINDOW_SIZE points, a non-finite
+    or non-increasing time, a non-finite coordinate, or an arrival time that
+    is not finite and >= 0 raises ManifestError naming path:line."""
     samples = []
     try:
         with open(path, encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
+                if not raw.strip():
                     continue
-                doc = json.loads(raw)
-                category = AgentCategory(int(doc["category"]))
-                first = int(doc["first_frame"])
-                obs = tuple(
-                    Observation(
-                        frame=first + i,
-                        t=float(doc["t"][i]),
-                        agent_id=doc["agent_id"],
-                        category=category,
-                        position=WorldPoint(float(doc["x"][i]), float(doc["y"][i])),
-                    )
-                    for i in range(len(doc["t"]))
-                )
-                line = TargetLine(
-                    WorldPoint(*map(float, doc["line"]["p0"])),
-                    WorldPoint(*map(float, doc["line"]["p1"])),
-                    (float(doc["line"]["normal"][0]), float(doc["line"]["normal"][1])),
-                )
-                samples.append(
-                    LabeledSample(
-                        window=SlidingWindowTrajectory(obs),
-                        arrival_time=float(doc["arrival_time"]),
-                        category=category,
-                        q=TargetLocation(AgentKind(doc["kind"]), int(doc["q"]), line),
-                        awareness=Awareness(int(doc["awareness"])),
-                        reaction=Reaction(int(doc["reaction"])),
-                        risk_level=int(doc["risk_level"]),
-                    )
-                )
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+                try:
+                    samples.append(_parse_sample(json.loads(raw)))
+                except KeyError as exc:
+                    raise ManifestError(f"{path}:{lineno}: sample lacks key {exc}") from exc
+                except (TypeError, ValueError) as exc:
+                    raise ManifestError(f"{path}:{lineno}: bad sample: {exc}") from exc
+    except OSError as exc:
         raise ManifestError(f"cannot read labeled samples {path}: {exc}") from exc
     return samples

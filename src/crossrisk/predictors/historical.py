@@ -25,7 +25,7 @@ def direction_vector(window: SlidingWindowTrajectory) -> tuple[np.ndarray, float
 
     Raises ZeroDisplacement when the window effectively did not move.
     """
-    pos = window.positions()
+    pos = window.positions
     d = pos[-1] - pos[0]
     norm = float(math.hypot(d[0], d[1]))
     if norm < 1e-9:
@@ -43,12 +43,10 @@ def average_velocity(window: SlidingWindowTrajectory, d: np.ndarray) -> float:
     if norm <= 0.0:
         raise ZeroDisplacement("direction vector has zero norm")
     unit = np.asarray(d, dtype=float) / norm
-    pos = window.positions()
-    times = window.times()
-    dt = np.diff(times)
+    dt = np.diff(window.times)
     if np.any(dt <= 0):
         raise ValueError("window timestamps must be strictly increasing")
-    steps = np.diff(pos, axis=0) / dt[:, None]
+    steps = np.diff(window.positions, axis=0) / dt[:, None]
     v_avg = float(np.mean(steps @ unit))
     if v_avg <= VELOCITY_FLOOR:
         raise NonPositiveVelocity(
@@ -66,7 +64,7 @@ def arrival_time(window: SlidingWindowTrajectory, line: TargetLine) -> float:
     """
     d, _, theta = direction_vector(window)
     v_avg = average_velocity(window, d)
-    dist = signed_distance_to_line(window.end.position, line)
+    dist = signed_distance_to_line(window.end_position, line)
     if dist < 0.0:
         raise NoApproach(f"agent {window.agent_id} is {-dist} m past the line")
     phi = math.atan2(line.normal[1], line.normal[0])

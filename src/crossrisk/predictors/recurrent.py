@@ -42,10 +42,8 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def window_features(window: SlidingWindowTrajectory) -> np.ndarray:
     """Raw (T-1, 3) feature matrix: per-step dx, dy and speed magnitude."""
-    pos = window.positions()
-    times = window.times()
-    deltas = np.diff(pos, axis=0)
-    dt = np.diff(times)
+    deltas = np.diff(window.positions, axis=0)
+    dt = np.diff(window.times)
     speed = np.hypot(deltas[:, 0], deltas[:, 1]) / dt
     return np.column_stack([deltas[:, 0], deltas[:, 1], speed])
 

@@ -11,7 +11,7 @@ import numpy as np
 from ..errors import DatasetTooSmall, DivergedLoss, EmptyCandidates, PredictionError
 from ..stream import AgentCategory
 from .base import ARRIVAL_TIME_CAP_S, ArrivalTimePredictor
-from .bundle import ALL_PAIRS, TrainedModelBundle
+from .bundle import ALL_PAIRS, SPLIT_RATIO, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
 from .historical import HistoricalAveragePredictor
 from .recurrent import RecurrentRegressor, window_features
@@ -19,7 +19,6 @@ from .recurrent import RecurrentRegressor, window_features
 log = logging.getLogger(__name__)
 
 MIN_TRAINING_SAMPLES = 50
-TRAIN_FRACTION = 0.8
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -50,10 +49,10 @@ def usable_samples(samples: Sequence[LabeledSample]) -> list[LabeledSample]:
 def split_samples(
     samples: Sequence[LabeledSample], seed: int
 ) -> tuple[list[LabeledSample], list[LabeledSample]]:
-    """Deterministic seeded 8:2 shuffle split."""
+    """Deterministic seeded shuffle split in SPLIT_RATIO (8:2)."""
     rng = np.random.default_rng(seed)
     order = rng.permutation(len(samples))
-    cut = int(round(TRAIN_FRACTION * len(samples)))
+    cut = int(round(SPLIT_RATIO[0] * len(samples)))
     train = [samples[i] for i in order[:cut]]
     val = [samples[i] for i in order[cut:]]
     return train, val

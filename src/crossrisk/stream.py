@@ -13,7 +13,8 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     DuplicateAgentInFrame,
     InsufficientHistory,
     ManifestError,
+    NonIncreasingTime,
     OutOfOrderFrame,
     UnknownDirection,
 )
@@ -71,40 +73,32 @@ class Observation:
     position: WorldPoint
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlidingWindowTrajectory:
-    """Exactly WINDOW_SIZE consecutive observations of a single agent."""
+    """WINDOW_SIZE consecutive points of one agent, as arrays.
 
-    observations: tuple[Observation, ...]
+    Point i is frame first_frame + i at times[i] (seconds), with world
+    position positions[i] (metres); times has shape (WINDOW_SIZE,) and
+    positions (WINDOW_SIZE, 2).
+    """
+
+    agent_id: str
+    category: AgentCategory
+    first_frame: int
+    times: np.ndarray
+    positions: np.ndarray
 
     def __post_init__(self) -> None:
-        obs = self.observations
-        if len(obs) != WINDOW_SIZE:
-            raise ValueError(f"window must hold {WINDOW_SIZE} points, got {len(obs)}")
-        ids = {o.agent_id for o in obs}
-        if len(ids) != 1:
-            raise ValueError(f"window mixes agents {sorted(ids)}")
-        for prev, cur in zip(obs, obs[1:]):
-            if cur.frame != prev.frame + 1:
-                raise ValueError("window frames must be consecutive")
+        if self.times.shape != (WINDOW_SIZE,) or self.positions.shape != (WINDOW_SIZE, 2):
+            raise ValueError(
+                f"window must hold times ({WINDOW_SIZE},) and positions ({WINDOW_SIZE}, 2), "
+                f"got {self.times.shape} and {self.positions.shape}"
+            )
 
-    @property
-    def agent_id(self) -> str:
-        return self.observations[0].agent_id
-
-    @property
-    def category(self) -> AgentCategory:
-        return self.observations[0].category
-
-    @property
-    def end(self) -> Observation:
-        return self.observations[-1]
-
-    def positions(self) -> np.ndarray:
-        return np.array([[o.position.x, o.position.y] for o in self.observations])
-
-    def times(self) -> np.ndarray:
-        return np.array([o.t for o in self.observations])
+    @cached_property
+    def end_position(self) -> WorldPoint:
+        x, y = self.positions[-1].tolist()
+        return WorldPoint(x, y)
 
 
 class TrajectoryBuffer:
@@ -113,7 +107,9 @@ class TrajectoryBuffer:
     Gaps of up to MAX_INTERPOLATED_GAP missed frames are filled by linear
     interpolation; anything longer resets the buffer because the window
     would be semantically stale. `area` is the area of the last real
-    observation, set by StreamEngine.ingest_frame (None once cleared).
+    observation, set by StreamEngine.ingest_frame (None once cleared);
+    `last_t` is its time, kept through clear() so the agent's time keeps
+    increasing across episodes.
     """
 
     def __init__(self, agent_id: str, category: AgentCategory):
@@ -121,6 +117,7 @@ class TrajectoryBuffer:
         self.category = category
         self._ring: deque[Observation] = deque(maxlen=WINDOW_SIZE)
         self.area: str | None = None
+        self.last_t = -math.inf
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -134,6 +131,7 @@ class TrajectoryBuffer:
         self.area = None
 
     def append(self, obs: Observation) -> None:
+        self.last_t = obs.t
         last = self.last
         if last is None:
             self._ring.append(obs)
@@ -172,12 +170,19 @@ class TrajectoryBuffer:
 
 
 def window(buffer: TrajectoryBuffer) -> SlidingWindowTrajectory:
-    """Most recent full sliding window of the buffer."""
+    """Most recent full sliding window of the buffer: its whole ring."""
     if len(buffer) < WINDOW_SIZE:
         raise InsufficientHistory(
             f"agent {buffer.agent_id}: {len(buffer)} of {WINDOW_SIZE} points buffered"
         )
-    return SlidingWindowTrajectory(buffer.observations()[-WINDOW_SIZE:])
+    ring = buffer._ring
+    return SlidingWindowTrajectory(
+        buffer.agent_id,
+        buffer.category,
+        ring[0].frame,
+        np.array([o.t for o in ring]),
+        np.column_stack(([o.position.x for o in ring], [o.position.y for o in ring])),
+    )
 
 
 class Direction(Enum):
@@ -231,6 +236,37 @@ class PedestrianState:
         self.flagged_risk2.clear()
 
 
+def _check_continues(category: AgentCategory, last_t: float, obs: Observation) -> None:
+    """Raise unless obs can follow an agent's earlier observations of the given
+    category, the last one at time last_t."""
+    if obs.category is not category:
+        raise CategoryChanged(
+            f"agent {obs.agent_id} is category {int(obs.category)} in frame {obs.frame}, "
+            f"category {int(category)} before"
+        )
+    if obs.t <= last_t:
+        raise NonIncreasingTime(
+            f"agent {obs.agent_id} is at t={obs.t!r} in frame {obs.frame}, "
+            f"not after its previous t={last_t!r}"
+        )
+
+
+def agent_trajectories(frames: Mapping[int, Sequence[Observation]]) -> list[list[Observation]]:
+    """Each agent's observations in frame order, agents sorted by id.
+
+    An agent whose category changes or whose time does not strictly increase
+    raises, as StreamEngine.ingest_frame does.
+    """
+    by_agent: dict[str, list[Observation]] = {}
+    for frame in sorted(frames):
+        for obs in frames[frame]:
+            track = by_agent.setdefault(obs.agent_id, [])
+            if track:
+                _check_continues(track[-1].category, track[-1].t, obs)
+            track.append(obs)
+    return [by_agent[k] for k in sorted(by_agent)]
+
+
 # Areas that promote a pedestrian to Target.
 _TARGET_ENTRY_PREFIXES = ("1.", "2.", "3.")
 
@@ -273,7 +309,8 @@ class StreamEngine:
         ]
 
     def ingest_frame(self, frame: int, observations: Sequence[Observation]) -> None:
-        """Feed one frame of observations, locating each agent's area once."""
+        """Feed one frame of observations, locating each agent's area once;
+        the whole frame is checked before any state changes."""
         if self.last_frame is not None and frame != self.last_frame + 1:
             raise OutOfOrderFrame(f"expected frame {self.last_frame + 1}, got {frame}")
         seen: set[str] = set()
@@ -287,11 +324,8 @@ class StreamEngine:
                 raise DuplicateAgentInFrame(f"agent {obs.agent_id} twice in frame {frame}")
             seen.add(obs.agent_id)
             buf = self.buffers.get(obs.agent_id)
-            if buf is not None and buf.category is not obs.category:
-                raise CategoryChanged(
-                    f"agent {obs.agent_id} is category {int(obs.category)} in frame {frame}, "
-                    f"category {int(buf.category)} before"
-                )
+            if buf is not None:
+                _check_continues(buf.category, buf.last_t, obs)
         self.last_frame = frame
 
         for obs in observations:
@@ -313,7 +347,7 @@ class StreamEngine:
 
         prev_area = state.current_area
         state.current_area = area
-        state.direction = infer_direction(buf.observations())
+        state.direction = infer_direction(buf._ring)
 
         if state.status is PedestrianStatus.TARGET:
             left_conflict = (

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from crossrisk.geometry import TargetLine, WorldPoint
-from crossrisk.stream import WINDOW_SIZE, AgentCategory, Observation, SlidingWindowTrajectory
+from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
 from crossrisk.synthgen import reference_area_map, reference_tile_grid
 
 FPS = 30.0
@@ -30,20 +30,9 @@ def make_window(
     category: AgentCategory = AgentCategory.ADULT,
     first_frame: int = 0,
 ) -> SlidingWindowTrajectory:
-    """Window from an explicit (30, 2) position array."""
-    positions = np.asarray(positions, dtype=float)
-    assert positions.shape == (WINDOW_SIZE, 2)
-    obs = tuple(
-        Observation(
-            frame=first_frame + i,
-            t=t0 + i / fps,
-            agent_id=agent_id,
-            category=category,
-            position=WorldPoint(float(positions[i, 0]), float(positions[i, 1])),
-        )
-        for i in range(WINDOW_SIZE)
-    )
-    return SlidingWindowTrajectory(obs)
+    """Window from an explicit (30, 2) position array, sampled at fps from t0."""
+    times = np.array([t0 + i / fps for i in range(WINDOW_SIZE)])
+    return SlidingWindowTrajectory(agent_id, category, first_frame, times, np.asarray(positions, dtype=float))
 
 
 def constant_velocity_window(

@@ -59,7 +59,7 @@ def test_criterion_01_ha_exactness():
         heading = rng.uniform(-1.2, 1.2)
         velocity = (speed * math.cos(heading), speed * math.sin(heading))
         window = constant_velocity_window(tuple(origin), velocity)
-        end_x = window.end.position.x
+        end_x = window.end_position.x
         line_x = rng.uniform(end_x + 1.0, end_x + 12.0)
         analytic = (line_x - end_x) / velocity[0]
         if analytic <= 0 or analytic > 55.0:

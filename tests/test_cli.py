@@ -505,3 +505,77 @@ def test_malformed_grid_spec_is_input_error(text, tmp_path, capsys):
     trace_path, truth_path = _write_episode_files(tmp_path)
     assert _tune_or_metrics("tune", trace_path, truth_path, tmp_path, text) == EXIT_INPUT
     assert str(tmp_path / "grid.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("t", ["0.0333", "0.02"], ids=["repeated", "backward"])
+def test_non_increasing_time_is_input_error(command, t, tmp_path, capsys):
+    stream = tmp_path / "stream.csv"
+    stream.write_text(
+        "frame,t,id,category,x,y\n"
+        "0,0.0,a0,0,3.0,1.0\n"
+        "1,0.0333,a0,0,3.0,1.1\n"
+        f"2,{t},a0,0,3.0,1.2\n",
+        encoding="utf-8",
+    )
+    assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
+    assert f"agent a0 is at t={t} in frame 2, not after its previous t=0.0333" in capsys.readouterr().err
+
+
+def _samples_file(tmp_path):
+    """A labeled-samples file of one adult's windows before it crosses q0."""
+    from crossrisk.geometry import WorldPoint
+    from crossrisk.predictors import AgentKind, TargetLocation, build_labeled_dataset
+    from crossrisk.predictors.dataset import write_samples_jsonl
+    from crossrisk.stream import AgentCategory, Observation
+
+    area_map = reference_area_map()
+    traj = [
+        Observation(i, i / 30.0, "a0", AgentCategory.ADULT, WorldPoint(-2.0 + 0.05 * i, 1.0))
+        for i in range(45)
+    ]
+    target = TargetLocation(AgentKind.PEDESTRIAN, 0, area_map.line("ped_ltr_q0"))
+    samples = build_labeled_dataset([traj], area_map, targets=[target])
+    path = tmp_path / "samples.jsonl"
+    write_samples_jsonl(str(path), samples)
+    return path, len(samples)
+
+
+def test_well_formed_samples_are_accepted(tmp_path):
+    from crossrisk.predictors.dataset import read_samples_jsonl
+
+    path, count = _samples_file(tmp_path)
+    assert count > 1
+    assert len(read_samples_jsonl(str(path))) == count
+
+
+def _break_sample(doc, case):
+    if case == "inf-time":
+        doc["t"][3] = float("inf")
+    elif case == "nan-arrival":
+        doc["arrival_time"] = float("nan")
+    elif case == "short-x":
+        doc["x"] = doc["x"][:-1]
+    elif case == "29-points":
+        for key in ("t", "x", "y"):
+            doc[key] = doc[key][1:]
+    elif case == "nan-y":
+        doc["y"][5] = float("nan")
+    elif case == "repeated-time":
+        doc["t"][4] = doc["t"][3]
+    elif case == "missing-t":
+        del doc["t"]
+
+
+@pytest.mark.parametrize(
+    "case", ["inf-time", "nan-arrival", "short-x", "29-points", "nan-y", "repeated-time", "missing-t"]
+)
+def test_malformed_sample_is_input_error(case, tmp_path, capsys):
+    path, _ = _samples_file(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    doc = json.loads(lines[1])
+    _break_sample(doc, case)
+    lines[1] = json.dumps(doc)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "bundle.json")]) == EXIT_INPUT
+    assert f"{path}:2" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import logging
+import math
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from crossrisk.predictors.dataset import (
     targets_for_agent,
     write_samples_jsonl,
 )
-from crossrisk.stream import AgentCategory, Observation
+from crossrisk.predictors.historical import HistoricalAveragePredictor
+from crossrisk.predictors.recurrent import RecurrentRegressor
+from crossrisk.stream import AgentCategory, Observation, TrajectoryBuffer, window
 
 FPS = 30.0
 
@@ -71,7 +74,7 @@ class TestBuildLabeledDataset:
         by_agent = {t[0].agent_id: t for t in trajs}
         for s in samples:
             t_cross = crossing_oracle(by_agent[s.window.agent_id], line_x)
-            assert s.arrival_time == pytest.approx(t_cross - s.window.end.t, abs=1e-9)
+            assert s.arrival_time == pytest.approx(t_cross - s.window.times[-1], abs=1e-9)
 
     def test_windows_after_crossing_excluded(self):
         traj = straight_trajectory("a0", 0.0, 1.0, 150)
@@ -79,7 +82,7 @@ class TestBuildLabeledDataset:
         target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(line_x))
         samples = build_labeled_dataset([traj], None, targets=[target])
         t_cross = crossing_oracle(traj, line_x)
-        assert all(s.window.end.t <= t_cross for s in samples)
+        assert all(s.window.times[-1] <= t_cross for s in samples)
         assert all(s.arrival_time >= 0.0 for s in samples)
 
     def test_never_reaching_trajectory_skipped_and_logged(self, caplog):
@@ -144,4 +147,33 @@ class TestSamplesFile:
             assert a.awareness == b.awareness
             assert a.reaction == b.reaction
             assert a.risk_level == b.risk_level
-            assert a.window.observations == b.window.observations
+            wa, wb = a.window, b.window
+            assert (wa.agent_id, wa.category, wa.first_frame) == (wb.agent_id, wb.category, wb.first_frame)
+            assert wb.times.dtype == wb.positions.dtype == np.float64
+            assert np.array_equal(wa.times, wb.times)
+            assert np.array_equal(wa.positions, wb.positions)
+
+    def test_live_window_and_samples_file_predict_identically(self, tmp_path):
+        """A window cut from a live buffer and the same points after
+        build -> write -> read give bit-identical predictions."""
+        rng = np.random.default_rng(5)
+        traj = [
+            Observation(
+                i, i / FPS, "a0", AgentCategory.ADULT,
+                WorldPoint(-2.0 + 1.3 * i / FPS + 0.01 * math.sin(i / 3), 1.0 + float(rng.normal(0.0, 0.01))),
+            )
+            for i in range(60)
+        ]
+        line = vline(0.3)
+        buf = TrajectoryBuffer("a0", AgentCategory.ADULT)
+        for o in traj[:45]:
+            buf.append(o)
+        live = window(buf)
+        path = tmp_path / "samples.jsonl"
+        target = TargetLocation(AgentKind.PEDESTRIAN, 1, line)
+        write_samples_jsonl(str(path), build_labeled_dataset([traj], None, targets=[target]))
+        stored = [s.window for s in read_samples_jsonl(str(path)) if s.window.first_frame == live.first_frame]
+        assert len(stored) == 1
+        gru = RecurrentRegressor.initialize(8, np.random.default_rng(3))
+        for predictor in (HistoricalAveragePredictor(), gru):
+            assert predictor.predict(stored[0], line).seconds == predictor.predict(live, line).seconds

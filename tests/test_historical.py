@@ -78,7 +78,7 @@ class TestArrivalTime:
         # 1 m/s at 45 degrees to the line normal, 2 m from the line
         velocity = (math.cos(math.pi / 4), math.sin(math.pi / 4))
         w = constant_velocity_window((0.0, 0.0), velocity)
-        end = w.end.position
+        end = w.end_position
         line = vertical_line(end.x + 2.0)
         predicted = arrival_time(w, line)
         assert predicted == pytest.approx(2.0 / math.cos(math.pi / 4), rel=1e-9)
@@ -118,7 +118,7 @@ class TestArrivalTime:
             velocity = np.array([speed * math.cos(heading), speed * math.sin(heading)])
             line_x = rng.uniform(start[0] + 4.0, start[0] + 12.0)
             w = constant_velocity_window(tuple(start), tuple(velocity))
-            end = w.end.position
+            end = w.end_position
             if line_x <= end.x:
                 continue
             analytic = (line_x - end.x) / velocity[0]

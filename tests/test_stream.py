@@ -5,6 +5,7 @@ from crossrisk.errors import (
     CategoryChanged,
     DuplicateAgentInFrame,
     InsufficientHistory,
+    NonIncreasingTime,
     OutOfOrderFrame,
     UnknownDirection,
 )
@@ -17,6 +18,7 @@ from crossrisk.stream import (
     PedestrianStatus,
     StreamEngine,
     TrajectoryBuffer,
+    agent_trajectories,
     closer_further_assignment,
     infer_direction,
     read_stream_csv,
@@ -41,8 +43,10 @@ class TestBuffer:
         for o in walk("a0", 0.0, 0.1, WINDOW_SIZE):
             buf.append(o)
         w = window(buf)
-        assert len(w.observations) == WINDOW_SIZE
-        assert w.end.frame == WINDOW_SIZE - 1
+        assert w.times.shape == (WINDOW_SIZE,)
+        assert w.positions.shape == (WINDOW_SIZE, 2)
+        assert w.first_frame == 0
+        assert (w.agent_id, w.category) == ("a0", AgentCategory.ADULT)
 
     def test_window_is_most_recent(self):
         buf = TrajectoryBuffer("a0", AgentCategory.ADULT)
@@ -50,8 +54,10 @@ class TestBuffer:
             buf.append(o)
         w = window(buf)
         # frames 15..44 (latest window start index per the window definition)
-        assert w.observations[0].frame == 15
-        assert w.end.frame == 44
+        assert w.first_frame == 15
+        expected = walk("a0", 0.0, 0.1, 45)[15:]
+        assert w.times.tolist() == [o.t for o in expected]
+        assert w.positions.tolist() == [[o.position.x, o.position.y] for o in expected]
 
     def test_insufficient_history(self):
         buf = TrajectoryBuffer("a0", AgentCategory.ADULT)
@@ -92,7 +98,10 @@ class TestBuffer:
             frame += int(rng.integers(1, 4))  # occasional reparable gaps
             buf.append(obs(frame, x=frame * 0.05))
             if len(buf) >= WINDOW_SIZE:
-                assert window(buf).end == buf.last
+                w = window(buf)
+                assert w.first_frame + WINDOW_SIZE - 1 == buf.last.frame
+                assert w.times[-1] == buf.last.t
+                assert w.end_position == buf.last.position
 
 
 class TestDirection:
@@ -153,7 +162,7 @@ class TestLifecycle:
             engine.ingest_frame(i, [obs(i, x=-5.0 + 0.02 * i)])
             ready.append(engine.window_ready("a0"))
         assert ready == [False] * (WINDOW_SIZE - 1) + [True]
-        assert engine.window("a0").end.frame == WINDOW_SIZE - 1
+        assert engine.window("a0").first_frame == 0
 
     def test_no_window_ready_before_thirty(self, area_map):
         engine = StreamEngine(area_map)
@@ -176,6 +185,31 @@ class TestLifecycle:
         assert engine.buffer("a0").category is vehicle
         assert {o.category for o in engine.buffer("a0").observations()} == {vehicle}
         assert "a0" not in engine.pedestrians
+
+    @pytest.mark.parametrize("t", [1 / FPS, 0.5 / FPS], ids=["repeated", "backward"])
+    def test_non_increasing_time_rejected(self, area_map, t):
+        engine = StreamEngine(area_map)
+        for o in walk("a0", -5.0, 0.1, 2):
+            engine.ingest_frame(o.frame, [o])
+        late = Observation(2, t, "a0", AgentCategory.ADULT, WorldPoint(-4.8, 1.0))
+        with pytest.raises(NonIncreasingTime, match="agent a0 is at t="):
+            engine.ingest_frame(2, [obs(2, "b0", x=3.0), late])
+        assert engine.last_frame == 1
+        assert "b0" not in engine.buffers
+        assert engine.buffer("a0").last.frame == 1
+
+    def test_time_checked_across_episodes(self, area_map):
+        """A buffer cleared at a pedestrian's exit still remembers its last time."""
+        engine = StreamEngine(area_map)
+        frame = 0
+        for x in np.arange(10.0, 11.6, 0.1):
+            engine.ingest_frame(frame, [obs(frame, x=float(x))])
+            frame += 1
+        assert engine.pedestrians["a0"].status is PedestrianStatus.EXITED
+        engine.ingest_frame(frame, [])
+        back_in_time = Observation(frame + 1, 0.0, "a0", AgentCategory.ADULT, WorldPoint(12.0, 1.0))
+        with pytest.raises(NonIncreasingTime):
+            engine.ingest_frame(frame + 1, [back_in_time])
 
     def test_out_of_order_frame_rejected(self, area_map):
         engine = StreamEngine(area_map)
@@ -249,6 +283,26 @@ class TestZoneLookup:
         closer = [r for r in pipeline.result.trace if r.area.value == "closer"]
         assert closer and {r.veh_id for r in closer if r.frame >= 35} == {"v0"}
         assert len(calls) == ingested  # snapshot queries located nothing
+
+
+class TestAgentTrajectories:
+    def test_groups_by_agent_in_frame_order(self):
+        a, b = walk("a0", 0.0, 0.1, 3), walk("b0", 5.0, -0.1, 2, first_frame=1)
+        frames = {2: [a[2], b[1]], 0: [a[0]], 1: [b[0], a[1]]}
+        assert agent_trajectories(frames) == [a, b]
+
+    @pytest.mark.parametrize(
+        "late, error",
+        [
+            (Observation(2, 2 / FPS, "a0", AgentCategory.KID, WorldPoint(0.2, 1.0)), CategoryChanged),
+            (Observation(2, 1 / FPS, "a0", AgentCategory.ADULT, WorldPoint(0.2, 1.0)), NonIncreasingTime),
+        ],
+        ids=["category", "time"],
+    )
+    def test_rejects_what_the_engine_rejects(self, late, error):
+        first = walk("a0", 0.0, 0.1, 2)
+        with pytest.raises(error):
+            agent_trajectories({0: [first[0]], 1: [first[1]], 2: [late]})
 
 
 class TestStreamCsv(object):

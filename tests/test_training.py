@@ -20,7 +20,7 @@ from crossrisk.predictors.training import (
     train,
     usable_samples,
 )
-from crossrisk.stream import WINDOW_SIZE, AgentCategory, Observation, SlidingWindowTrajectory
+from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
 
 FPS = 30.0
 LINE_X = 20.0
@@ -31,11 +31,9 @@ TARGET = TargetLocation(AgentKind.PEDESTRIAN, 1, LINE)
 def window_ending_at_distance(v: float, distance: float, agent_id: str) -> SlidingWindowTrajectory:
     end_x = LINE_X - distance
     start_x = end_x - v * (WINDOW_SIZE - 1) / FPS
-    obs = tuple(
-        Observation(i, i / FPS, agent_id, AgentCategory.ADULT, WorldPoint(start_x + v * i / FPS, 1.0))
-        for i in range(WINDOW_SIZE)
-    )
-    return SlidingWindowTrajectory(obs)
+    times = np.array([i / FPS for i in range(WINDOW_SIZE)])
+    positions = np.array([(start_x + v * i / FPS, 1.0) for i in range(WINDOW_SIZE)])
+    return SlidingWindowTrajectory(agent_id, AgentCategory.ADULT, 0, times, positions)
 
 
 def constant_velocity_samples(n: int, seed: int = 0, awareness=Awareness.DID_NOT_NOTICE):
