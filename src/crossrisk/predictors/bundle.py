@@ -97,11 +97,17 @@ class TrainedModelBundle:
                 for name in PARAM_NAMES:
                     spec = entry["weights"][name]
                     params[name] = np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
+                feat_mean = np.asarray(entry["feat_mean"], dtype=float)
+                feat_std = np.asarray(entry["feat_std"], dtype=float)
+                where = f"model entry (i={int(key[0])}, q={key[1]})"
+                if not all(np.all(np.isfinite(v)) for v in params.values()):
+                    raise ManifestError(f"{where}: weights must be finite")
+                if not np.all(np.isfinite(feat_mean)):
+                    raise ManifestError(f"{where}: feat_mean must be finite")
+                if not np.all(np.isfinite(feat_std) & (feat_std > 0.0)):
+                    raise ManifestError(f"{where}: feat_std must be finite and positive")
                 predictors[key] = RecurrentRegressor(
-                    int(entry["hidden_size"]),
-                    params,
-                    np.asarray(entry["feat_mean"], dtype=float),
-                    np.asarray(entry["feat_std"], dtype=float),
+                    int(entry["hidden_size"]), params, feat_mean, feat_std
                 )
             else:
                 raise ManifestError(f"unknown predictor kind {kind!r}")
@@ -118,5 +124,5 @@ class TrainedModelBundle:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, KeyError, ValueError, ManifestError) as exc:
             raise ManifestError(f"cannot read model bundle {path}: {exc}") from exc

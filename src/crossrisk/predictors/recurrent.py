@@ -28,24 +28,27 @@ PARAM_NAMES = (
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
+    # so neither branch can overflow.
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+def stacked_features(times: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """Raw (N, T-1, 3) features of N windows given as (N, T) times and
+    (N, T, 2) positions: per-step dx, dy and speed magnitude."""
+    deltas = np.diff(positions, axis=1)
+    speed = np.hypot(deltas[..., 0], deltas[..., 1]) / np.diff(times, axis=1)
+    return np.stack([deltas[..., 0], deltas[..., 1], speed], axis=-1)
+
+
 def window_features(window: SlidingWindowTrajectory) -> np.ndarray:
-    """Raw (T-1, 3) feature matrix: per-step dx, dy and speed magnitude."""
-    deltas = np.diff(window.positions, axis=0)
-    dt = np.diff(window.times)
-    speed = np.hypot(deltas[:, 0], deltas[:, 1]) / dt
-    return np.column_stack([deltas[:, 0], deltas[:, 1], speed])
+    """Raw (T-1, 3) feature matrix of one window."""
+    return stacked_features(window.times[None], window.positions[None])[0]
 
 
 class RecurrentRegressor:
@@ -226,5 +229,12 @@ class RecurrentRegressor:
         return loss, grads
 
     def batch_mae(self, features: np.ndarray, targets: np.ndarray) -> float:
+        """Mean absolute error over a raw-feature batch.
+
+        Raises ValueError, as ArrivalPrediction does for one window, when a
+        prediction is not a finite, non-negative number of seconds.
+        """
         y, _ = self.forward_batch(features)
+        if not np.all(np.isfinite(y) & (y >= 0.0)):
+            raise ValueError("arrival time must be finite and >= 0 for every window")
         return float(np.mean(np.abs(y - np.asarray(targets, dtype=float))))

@@ -14,7 +14,7 @@ from .base import ARRIVAL_TIME_CAP_S, ArrivalTimePredictor
 from .bundle import ALL_PAIRS, SPLIT_RATIO, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
 from .historical import HistoricalAveragePredictor
-from .recurrent import RecurrentRegressor, window_features
+from .recurrent import RecurrentRegressor, stacked_features
 
 log = logging.getLogger(__name__)
 
@@ -59,7 +59,9 @@ def split_samples(
 
 
 def _features_and_targets(samples: Sequence[LabeledSample]) -> tuple[np.ndarray, np.ndarray]:
-    x = np.stack([window_features(s.window) for s in samples])
+    times = np.stack([s.window.times for s in samples])
+    positions = np.stack([s.window.positions for s in samples])
+    x = stacked_features(times, positions)
     y = np.array([s.arrival_time for s in samples])
     return x, y
 
@@ -136,12 +138,15 @@ def evaluate_mae(
 ) -> float:
     """Mean absolute error of a predictor on labeled samples.
 
-    Failed predictions (agent past the line, no approach, ...) count as the
-    cap value, the maximally wrong answer, so a fragile predictor cannot win
-    selection by silently skipping hard samples.
+    A recurrent predictor scores all samples in one forward pass. For any
+    other predictor, failed predictions (agent past the line, no approach,
+    ...) count as the cap value, the maximally wrong answer, so a fragile
+    predictor cannot win selection by silently skipping hard samples.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
+    if isinstance(predictor, RecurrentRegressor):
+        return predictor.batch_mae(*_features_and_targets(samples))
     errors = []
     for s in samples:
         try:

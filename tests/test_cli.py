@@ -579,3 +579,60 @@ def test_malformed_sample_is_input_error(case, tmp_path, capsys):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "bundle.json")]) == EXIT_INPUT
     assert f"{path}:2" in capsys.readouterr().err
+
+
+def _gru_bundle(path):
+    """A bundle whose adult center-line predictor is a small random GRU."""
+    from crossrisk.predictors import RecurrentRegressor, TrainedModelBundle
+    from crossrisk.stream import AgentCategory
+
+    bundle = TrainedModelBundle.historical_average()
+    bundle.predictors[(AgentCategory.ADULT, 1)] = RecurrentRegressor.initialize(
+        4, np.random.default_rng(0)
+    )
+    bundle.save(str(path))
+
+
+def _break_bundle(doc, case):
+    entry = next(e for e in doc["models"] if e["kind"] == "recurrent")
+    field, value = {
+        "zero-std": ("feat_std", 0.0),
+        "negative-std": ("feat_std", -0.5),
+        "nan-std": ("feat_std", float("nan")),
+        "inf-std": ("feat_std", float("inf")),
+        "nan-mean": ("feat_mean", float("nan")),
+        "inf-mean": ("feat_mean", float("-inf")),
+        "nan-weight": ("w_hz", float("nan")),
+        "inf-weight": ("b_out", float("inf")),
+    }[case]
+    values = entry[field] if field.startswith("feat_") else entry["weights"][field]["data"]
+    values[0] = value
+
+
+def _evaluate_with_models(gen_dir, bundle, out):
+    return main([
+        "evaluate", "--stream", str(gen_dir / "stream.csv"),
+        "--area-map", str(gen_dir / "area_map.json"),
+        "--models", str(bundle), "--out", str(out),
+    ])
+
+
+def test_well_formed_bundle_is_accepted(gen_dir, tmp_path):
+    bundle = tmp_path / "bundle.json"
+    _gru_bundle(bundle)
+    assert _evaluate_with_models(gen_dir, bundle, tmp_path / "eval") == EXIT_OK
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["zero-std", "negative-std", "nan-std", "inf-std", "nan-mean", "inf-mean", "nan-weight", "inf-weight"],
+)
+def test_malformed_bundle_is_input_error(case, gen_dir, tmp_path, capsys):
+    bundle = tmp_path / "bundle.json"
+    _gru_bundle(bundle)
+    doc = json.loads(bundle.read_text(encoding="utf-8"))
+    _break_bundle(doc, case)
+    bundle.write_text(json.dumps(doc), encoding="utf-8")
+    assert _evaluate_with_models(gen_dir, bundle, tmp_path / "eval") == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(bundle) in err and "model entry (i=0, q=1)" in err

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from crossrisk.errors import NonFiniteGradient, NonFiniteParameters
+from crossrisk.predictors import recurrent
 from crossrisk.predictors.recurrent import (
     PARAM_NAMES,
     RecurrentRegressor,
@@ -43,6 +44,27 @@ def cell_oracle(model: RecurrentRegressor, features: np.ndarray) -> float:
         h = [(1.0 - z[j]) * h[j] + z[j] * c[j] for j in range(h_size)]
     s = p["b_out"][0] + sum(h[j] * p["w_out"][j] for j in range(h_size))
     return math.log1p(math.exp(s)) if s < 30 else s
+
+
+def masked_sigmoid(x: np.ndarray) -> np.ndarray:
+    """The two-branch formula that gathers and scatters each sign's entries."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_equals_masked_two_branch_formula():
+    edges = np.array([0.0, 1e-300, 700.0, 745.0, 1e308])
+    x = np.concatenate([edges, -edges, np.random.default_rng(3).normal(0.0, 20.0, 2000)])
+    # exp underflows to zero (or a subnormal) past |x| ~ 708 in both formulas;
+    # overflow, invalid and divide-by-zero must not happen anywhere.
+    with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+        got = recurrent._sigmoid(x)
+        expected = masked_sigmoid(x)
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
 class TestForward:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from crossrisk.errors import DatasetTooSmall, DivergedLoss, EmptyCandidates
+from crossrisk.errors import DatasetTooSmall, DivergedLoss, EmptyCandidates, PredictionError
 from crossrisk.geometry import TargetLine, WorldPoint
 from crossrisk.predictors import (
     AgentKind,
@@ -12,8 +12,10 @@ from crossrisk.predictors import (
 )
 from crossrisk.predictors.dataset import Awareness
 from crossrisk.predictors.historical import HistoricalAveragePredictor
-from crossrisk.predictors.recurrent import RecurrentRegressor
+from crossrisk.predictors.base import ARRIVAL_TIME_CAP_S
+from crossrisk.predictors.recurrent import RecurrentRegressor, window_features
 from crossrisk.predictors.training import (
+    _features_and_targets,
     evaluate_mae,
     select_model,
     split_samples,
@@ -160,3 +162,99 @@ class TestSelectModel:
         _, val = split_samples(samples, config.seed)
         chosen, _ = select_model([HistoricalAveragePredictor(), trained], val)
         assert isinstance(chosen, HistoricalAveragePredictor)
+
+
+def jittered_samples(n: int, seed: int) -> list[LabeledSample]:
+    """Decelerating, noisy windows; some end past the line, where the
+    baseline fails and scores the cap."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for k in range(n):
+        v0 = float(rng.uniform(0.8, 2.2))
+        decel = float(rng.uniform(0.0, 1.5))
+        times = np.cumsum(rng.uniform(0.8, 1.2, WINDOW_SIZE)) / FPS
+        x = v0 * times - 0.5 * decel * times**2 + rng.normal(0.0, 0.01, WINDOW_SIZE)
+        end_x = LINE_X - float(rng.uniform(-0.5, 6.0))
+        positions = np.column_stack([x - x[-1] + end_x, 1.0 + rng.normal(0.0, 0.01, WINDOW_SIZE)])
+        window = SlidingWindowTrajectory(f"j{k}", AgentCategory.ADULT, 0, times, positions)
+        out.append(
+            LabeledSample(
+                window=window,
+                arrival_time=float(rng.uniform(0.0, 8.0)),
+                category=AgentCategory.ADULT,
+                q=TARGET,
+            )
+        )
+    return out
+
+
+def per_window_mae(predictor, samples) -> float:
+    """Reference: one predict call per window, a failure scoring the cap."""
+    errors = []
+    for s in samples:
+        try:
+            predicted = predictor.predict(s.window, s.q.line).seconds
+        except PredictionError:
+            predicted = ARRIVAL_TIME_CAP_S
+        errors.append(abs(predicted - s.arrival_time))
+    return float(np.mean(errors))
+
+
+class TestBatchedScoring:
+    @pytest.fixture(scope="class")
+    def candidates(self):
+        samples = constant_velocity_samples(120, seed=4)
+        config = TrainingConfig(seed=2, hidden_size=8, epochs=3, patience=2)
+        trained, _ = train(RecurrentRegressor.initialize(8, np.random.default_rng(2)), samples, config)
+        untrained = RecurrentRegressor.initialize(16, np.random.default_rng(5))
+        return [HistoricalAveragePredictor(), trained, untrained]
+
+    def test_stacked_features_equal_per_window_features(self):
+        samples = jittered_samples(40, seed=1)
+        stacked, targets = _features_and_targets(samples)
+        assert stacked.shape == (40, WINDOW_SIZE - 1, 3)
+        for row, s in zip(stacked, samples):
+            deltas = np.diff(s.window.positions, axis=0)
+            speed = np.hypot(deltas[:, 0], deltas[:, 1]) / np.diff(s.window.times)
+            assert np.array_equal(row, np.column_stack([deltas[:, 0], deltas[:, 1], speed]))
+            assert np.array_equal(row, window_features(s.window))
+        assert np.array_equal(targets, [s.arrival_time for s in samples])
+
+    def test_batched_mae_equals_per_window_mean(self, candidates):
+        samples = jittered_samples(60, seed=2)
+        baseline = candidates[0]
+        assert any(s.window.end_position.x > LINE_X for s in samples)
+        assert evaluate_mae(baseline, samples) == per_window_mae(baseline, samples)
+        for candidate in candidates + [StubPredictor(2.0, "stub")]:
+            assert evaluate_mae(candidate, samples) == pytest.approx(
+                per_window_mae(candidate, samples), rel=1e-12
+            )
+
+    def test_selection_matches_per_window_selection(self, candidates):
+        rng = np.random.default_rng(6)
+        chosen_names = set()
+        for seed in range(3):
+            samples = jittered_samples(50, seed=10 + seed)
+            # the 2.0 stub beats every other candidate here; the 9.0 one loses to the trained GRU
+            for stub in (StubPredictor(2.0, "stub"), StubPredictor(9.0, "stub")):
+                pool = candidates + [stub]
+                for _ in range(4):
+                    order = [pool[i] for i in rng.permutation(len(pool))]
+                    reference = [per_window_mae(c, samples) for c in order]
+                    chosen, mae = select_model(order, samples)
+                    assert chosen is order[int(np.argmin(reference))]
+                    assert mae == pytest.approx(min(reference), rel=1e-12)
+                    chosen_names.add(chosen.name)
+        assert chosen_names == {"stub", "gru8"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_recurrent_output_raises(self):
+        model = RecurrentRegressor.zeros(4)
+        model.params["b_z"][:] = 50.0
+        model.params["b_c"][:] = 50.0
+        model.params["w_out"][:] = 1e308
+        samples = jittered_samples(5, seed=3)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            model.predict(samples[0].window)
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            evaluate_mae(model, samples)
