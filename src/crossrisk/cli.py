@@ -346,6 +346,11 @@ def cmd_replay(args: argparse.Namespace) -> int:
             f"safety evaluation mean {report.safety_eval_mean_ms:.3f} ms "
             f">= budget {args.assert_budget} ms"
         )
+    if args.assert_p99 is not None and report.safety_eval_p99_ms >= args.assert_p99:
+        raise BudgetExceeded(
+            f"safety evaluation p99 {report.safety_eval_p99_ms:.3f} ms "
+            f">= budget {args.assert_p99} ms"
+        )
     return EXIT_OK
 
 
@@ -434,6 +439,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--realtime", action="store_true", help="Pace frames to the frame rate")
     p.add_argument("--assert-budget", type=float, default=None, metavar="MS",
                    help="Fail (exit 3) when mean safety evaluation >= MS")
+    p.add_argument("--assert-p99", type=float, default=None, metavar="MS",
+                   help="Fail (exit 3) when the per-frame safety evaluation p99 >= MS")
     p.add_argument("--out", help="Latency report JSON")
     p.set_defaults(func=cmd_replay)
 

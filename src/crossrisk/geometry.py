@@ -195,18 +195,27 @@ class HomographyTile:
                         f"tile matrix maps corner ({corner.u}, {corner.v}) to "
                         f"({x}, {y}), expected ({expect.x}, {expect.y})"
                     )
+        corners = tuple((c.u, c.v) for c in self.pixel_region)
+        edges = tuple(corners[i] + corners[(i + 1) % 4] for i in range(4))
+        # A point more than 1 px outside the corners' bounding box is not in
+        # the polygon, and it is farther from each edge than _on_segment's
+        # tolerance once every edge is longer than 1e-6 px. A shorter edge
+        # can be within tolerance of any point: such a tile skips no point.
+        pad = 1.0 if min(math.hypot(bx - ax, by - ay) for ax, ay, bx, by in edges) > 1e-6 else math.inf
+        us, vs = [u for u, _ in corners], [v for _, v in corners]
+        object.__setattr__(self, "_corners", corners)
+        object.__setattr__(self, "_edges", edges)
+        object.__setattr__(self, "_box", (min(us) - pad, max(us) + pad, min(vs) - pad, max(vs) + pad))
 
     def contains(self, p: PixelPoint) -> bool:
-        return point_in_polygon(p.u, p.v, [(c.u, c.v) for c in self.pixel_region])
+        u_min, u_max, v_min, v_max = self._box
+        if not (u_min <= p.u <= u_max and v_min <= p.v <= v_max):
+            return False
+        return point_in_polygon(p.u, p.v, self._corners)
 
-    def distance_to(self, p: PixelPoint) -> float:
-        if self.contains(p):
-            return 0.0
-        corners = [(c.u, c.v) for c in self.pixel_region]
-        return min(
-            _distance_to_segment(p.u, p.v, *corners[i], *corners[(i + 1) % 4])
-            for i in range(4)
-        )
+    def edge_distance(self, p: PixelPoint) -> float:
+        """Pixel distance from p to the nearest point of the tile's edges."""
+        return min(_distance_to_segment(p.u, p.v, *edge) for edge in self._edges)
 
     def transform(self, p: PixelPoint) -> WorldPoint:
         x, y = project_point(self.matrix, p.u, p.v)
@@ -263,7 +272,8 @@ def transform_point(grid: TileGrid, p: PixelPoint) -> WorldPoint:
             return tile.transform(p)
     if grid.fallback_policy is FallbackPolicy.REJECT:
         raise OutsideCalibratedRegion(f"pixel ({p.u}, {p.v}) not covered by any tile")
-    best = min(grid.tiles, key=lambda tile: tile.distance_to(p))
+    # no tile contains p, so its distance to a tile is the one to the tile's edges
+    best = min(grid.tiles, key=lambda tile: tile.edge_distance(p))
     return best.transform(p)
 
 

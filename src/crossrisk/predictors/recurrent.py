@@ -8,7 +8,7 @@ through softplus so outputs are always non-negative seconds.
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -49,6 +49,48 @@ def stacked_features(times: np.ndarray, positions: np.ndarray) -> np.ndarray:
 def window_features(window: SlidingWindowTrajectory) -> np.ndarray:
     """Raw (T-1, 3) feature matrix of one window."""
     return stacked_features(window.times[None], window.positions[None])[0]
+
+
+def _cell(p: Mapping[str, np.ndarray], xk: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step of the gated cell: (h', z, r, c) from standardized inputs xk
+    and state h. The same equations serve a (N, 3) batch of one model's
+    windows and a (G, 1, 3) stack of G models' windows."""
+    z = _sigmoid(xk @ p["w_xz"] + h @ p["w_hz"] + p["b_z"])
+    r = _sigmoid(xk @ p["w_xr"] + h @ p["w_hr"] + p["b_r"])
+    c = np.tanh(xk @ p["w_xc"] + (r * h) @ p["w_hc"] + p["b_c"])
+    return (1.0 - z) * h + z * c, z, r, c
+
+
+def _check_finite(params: Mapping[str, np.ndarray]) -> None:
+    if not all(np.all(np.isfinite(v)) for v in params.values()):
+        raise NonFiniteParameters("model weights contain non-finite values")
+
+
+def predict_stacked(models: Sequence["RecurrentRegressor"], features: np.ndarray) -> np.ndarray:
+    """Arrival seconds (G,) of G models of one hidden size, model g run on its
+    own (T, 3) raw-feature window features[g], in one pass.
+
+    The models' parameters are stacked along a leading axis and the cell runs
+    once per step on (G, 1, hidden) states. Each product is the one a lone
+    model computes for its window, so every output has the bits of a G = 1
+    pass. Raises NonFiniteParameters for non-finite weights and ValueError,
+    as ArrivalPrediction does, when an output is not a finite, non-negative
+    number of seconds.
+    """
+    p = {name: np.stack([m.params[name] for m in models]) for name in PARAM_NAMES}
+    _check_finite(p)
+    for name in ("b_z", "b_r", "b_c", "b_out"):
+        p[name] = p[name][:, None, :]
+    mean = np.stack([m.feat_mean for m in models])[:, None, :]
+    std = np.stack([m.feat_std for m in models])[:, None, :]
+    x = (np.asarray(features, dtype=float) - mean) / std
+    h = np.zeros((len(models), 1, models[0].hidden_size))
+    for k in range(x.shape[1]):
+        h = _cell(p, x[:, k : k + 1, :], h)[0]
+    y = _softplus(h @ p["w_out"][:, :, None] + p["b_out"]).reshape(-1)
+    if not np.all(np.isfinite(y) & (y >= 0.0)):
+        raise ValueError("arrival time must be finite and >= 0 for every window")
+    return y
 
 
 class RecurrentRegressor:
@@ -144,18 +186,14 @@ class RecurrentRegressor:
         Returns predictions (N,) and the cache needed for backpropagation.
         """
         p = self.params
-        if not all(np.all(np.isfinite(v)) for v in p.values()):
-            raise NonFiniteParameters("model weights contain non-finite values")
+        _check_finite(p)
         x = self._standardize(np.asarray(features, dtype=float))
         n, t, _ = x.shape
         h = np.zeros((n, self.hidden_size))
         steps = []
         for k in range(t):
             xk = x[:, k, :]
-            z = _sigmoid(xk @ p["w_xz"] + h @ p["w_hz"] + p["b_z"])
-            r = _sigmoid(xk @ p["w_xr"] + h @ p["w_hr"] + p["b_r"])
-            c = np.tanh(xk @ p["w_xc"] + (r * h) @ p["w_hc"] + p["b_c"])
-            h_new = (1.0 - z) * h + z * c
+            h_new, z, r, c = _cell(p, xk, h)
             steps.append((xk, h, z, r, c))
             h = h_new
         s = h @ p["w_out"] + p["b_out"][0]
@@ -164,8 +202,9 @@ class RecurrentRegressor:
         return y, cache
 
     def predict_features(self, features: np.ndarray) -> float:
-        y, _ = self.forward_batch(features[None, :, :])
-        return float(y[0])
+        """Arrival seconds for one (T, 3) raw-feature window: the stacked
+        pass with this model alone."""
+        return float(predict_stacked([self], features[None, :, :])[0])
 
     def predict(self, window: SlidingWindowTrajectory, line: TargetLine | None = None) -> ArrivalPrediction:
         """Arrival prediction for one window; the line argument is unused but

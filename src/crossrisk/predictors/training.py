@@ -167,8 +167,13 @@ def select_model(
     """
     if not candidates:
         raise EmptyCandidates("no predictors to select from")
-    maes = [evaluate_mae(c, validation_samples) for c in candidates]
-    best = int(np.argmin(maes))
+    return _lowest_mae(candidates, [evaluate_mae(c, validation_samples) for c in candidates])
+
+
+def _lowest_mae(
+    candidates: Sequence[ArrivalTimePredictor], maes: Sequence[float]
+) -> tuple[ArrivalTimePredictor, float]:
+    best = int(np.argmin(maes))  # first of equal minima: the earliest candidate
     return candidates[best], maes[best]
 
 
@@ -178,19 +183,23 @@ def train_and_select(
     hidden_sizes: Sequence[int] = (16, 32),
 ) -> tuple[ArrivalTimePredictor, float]:
     """Train the recurrent candidates and pick among {baseline, trained GRUs}
-    by validation MAE on a shared split."""
+    by validation MAE on a shared split. A trained GRU's MAE is the best
+    validation MAE that `train` reports for the weights it returns."""
     pool = usable_samples(samples)
     if len(pool) < MIN_TRAINING_SAMPLES:
         raise DatasetTooSmall(
             f"{len(pool)} unaware samples available, need {MIN_TRAINING_SAMPLES}"
         )
     _, val_set = split_samples(pool, config.seed)
-    candidates: list[ArrivalTimePredictor] = [HistoricalAveragePredictor()]
+    baseline = HistoricalAveragePredictor()
+    candidates: list[ArrivalTimePredictor] = [baseline]
+    maes = [evaluate_mae(baseline, val_set)]
     for size in hidden_sizes:
         model = RecurrentRegressor.initialize(size, np.random.default_rng(config.seed))
-        trained, _ = train(model, samples, config)
+        trained, mae = train(model, samples, config)
         candidates.append(trained)
-    return select_model(candidates, val_set)
+        maes.append(mae)
+    return _lowest_mae(candidates, maes)
 
 
 def train_bundle(

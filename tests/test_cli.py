@@ -327,6 +327,27 @@ class TestReplayAndMetrics:
         ])
         assert code == EXIT_BUDGET
 
+    def test_replay_p99_over_budget_exits_3(self, gen_dir, capsys):
+        code = main([
+            "replay", "--stream", str(gen_dir / "stream.csv"),
+            "--area-map", str(gen_dir / "area_map.json"),
+            "--assert-p99", "0.0000001",
+        ])
+        assert code == EXIT_BUDGET
+        assert "p99" in capsys.readouterr().err
+
+    def test_replay_p99_in_budget_exits_0_and_reports_the_tail(self, gen_dir, tmp_path):
+        out = tmp_path / "latency.json"
+        code = main([
+            "replay", "--stream", str(gen_dir / "stream.csv"),
+            "--area-map", str(gen_dir / "area_map.json"),
+            "--assert-p99", "1000000", "--out", str(out),
+        ])
+        assert code == EXIT_OK
+        report = json.loads(out.read_text())
+        p50, p99 = report["safety_evaluation_p50_ms"], report["safety_evaluation_p99_ms"]
+        assert 0.0 < p50 <= p99 <= report["safety_evaluation_max_ms"]
+
     def test_realtime_pacing_leaves_outputs_unchanged(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -166,6 +167,19 @@ class TestTransformPoint:
         out = transform_point(grid, PixelPoint(12, 5))  # closest to `near`
         assert (out.x, out.y) == (12.0, 5.0)
 
+    def test_equal_nearest_tiles_resolve_to_the_first(self):
+        left = self._identity_tile(((0, 0), (10, 0), (10, 10), (0, 10)))
+        right = HomographyTile(tuple(_px(((20, 0), (30, 0), (30, 10), (20, 10)))), np.diag([3.0, 3.0, 1.0]))
+        out = transform_point(TileGrid((left, right)), PixelPoint(15, 5))  # 5 px from both
+        assert (out.x, out.y) == (15.0, 5.0)
+
+    def test_degenerate_edge_tile_keeps_containing_every_point(self):
+        """A zero-length edge is within tolerance of any point, so such a tile
+        contains everything; the bounding-box shortcut must not change that."""
+        tile = HomographyTile(tuple(_px(((0, 0), (10, 0), (10, 10), (10, 10)))), np.eye(3))
+        assert tile.contains(PixelPoint(500, -300))
+        assert point_in_polygon(500, -300, [(0, 0), (10, 0), (10, 10), (10, 10)])
+
     def test_projective_singularity(self):
         m = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, -0.1, 1.0]])
         with pytest.raises(ProjectiveSingularity):
@@ -300,3 +314,59 @@ def test_point_in_polygon_boundary_inclusive():
     assert point_in_polygon(0.0, 0.0, square)
     assert point_in_polygon(1.0, 1.0, square)
     assert not point_in_polygon(3.0, 1.0, square)
+
+
+def reference_transform(grid: TileGrid):
+    """transform_point as first written: every tile's full polygon test, then
+    the nearest tile by distance to its edges (the first of equal ones)."""
+    from crossrisk.geometry import _distance_to_segment
+
+    corners = [[(c.u, c.v) for c in tile.pixel_region] for tile in grid.tiles]
+
+    def transform(p: PixelPoint) -> WorldPoint:
+        for tile, cs in zip(grid.tiles, corners):
+            if point_in_polygon(p.u, p.v, cs):
+                return tile.transform(p)
+
+        def distance(k):
+            cs = corners[k]
+            return min(_distance_to_segment(p.u, p.v, *cs[i], *cs[(i + 1) % 4]) for i in range(4))
+
+        return grid.tiles[min(range(len(corners)), key=distance)].transform(p)
+
+    return transform
+
+
+def test_transform_point_bits_on_the_benchmark_pixels_corners_and_edges(tile_grid, monkeypatch):
+    """Every pixel of the seed-7 pixel recordings (a quarter of them outside
+    every tile), every tile corner, points along and just off every edge
+    (shared edges included): the bounding-box skip, the cached corners and
+    the nearest-tile scan without a second polygon test give the bits of
+    the first-written path."""
+    from pathlib import Path
+
+    from crossrisk.synthgen import ScenarioSpec, camera_pixel_of, generate
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    from common import CONFIG_DIR, WORKLOADS
+
+    workload = WORKLOADS["stream-pixel-gru"]
+    points = []
+    for spec, seed in zip(workload.specs, workload.sub_seeds(7)):
+        spec = ScenarioSpec.from_dict({**json.loads((CONFIG_DIR / spec).read_text()), "seed": seed})
+        frames, _ = generate(spec)
+        points += [camera_pixel_of(o.position) for obs in frames.values() for o in obs]
+    assert len(points) > 10000
+    for tile in tile_grid.tiles:
+        cs = tile.pixel_region
+        for a, b in zip(cs, cs[1:] + cs[:1]):
+            du, dv = b.u - a.u, b.v - a.v
+            length = math.hypot(du, dv)
+            nu, nv = dv / length, -du / length
+            for f in (0.0, 0.3, 0.5, 1.0):
+                for off in (0.0, 1e-9, -1e-9, 1.0, -1.0, 1.5, -1.5):
+                    points.append(PixelPoint(a.u + f * du + off * nu, a.v + f * dv + off * nv))
+    reference = reference_transform(tile_grid)
+    for p in points:
+        got, expect = transform_point(tile_grid, p), reference(p)
+        assert (got.x, got.y) == (expect.x, expect.y), p

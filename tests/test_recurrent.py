@@ -109,6 +109,44 @@ class TestForward:
         assert model.predict(w1).seconds == pytest.approx(model.predict(w2).seconds, rel=1e-9)
 
 
+class TestStackedPass:
+    def _models(self, rng, hidden, count):
+        models = [RecurrentRegressor.initialize(hidden, rng) for _ in range(count)]
+        for m in models:
+            m.set_normalization(rng.normal(0.0, 0.1, 3), rng.uniform(0.2, 2.0, 3))
+        return models
+
+    def test_bits_equal_each_model_alone(self):
+        """G models on G windows (a model may repeat) give, bit for bit, what
+        each model's training forward pass gives for its window alone."""
+        rng = np.random.default_rng(21)
+        for hidden in (3, 8, 32):
+            models = self._models(rng, hidden, 4)
+            picks = [0, 2, 2, 3, 1, 0]
+            features = rng.normal(0.0, 1.0, (len(picks), 29, 3))
+            got = recurrent.predict_stacked([models[i] for i in picks], features)
+            for g, i in enumerate(picks):
+                alone, _ = models[i].forward_batch(features[g][None])
+                assert got[g].tobytes() == alone[0].tobytes()
+                assert models[i].predict_features(features[g]) == float(got[g])
+
+    def test_non_finite_weights_in_any_model_rejected(self):
+        rng = np.random.default_rng(2)
+        models = self._models(rng, 4, 3)
+        models[1].params["w_hc"][0, 0] = np.inf
+        with pytest.raises(NonFiniteParameters):
+            recurrent.predict_stacked(models, rng.normal(0.0, 1.0, (3, 29, 3)))
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_output_rejected(self):
+        rng = np.random.default_rng(4)
+        models = self._models(rng, 4, 2)
+        features = rng.normal(0.0, 1.0, (2, 29, 3))
+        features[1, 3, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            recurrent.predict_stacked(models, features)
+
+
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 

@@ -164,6 +164,31 @@ class TestSelectModel:
         assert isinstance(chosen, HistoricalAveragePredictor)
 
 
+def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
+    """Only the baseline is scored again; each GRU's MAE is the one train
+    returned. The choice and its MAE equal select_model's over the same
+    candidates, bit for bit."""
+    from crossrisk.predictors import training
+
+    samples = jittered_samples(120, seed=12)
+    config = TrainingConfig(seed=1, hidden_size=8, epochs=2, patience=1)
+    scored = []
+    evaluate = training.evaluate_mae
+    monkeypatch.setattr(training, "evaluate_mae", lambda p, s: scored.append(p) or evaluate(p, s))
+    chosen, mae = training.train_and_select(samples, config, hidden_sizes=(4, 6))
+    assert [type(p) for p in scored] == [HistoricalAveragePredictor]
+
+    _, val = split_samples(usable_samples(samples), config.seed)
+    candidates = [HistoricalAveragePredictor()] + [
+        train(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
+        for h in (4, 6)
+    ]
+    expected, expected_mae = select_model(candidates, val)
+    assert isinstance(chosen, RecurrentRegressor) and chosen.name == expected.name
+    assert mae == expected_mae
+    assert all(np.array_equal(chosen.params[k], expected.params[k]) for k in chosen.params)
+
+
 def jittered_samples(n: int, seed: int) -> list[LabeledSample]:
     """Decelerating, noisy windows; some end past the line, where the
     baseline fails and scores the cap."""
