@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,18 @@ def _load_bundle(args: argparse.Namespace) -> TrainedModelBundle:
     return TrainedModelBundle.historical_average()
 
 
+@contextmanager
+def _gc_frozen():
+    """Run the frame loop with every object built so far (stream rows, bundle,
+    area map, pipeline) moved out of the collector's reach by gc.freeze(), so
+    no full collection walks them inside a frame; gc.unfreeze() on exit."""
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+
+
 def cmd_evaluate(args: argparse.Namespace) -> int:
     area_map = load_area_map(str(_require(args.area_map, "area map")))
     thresholds = _load_thresholds(args)
@@ -215,7 +229,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     pipeline = RiskPipeline(area_map, thresholds, bundle, fps=args.fps)
-    result = pipeline.run(frames)
+    with _gc_frozen():
+        result = pipeline.run(frames)
     write_risk_scenarios(str(out / "risk_scenarios.jsonl"), result.risk_scenarios)
     write_trace_csv(str(out / "ppet_trace.csv"), result.trace)
 
@@ -318,20 +333,21 @@ def cmd_replay(args: argparse.Namespace) -> int:
     if rows:
         frame_period = 1.0 / args.fps
         wall_start = time.perf_counter()
-        for index, frame in enumerate(range(min(rows), max(rows) + 1)):
-            t0 = time.perf_counter()
-            observations = [
-                Observation(frame, t, agent_id, category, transform_point(grid, p) if pixel else p)
-                for (t, agent_id, category, p) in rows.get(frame, [])
-            ]
-            if pixel:
-                transform_ms.append((time.perf_counter() - t0) * 1000.0)
-            pipeline.process_frame(frame, observations)
-            if args.realtime:
-                target = wall_start + (index + 1) * frame_period
-                delay = target - time.perf_counter()
-                if delay > 0:
-                    time.sleep(delay)
+        with _gc_frozen():
+            for index, frame in enumerate(range(min(rows), max(rows) + 1)):
+                t0 = time.perf_counter()
+                observations = [
+                    Observation(frame, t, agent_id, category, transform_point(grid, p) if pixel else p)
+                    for (t, agent_id, category, p) in rows.get(frame, [])
+                ]
+                if pixel:
+                    transform_ms.append((time.perf_counter() - t0) * 1000.0)
+                pipeline.process_frame(frame, observations)
+                if args.realtime:
+                    target = wall_start + (index + 1) * frame_period
+                    delay = target - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
 
     report = latency_report(
         pipeline.result.prediction_ms, pipeline.result.ppet_risk_ms, transform_ms

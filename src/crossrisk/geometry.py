@@ -379,6 +379,7 @@ class AreaMap:
         order = [name for name in AREA_PRIORITY if name in self.areas]
         order += [name for name in self.areas if name not in AREA_PRIORITY]
         object.__setattr__(self, "_lookup_order", tuple(order))
+        object.__setattr__(self, "_edges", _compile_edges([self.areas[name] for name in order]))
 
     def _check_conflict_areas_disjoint(self) -> None:
         if "3.1" not in self.areas or "3.2" not in self.areas:
@@ -414,13 +415,68 @@ def vehicle_line_name(area: str, enter: bool) -> str:
     return f"veh_{area}_{'enter' if enter else 'leave'}"
 
 
+@dataclass(frozen=True, eq=False)
+class _Edges:
+    """Every polygon edge (a -> b) of an area map as arrays, polygons in lookup
+    order, edge k of polygon j at starts[j] + k, with e = b - a. tol and top
+    are _on_segment's cross-product tolerance and upper dot-product bound."""
+
+    ax: np.ndarray
+    ay: np.ndarray
+    by: np.ndarray
+    ex: np.ndarray
+    ey: np.ndarray
+    tol: np.ndarray
+    top: np.ndarray
+    starts: np.ndarray
+
+
+def _compile_edges(polygons: Sequence[Sequence[WorldPoint]]) -> _Edges:
+    rows, starts = [], []
+    for poly in polygons:
+        starts.append(len(rows))
+        for i, a in enumerate(poly):
+            b = poly[(i + 1) % len(poly)]
+            ex, ey = b.x - a.x, b.y - a.y
+            length = math.hypot(ex, ey)
+            rows.append((a.x, a.y, b.y, ex, ey, 1e-9 * max(1.0, length), length * length + 1e-12))
+    columns = np.array(rows).T.copy()
+    return _Edges(*columns, starts=np.array(starts))
+
+
+def locate_areas(area_map: AreaMap, xs: Sequence[float], ys: Sequence[float]) -> list[str | None]:
+    """Name of the area containing each point (xs[i], ys[i]), or None when it
+    lies outside all polygons: locate_area for many points in one pass.
+
+    Every observation x edge pair evaluates point_in_polygon's expressions in
+    its operation order, so each answer is locate_area's, bit for bit.
+    """
+    if not len(xs):
+        return []
+    e = area_map._edges
+    x = np.asarray(xs, dtype=float)[:, None]
+    y = np.asarray(ys, dtype=float)[:, None]
+    dx, dy = x - e.ax, y - e.ay
+    cross = e.ex * dy - e.ey * dx
+    # winding number: +1 for an edge crossing the point's level upward with
+    # the point on its left (cross > 0), -1 for one crossing downward with
+    # the point on its right (cross < 0)
+    up = (e.ay <= y).astype(np.intp) - (e.by <= y)
+    inside = np.add.reduceat(up * (np.sign(cross) == up), e.starts, axis=1) != 0
+    # _on_segment: not farther than tol from the edge's line (`not >` keeps
+    # its answer for a NaN cross product), and between the edge's ends
+    near = ~(np.abs(cross) > e.tol)
+    if near.any():
+        dot = dx * e.ex + dy * e.ey
+        on_edge = near & (dot >= -1e-12) & (dot <= e.top)
+        inside |= np.logical_or.reduceat(on_edge, e.starts, axis=1)
+    names = area_map._lookup_order
+    return [names[row.index(True)] if True in row else None for row in inside.tolist()]
+
+
 def locate_area(area_map: AreaMap, p: WorldPoint) -> str | None:
     """Name of the area containing p, or None when outside all polygons."""
-    for name in area_map._lookup_order:
-        poly = area_map.areas[name]
-        if point_in_polygon(p.x, p.y, [(q.x, q.y) for q in poly]):
-            return name
-    return None
+    return locate_areas(area_map, (p.x,), (p.y,))[0]
 
 
 # --- file formats -------------------------------------------------------------

@@ -19,13 +19,15 @@ import numpy as np
 from .errors import ManifestError, PredictionError
 from .geometry import (
     AreaMap,
+    TargetLine,
     WorldPoint,
     pedestrian_line_name,
     signed_distance_to_line,
     vehicle_line_name,
 )
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
-from .predictors import RecurrentRegressor, TrainedModelBundle
+from .predictors import HistoricalAveragePredictor, RecurrentRegressor, TrainedModelBundle
+from .predictors.historical import stacked_arrival_times
 from .predictors.recurrent import predict_stacked, stacked_features
 from .risk import (
     AreaRole,
@@ -69,26 +71,43 @@ def _ordered(estimates: list[float | None]) -> list[float | None]:
     return estimates
 
 
+def _answer_baseline(queued: Sequence[tuple[list, int, SlidingWindowTrajectory, TargetLine]]) -> None:
+    """Write each queued (estimates, index, window, line) request's arrival
+    seconds into its slot, None where it fails: one stacked_arrival_times
+    pass, each window's motion computed once however many lines it has."""
+    seconds = stacked_arrival_times([(w, line) for _, _, w, line in queued])
+    for (estimates, index, _, _), value in zip(queued, seconds):
+        estimates[index] = None if isinstance(value, PredictionError) else value
+
+
 def _answer_recurrent(
-    queued: Sequence[tuple[list, int, RecurrentRegressor, SlidingWindowTrajectory]],
+    queued: Sequence[tuple[list, int, SlidingWindowTrajectory, RecurrentRegressor]],
 ) -> None:
-    """Write each queued request's arrival seconds into its (estimates, index)
-    slot: one predict_stacked pass per hidden size, with the features of each
-    window computed once however many models read it."""
-    windows = list({id(w): w for *_, w in queued}.values())
+    """Write each queued (estimates, index, window, model) request's arrival
+    seconds into its slot: one predict_stacked pass per hidden size, with the
+    features of each window computed once however many models read it."""
+    windows = list({id(w): w for _, _, w, _ in queued}.values())
     row = {id(w): i for i, w in enumerate(windows)}
     features = stacked_features(
         np.stack([w.times for w in windows]), np.stack([w.positions for w in windows])
     )
     by_size: dict[int, list] = {}
     for request in queued:
-        by_size.setdefault(request[2].hidden_size, []).append(request)
+        by_size.setdefault(request[3].hidden_size, []).append(request)
     for group in by_size.values():
         seconds = predict_stacked(
-            [model for _, _, model, _ in group], features[[row[id(w)] for *_, w in group]]
+            [model for *_, model in group], features[[row[id(w)] for _, _, w, _ in group]]
         )
         for (estimates, index, _, _), value in zip(group, seconds.tolist()):
             estimates[index] = value
+
+
+@dataclass
+class _Queued:
+    """One frame's requests waiting for a stacked pass, by predictor kind."""
+
+    baseline: list = field(default_factory=list)
+    recurrent: list = field(default_factory=list)
 
 
 @dataclass(frozen=True)
@@ -131,19 +150,26 @@ class RiskPipeline:
 
     # -- prediction helpers -------------------------------------------------------
 
-    def _request(self, q: int, window: SlidingWindowTrajectory, line, estimates: list, queued: list) -> None:
+    def _request(
+        self, q: int, window: SlidingWindowTrajectory, line: TargetLine, estimates: list, queued: _Queued
+    ) -> None:
         """Append the arrival seconds at `line` to `estimates`: None when the
         line is behind the agent or the predictor cannot produce an estimate.
 
-        Any predictor but the recurrent one answers here. A recurrent request
-        leaves a None slot and goes to `queued`, for `_answer_recurrent`.
+        A baseline or recurrent request leaves a None slot and goes to
+        `queued`, for `_answer_baseline` or `_answer_recurrent`; any other
+        predictor answers here.
         """
         if signed_distance_to_line(window.end_position, line) < 0.0:
             estimates.append(None)
             return
         predictor = self.bundle.predictor_for(window.category, q)
+        if isinstance(predictor, HistoricalAveragePredictor):
+            queued.baseline.append((estimates, len(estimates), window, line))
+            estimates.append(None)
+            return
         if isinstance(predictor, RecurrentRegressor):
-            queued.append((estimates, len(estimates), predictor, window))
+            queued.recurrent.append((estimates, len(estimates), window, predictor))
             estimates.append(None)
             return
         try:
@@ -151,7 +177,7 @@ class RiskPipeline:
         except PredictionError:
             estimates.append(None)
 
-    def _vehicle_estimates(self, veh_id: str, area_id: str, cache: dict, queued: list) -> list:
+    def _vehicle_estimates(self, veh_id: str, area_id: str, cache: dict, queued: _Queued) -> list:
         key = (veh_id, area_id)
         if key in cache:
             return cache[key]
@@ -173,11 +199,11 @@ class RiskPipeline:
         its window, its direction and its conflict vehicles: (id, position)
         per area role that has one.
 
-        Every request is made first; the recurrent ones are then answered
-        together, so a frame's GRU predictions cost one stacked pass per
+        Every request is made first; the baseline ones are then answered in
+        one stacked pass and the recurrent ones in one stacked pass per
         hidden size. A vehicle serving several pedestrians is predicted once.
         """
-        queued: list = []
+        queued = _Queued()
         vehicle_cache: dict = {}
         requested = []
         for window, direction, vehicles in targets:
@@ -191,8 +217,10 @@ class RiskPipeline:
                 for role, area_id in zip(_ROLES, closer_further_assignment(direction))
             ]
             requested.append((ped, veh))
-        if queued:
-            _answer_recurrent(queued)
+        if queued.baseline:
+            _answer_baseline(queued.baseline)
+        if queued.recurrent:
+            _answer_recurrent(queued.recurrent)
         return [ArrivalEstimateSet(*_ordered(ped), *closer, *further) for ped, (closer, further) in requested]
 
     def _conflict_vehicle(

@@ -13,7 +13,7 @@ from ..stream import AgentCategory
 from .base import ARRIVAL_TIME_CAP_S, ArrivalTimePredictor
 from .bundle import ALL_PAIRS, SPLIT_RATIO, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
-from .historical import HistoricalAveragePredictor
+from .historical import HistoricalAveragePredictor, stacked_arrival_times
 from .recurrent import RecurrentRegressor, stacked_features
 
 log = logging.getLogger(__name__)
@@ -138,23 +138,27 @@ def evaluate_mae(
 ) -> float:
     """Mean absolute error of a predictor on labeled samples.
 
-    A recurrent predictor scores all samples in one forward pass. For any
-    other predictor, failed predictions (agent past the line, no approach,
-    ...) count as the cap value, the maximally wrong answer, so a fragile
-    predictor cannot win selection by silently skipping hard samples.
+    A recurrent predictor scores all samples in one forward pass and the
+    baseline in one stacked pass. For any other predictor, failed predictions
+    (agent past the line, no approach, ...) count as the cap value, the
+    maximally wrong answer, so a fragile predictor cannot win selection by
+    silently skipping hard samples.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
     if isinstance(predictor, RecurrentRegressor):
         return predictor.batch_mae(*_features_and_targets(samples))
-    errors = []
-    for s in samples:
-        try:
-            predicted = predictor.predict(s.window, s.q.line).seconds
-        except PredictionError:
-            predicted = ARRIVAL_TIME_CAP_S
-        errors.append(abs(predicted - s.arrival_time))
-    return float(np.mean(errors))
+    if isinstance(predictor, HistoricalAveragePredictor):
+        seconds = stacked_arrival_times([(s.window, s.q.line) for s in samples])
+        predicted = [ARRIVAL_TIME_CAP_S if isinstance(v, PredictionError) else v for v in seconds]
+    else:
+        predicted = []
+        for s in samples:
+            try:
+                predicted.append(predictor.predict(s.window, s.q.line).seconds)
+            except PredictionError:
+                predicted.append(ARRIVAL_TIME_CAP_S)
+    return float(np.mean([abs(p - s.arrival_time) for p, s in zip(predicted, samples)]))
 
 
 def select_model(

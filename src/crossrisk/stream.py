@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import math
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -27,7 +26,7 @@ from .errors import (
     OutOfOrderFrame,
     UnknownDirection,
 )
-from .geometry import AreaMap, PixelPoint, TileGrid, WorldPoint, locate_area, transform_point
+from .geometry import AreaMap, PixelPoint, TileGrid, WorldPoint, locate_areas, transform_point
 
 WINDOW_SIZE = 30           # points per sliding window (1 s at 30 FPS)
 MIN_TRAJECTORY_LENGTH = 30  # prediction gate; coincides with the window size
@@ -102,71 +101,91 @@ class SlidingWindowTrajectory:
 
 
 class TrajectoryBuffer:
-    """Ring of recent observations for one agent with gap repair.
+    """Ring of one agent's most recent WINDOW_SIZE points, with gap repair.
 
     Gaps of up to MAX_INTERPOLATED_GAP missed frames are filled by linear
     interpolation; anything longer resets the buffer because the window
-    would be semantically stale. `area` is the area of the last real
-    observation, set by StreamEngine.ingest_frame (None once cleared);
-    `last_t` is its time, kept through clear() so the agent's time keeps
-    increasing across episodes.
+    would be semantically stale. Point rows (frame, t, x, y) live in a
+    preallocated array of 2 * WINDOW_SIZE rows, each written at slot i and
+    i + WINDOW_SIZE, so the buffered points are always one contiguous slice.
+    `last` is the last real observation and `area` its area, set by
+    StreamEngine.ingest_frame (both None once cleared); `last_t` is its time,
+    kept through clear() so the agent's time keeps increasing across episodes.
     """
 
     def __init__(self, agent_id: str, category: AgentCategory):
         self.agent_id = agent_id
         self.category = category
-        self._ring: deque[Observation] = deque(maxlen=WINDOW_SIZE)
+        self._rows = np.empty((2 * WINDOW_SIZE, 4))
+        self._next = 0  # slot the next point is written to
+        self._count = 0
+        self.last: Observation | None = None
         self.area: str | None = None
         self.last_t = -math.inf
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return self._count
 
-    @property
-    def last(self) -> Observation | None:
-        return self._ring[-1] if self._ring else None
+    def _span(self) -> np.ndarray:
+        """The buffered rows, oldest first."""
+        start = (self._next - self._count) % WINDOW_SIZE
+        return self._rows[start:start + self._count]
+
+    def _push(self, frame: int, t: float, x: float, y: float) -> None:
+        i = self._next
+        rows = self._rows
+        rows[i] = (frame, t, x, y)
+        rows[i + WINDOW_SIZE] = rows[i]
+        self._next = (i + 1) % WINDOW_SIZE
+        if self._count < WINDOW_SIZE:
+            self._count += 1
 
     def clear(self) -> None:
-        self._ring.clear()
+        self._count = 0
+        self.last = None
         self.area = None
 
     def append(self, obs: Observation) -> None:
         self.last_t = obs.t
         last = self.last
-        if last is None:
-            self._ring.append(obs)
-            return
-        gap = obs.frame - last.frame
-        if gap <= 0:
-            raise OutOfOrderFrame(
-                f"agent {self.agent_id}: frame {obs.frame} after {last.frame}"
-            )
-        if gap > MAX_INTERPOLATED_GAP + 1:
-            self.clear()
-            self._ring.append(obs)
-            return
-        for step in range(1, gap):
-            frac = step / gap
-            self._ring.append(
-                Observation(
-                    frame=last.frame + step,
-                    t=last.t + frac * (obs.t - last.t),
-                    agent_id=obs.agent_id,
-                    category=obs.category,
-                    position=WorldPoint(
-                        last.position.x + frac * (obs.position.x - last.position.x),
-                        last.position.y + frac * (obs.position.y - last.position.y),
-                    ),
+        p = obs.position
+        if last is not None:
+            gap = obs.frame - last.frame
+            if gap <= 0:
+                raise OutOfOrderFrame(
+                    f"agent {self.agent_id}: frame {obs.frame} after {last.frame}"
                 )
-            )
-        self._ring.append(obs)
+            if gap > MAX_INTERPOLATED_GAP + 1:
+                self.clear()
+            else:
+                q = last.position
+                for step in range(1, gap):
+                    frac = step / gap
+                    self._push(
+                        last.frame + step,
+                        last.t + frac * (obs.t - last.t),
+                        q.x + frac * (p.x - q.x),
+                        q.y + frac * (p.y - q.y),
+                    )
+        self.last = obs
+        self._push(obs.frame, obs.t, p.x, p.y)
 
     @property
     def window_ready(self) -> bool:
-        return len(self._ring) >= WINDOW_SIZE
+        return self._count >= WINDOW_SIZE
+
+    def net_dx(self) -> float:
+        """x displacement from the oldest buffered point to the newest."""
+        # slots i and i + WINDOW_SIZE hold the same point, so negative indices reach it
+        rows = self._rows
+        return float(rows[self._next - 1, 2] - rows[self._next - self._count, 2])
 
     def observations(self) -> tuple[Observation, ...]:
-        return tuple(self._ring)
+        """The buffered points, interpolated ones included, oldest first."""
+        return tuple(
+            Observation(int(frame), t, self.agent_id, self.category, WorldPoint(x, y))
+            for frame, t, x, y in self._span().tolist()
+        )
 
 
 def window(buffer: TrajectoryBuffer) -> SlidingWindowTrajectory:
@@ -175,13 +194,13 @@ def window(buffer: TrajectoryBuffer) -> SlidingWindowTrajectory:
         raise InsufficientHistory(
             f"agent {buffer.agent_id}: {len(buffer)} of {WINDOW_SIZE} points buffered"
         )
-    ring = buffer._ring
+    span = buffer._span()
     return SlidingWindowTrajectory(
         buffer.agent_id,
         buffer.category,
-        ring[0].frame,
-        np.array([o.t for o in ring]),
-        np.column_stack(([o.position.x for o in ring], [o.position.y for o in ring])),
+        int(span[0, 0]),
+        span[:, 1].copy(),
+        span[:, 2:].copy(),
     )
 
 
@@ -195,7 +214,10 @@ def infer_direction(observations: Sequence[Observation]) -> Direction:
     """Crossing direction from net x displacement, with a jitter dead band."""
     if len(observations) < 2:
         return Direction.UNKNOWN
-    dx = observations[-1].position.x - observations[0].position.x
+    return _direction_of(observations[-1].position.x - observations[0].position.x)
+
+
+def _direction_of(dx: float) -> Direction:
     if dx > DIRECTION_DEAD_BAND_M:
         return Direction.LEFT_TO_RIGHT
     if dx < -DIRECTION_DEAD_BAND_M:
@@ -309,8 +331,8 @@ class StreamEngine:
         ]
 
     def ingest_frame(self, frame: int, observations: Sequence[Observation]) -> None:
-        """Feed one frame of observations, locating each agent's area once;
-        the whole frame is checked before any state changes."""
+        """Feed one frame of observations, locating the whole frame's areas
+        in one call; the whole frame is checked before any state changes."""
         if self.last_frame is not None and frame != self.last_frame + 1:
             raise OutOfOrderFrame(f"expected frame {self.last_frame + 1}, got {frame}")
         seen: set[str] = set()
@@ -328,13 +350,16 @@ class StreamEngine:
                 _check_continues(buf.category, buf.last_t, obs)
         self.last_frame = frame
 
-        for obs in observations:
+        areas = locate_areas(
+            self.area_map, [o.position.x for o in observations], [o.position.y for o in observations]
+        )
+        for obs, area in zip(observations, areas):
             buf = self.buffers.get(obs.agent_id)
             if buf is None:
                 buf = TrajectoryBuffer(obs.agent_id, obs.category)
                 self.buffers[obs.agent_id] = buf
             buf.append(obs)
-            buf.area = locate_area(self.area_map, obs.position)
+            buf.area = area
             if obs.category.is_pedestrian:
                 self._step_pedestrian(obs, buf)
 
@@ -347,7 +372,7 @@ class StreamEngine:
 
         prev_area = state.current_area
         state.current_area = area
-        state.direction = infer_direction(buf._ring)
+        state.direction = _direction_of(buf.net_dx())
 
         if state.status is PedestrianStatus.TARGET:
             left_conflict = (

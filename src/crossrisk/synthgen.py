@@ -23,7 +23,7 @@ from .geometry import (
     TileGrid,
     WorldPoint,
     first_crossing_time,
-    locate_area,
+    locate_areas,
     pedestrian_line_name,
     tile_from_anchors,
     vehicle_line_name,
@@ -679,7 +679,7 @@ def _took_evasive_action(
     kernel = np.ones(10) / 10.0
     smooth = np.convolve(speed, kernel, mode="valid")
     # indices of smoothed samples roughly align with trajectory[9:]
-    areas = [locate_area(area_map, o.position) for o in trajectory[9:-1]]
+    areas = locate_areas(area_map, positions[9:-1, 0], positions[9:-1, 1])
     baseline_n = min(len(smooth), int(1.5 * fps))
     baseline = float(np.median(smooth[:baseline_n]))
     if baseline <= 0:

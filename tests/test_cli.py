@@ -348,6 +348,29 @@ class TestReplayAndMetrics:
         p50, p99 = report["safety_evaluation_p50_ms"], report["safety_evaluation_p99_ms"]
         assert 0.0 < p50 <= p99 <= report["safety_evaluation_max_ms"]
 
+    @pytest.mark.parametrize("command", ["replay", "evaluate"])
+    def test_frame_loop_runs_with_gc_frozen(self, command, gen_dir, tmp_path, monkeypatch):
+        """Every frame runs with the setup's objects frozen out of the
+        collector, and the freeze is lifted once the command returns."""
+        import gc
+
+        counts = []
+        process_frame = RiskPipeline.process_frame
+
+        def spy(self, frame, observations):
+            counts.append(gc.get_freeze_count())
+            return process_frame(self, frame, observations)
+
+        monkeypatch.setattr(RiskPipeline, "process_frame", spy)
+        before = gc.get_freeze_count()
+        extra = ["--out", str(tmp_path / ("latency.json" if command == "replay" else "eval"))]
+        assert main([
+            command, "--stream", str(gen_dir / "stream.csv"),
+            "--area-map", str(gen_dir / "area_map.json"), *extra,
+        ]) == EXIT_OK
+        assert counts and min(counts) > 0
+        assert gc.get_freeze_count() == before
+
     def test_realtime_pacing_leaves_outputs_unchanged(self, tmp_path):
         spec = tmp_path / "spec.json"
         spec.write_text(

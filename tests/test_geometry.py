@@ -15,6 +15,7 @@ from crossrisk.geometry import (
     WorldPoint,
     first_crossing_time,
     locate_area,
+    locate_areas,
     point_in_polygon,
     project_point,
     signed_distance_to_line,
@@ -215,6 +216,69 @@ class TestTileValidation:
                 out = tile.transform(pc)
                 worst = max(worst, out.distance_to(wc))
         assert worst < 1e-6
+
+
+def _scalar_locate(area_map, x, y):
+    """First area in lookup order whose polygon contains (x, y), one
+    point_in_polygon call at a time."""
+    for name in area_map._lookup_order:
+        if point_in_polygon(x, y, [(p.x, p.y) for p in area_map.areas[name]]):
+            return name
+    return None
+
+
+def _slanted_area_map(area_map):
+    """The reference areas plus overlapping slanted, concave and sliver
+    polygons, so edges of every orientation and lookup-order ties occur."""
+    extra = {  # in the free corners x < 0 and x > 18 above the crosswalk, and below it
+        "5.1": ((-10.0, 5.0), (-3.0, 8.0), (-6.0, 13.0), (-11.5, 10.0)),
+        "5.2": ((-9.0, 12.0), (-1.0, 14.0), (-4.0, 16.0), (-3.0, 21.0), (-10.0, 19.0)),  # concave
+        "5.3": ((-11.0, -3.1), (21.7, -3.0999999999999996), (21.7, -3.0999999)),  # sliver
+        "5.4": ((-26.0 / 3.0, 36.0 / 7.0), (-5.0 / 3.0, 60.0 / 7.0), (-19.0 / 3.0, 38.0 / 3.0)),
+        # vertex y values where a.y + (b.y - a.y) != b.y in floating point
+        "5.5": ((18.5, 18.7), (19.0, 4.7), (19.5, 19.8), (20.0, 7.2), (20.5, 24.8), (21.0, 4.2),
+                (21.0, 28.0), (18.5, 28.0)),
+    }
+    areas = dict(area_map.areas)
+    areas.update({k: tuple(WorldPoint(x, y) for x, y in v) for k, v in extra.items()})
+    return AreaMap(areas, area_map.target_lines, area_map.center_line)
+
+
+class TestLocateAreas:
+    """The per-frame lookup against point_in_polygon, point by point."""
+
+    @pytest.mark.parametrize("slanted", [False, True], ids=["reference", "slanted"])
+    def test_matches_scalar_lookup_bit_for_bit(self, area_map, slanted):
+        amap = _slanted_area_map(area_map) if slanted else area_map
+        rng = np.random.default_rng(5)
+        xs = list(rng.uniform(-12.0, 23.0, 3000))
+        ys = list(rng.uniform(-5.0, 29.0, 3000))
+        for poly in amap.areas.values():
+            for i, a in enumerate(poly):
+                b = poly[(i + 1) % len(poly)]
+                ex, ey = b.x - a.x, b.y - a.y
+                length = math.hypot(ex, ey)
+                nx, ny = -ey / length, ex / length
+                points = [(a.x, a.y), (a.x + 0.5 * ex, a.y + 0.5 * ey)]
+                points += [(a.x + f * ex, a.y + f * ey) for f in rng.uniform(0.0, 1.0, 4)]
+                for px, py in points:
+                    for off in (0.0, 1e-10, -1e-10, 1e-8, -1e-8):
+                        xs.append(px + off * nx)
+                        ys.append(py + off * ny)
+                        xs.append(px + off)
+                        ys.append(py)
+                # level with a vertex, and one ulp off: the winding test's degenerate rays
+                for level in (a.y, np.nextafter(a.y, -np.inf), np.nextafter(a.y, np.inf)):
+                    xs += list(rng.uniform(-12.0, 23.0, 10))
+                    ys += [float(level)] * 10
+        got = locate_areas(amap, xs, ys)
+        expected = [_scalar_locate(amap, x, y) for x, y in zip(xs, ys)]
+        assert got == expected
+        assert len(set(expected)) == len(amap.areas) + 1  # every area and None hit
+        assert [locate_area(amap, WorldPoint(x, y)) for x, y in zip(xs[:300], ys[:300])] == expected[:300]
+
+    def test_empty_frame(self, area_map):
+        assert locate_areas(area_map, [], []) == []
 
 
 class TestLocateArea:

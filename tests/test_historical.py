@@ -3,11 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from crossrisk.errors import NoApproach, NonPositiveVelocity, ZeroDisplacement
+from crossrisk.errors import NoApproach, NonPositiveVelocity, PredictionError, ZeroDisplacement
 from crossrisk.geometry import TargetLine, WorldPoint, signed_distance_to_line
 from crossrisk.predictors import ARRIVAL_TIME_CAP_S, HistoricalAveragePredictor
-from crossrisk.predictors.historical import arrival_time, average_velocity, direction_vector
-from crossrisk.stream import WINDOW_SIZE
+from crossrisk.predictors.historical import (
+    VELOCITY_FLOOR,
+    arrival_time,
+    average_velocity,
+    direction_vector,
+    stacked_arrival_times,
+)
+from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
 
 from conftest import FPS, constant_velocity_window, make_window, vertical_line
 
@@ -148,3 +154,93 @@ class TestArrivalTime:
         pred = HistoricalAveragePredictor().predict(w, vertical_line(29 / FPS + 3.0))
         assert pred.produced_by == "historical_average"
         assert pred.seconds == pytest.approx(3.0, rel=1e-12)
+
+
+def _one_window_arrival(window, line):
+    """Arrival seconds from the one-window direction_vector and
+    average_velocity, or the PredictionError the request fails with."""
+    try:
+        d, _, theta = direction_vector(window)
+        v_avg = average_velocity(window, d)
+    except PredictionError as exc:
+        return exc
+    dist = signed_distance_to_line(window.end_position, line)
+    if dist < 0.0:
+        return NoApproach("past the line")
+    closing = v_avg * math.cos(theta - math.atan2(line.normal[1], line.normal[0]))
+    if closing <= VELOCITY_FLOOR:
+        return NoApproach("receding")
+    return min(max(dist / closing, 0.0), ARRIVAL_TIME_CAP_S)
+
+
+def _same(got, expected):
+    if isinstance(expected, PredictionError):
+        return type(got) is type(expected)
+    return type(got) is float and got == expected
+
+
+class TestStackedArrivalTimes:
+    """The stacked baseline against one window at a time, bit for bit."""
+
+    def _windows(self):
+        rng = np.random.default_rng(17)
+        windows = [
+            constant_velocity_window((1.0, 1.0), (0.0, 0.0), agent_id="still"),
+            constant_velocity_window((0.0, 0.0), (-1.0, 0.0), agent_id="receding"),
+            constant_velocity_window((10.0, 0.0), (1.0, 0.0), agent_id="past"),
+            constant_velocity_window((0.0, 0.0), (0.001, 1.0), agent_id="tangential"),
+            # net displacement forward in one slow step, then quick steps back:
+            # the mean per-step speed along the displacement is negative
+            SlidingWindowTrajectory(
+                "back", AgentCategory.ADULT, 0, np.r_[0.0, 1.0 + np.arange(WINDOW_SIZE - 1) / FPS],
+                np.column_stack([np.r_[0.0, np.linspace(5.0, 0.5, WINDOW_SIZE - 1)], np.zeros(WINDOW_SIZE)]),
+            ),
+        ]
+        for i in range(2000):
+            walk = np.cumsum(rng.normal(0.0, 0.05, (WINDOW_SIZE, 2)), axis=0)
+            drift = rng.uniform(-2.0, 2.0, 2) * np.arange(WINDOW_SIZE)[:, None] / FPS
+            start = rng.uniform(-10.0, 10.0, 2)
+            times = np.cumsum(rng.uniform(0.5, 1.5, WINDOW_SIZE)) / FPS
+            positions = start + walk + drift
+            windows.append(SlidingWindowTrajectory(f"r{i}", AgentCategory.ADULT, 0, times, positions))
+        return windows
+
+    def test_matches_one_window_functions(self):
+        windows = self._windows()
+        lines = [vertical_line(5.0), vertical_line(-5.0, nx=-1.0), vertical_line(50.0), vertical_line(0.5)]
+        requests = [(w, line) for w in windows for line in lines]
+        with np.errstate(all="raise"):
+            got = stacked_arrival_times(requests)
+            expected = [_one_window_arrival(w, line) for w, line in requests]
+        assert all(_same(g, e) for g, e in zip(got, expected))
+        kinds = {type(e).__name__ for e in expected}
+        assert {"float", "ZeroDisplacement", "NonPositiveVelocity", "NoApproach"} <= kinds
+        assert ARRIVAL_TIME_CAP_S in expected
+
+    def test_failures_carry_their_class_and_agent(self):
+        windows = self._windows()[:5]
+        line = vertical_line(5.0)
+        with np.errstate(all="raise"):
+            got = stacked_arrival_times([(w, line) for w in windows])
+        assert [type(g).__name__ for g in got] == [
+            "ZeroDisplacement", "NoApproach", "NoApproach", "float", "NonPositiveVelocity",
+        ]
+        assert "agent still" in str(got[0]) and "agent back" in str(got[4])
+
+    def test_stack_is_row_independent(self):
+        """Every request gets the answer it gets alone, in any stack."""
+        windows = self._windows()
+        rng = np.random.default_rng(3)
+        line = vertical_line(5.0)
+        alone = [stacked_arrival_times([(w, line)])[0] for w in windows]
+        order = rng.permutation(len(windows))
+        with np.errstate(all="raise"):
+            got = stacked_arrival_times([(windows[i], line) for i in order])
+        assert all(_same(got[k], alone[i]) for k, i in enumerate(order))
+
+    def test_arrival_time_raises_the_failure(self):
+        w = constant_velocity_window((1.0, 1.0), (0.0, 0.0))
+        with pytest.raises(ZeroDisplacement):
+            arrival_time(w, vertical_line(5.0))
+        with pytest.raises(ZeroDisplacement):
+            HistoricalAveragePredictor().predict(w, vertical_line(5.0))

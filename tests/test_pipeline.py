@@ -294,7 +294,7 @@ def _spy_frames(pipeline, check):
 class TestBatchedFrame:
     def test_estimates_equal_one_window_predictions(self, busy_scenario):
         """GRU pairs of two hidden sizes and baseline pairs mixed in one
-        bundle: every estimate equals its one-window predict call."""
+        bundle: every estimate equals its one-window predict call, exactly."""
         def hidden_for(pair):
             return (None, 6, 11)[(int(pair[0]) + pair[1]) % 3]
 
@@ -311,7 +311,7 @@ class TestBatchedFrame:
                 for g, e in zip(got, expect):
                     if e is not None:
                         seen["values"] += 1
-                        assert g == pytest.approx(e, rel=1e-12, abs=0.0)
+                        assert g == e
 
         _spy_frames(pipeline, check)
         frame = min(busy_scenario)
@@ -319,6 +319,32 @@ class TestBatchedFrame:
             pipeline.process_frame(frame, busy_scenario.get(frame, []))
             frame += 1
         assert seen["shared"] > 150 and seen["values"] > 1000
+
+    def test_baseline_frame_makes_one_stacked_pass(self, busy_scenario, monkeypatch):
+        """With the default bundle a frame answers all its requests in one
+        stacked_arrival_times pass and makes no one-window predict call."""
+        import crossrisk.pipeline as pipeline_module
+        from crossrisk.predictors import HistoricalAveragePredictor
+
+        def no_single_window_calls(*args, **kwargs):
+            raise AssertionError("the frame loop made a one-window baseline call")
+
+        monkeypatch.setattr(HistoricalAveragePredictor, "predict", no_single_window_calls)
+        passes = []
+        stacked = pipeline_module.stacked_arrival_times
+
+        def counting(requests):
+            passes[-1].append(len(requests))
+            return stacked(requests)
+
+        monkeypatch.setattr(pipeline_module, "stacked_arrival_times", counting)
+        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
+        for frame in range(min(busy_scenario), max(busy_scenario) + 1):
+            passes.append([])
+            pipeline.process_frame(frame, busy_scenario.get(frame, []))
+        assert max(len(p) for p in passes) == 1
+        assert max(n for p in passes for n in p) >= 7  # two pedestrians' lines, or one's and a vehicle's
+        assert pipeline.result.trace
 
     def test_failing_baseline_request_yields_none(self):
         from crossrisk.errors import NoApproach

@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from crossrisk.errors import (
 )
 from crossrisk.geometry import WorldPoint
 from crossrisk.stream import (
+    MAX_INTERPOLATED_GAP,
     WINDOW_SIZE,
     AgentCategory,
     Direction,
@@ -102,6 +105,76 @@ class TestBuffer:
                 assert w.first_frame + WINDOW_SIZE - 1 == buf.last.frame
                 assert w.times[-1] == buf.last.t
                 assert w.end_position == buf.last.position
+
+
+class DequeBuffer:
+    """Reference buffer: the last WINDOW_SIZE points as Observations in a
+    deque, gaps repaired with the same float expressions."""
+
+    def __init__(self):
+        self.ring = deque(maxlen=WINDOW_SIZE)
+
+    def append(self, o):
+        last = self.ring[-1] if self.ring else None
+        if last is not None and o.frame - last.frame > MAX_INTERPOLATED_GAP + 1:
+            self.ring.clear()
+        elif last is not None:
+            gap = o.frame - last.frame
+            for step in range(1, gap):
+                frac = step / gap
+                self.ring.append(Observation(
+                    last.frame + step, last.t + frac * (o.t - last.t), o.agent_id, o.category,
+                    WorldPoint(last.position.x + frac * (o.position.x - last.position.x),
+                               last.position.y + frac * (o.position.y - last.position.y)),
+                ))
+        self.ring.append(o)
+
+
+class TestRingAgainstDeque:
+    def _check(self, buf, ref):
+        assert len(buf) == len(ref.ring)
+        assert buf.observations() == tuple(ref.ring)
+        assert buf.last == (ref.ring[-1] if ref.ring else None)
+        if len(ref.ring) < WINDOW_SIZE:
+            return
+        w = window(buf)
+        assert w.first_frame == ref.ring[0].frame
+        times = np.array([o.t for o in ref.ring])
+        positions = np.column_stack(([o.position.x for o in ref.ring], [o.position.y for o in ref.ring]))
+        assert w.times.tobytes() == times.tobytes() and w.times.flags.c_contiguous
+        assert w.positions.tobytes() == positions.tobytes() and w.positions.flags.c_contiguous
+
+    def test_random_stream_with_gaps_resets_and_clears(self):
+        rng = np.random.default_rng(11)
+        buf, ref = TrajectoryBuffer("a0", AgentCategory.ADULT), DequeBuffer()
+        frame, t, x, y = 0, 0.0, 0.0, 1.0
+        seen = {"gap": 0, "reset": 0, "clear": 0, "wrapped": 0}
+        for _ in range(2000):
+            gap = int(rng.choice([1, 1, 1, 1, 2, 4, MAX_INTERPOLATED_GAP + 1, MAX_INTERPOLATED_GAP + 2, 9]))
+            frame += gap
+            t += gap / FPS * float(rng.uniform(0.9, 1.1))
+            x += float(rng.normal(0.03, 0.05))
+            y += float(rng.normal(0.0, 0.05))
+            o = Observation(frame, t, "a0", AgentCategory.ADULT, WorldPoint(x, y))
+            seen["gap"] += 1 < gap <= MAX_INTERPOLATED_GAP + 1 and len(buf) > 0
+            seen["reset"] += gap > MAX_INTERPOLATED_GAP + 1 and len(buf) > 0
+            buf.append(o)
+            ref.append(o)
+            seen["wrapped"] += len(buf) == WINDOW_SIZE
+            self._check(buf, ref)
+            if rng.uniform() < 0.01:  # an exit, then re-entry later
+                buf.clear()
+                ref.ring.clear()
+                seen["clear"] += 1
+                self._check(buf, ref)
+        assert min(seen.values()) > 10
+
+    def test_direction_reads_the_ring(self, area_map):
+        """The engine's direction is infer_direction of the buffered points."""
+        engine = StreamEngine(area_map)
+        for i, o in enumerate(walk("a0", -5.0, 0.05, 80)):
+            engine.ingest_frame(i, [o])
+            assert engine.pedestrians["a0"].direction is infer_direction(engine.buffer("a0").observations())
 
 
 class TestDirection:
@@ -249,21 +322,21 @@ class TestLifecycle:
 
 class TestZoneLookup:
     def test_one_lookup_per_observation(self, area_map, monkeypatch):
-        """The per-frame chain locates each observation once, at ingest; a
-        vehicle that stops being observed keeps its buffer and stored area and
-        stays a conflict candidate."""
+        """The per-frame chain locates each observation once, at ingest, in
+        one lookup per frame; a vehicle that stops being observed keeps its
+        buffer and stored area and stays a conflict candidate."""
         import crossrisk.stream as stream_module
         from crossrisk.pipeline import RiskPipeline
         from crossrisk.risk import RiskThresholdConfig
 
         calls = []
-        real = stream_module.locate_area
+        real = stream_module.locate_areas
 
-        def counting(amap, p):
-            calls.append(p)
-            return real(amap, p)
+        def counting(amap, xs, ys):
+            calls.extend(zip(xs, ys))
+            return real(amap, xs, ys)
 
-        monkeypatch.setattr(stream_module, "locate_area", counting)
+        monkeypatch.setattr(stream_module, "locate_areas", counting)
         pipeline = RiskPipeline(area_map, RiskThresholdConfig.default())
         vehicle = AgentCategory.VEHICLE_AREA_41
         ingested = 0
