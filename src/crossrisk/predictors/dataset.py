@@ -156,85 +156,205 @@ def build_labeled_dataset(
     return samples
 
 
-# --- labeled-samples file (JSON lines) ---------------------------------------
+# --- labeled-samples file (JSON lines, one agent per line) -------------------
+
+SAMPLES_FORMAT = "crossrisk-samples"
+SAMPLES_VERSION = 2
+_HEADER = json.dumps({"format": SAMPLES_FORMAT, "version": SAMPLES_VERSION}, sort_keys=True)
+_WINDOW_ROWS = np.arange(WINDOW_SIZE)
+
+
+def _runs(keys: Sequence, what: str) -> list[tuple[int, int]]:
+    """(start, end) of each run of equal consecutive keys; ValueError when a
+    key has more than one run, i.e. its samples are not contiguous."""
+    if not keys:
+        return []
+    cuts = [i for i in range(1, len(keys)) if keys[i] != keys[i - 1]]
+    runs = list(zip([0, *cuts], [*cuts, len(keys)]))
+    firsts = [keys[start] for start, _ in runs]
+    if len(set(firsts)) != len(firsts):
+        raise ValueError(f"the samples of each {what} must be contiguous")
+    return runs
+
+
+def _agent_doc(samples: Sequence[LabeledSample]) -> dict:
+    """One agent's samples as its point table plus each target's window
+    first frames and arrival times."""
+    head = samples[0]
+    agent_id = head.window.agent_id
+    context = (head.category, head.awareness, head.reaction, head.risk_level)
+    if any((s.category, s.awareness, s.reaction, s.risk_level) != context for s in samples):
+        raise ValueError(f"agent {agent_id}: samples carry different category or annotation")
+    first_frames = np.array([s.window.first_frame for s in samples], dtype=np.int64)
+    times = np.stack([s.window.times for s in samples]).astype(float, copy=False)
+    positions = np.stack([s.window.positions for s in samples]).astype(float, copy=False)
+    frames, rows = np.unique(first_frames[:, None] + _WINDOW_ROWS, return_inverse=True)
+    rows = rows.reshape(len(samples), WINDOW_SIZE)
+    t = np.empty(len(frames))
+    xy = np.empty((len(frames), 2))
+    t[rows] = times
+    xy[rows] = positions
+    # every window must read back its own bits from the one table
+    if not (
+        np.array_equal(t[rows].view(np.int64), times.view(np.int64))
+        and np.array_equal(xy[rows].view(np.int64), positions.view(np.int64))
+    ):
+        raise ValueError(f"agent {agent_id}: windows disagree at a shared frame")
+    targets = []
+    for start, end in _runs([s.q for s in samples], f"target of agent {agent_id}"):
+        q = samples[start].q
+        line = q.line
+        targets.append({
+            "kind": q.kind.value,
+            "q": q.q,
+            "line": {"p0": [line.p0.x, line.p0.y], "p1": [line.p1.x, line.p1.y], "normal": list(line.normal)},
+            "first_frames": first_frames[start:end].tolist(),
+            "arrival_time": [s.arrival_time for s in samples[start:end]],
+        })
+    return {
+        "agent_id": agent_id,
+        "category": int(head.category),
+        "awareness": int(head.awareness),
+        "reaction": int(head.reaction),
+        "risk_level": head.risk_level,
+        "frames": frames.tolist(),
+        "t": t.tolist(),
+        "x": xy[:, 0].tolist(),
+        "y": xy[:, 1].tolist(),
+        "targets": targets,
+    }
 
 
 def write_samples_jsonl(path: str, samples: Sequence[LabeledSample]) -> None:
+    """Write a version-2 labeled-samples file: a header line, then one line
+    per agent holding its points once and its windows as first frames.
+
+    Raises ValueError, before writing anything, unless each agent's samples
+    and each target's samples within an agent are contiguous (as
+    build_labeled_dataset emits them), and unless an agent's windows agree
+    bit for bit at every shared frame and carry one category and annotation.
+    """
+    agents = [s.window.agent_id for s in samples]
+    lines = [_HEADER]
+    lines.extend(
+        json.dumps(_agent_doc(samples[start:end]), sort_keys=True) for start, end in _runs(agents, "agent")
+    )
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for s in samples:
-            w = s.window
-            doc = {
-                "agent_id": w.agent_id,
-                "category": int(s.category),
-                "kind": s.q.kind.value,
-                "q": s.q.q,
-                "arrival_time": s.arrival_time,
-                "awareness": int(s.awareness),
-                "reaction": int(s.reaction),
-                "risk_level": s.risk_level,
-                "first_frame": w.first_frame,
-                "t": w.times.tolist(),
-                "x": w.positions[:, 0].tolist(),
-                "y": w.positions[:, 1].tolist(),
-                "line": {
-                    "p0": [s.q.line.p0.x, s.q.line.p0.y],
-                    "p1": [s.q.line.p1.x, s.q.line.p1.y],
-                    "normal": list(s.q.line.normal),
-                },
-            }
-            fh.write(json.dumps(doc, sort_keys=True))
-            fh.write("\n")
+        fh.write("\n".join(lines) + "\n")
 
 
-def _parse_sample(doc: Mapping) -> LabeledSample:
+def _int_array(values: Sequence, what: str) -> np.ndarray:
+    array = np.array(values)
+    if array.size and array.dtype.kind != "i":
+        raise ValueError(f"{what} must be integers")
+    return array.astype(np.int64)
+
+
+def _parse_agent(doc: Mapping) -> list[LabeledSample]:
+    agent_id = doc["agent_id"]
     category = AgentCategory(int(doc["category"]))
-    t, x, y = doc["t"], doc["x"], doc["y"]
-    if not len(t) == len(x) == len(y):
-        raise ValueError(f"t, x and y hold {len(t)}, {len(x)} and {len(y)} points")
-    window = SlidingWindowTrajectory(
-        doc["agent_id"],
-        category,
-        int(doc["first_frame"]),
-        np.array(t, dtype=float),
-        np.column_stack([np.array(x, dtype=float), np.array(y, dtype=float)]),
-    )
-    if not (np.isfinite(window.times).all() and np.isfinite(window.positions).all()):
+    awareness, reaction = Awareness(int(doc["awareness"])), Reaction(int(doc["reaction"]))
+    risk_level = int(doc["risk_level"])
+    points = [doc[key] for key in ("frames", "t", "x", "y")]
+    n = len(points[0])
+    if any(len(p) != n for p in points):
+        raise ValueError("frames, t, x and y hold {}, {}, {} and {} points".format(*map(len, points)))
+    if n < WINDOW_SIZE:
+        raise ValueError(f"agent holds {n} points, fewer than one window's {WINDOW_SIZE}")
+    frames = _int_array(points[0], "frames")
+    times = np.array(points[1], dtype=float)
+    positions = np.column_stack([np.array(points[2], dtype=float), np.array(points[3], dtype=float)])
+    if not (np.isfinite(times).all() and np.isfinite(positions).all()):
         raise ValueError("t, x and y must be finite")
-    if np.any(np.diff(window.times) <= 0):
+    if np.any(np.diff(times) <= 0):
         raise ValueError("t must strictly increase")
-    line = TargetLine(
-        WorldPoint(*map(float, doc["line"]["p0"])),
-        WorldPoint(*map(float, doc["line"]["p1"])),
-        (float(doc["line"]["normal"][0]), float(doc["line"]["normal"][1])),
-    )
-    return LabeledSample(
-        window=window,
-        arrival_time=float(doc["arrival_time"]),
-        category=category,
-        q=TargetLocation(AgentKind(doc["kind"]), int(doc["q"]), line),
-        awareness=Awareness(int(doc["awareness"])),
-        reaction=Reaction(int(doc["reaction"])),
-        risk_level=int(doc["risk_level"]),
-    )
+    if np.any(np.diff(frames) <= 0):
+        raise ValueError("frames must strictly increase")
+    # the windows are overlapping views of these arrays
+    times.flags.writeable = positions.flags.writeable = False
+    samples = []
+    for target in doc["targets"]:
+        line = TargetLine(
+            WorldPoint(*map(float, target["line"]["p0"])),
+            WorldPoint(*map(float, target["line"]["p1"])),
+            (float(target["line"]["normal"][0]), float(target["line"]["normal"][1])),
+        )
+        q = TargetLocation(AgentKind(target["kind"]), int(target["q"]), line)
+        first_frames, arrivals = _int_array(target["first_frames"], "first_frames"), target["arrival_time"]
+        if len(first_frames) != len(arrivals):
+            raise ValueError(f"{len(first_frames)} first_frames but {len(arrivals)} arrival times")
+        starts = np.searchsorted(frames, first_frames)
+        missing = (starts >= n) | (frames[np.minimum(starts, n - 1)] != first_frames)
+        if missing.any():
+            raise ValueError(f"first frame {first_frames[missing][0]} is not in frames")
+        ends = starts + (WINDOW_SIZE - 1)
+        broken = (ends >= n) | (frames[np.minimum(ends, n - 1)] - first_frames != WINDOW_SIZE - 1)
+        if broken.any():
+            raise ValueError(
+                f"window at first frame {first_frames[broken][0]} does not span "
+                f"{WINDOW_SIZE} consecutive frames"
+            )
+        for first_frame, i, arrival in zip(first_frames.tolist(), starts.tolist(), arrivals):
+            end = i + WINDOW_SIZE
+            samples.append(
+                LabeledSample(
+                    window=SlidingWindowTrajectory(
+                        agent_id, category, first_frame, times[i:end], positions[i:end]
+                    ),
+                    arrival_time=float(arrival),
+                    category=category,
+                    q=q,
+                    awareness=awareness,
+                    reaction=reaction,
+                    risk_level=risk_level,
+                )
+            )
+    return samples
+
+
+def _check_header(path: str, raw: str) -> None:
+    try:
+        header = json.loads(raw)
+    except ValueError:
+        header = None
+    if not (
+        isinstance(header, dict)
+        and header.get("format") == SAMPLES_FORMAT
+        and header.get("version") == SAMPLES_VERSION
+    ):
+        raise ManifestError(
+            f"{path}:1: not a version-{SAMPLES_VERSION} labeled-samples file (first line must be "
+            f"{_HEADER}); re-run build-dataset to rewrite it"
+        )
 
 
 def read_samples_jsonl(path: str) -> list[LabeledSample]:
-    """Read a labeled-samples file. A line that is not valid JSON, lacks a key,
-    has t/x/y of unequal length or other than WINDOW_SIZE points, a non-finite
-    or non-increasing time, a non-finite coordinate, or an arrival time that
-    is not finite and >= 0 raises ManifestError naming path:line."""
+    """Read a version-2 labeled-samples file back into the samples written,
+    in their order; each window is a read-only 30-row slice of its agent's
+    arrays.
+
+    A first line other than the version-2 header, or an agent line that is
+    not valid JSON, lacks a key, has frames/t/x/y of unequal length or fewer
+    than WINDOW_SIZE points, a non-finite or non-increasing time, a
+    non-finite coordinate, non-increasing frames, a target whose first_frames
+    and arrival_time differ in length, a first frame missing from frames, a
+    window whose WINDOW_SIZE rows are not consecutive frames, or an arrival
+    time that is not finite and >= 0 raises ManifestError naming path:line.
+    """
     samples = []
     try:
         with open(path, encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
+            _check_header(path, fh.readline())
+            for lineno, raw in enumerate(fh, start=2):
                 if not raw.strip():
                     continue
                 try:
-                    samples.append(_parse_sample(json.loads(raw)))
+                    samples.extend(_parse_agent(json.loads(raw)))
                 except KeyError as exc:
-                    raise ManifestError(f"{path}:{lineno}: sample lacks key {exc}") from exc
+                    raise ManifestError(f"{path}:{lineno}: agent lacks key {exc}") from exc
                 except (TypeError, ValueError) as exc:
-                    raise ManifestError(f"{path}:{lineno}: bad sample: {exc}") from exc
+                    raise ManifestError(f"{path}:{lineno}: bad agent: {exc}") from exc
     except OSError as exc:
         raise ManifestError(f"cannot read labeled samples {path}: {exc}") from exc
     return samples
+

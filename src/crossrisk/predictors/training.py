@@ -66,25 +66,46 @@ def _features_and_targets(samples: Sequence[LabeledSample]) -> tuple[np.ndarray,
     return x, y
 
 
-def train(
-    model: RecurrentRegressor,
-    samples: Sequence[LabeledSample],
-    config: TrainingConfig,
-) -> tuple[RecurrentRegressor, float]:
-    """Fit the regressor with Adam on MAE loss; returns best-epoch weights.
+@dataclass(frozen=True)
+class TrainingSplit:
+    """One pool's 8:2 split of its unaware samples: the validation samples,
+    and the stacked features and targets of both sides."""
 
-    Deterministic given the config seed: the 8:2 split, batch order and
-    weight updates all draw from one seeded generator. Stops early when the
-    validation MAE has not improved for `patience` epochs.
-    """
+    val_set: list[LabeledSample]
+    x_train: np.ndarray
+    y_train: np.ndarray
+    x_val: np.ndarray
+    y_val: np.ndarray
+
+
+def prepare_split(samples: Sequence[LabeledSample], seed: int) -> TrainingSplit:
+    """The unaware pool of `samples`, split with `seed` and featurized once,
+    for every candidate trained on it."""
     pool = usable_samples(samples)
     if len(pool) < MIN_TRAINING_SAMPLES:
         raise DatasetTooSmall(
             f"{len(pool)} unaware samples available, need {MIN_TRAINING_SAMPLES}"
         )
-    train_set, val_set = split_samples(pool, config.seed)
-    x_train, y_train = _features_and_targets(train_set)
-    x_val, y_val = _features_and_targets(val_set)
+    train_set, val_set = split_samples(pool, seed)
+    return TrainingSplit(val_set, *_features_and_targets(train_set), *_features_and_targets(val_set))
+
+
+def train(
+    model: RecurrentRegressor,
+    samples: Sequence[LabeledSample] | TrainingSplit,
+    config: TrainingConfig,
+) -> tuple[RecurrentRegressor, float]:
+    """Fit the regressor with Adam on MAE loss; returns best-epoch weights
+    and their validation MAE.
+
+    `samples` is a sample list, split here with the config seed, or a
+    split already prepared with it. Deterministic given the config seed:
+    the 8:2 split, batch order and weight updates all draw from seeded
+    generators. Stops early when the validation MAE has not improved for
+    `patience` epochs.
+    """
+    split = samples if isinstance(samples, TrainingSplit) else prepare_split(samples, config.seed)
+    x_train, y_train, x_val, y_val = split.x_train, split.y_train, split.x_val, split.y_val
 
     mean = x_train.reshape(-1, x_train.shape[-1]).mean(axis=0)
     std = x_train.reshape(-1, x_train.shape[-1]).std(axis=0)
@@ -102,7 +123,7 @@ def train(
     stale = 0
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_set))
+        order = rng.permutation(len(y_train))
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
             _, grads = model.loss_and_gradients(x_train[batch], y_train[batch])
@@ -187,20 +208,16 @@ def train_and_select(
     hidden_sizes: Sequence[int] = (16, 32),
 ) -> tuple[ArrivalTimePredictor, float]:
     """Train the recurrent candidates and pick among {baseline, trained GRUs}
-    by validation MAE on a shared split. A trained GRU's MAE is the best
-    validation MAE that `train` reports for the weights it returns."""
-    pool = usable_samples(samples)
-    if len(pool) < MIN_TRAINING_SAMPLES:
-        raise DatasetTooSmall(
-            f"{len(pool)} unaware samples available, need {MIN_TRAINING_SAMPLES}"
-        )
-    _, val_set = split_samples(pool, config.seed)
+    by validation MAE on one shared split, featurized once. A trained GRU's
+    MAE is the best validation MAE that `train` reports for the weights it
+    returns."""
+    split = prepare_split(samples, config.seed)
     baseline = HistoricalAveragePredictor()
     candidates: list[ArrivalTimePredictor] = [baseline]
-    maes = [evaluate_mae(baseline, val_set)]
+    maes = [evaluate_mae(baseline, split.val_set)]
     for size in hidden_sizes:
         model = RecurrentRegressor.initialize(size, np.random.default_rng(config.seed))
-        trained, mae = train(model, samples, config)
+        trained, mae = train(model, split, config)
         candidates.append(trained)
         maes.append(mae)
     return _lowest_mae(candidates, maes)

@@ -92,7 +92,9 @@ class TestBuildDatasetAndTrain:
             "--out", str(out),
         ])
         assert code == EXIT_OK
-        samples = [json.loads(line) for line in out.read_text().splitlines()]
+        header, *agents = [json.loads(line) for line in out.read_text().splitlines()]
+        assert header == {"format": "crossrisk-samples", "version": 2}
+        samples = [f for agent in agents for target in agent["targets"] for f in target["first_frames"]]
         assert samples
 
         # oracle: per agent and target line, windows whose end precedes the
@@ -144,7 +146,10 @@ class TestBuildDatasetAndTrain:
             "--area-map", str(gen_dir / "area_map.json"), "--out", str(out),
         ])
         assert code == EXIT_OK
-        assert out.read_text() == ""
+        assert out.read_text() == '{"format": "crossrisk-samples", "version": 2}\n'
+        from crossrisk.predictors.dataset import read_samples_jsonl
+
+        assert read_samples_jsonl(str(out)) == []
 
     def test_train_produces_loadable_bundle(self, gen_dir, tmp_path):
         samples = tmp_path / "samples.jsonl"
@@ -594,35 +599,98 @@ def test_well_formed_samples_are_accepted(tmp_path):
 
 
 def _break_sample(doc, case):
+    """Break one agent line of a samples file; returns a fragment of the message."""
+    target = doc["targets"][0]
     if case == "inf-time":
         doc["t"][3] = float("inf")
-    elif case == "nan-arrival":
-        doc["arrival_time"] = float("nan")
-    elif case == "short-x":
+        return "must be finite"
+    if case == "nan-arrival":
+        target["arrival_time"][0] = float("nan")
+        return "arrival time must be finite"
+    if case == "short-x":
         doc["x"] = doc["x"][:-1]
-    elif case == "29-points":
-        for key in ("t", "x", "y"):
-            doc[key] = doc[key][1:]
-    elif case == "nan-y":
+        return f"frames, t, x and y hold {len(doc['t'])}, {len(doc['t'])}, {len(doc['x'])} and"
+    if case == "29-points":
+        for key in ("frames", "t", "x", "y"):
+            doc[key] = doc[key][:29]
+        return "fewer than one window's 30"
+    if case == "nan-y":
         doc["y"][5] = float("nan")
-    elif case == "repeated-time":
+        return "must be finite"
+    if case == "repeated-time":
         doc["t"][4] = doc["t"][3]
-    elif case == "missing-t":
+        return "t must strictly increase"
+    if case == "missing-t":
         del doc["t"]
+        return "lacks key 't'"
+    if case == "first-frame-not-in-frames":
+        target["first_frames"][-1] = doc["frames"][-1] + 1
+        return f"first frame {doc['frames'][-1] + 1} is not in frames"
+    if case == "window-not-consecutive":
+        # one window left, at the first frame; its rows now skip a frame
+        target["first_frames"], target["arrival_time"] = target["first_frames"][:1], target["arrival_time"][:1]
+        for key in ("frames", "t", "x", "y"):
+            del doc[key][10]
+        return f"window at first frame {target['first_frames'][0]} does not span 30 consecutive frames"
+    if case == "unequal-window-lists":
+        target["arrival_time"].pop()
+        return "first_frames but"
+    if case == "negative-arrival":
+        target["arrival_time"][-1] = -0.5
+        return "arrival time must be finite and >= 0"
+    raise AssertionError(case)
 
 
 @pytest.mark.parametrize(
-    "case", ["inf-time", "nan-arrival", "short-x", "29-points", "nan-y", "repeated-time", "missing-t"]
+    "case",
+    [
+        "inf-time", "nan-arrival", "short-x", "29-points", "nan-y", "repeated-time", "missing-t",
+        "first-frame-not-in-frames", "window-not-consecutive", "unequal-window-lists", "negative-arrival",
+    ],
 )
 def test_malformed_sample_is_input_error(case, tmp_path, capsys):
     path, _ = _samples_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2  # the header and the one agent
     doc = json.loads(lines[1])
-    _break_sample(doc, case)
+    message = _break_sample(doc, case)
     lines[1] = json.dumps(doc)
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "bundle.json")]) == EXIT_INPUT
-    assert f"{path}:2" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"{path}:2" in err
+    assert message in err
+
+
+@pytest.mark.parametrize("first_line", ["", "{}", '{"format": "crossrisk-samples", "version": 1}', "not json"])
+def test_samples_file_without_version_2_header_is_input_error(first_line, tmp_path, capsys):
+    path, _ = _samples_file(tmp_path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    path.write_text("\n".join([first_line, *lines[1:]]) + "\n", encoding="utf-8")
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "bundle.json")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{path}:1" in err
+    assert "re-run build-dataset" in err
+
+
+def test_one_window_per_line_samples_file_is_input_error(tmp_path, capsys):
+    """A file in the format before version 2 (one window per line, no
+    header) is rejected at its first line."""
+    path, _ = _samples_file(tmp_path)
+    agent = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
+    target = agent["targets"][0]
+    window = {
+        "agent_id": agent["agent_id"], "category": agent["category"], "kind": target["kind"],
+        "q": target["q"], "arrival_time": target["arrival_time"][0], "awareness": agent["awareness"],
+        "reaction": agent["reaction"], "risk_level": agent["risk_level"],
+        "first_frame": target["first_frames"][0], "t": agent["t"][:30], "x": agent["x"][:30],
+        "y": agent["y"][:30], "line": target["line"],
+    }
+    path.write_text(json.dumps(window, sort_keys=True) + "\n", encoding="utf-8")
+    assert main(["train", "--dataset", str(path), "--out", str(tmp_path / "bundle.json")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"{path}:1" in err
+    assert "re-run build-dataset" in err
 
 
 def _gru_bundle(path):

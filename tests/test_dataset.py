@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 import math
 
@@ -17,7 +18,8 @@ from crossrisk.predictors.dataset import (
 )
 from crossrisk.predictors.historical import HistoricalAveragePredictor
 from crossrisk.predictors.recurrent import RecurrentRegressor
-from crossrisk.stream import AgentCategory, Observation, TrajectoryBuffer, window
+from crossrisk.predictors.training import TrainingConfig, train, train_bundle
+from crossrisk.stream import AgentCategory, Observation, SlidingWindowTrajectory, TrajectoryBuffer, window
 
 FPS = 30.0
 
@@ -177,3 +179,126 @@ class TestSamplesFile:
         gru = RecurrentRegressor.initialize(8, np.random.default_rng(3))
         for predictor in (HistoricalAveragePredictor(), gru):
             assert predictor.predict(stored[0], line).seconds == predictor.predict(live, line).seconds
+
+
+def _mixed_samples(area_map):
+    """Several agents' samples, in build_labeled_dataset's order: pedestrians
+    both ways and a vehicle on the area map's targets (one pedestrian with a
+    3-frame gap, whose spanning windows are skipped), and an agent crossing
+    its explicit target exactly at its last frame."""
+    ltr = straight_trajectory("p0", -5.0, 2.0, 260)
+    gappy = [o for o in straight_trajectory("p1", -3.0, 1.5, 300, y=0.5) if not 100 <= o.frame < 103]
+    rtl = straight_trajectory("p2", 16.0, -1.8, 280, y=2.0, category=AgentCategory.KID)
+    vehicle = [
+        Observation(i, i / FPS, "v0", AgentCategory.VEHICLE_AREA_41, WorldPoint(2.75, 20.0 - i * 0.3))
+        for i in range(90)
+    ]
+    notes = {"p2": AgentAnnotation(Awareness.NOTICED, Reaction.DECELERATE, 2)}
+    samples = build_labeled_dataset([ltr, gappy, rtl, vehicle], area_map, annotations=notes)
+    edge = straight_trajectory("e0", 0.0, 1.0, 45, category=AgentCategory.CYCLIST)
+    target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(44 / FPS))
+    return samples + build_labeled_dataset([edge], None, targets=[target])
+
+
+def _bits(s):
+    """Every field of a sample, floats as their bit patterns."""
+    w, line = s.window, s.q.line
+    floats = (s.arrival_time, line.p0.x, line.p0.y, line.p1.x, line.p1.y, *line.normal)
+    return (
+        w.agent_id, w.category, w.first_frame, w.times.dtype.str, w.positions.dtype.str,
+        w.times.shape, w.positions.shape, w.times.tobytes(), w.positions.tobytes(),
+        s.category, s.q.kind, s.q.q, tuple(float(v).hex() for v in floats),
+        s.awareness, s.reaction, s.risk_level,
+    )
+
+
+class TestAgentSamplesFile:
+    def test_round_trip_is_bit_for_bit(self, area_map, tmp_path):
+        samples = _mixed_samples(area_map)
+        kinds = {(s.window.agent_id, s.q.kind) for s in samples}
+        assert {("p0", AgentKind.PEDESTRIAN), ("p2", AgentKind.PEDESTRIAN), ("v0", AgentKind.VEHICLE)} <= kinds
+        assert {s.q.q for s in samples if s.window.agent_id == "p0"} == {0, 1, 2}
+        # the window ending at the last pre-crossing frame is stored
+        assert max(s.window.first_frame for s in samples if s.window.agent_id == "e0") == 15
+        # windows spanning p1's gap are skipped
+        assert not any(
+            s.window.agent_id == "p1" and 70 < s.window.first_frame < 103 for s in samples
+        )
+        path = tmp_path / "samples.jsonl"
+        write_samples_jsonl(str(path), samples)
+        back = read_samples_jsonl(str(path))
+        assert [_bits(s) for s in back] == [_bits(s) for s in samples]
+        assert not any(s.window.times.flags.writeable or s.window.positions.flags.writeable for s in back)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == '{"format": "crossrisk-samples", "version": 2}'
+        assert len(lines) == 1 + 5  # one line per agent
+
+    def test_same_bytes_on_rewrite(self, area_map, tmp_path):
+        samples = _mixed_samples(area_map)
+        first, second = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        write_samples_jsonl(str(first), samples)
+        write_samples_jsonl(str(second), read_samples_jsonl(str(first)))
+        assert first.read_bytes() == second.read_bytes()
+
+    def test_train_bundle_on_read_back_samples_saves_the_same_bytes(self, area_map, tmp_path):
+        samples = _mixed_samples(area_map)
+        path = tmp_path / "samples.jsonl"
+        write_samples_jsonl(str(path), samples)
+        config = TrainingConfig(seed=4, hidden_size=8, epochs=2, patience=1, batch_size=64)
+        in_memory, read_back = tmp_path / "in_memory.json", tmp_path / "read_back.json"
+        back = read_samples_jsonl(str(path))
+        bundle, report = train_bundle(samples, config)
+        assert report["i=0,q=2"]["samples"] >= 50  # GRU candidates were trained for this pair
+        bundle.save(str(in_memory))
+        train_bundle(back, config)[0].save(str(read_back))
+        assert in_memory.read_bytes() == read_back.read_bytes()
+        # the GRU candidates the bundle did not keep train to the same bits as well
+        pair = [s for s in samples if (s.category, s.q.q) == (AgentCategory.ADULT, 2)]
+        pair_back = [s for s in back if (s.category, s.q.q) == (AgentCategory.ADULT, 2)]
+        fits = [
+            train(RecurrentRegressor.initialize(8, np.random.default_rng(4)), p, config) for p in (pair, pair_back)
+        ]
+        assert fits[0][1] == fits[1][1]
+        assert all(fits[0][0].params[k].tobytes() == fits[1][0].params[k].tobytes() for k in fits[0][0].params)
+
+    @pytest.mark.parametrize("case", ["agents", "targets"])
+    def test_interleaved_samples_are_rejected(self, case, area_map, tmp_path):
+        samples = _mixed_samples(area_map)
+        if case == "agents":
+            p0 = [s for s in samples if s.window.agent_id == "p0"]
+            bad = p0[:5] + [s for s in samples if s.window.agent_id == "v0"] + p0[5:]
+        else:
+            v0 = [s for s in samples if s.window.agent_id == "v0"]
+            enter, leave = [s for s in v0 if s.q.q == 0], [s for s in v0 if s.q.q == 1]
+            bad = enter[:3] + leave + enter[3:]
+        path = tmp_path / "samples.jsonl"
+        with pytest.raises(ValueError, match="contiguous"):
+            write_samples_jsonl(str(path), bad)
+        assert not path.exists()
+
+    @pytest.mark.parametrize("case", ["shifted-time", "moved-point", "category", "awareness", "risk-level"])
+    def test_conflicting_samples_are_rejected(self, case, area_map, tmp_path):
+        samples = [s for s in _mixed_samples(area_map) if s.window.agent_id == "p0"]
+        s = samples[7]
+        w = s.window
+        if case in ("shifted-time", "moved-point"):
+            times, positions = w.times.copy(), w.positions.copy()
+            if case == "shifted-time":
+                times[3] = np.nextafter(times[3], np.inf)
+            else:
+                positions[-1, 1] += 1e-9
+            s = dataclasses.replace(
+                s, window=SlidingWindowTrajectory(w.agent_id, w.category, w.first_frame, times, positions)
+            )
+        elif case == "category":
+            s = dataclasses.replace(s, category=AgentCategory.KID)
+        elif case == "awareness":
+            s = dataclasses.replace(s, awareness=Awareness.NOTICED)
+        else:
+            s = dataclasses.replace(s, risk_level=2)
+        samples[7] = s
+        path = tmp_path / "samples.jsonl"
+        message = "disagree at a shared frame" if case.endswith(("time", "point")) else "category or annotation"
+        with pytest.raises(ValueError, match=message):
+            write_samples_jsonl(str(path), samples)
+        assert not path.exists()

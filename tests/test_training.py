@@ -164,6 +164,18 @@ class TestSelectModel:
         assert isinstance(chosen, HistoricalAveragePredictor)
 
 
+def test_train_and_select_featurizes_the_split_once(monkeypatch):
+    """Every hidden size trains on one split whose train and validation
+    sides are stacked into features once each."""
+    from crossrisk.predictors import training
+
+    stacked = []
+    features = training._features_and_targets
+    monkeypatch.setattr(training, "_features_and_targets", lambda s: stacked.append(len(s)) or features(s))
+    config = TrainingConfig(seed=1, hidden_size=8, epochs=1, patience=0)
+    training.train_and_select(jittered_samples(120, seed=12), config, hidden_sizes=(4, 6))
+    assert stacked == [96, 24]
+
 def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
     """Only the baseline is scored again; each GRU's MAE is the one train
     returned. The choice and its MAE equal select_model's over the same
