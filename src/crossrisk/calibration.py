@@ -3,14 +3,15 @@ cross-validation, plus the four evaluation metrics."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from dataclasses import astuple, dataclass
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import EmptyGrid, ManifestError, TooFewEpisodes
+from .errors import BadFoldCount, EmptyGrid, ManifestError, TooFewEpisodes
 from .ppet import ConflictScenario, PPetVector
 from .risk import (
     AreaRole,
@@ -22,6 +23,7 @@ from .risk import (
     classify_offline,
     component_values,
     hit_count,
+    interval_bounds,
 )
 from .stream import AgentCategory
 
@@ -88,26 +90,22 @@ class Episode:
         object.__setattr__(self, "labels", dict(self.labels))
 
 
-def kfold_split(
-    episodes: Sequence[Episode], k: int = 10, seed: int = 0
-) -> list[list[Episode]]:
-    """Seeded episode-level partition into k folds of near-equal size.
+T = TypeVar("T")
+
+
+def kfold_split(episodes: Sequence[T], k: int = 10, seed: int = 0) -> list[list[T]]:
+    """Seeded episode-level partition into k folds of near-equal size, the
+    larger folds first.
 
     Splitting is always per episode, never per frame, so one pedestrian's
     frames can never leak across folds.
     """
+    if k < 1:
+        raise BadFoldCount(f"k = {k} folds; cross-validation needs at least 1")
     if len(episodes) < k:
         raise TooFewEpisodes(f"{len(episodes)} episodes for {k} folds")
-    rng = np.random.default_rng(seed)
-    order = rng.permutation(len(episodes))
-    base, extra = divmod(len(episodes), k)
-    folds: list[list[Episode]] = []
-    start = 0
-    for i in range(k):
-        size = base + (1 if i < extra else 0)
-        folds.append([episodes[j] for j in order[start : start + size]])
-        start += size
-    return folds
+    order = np.random.default_rng(seed).permutation(len(episodes))
+    return [[episodes[j] for j in fold] for fold in np.array_split(order, k)]
 
 
 @dataclass(frozen=True)
@@ -122,6 +120,8 @@ class IntervalGrid:
     beta_step: float
 
     def __post_init__(self) -> None:
+        if not all(math.isfinite(v) for v in astuple(self)):
+            raise ValueError(f"grid bounds and steps must be finite: {astuple(self)}")
         if self.alpha_step <= 0 or self.beta_step <= 0:
             raise ValueError("grid steps must be positive")
 
@@ -131,12 +131,9 @@ class IntervalGrid:
         return [round(lo + i * step, 9) for i in range(n + 1)]
 
     def pairs(self) -> list[ThresholdInterval]:
-        out = []
-        for a in self._values(self.alpha_lo, self.alpha_hi, self.alpha_step):
-            for b in self._values(self.beta_lo, self.beta_hi, self.beta_step):
-                if a <= b:
-                    out.append(ThresholdInterval(a, b))
-        return out
+        alphas = self._values(self.alpha_lo, self.alpha_hi, self.alpha_step)
+        betas = self._values(self.beta_lo, self.beta_hi, self.beta_step)
+        return [ThresholdInterval(a, b) for a in alphas for b in betas if a <= b]
 
 
 @dataclass(frozen=True)
@@ -150,6 +147,9 @@ class GridSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "axes", dict(self.axes))
         object.__setattr__(self, "theta", dict(self.theta))
+        for role, thetas in self.theta.items():
+            if any(theta < 1 for theta in thetas):
+                raise ValueError(f"counter limits for area {role.value} must be >= 1: {list(thetas)}")
 
     @classmethod
     def default(cls) -> "GridSpec":
@@ -197,10 +197,11 @@ class GridSpec:
         except (OSError, AttributeError, TypeError, ValueError) as exc:
             raise ManifestError(f"bad grid spec {path}: {exc}") from exc
 
-    def configs_for_role(
+    def role_axes(
         self, role: AreaRole
-    ) -> Iterator[tuple[ThresholdInterval, ThresholdInterval, int]]:
-        """Lexicographic enumeration: PF interval, then VF interval, then theta."""
+    ) -> tuple[list[ThresholdInterval], list[ThresholdInterval], tuple[int, ...]]:
+        """The area's PF intervals, VF intervals and counter candidates, each
+        in enumeration order; EmptyGrid when any of them is empty."""
         pf_axis = self.axes.get((role, ConflictScenario.PEDESTRIAN_FIRST))
         vf_axis = self.axes.get((role, ConflictScenario.VEHICLE_FIRST))
         thetas = self.theta.get(role, ())
@@ -210,10 +211,13 @@ class GridSpec:
         vf_pairs = vf_axis.pairs()
         if not pf_pairs or not vf_pairs:
             raise EmptyGrid(f"grid enumerates no intervals for area {role.value}")
-        for pf in pf_pairs:
-            for vf in vf_pairs:
-                for theta in thetas:
-                    yield pf, vf, theta
+        return pf_pairs, vf_pairs, tuple(thetas)
+
+    def configs_for_role(
+        self, role: AreaRole
+    ) -> Iterator[tuple[ThresholdInterval, ThresholdInterval, int]]:
+        """Lexicographic enumeration: PF interval, then VF interval, then theta."""
+        return itertools.product(*self.role_axes(role))
 
 
 @dataclass(frozen=True)
@@ -277,60 +281,52 @@ def _search_role(
     k: int,
     seed: int,
     rows: list[GridPointRow],
-) -> tuple[ThresholdInterval, ThresholdInterval, int, float]:
-    """Exhaustively score every (PF, VF, theta) point for one area role.
+) -> GridPointRow:
+    """Score every (PF, VF, theta) point for one area role at once, appending
+    a row per point to rows.
 
-    Returns the argmax of mean cross-validated accuracy; ties prefer the
-    narrower summed interval width, then the earlier enumeration order.
+    A point's accuracy is the unweighted mean over the k folds of its
+    accuracy on each fold. Returns the row with the highest accuracy; ties
+    (within 1e-12) prefer the narrower summed interval width, then the
+    earlier enumeration order.
     """
-    folds = kfold_split(episodes, k, seed)
-    fold_of: dict[str, int] = {}
-    for fi, fold in enumerate(folds):
-        for e in fold:
-            fold_of[e.ped_id] = fi
-    fold_index = np.array([fold_of[e.ped_id] for e in episodes])
+    pf_pairs, vf_pairs, thetas = grid.role_axes(role)
+    pf_bounds, vf_bounds = interval_bounds(pf_pairs), interval_bounds(vf_pairs)
+    # (fold, episode) membership, by position: ids need not be unique.
+    positions = np.arange(len(episodes))
+    membership = np.array([np.isin(positions, f) for f in kfold_split(positions, k, seed)], dtype=float)
 
     # The areas whose hits count against this role's threshold: both in
     # merged mode, where one count per episode is judged against both labels.
     counted = (AreaRole.CLOSER, AreaRole.FURTHER) if mode is ThresholdMode.MERGED_AREA else (role,)
-    values = []
-    for e in episodes:
+    counts = np.empty((len(pf_pairs), len(vf_pairs), len(episodes)), dtype=np.int64)
+    for i, e in enumerate(episodes):
         per_area = [component_values(e.trace, r) for r in counted]
-        values.append((
+        counts[:, :, i] = hit_count(
             np.concatenate([pf for pf, _ in per_area]),
             np.concatenate([vf for _, vf in per_area]),
-        ))
-    truth = np.array([[e.labels[r] == RiskLevel.RISK2 for e in episodes] for r in counted])
-
-    best: tuple[ThresholdInterval, ThresholdInterval, int] | None = None
-    best_acc = -1.0
-    best_width = math.inf
-    n_folds = len(folds)
-    category = episodes[0].category
-
-    pair = None
-    for pf, vf, theta in grid.configs_for_role(role):
-        # theta varies innermost, so one hit count per (PF, VF) pair serves all its thetas
-        if (pf, vf) != pair:
-            pair = (pf, vf)
-            counts = np.array([hit_count(pv, vv, pf, vf) for pv, vv in values])
-        predicted = counts > theta
-        correct = predicted[None, :] == truth  # (areas, episodes)
-        fold_acc = np.array(
-            [correct[:, fold_index == fi].mean() for fi in range(n_folds)]
+            pf_bounds, vf_bounds,
         )
-        acc = float(fold_acc.mean())
-        rows.append(GridPointRow(category, role, pf, vf, theta, acc))
-        width = pf.width + vf.width
-        if acc > best_acc + 1e-12 or (
-            abs(acc - best_acc) <= 1e-12 and width < best_width - 1e-12
-        ):
-            best = (pf, vf, theta)
-            best_acc = acc
-            best_width = width
-    if best is None:
-        raise EmptyGrid(f"no grid points for area {role.value}")
-    return best[0], best[1], best[2], best_acc
+    positives = np.array([sum(e.labels[r] == RiskLevel.RISK2 for r in counted) for e in episodes])
+
+    # One row per point in enumeration order: how many of each episode's
+    # judged areas the point classifies correctly, then each fold's accuracy
+    # with the fold axis last.
+    predicted = counts[:, :, None, :] > np.array(thetas)[:, None]
+    correct = np.where(predicted, positives, len(counted) - positives).reshape(-1, len(episodes))
+    fold_acc = (correct @ membership.T) / (len(counted) * membership.sum(axis=1))
+    acc = fold_acc.mean(axis=-1)
+    pf_width, vf_width = (b[:, 1] - b[:, 0] for b in (pf_bounds, vf_bounds))
+    width = np.repeat(np.add.outer(pf_width, vf_width).ravel(), len(thetas))
+
+    top = acc >= acc.max() - 1e-12
+    best = int(np.argmax(top & (width <= width[top].min() + 1e-12)))
+    role_rows = [
+        GridPointRow(episodes[0].category, role, pf, vf, theta, point_acc)
+        for (pf, vf, theta), point_acc in zip(grid.configs_for_role(role), acc.tolist())
+    ]
+    rows.extend(role_rows)
+    return role_rows[best]
 
 
 def grid_search(
@@ -346,9 +342,6 @@ def grid_search(
     A seeded, label-independent shuffle reserves test_fraction of the
     episodes for final metrics; the grid only ever sees the remaining search
     set. Every category found in the search set is calibrated independently.
-    Grid points are independent of each other, so the enumeration could run
-    in parallel; results here are reduced in grid order, which keeps the
-    outcome identical either way.
     """
     if not episodes:
         raise TooFewEpisodes("no episodes to calibrate on")
@@ -373,11 +366,11 @@ def grid_search(
             else (AreaRole.CLOSER, AreaRole.FURTHER)
         )
         for role in roles:
-            pf, vf, theta, acc = _search_role(cat_episodes, grid, role, mode, k, seed, rows)
-            intervals[(role, ConflictScenario.PEDESTRIAN_FIRST)] = pf
-            intervals[(role, ConflictScenario.VEHICLE_FIRST)] = vf
-            counters[role] = theta
-            cv_accuracy[(category, role)] = acc
+            best = _search_role(cat_episodes, grid, role, mode, k, seed, rows)
+            intervals[(role, ConflictScenario.PEDESTRIAN_FIRST)] = best.pf
+            intervals[(role, ConflictScenario.VEHICLE_FIRST)] = best.vf
+            counters[role] = best.theta
+            cv_accuracy[(category, role)] = best.cv_accuracy
         categories[category] = CategoryThresholds(mode, intervals, counters)
 
     config = RiskThresholdConfig(categories)

@@ -101,6 +101,10 @@ class TooFewEpisodes(CrossRiskError):
     """Fewer episodes than cross-validation folds."""
 
 
+class BadFoldCount(CrossRiskError):
+    """Cross-validation was asked for fewer than one fold."""
+
+
 class EmptyGrid(CrossRiskError):
     """Grid specification enumerates no candidate configurations."""
 

@@ -55,10 +55,6 @@ class ThresholdInterval:
     def contains(self, value: float) -> bool:
         return self.alpha <= value <= self.beta
 
-    @property
-    def width(self) -> float:
-        return self.beta - self.alpha
-
 
 @dataclass(frozen=True)
 class CategoryThresholds:
@@ -355,16 +351,23 @@ def component_values(
     return pf, vf
 
 
+def interval_bounds(intervals: Sequence[ThresholdInterval]) -> np.ndarray:
+    """(n, 2) array of the intervals' [alpha, beta] rows."""
+    return np.array([(i.alpha, i.beta) for i in intervals], dtype=float)
+
+
 def hit_count(
     pf_values: np.ndarray, vf_values: np.ndarray,
-    pf: ThresholdInterval, vf: ThresholdInterval,
-) -> int:
-    """Frames where either component lies in its closed interval."""
+    pf_bounds: np.ndarray, vf_bounds: np.ndarray,
+) -> np.ndarray:
+    """Frames where either component lies in its closed interval, for each
+    pair of PF and VF bounds rows (see interval_bounds): an (n_pf, n_vf)
+    array of |PF hits| + |VF hits| - |both|, the overlap one mask product."""
     with np.errstate(invalid="ignore"):
-        hits = ((pf_values >= pf.alpha) & (pf_values <= pf.beta)) | (
-            (vf_values >= vf.alpha) & (vf_values <= vf.beta)
-        )
-    return int(np.count_nonzero(hits))
+        pf_in = (pf_values >= pf_bounds[:, :1]) & (pf_values <= pf_bounds[:, 1:])
+        vf_in = (vf_values >= vf_bounds[:, :1]) & (vf_values <= vf_bounds[:, 1:])
+    both = pf_in.astype(float) @ vf_in.T.astype(float)
+    return pf_in.sum(axis=1)[:, None] + vf_in.sum(axis=1)[None, :] - both.astype(np.int64)
 
 
 def classify_offline(
@@ -385,11 +388,8 @@ def classify_offline(
     counts = {}
     for role in (AreaRole.CLOSER, AreaRole.FURTHER):
         interval_role = AreaRole.MERGED if merged else role
-        counts[role] = hit_count(
-            *component_values(trace, role),
-            thresholds.interval(interval_role, ConflictScenario.PEDESTRIAN_FIRST),
-            thresholds.interval(interval_role, ConflictScenario.VEHICLE_FIRST),
-        )
+        pf_bounds, vf_bounds = (interval_bounds([thresholds.interval(interval_role, s)]) for s in ConflictScenario)
+        counts[role] = int(hit_count(*component_values(trace, role), pf_bounds, vf_bounds)[0, 0])
 
     if merged:
         total = counts[AreaRole.CLOSER] + counts[AreaRole.FURTHER]

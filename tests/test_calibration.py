@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,7 +14,7 @@ from crossrisk.calibration import (
     kfold_split,
     metrics,
 )
-from crossrisk.errors import EmptyGrid, TooFewEpisodes
+from crossrisk.errors import BadFoldCount, EmptyGrid, TooFewEpisodes
 from crossrisk.ppet import ConflictScenario, PPetVector
 from crossrisk.risk import (
     AreaRole,
@@ -110,26 +111,66 @@ class TestKfold:
         with pytest.raises(TooFewEpisodes):
             kfold_split(self._episodes(5), k=10, seed=0)
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_fewer_than_one_fold(self, k):
+        with pytest.raises(BadFoldCount, match=f"k = {k} folds"):
+            kfold_split(self._episodes(5), k=k, seed=0)
 
-def cv_accuracy_oracle(episodes, pf, vf, theta, k, seed):
-    """Independent re-scoring of one grid point for the closer area."""
+
+def cv_accuracy_oracle(episodes, pf, vf, theta, k, seed, role=AreaRole.CLOSER):
+    """Independent re-scoring of one grid point for one area role: the mean
+    over the folds of each fold's accuracy, one classify_offline call per
+    episode. The merged role is judged against both areas' labels."""
     folds = kfold_split(episodes, k, seed)
-    config = RiskThresholdConfig({
-        AgentCategory.ADULT: CategoryThresholds(
-            ThresholdMode.PER_AREA,
-            {(AreaRole.CLOSER, PF): pf, (AreaRole.CLOSER, VF): vf,
-             (AreaRole.FURTHER, PF): pf, (AreaRole.FURTHER, VF): vf},
-            {AreaRole.CLOSER: theta, AreaRole.FURTHER: theta},
-        )
-    })
+    if role is AreaRole.MERGED:
+        mode, judged = ThresholdMode.MERGED_AREA, (AreaRole.CLOSER, AreaRole.FURTHER)
+        intervals, counters = {(role, PF): pf, (role, VF): vf}, {role: theta}
+    else:
+        mode, judged = ThresholdMode.PER_AREA, (role,)
+        intervals = {(r, s): iv for r in (AreaRole.CLOSER, AreaRole.FURTHER) for s, iv in ((PF, pf), (VF, vf))}
+        counters = {AreaRole.CLOSER: theta, AreaRole.FURTHER: theta}
+    config = RiskThresholdConfig({episodes[0].category: CategoryThresholds(mode, intervals, counters)})
     accs = []
     for fold in folds:
         correct = []
         for e in fold:
             out = classify_offline(e.trace, e.category, config)
-            correct.append(out[AreaRole.CLOSER] == e.labels[AreaRole.CLOSER])
+            correct.extend(out[r] == e.labels[r] for r in judged)
         accs.append(float(np.mean(correct)))
     return float(np.mean(accs))
+
+
+def search_set(episodes, seed, test_fraction=0.2):
+    """The episodes grid_search searches on, re-derived as it draws them."""
+    order = np.random.default_rng(seed).permutation(len(episodes))
+    n_test = int(round(test_fraction * len(episodes)))
+    return [episodes[i] for i in order[n_test:]]
+
+
+def merged_episodes(n, seed):
+    """Kid episodes with both components of both areas scattered around the
+    merged grid below, some missing, and random labels."""
+    rng = np.random.default_rng(seed)
+    episodes = []
+    for k in range(n):
+        trace = tuple(
+            PPetVector(**{c: (None if rng.uniform() < 0.3 else float(rng.uniform(-2.0, 2.0)))
+                          for c in ("c_pf", "c_vf", "f_pf", "f_vf")})
+            for _ in range(int(rng.integers(0, 25)))
+        )
+        labels = {role: RiskLevel.RISK2 if rng.uniform() < 0.5 else RiskLevel.RISK1
+                  for role in (AreaRole.CLOSER, AreaRole.FURTHER)}
+        episodes.append(Episode(f"k{k:03d}", AgentCategory.KID, trace, labels))
+    return episodes
+
+
+MERGED_GRID = GridSpec(
+    axes={
+        (AreaRole.MERGED, PF): IntervalGrid(-1.5, -0.5, 0.5, 0.0, 1.0, 0.5),
+        (AreaRole.MERGED, VF): IntervalGrid(-1.0, 0.0, 0.5, 0.5, 1.5, 0.5),
+    },
+    theta={AreaRole.MERGED: (1, 3, 5, 8, 12)},
+)
 
 
 class TestGridSearch:
@@ -181,15 +222,48 @@ class TestGridSearch:
         episodes = planted_episodes(24, seed=7)
         grid = planted_grid(step=0.5)
         result = grid_search(episodes, grid, k=6, seed=4, test_fraction=0.25)
-        # re-derive the search set exactly as grid_search does
-        rng = np.random.default_rng(4)
-        order = rng.permutation(len(episodes))
-        n_test = int(round(0.25 * len(episodes)))
-        search_set = [episodes[i] for i in order[n_test:]]
+        searched = search_set(episodes, seed=4, test_fraction=0.25)
         best = result.cv_accuracy[(AgentCategory.ADULT, AreaRole.CLOSER)]
         for pf, vf, theta in grid.configs_for_role(AreaRole.CLOSER):
-            acc = cv_accuracy_oracle(search_set, pf, vf, theta, k=6, seed=4)
+            acc = cv_accuracy_oracle(searched, pf, vf, theta, k=6, seed=4)
             assert acc <= best + 1e-12
+
+    @pytest.mark.parametrize(
+        "episodes, grid, mode, k, test_fraction",
+        [
+            (planted_episodes(24, seed=7), planted_grid(0.5), ThresholdMode.PER_AREA, 6, 0.25),
+            (merged_episodes(40, seed=3), MERGED_GRID, ThresholdMode.MERGED_AREA, 7, 0.2),
+            # 54 searched episodes in 10 folds of 6 and 5
+            (planted_episodes(67, seed=3), planted_grid(0.5), ThresholdMode.PER_AREA, 10, 0.2),
+        ],
+        ids=["per-area", "merged", "k10-unequal-folds"],
+    )
+    def test_every_row_equals_the_oracle_bit_for_bit(self, episodes, grid, mode, k, test_fraction):
+        result = grid_search(episodes, grid, k=k, seed=4, mode=mode, test_fraction=test_fraction)
+        searched = search_set(episodes, seed=4, test_fraction=test_fraction)
+        roles = {row.role for row in result.rows}
+        assert roles == ({AreaRole.MERGED} if mode is ThresholdMode.MERGED_AREA
+                         else {AreaRole.CLOSER, AreaRole.FURTHER})
+        assert len(result.rows) == sum(len(list(grid.configs_for_role(r))) for r in roles)
+        for row in result.rows:
+            oracle = cv_accuracy_oracle(searched, row.pf, row.vf, row.theta, k, 4, role=row.role)
+            assert row.cv_accuracy == oracle, row
+        for role in roles:
+            best = result.cv_accuracy[(episodes[0].category, role)]
+            assert best == max(row.cv_accuracy for row in result.rows if row.role is role)
+
+    def test_episodes_sharing_an_id_keep_their_own_folds(self):
+        # folds are assigned by position; two episodes with one id in
+        # different folds must each be scored in their own fold
+        episodes = planted_episodes(24, seed=7)
+        folds = kfold_split(search_set(episodes, seed=4, test_fraction=0.25), k=6, seed=4)
+        first, second = folds[0][0], folds[1][0]
+        episodes = [replace(e, ped_id=first.ped_id) if e is second else e for e in episodes]
+        searched = search_set(episodes, seed=4, test_fraction=0.25)
+        result = grid_search(episodes, planted_grid(0.5), k=6, seed=4, test_fraction=0.25)
+        closer_rows = [row for row in result.rows if row.role is AreaRole.CLOSER]
+        for row in closer_rows:
+            assert row.cv_accuracy == cv_accuracy_oracle(searched, row.pf, row.vf, row.theta, k=6, seed=4)
 
     def test_deterministic_given_seed(self):
         episodes = planted_episodes(40, seed=9)

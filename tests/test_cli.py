@@ -500,14 +500,14 @@ _SMALL_GRID = {
 }
 
 
-def _tune_or_metrics(command, trace_path, truth_path, tmp_path, grid_text=None):
+def _tune_or_metrics(command, trace_path, truth_path, tmp_path, grid_text=None, k="5"):
     if command == "metrics":
         return main(["metrics", "--trace", str(trace_path), "--truth", str(truth_path)])
     grid_path = tmp_path / "grid.json"
     grid_path.write_text(grid_text or json.dumps(_SMALL_GRID), encoding="utf-8")
     return main([
         "tune", "--trace", str(trace_path), "--truth", str(truth_path), "--grid", str(grid_path),
-        "--k", "5", "--out", str(tmp_path / "report.json"),
+        "--k", k, "--out", str(tmp_path / "report.json"),
     ])
 
 
@@ -547,13 +547,23 @@ def test_malformed_trace_row_is_input_error(command, header, row, line, tmp_path
         "{not json",
         json.dumps({"theta": _SMALL_GRID["theta"]}),
         json.dumps({**_SMALL_GRID, "mode": "bogus"}),
+        json.dumps({**_SMALL_GRID, "theta": {"closer": [2], "further": [0, 2]}}),
+        json.dumps(_SMALL_GRID).replace("-1.0", "NaN", 1),
+        json.dumps(_SMALL_GRID).replace("-1.0", "-Infinity", 1),
     ],
-    ids=["invalid-json", "missing-axes", "bogus-mode"],
+    ids=["invalid-json", "missing-axes", "bogus-mode", "theta-below-1", "nan-bound", "infinite-bound"],
 )
 def test_malformed_grid_spec_is_input_error(text, tmp_path, capsys):
     trace_path, truth_path = _write_episode_files(tmp_path)
     assert _tune_or_metrics("tune", trace_path, truth_path, tmp_path, text) == EXIT_INPUT
     assert str(tmp_path / "grid.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", ["0", "-2"])
+def test_fewer_than_one_fold_is_input_error(k, tmp_path, capsys):
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    assert _tune_or_metrics("tune", trace_path, truth_path, tmp_path, k=k) == EXIT_INPUT
+    assert f"k = {k} folds" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])

@@ -16,6 +16,9 @@ from crossrisk.risk import (
     ThresholdInterval,
     ThresholdMode,
     classify_offline,
+    component_values,
+    hit_count,
+    interval_bounds,
     select_conflict_vehicle,
     step_evaluate,
 )
@@ -210,6 +213,36 @@ class TestStepEvaluate:
         state = ped_state(AgentCategory.VEHICLE_AREA_41)
         with pytest.raises(MissingThreshold):
             step_evaluate(state, PPetVector(c_pf=-0.3), config, ctx())
+
+
+class TestHitCount:
+    def test_every_pair_matches_the_per_frame_or_rule(self):
+        # values on the half-second grid land on interval bounds, which are closed
+        rng = np.random.default_rng(37)
+        trace = [
+            PPetVector(**{k: (None if rng.uniform() < 0.2 else float(rng.integers(-8, 7)) / 2)
+                          for k in ("c_pf", "c_vf")})
+            for _ in range(60)
+        ]
+        pf_values, vf_values = component_values(trace, AreaRole.CLOSER)
+        axis = [-3.0, -1.5, -0.5, 0.0, 1.0, 2.5]
+        pf_intervals = [ThresholdInterval(a, b) for a in axis for b in axis if a <= b]
+        vf_intervals = pf_intervals[::3]
+        counts = hit_count(pf_values, vf_values, interval_bounds(pf_intervals), interval_bounds(vf_intervals))
+        assert counts.shape == (len(pf_intervals), len(vf_intervals))
+        for i, pf in enumerate(pf_intervals):
+            for j, vf in enumerate(vf_intervals):
+                expect = sum(
+                    1 for v in trace
+                    if (v.c_pf is not None and pf.contains(v.c_pf))
+                    or (v.c_vf is not None and vf.contains(v.c_vf))
+                )
+                assert counts[i, j] == expect, (pf, vf)
+
+    def test_empty_trace_counts_nothing(self):
+        bounds = interval_bounds([ThresholdInterval(-1.0, 0.0), ThresholdInterval(0.0, 1.0)])
+        counts = hit_count(np.array([]), np.array([]), bounds, bounds[:1])
+        assert counts.shape == (2, 1) and not counts.any()
 
 
 class TestClassifyOffline:
