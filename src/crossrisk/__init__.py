@@ -28,7 +28,6 @@ from .predictors import (
     TrainedModelBundle,
     TrainingConfig,
     build_labeled_dataset,
-    select_model,
     train,
 )
 from .risk import (

@@ -234,14 +234,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     write_risk_scenarios(str(out / "risk_scenarios.jsonl"), result.risk_scenarios)
     write_trace_csv(str(out / "ppet_trace.csv"), result.trace)
 
+    vectors = result.vectors_by_ped
     summary = {
         "frames": len(frames),
         "risk_scenarios": len(result.risk_scenarios),
-        "evaluated_pedestrians": len(result.vectors_by_ped),
+        "evaluated_pedestrians": len(vectors),
     }
     if args.truth:
         truth = GroundTruth.load(str(_require(args.truth, "ground truth")))
-        counts = confusion(_truth_episodes(truth, result.vectors_by_ped), thresholds)
+        counts = confusion(_truth_episodes(truth, vectors), thresholds)
         summary["metrics"] = metrics(counts).to_dict()
         _write_json(str(out / "metrics.json"), summary["metrics"])
     _write_json(str(out / "summary.json"), summary)
@@ -397,11 +398,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None, help="Override the seed")
-    common.add_argument("--fps", type=float, default=30.0, help="Frame rate (default 30)")
+    # each command takes only the shared flags it reads
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None, help="Override the seed")
+    framed = argparse.ArgumentParser(add_help=False)
+    framed.add_argument("--fps", type=float, default=30.0, help="Frame rate (default 30)")
 
-    p = sub.add_parser("gen", parents=[common], help="Generate a synthetic scenario")
+    p = sub.add_parser("gen", parents=[seeded], help="Generate a synthetic scenario")
     p.add_argument("--spec", help="Scenario spec JSON (defaults when omitted)")
     p.add_argument("--out", default=".", help="Output directory")
     p.set_defaults(func=cmd_gen)
@@ -411,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="Tile-grid output JSON")
     p.set_defaults(func=cmd_homography)
 
-    p = sub.add_parser("build-dataset", parents=[common], help="Windows + arrival-time labels")
+    p = sub.add_parser("build-dataset", help="Windows + arrival-time labels")
     p.add_argument("--stream", required=True)
     p.add_argument("--area-map", required=True)
     p.add_argument("--truth", help="Ground-truth JSON with annotations")
@@ -419,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="Labeled samples JSONL output")
     p.set_defaults(func=cmd_build_dataset)
 
-    p = sub.add_parser("train", parents=[common], help="Train and select per-pair predictors")
+    p = sub.add_parser("train", parents=[seeded], help="Train and select per-pair predictors")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="Training config JSON")
     p.add_argument("--out", required=True, help="Model bundle output JSON")
     p.add_argument("--report", help="Validation MAE report JSON")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[common], help="Streaming risk evaluation")
+    p = sub.add_parser("evaluate", parents=[framed], help="Streaming risk evaluation")
     p.add_argument("--stream", required=True)
     p.add_argument("--area-map", required=True)
     p.add_argument("--thresholds", help="Threshold config JSON (defaults when omitted)")
@@ -436,7 +439,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=".", help="Output directory")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("tune", parents=[common], help="Grid-search thresholds with k-fold CV")
+    p = sub.add_parser("tune", parents=[seeded], help="Grid-search thresholds with k-fold CV")
     p.add_argument("--trace", required=True, help="P-PET trace CSV from evaluate")
     p.add_argument("--truth", required=True)
     p.add_argument("--grid", required=True, help="Grid spec JSON; its mode (default per_area) sets the threshold mode")
@@ -446,7 +449,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-csv", help="Per-grid-point accuracies CSV")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("replay", parents=[common], help="Timed replay of a stream")
+    p = sub.add_parser("replay", parents=[framed], help="Timed replay of a stream")
     p.add_argument("--stream", required=True)
     p.add_argument("--area-map", required=True)
     p.add_argument("--thresholds")
@@ -460,7 +463,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="Latency report JSON")
     p.set_defaults(func=cmd_replay)
 
-    p = sub.add_parser("metrics", parents=[common], help="Classification metrics")
+    p = sub.add_parser("metrics", help="Classification metrics")
     p.add_argument("--tp", type=int)
     p.add_argument("--tn", type=int)
     p.add_argument("--fp", type=int)

@@ -81,10 +81,6 @@ class DivergedLoss(CrossRiskError):
     """Validation loss exploded during training."""
 
 
-class EmptyCandidates(CrossRiskError):
-    """Model selection was given no candidates."""
-
-
 class MissingPredictor(CrossRiskError):
     """No predictor available for a (category, target location) pair."""
 

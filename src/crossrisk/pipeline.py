@@ -12,7 +12,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -26,9 +26,7 @@ from .geometry import (
     vehicle_line_name,
 )
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
-from .predictors import HistoricalAveragePredictor, RecurrentRegressor, TrainedModelBundle
-from .predictors.historical import stacked_arrival_times
-from .predictors.recurrent import predict_stacked, stacked_features
+from .predictors import TrainedModelBundle
 from .risk import (
     AreaRole,
     Decision,
@@ -71,45 +69,6 @@ def _ordered(estimates: list[float | None]) -> list[float | None]:
     return estimates
 
 
-def _answer_baseline(queued: Sequence[tuple[list, int, SlidingWindowTrajectory, TargetLine]]) -> None:
-    """Write each queued (estimates, index, window, line) request's arrival
-    seconds into its slot, None where it fails: one stacked_arrival_times
-    pass, each window's motion computed once however many lines it has."""
-    seconds = stacked_arrival_times([(w, line) for _, _, w, line in queued])
-    for (estimates, index, _, _), value in zip(queued, seconds):
-        estimates[index] = None if isinstance(value, PredictionError) else value
-
-
-def _answer_recurrent(
-    queued: Sequence[tuple[list, int, SlidingWindowTrajectory, RecurrentRegressor]],
-) -> None:
-    """Write each queued (estimates, index, window, model) request's arrival
-    seconds into its slot: one predict_stacked pass per hidden size, with the
-    features of each window computed once however many models read it."""
-    windows = list({id(w): w for _, _, w, _ in queued}.values())
-    row = {id(w): i for i, w in enumerate(windows)}
-    features = stacked_features(
-        np.stack([w.times for w in windows]), np.stack([w.positions for w in windows])
-    )
-    by_size: dict[int, list] = {}
-    for request in queued:
-        by_size.setdefault(request[3].hidden_size, []).append(request)
-    for group in by_size.values():
-        seconds = predict_stacked(
-            [model for *_, model in group], features[[row[id(w)] for _, _, w, _ in group]]
-        )
-        for (estimates, index, _, _), value in zip(group, seconds.tolist()):
-            estimates[index] = value
-
-
-@dataclass
-class _Queued:
-    """One frame's requests waiting for a stacked pass, by predictor kind."""
-
-    baseline: list = field(default_factory=list)
-    recurrent: list = field(default_factory=list)
-
-
 @dataclass(frozen=True)
 class TraceRow:
     """One evaluated (frame, pedestrian, area) with that area's components."""
@@ -126,9 +85,16 @@ class TraceRow:
 class EvaluationResult:
     risk_scenarios: list[RiskScenario] = field(default_factory=list)
     trace: list[TraceRow] = field(default_factory=list)
-    vectors_by_ped: dict[str, list[PPetVector]] = field(default_factory=dict)
     prediction_ms: list[float] = field(default_factory=list)
     ppet_risk_ms: list[float] = field(default_factory=list)
+
+    @property
+    def vectors_by_ped(self) -> dict[str, list[PPetVector]]:
+        """Each evaluated pedestrian's P-PET vectors in frame order, grouped
+        from the trace as read_trace_csv groups a trace file."""
+        return _vectors_by_ped(
+            (r.ped_id, r.frame, zip(_TRACE_AREA_COLUMNS[r.area.value], (r.pf, r.vf))) for r in self.trace
+        )
 
 
 class RiskPipeline:
@@ -148,49 +114,7 @@ class RiskPipeline:
         self.engine = StreamEngine(area_map)
         self.result = EvaluationResult()
 
-    # -- prediction helpers -------------------------------------------------------
-
-    def _request(
-        self, q: int, window: SlidingWindowTrajectory, line: TargetLine, estimates: list, queued: _Queued
-    ) -> None:
-        """Append the arrival seconds at `line` to `estimates`: None when the
-        line is behind the agent or the predictor cannot produce an estimate.
-
-        A baseline or recurrent request leaves a None slot and goes to
-        `queued`, for `_answer_baseline` or `_answer_recurrent`; any other
-        predictor answers here.
-        """
-        if signed_distance_to_line(window.end_position, line) < 0.0:
-            estimates.append(None)
-            return
-        predictor = self.bundle.predictor_for(window.category, q)
-        if isinstance(predictor, HistoricalAveragePredictor):
-            queued.baseline.append((estimates, len(estimates), window, line))
-            estimates.append(None)
-            return
-        if isinstance(predictor, RecurrentRegressor):
-            queued.recurrent.append((estimates, len(estimates), window, predictor))
-            estimates.append(None)
-            return
-        try:
-            estimates.append(predictor.predict(window, line).seconds)
-        except PredictionError:
-            estimates.append(None)
-
-    def _vehicle_estimates(self, veh_id: str, area_id: str, cache: dict, queued: _Queued) -> list:
-        key = (veh_id, area_id)
-        if key in cache:
-            return cache[key]
-        estimates: list[float | None] = []
-        if not self.engine.window_ready(veh_id):
-            estimates += [None, None]
-        else:
-            window = self.engine.window(veh_id)
-            for q, enter in ((0, True), (1, False)):
-                line = self.area_map.line(vehicle_line_name(area_id, enter))
-                self._request(q, window, line, estimates, queued)
-        cache[key] = estimates
-        return estimates
+    # -- prediction -----------------------------------------------------------------
 
     def _frame_estimates(
         self, targets: Sequence[tuple[SlidingWindowTrajectory, Direction, Mapping[AreaRole, tuple]]]
@@ -199,29 +123,47 @@ class RiskPipeline:
         its window, its direction and its conflict vehicles: (id, position)
         per area role that has one.
 
-        Every request is made first; the baseline ones are then answered in
-        one stacked pass and the recurrent ones in one stacked pass per
-        hidden size. A vehicle serving several pedestrians is predicted once.
+        The frame's requests form one table keyed by (agent id, line name),
+        so a vehicle serving several pedestrians is asked, and its window
+        built, once; a line behind the agent is not asked and gives None. The
+        bundle answers the whole table in one call, and a request that fails
+        gives None.
         """
-        queued = _Queued()
-        vehicle_cache: dict = {}
-        requested = []
+        table: dict[tuple[str, str], int | None] = {}
+        requests: list[tuple[int, SlidingWindowTrajectory, TargetLine]] = []
+
+        def ask(window: SlidingWindowTrajectory, q: int, name: str) -> tuple[str, str]:
+            key = (window.agent_id, name)
+            line = self.area_map.line(name)
+            behind = signed_distance_to_line(window.end_position, line) < 0.0
+            table[key] = None if behind else len(requests)
+            if not behind:
+                requests.append((q, window, line))
+            return key
+
+        rows = []
         for window, direction, vehicles in targets:
-            ped: list[float | None] = []
-            for q in (0, 1, 2):
-                line = self.area_map.line(pedestrian_line_name(direction.value, q))
-                self._request(q, window, line, ped, queued)
-            veh = [
-                self._vehicle_estimates(vehicles[role][0], area_id, vehicle_cache, queued)
-                if role in vehicles else (None, None)
-                for role, area_id in zip(_ROLES, closer_further_assignment(direction))
-            ]
-            requested.append((ped, veh))
-        if queued.baseline:
-            _answer_baseline(queued.baseline)
-        if queued.recurrent:
-            _answer_recurrent(queued.recurrent)
-        return [ArrivalEstimateSet(*_ordered(ped), *closer, *further) for ped, (closer, further) in requested]
+            row = [ask(window, q, pedestrian_line_name(direction.value, q)) for q in (0, 1, 2)]
+            for role, area_id in zip(_ROLES, closer_further_assignment(direction)):
+                veh_id = vehicles[role][0] if role in vehicles else None
+                keys = [(veh_id, vehicle_line_name(area_id, enter)) for enter in (True, False)]
+                if veh_id is not None and keys[0] not in table and self.engine.window_ready(veh_id):
+                    veh_window = self.engine.window(veh_id)
+                    for q, (_, name) in enumerate(keys):
+                        ask(veh_window, q, name)
+                row += keys
+            rows.append(row)
+        answers = self.bundle.arrival_times(requests)
+
+        def seconds(key: tuple[str, str]) -> float | None:
+            i = table.get(key)
+            value = None if i is None else answers[i]
+            return None if isinstance(value, PredictionError) else value
+
+        return [
+            ArrivalEstimateSet(*_ordered([seconds(k) for k in row[:3]]), *map(seconds, row[3:]))
+            for row in rows
+        ]
 
     def _conflict_vehicle(
         self, ped_position: WorldPoint, area_id: str,
@@ -275,7 +217,6 @@ class RiskPipeline:
             for decision in decisions:
                 if decision.kind is DecisionKind.RISK2_FLAGGED and decision.scenario is not None:
                     self.result.risk_scenarios.append(decision.scenario)
-            self.result.vectors_by_ped.setdefault(state.agent_id, []).append(vector)
             for role in (AreaRole.CLOSER, AreaRole.FURTHER):
                 veh_id = vehicles.get(role, ("", None))[0]
                 self.result.trace.append(
@@ -340,6 +281,20 @@ def _trace_component(cell: str) -> float | None:
     return value
 
 
+def _vectors_by_ped(rows: Iterable[tuple[str, int, Iterable]]) -> dict[str, list[PPetVector]]:
+    """Per-pedestrian P-PET vectors from trace rows, each given as its
+    pedestrian, frame and component values (a mapping or (column, value)
+    pairs): the rows of one (pedestrian, frame) make one vector, in order of
+    first appearance."""
+    per_key: dict[tuple[str, int], dict[str, float | None]] = {}
+    for ped_id, frame, values in rows:
+        per_key.setdefault((ped_id, frame), dict.fromkeys(_TRACE_COMPONENTS)).update(values)
+    vectors: dict[str, list[PPetVector]] = {}
+    for (ped_id, _), parts in per_key.items():
+        vectors.setdefault(ped_id, []).append(PPetVector(**parts))
+    return vectors
+
+
 def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
     """Rebuild per-pedestrian P-PET vector sequences from a trace file.
 
@@ -348,7 +303,7 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
     neither empty nor a finite float, or a value in the other area's columns
     raises ManifestError naming path:line.
     """
-    per_key: dict[tuple[str, int], dict[str, float | None]] = {}
+    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in TRACE_HEADER if c not in (reader.fieldnames or ())]
@@ -367,11 +322,8 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
                 values = {c: _trace_component(row[c]) for c in own}
             except ValueError as exc:
                 raise ManifestError(f"{path}:{reader.line_num}: bad trace row: {exc}") from exc
-            per_key.setdefault(key, dict.fromkeys(_TRACE_COMPONENTS)).update(values)
-    vectors: dict[str, list[PPetVector]] = {}
-    for (ped_id, _), parts in per_key.items():
-        vectors.setdefault(ped_id, []).append(PPetVector(**parts))
-    return vectors
+            rows.append((*key, values))
+    return _vectors_by_ped(rows)
 
 
 def write_risk_scenarios(path: str, scenarios: Sequence[RiskScenario]) -> None:

@@ -16,7 +16,6 @@ from .recurrent import RecurrentRegressor, window_features
 from .training import (
     TrainingConfig,
     evaluate_mae,
-    select_model,
     split_samples,
     train,
     train_and_select,
@@ -43,7 +42,6 @@ __all__ = [
     "build_labeled_dataset",
     "direction_vector",
     "evaluate_mae",
-    "select_model",
     "split_samples",
     "targets_for_agent",
     "train",

@@ -5,10 +5,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
 
 from ..geometry import TargetLine
-from ..stream import SlidingWindowTrajectory
 
 # Near-tangential approaches produce huge finite times; cap well beyond any
 # plausible conflict horizon so they cannot distort downstream differences.
@@ -49,9 +47,3 @@ class ArrivalPrediction:
     def __post_init__(self) -> None:
         if not math.isfinite(self.seconds) or self.seconds < 0.0:
             raise ValueError(f"arrival time must be finite and >= 0, got {self.seconds}")
-
-
-class ArrivalTimePredictor(Protocol):
-    name: str
-
-    def predict(self, window: SlidingWindowTrajectory, line: TargetLine) -> ArrivalPrediction: ...

@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ManifestError, MissingPredictor
-from ..stream import AgentCategory
-from .base import ArrivalTimePredictor
-from .historical import HistoricalAveragePredictor
-from .recurrent import PARAM_NAMES, RecurrentRegressor
+from ..errors import ManifestError, MissingPredictor, PredictionError
+from ..geometry import TargetLine
+from ..stream import AgentCategory, SlidingWindowTrajectory
+from .historical import HistoricalAveragePredictor, stacked_arrival_times
+from .recurrent import PARAM_NAMES, RecurrentRegressor, predict_stacked, stacked_features
 
 BUNDLE_VERSION = 1
 
@@ -25,18 +25,65 @@ ALL_PAIRS: tuple[tuple[AgentCategory, int], ...] = tuple(
 )
 
 
+Predictor = HistoricalAveragePredictor | RecurrentRegressor
+
+
 @dataclass
 class TrainedModelBundle:
     """One chosen predictor per (agent category, target location index)."""
 
-    predictors: dict[tuple[AgentCategory, int], ArrivalTimePredictor]
+    predictors: dict[tuple[AgentCategory, int], Predictor]
     validation_mae: dict[tuple[AgentCategory, int], float | None] = field(default_factory=dict)
 
-    def predictor_for(self, category: AgentCategory, q: int) -> ArrivalTimePredictor:
+    def predictor_for(self, category: AgentCategory, q: int) -> Predictor:
         try:
-            return self.predictors[(category, q)]
+            predictor = self.predictors[(category, q)]
         except KeyError:
             raise MissingPredictor(f"no predictor for (i={int(category)}, q={q})") from None
+        if not isinstance(predictor, Predictor):
+            raise TypeError(f"(i={int(category)}, q={q}) holds {type(predictor).__name__}, not a predictor")
+        return predictor
+
+    def arrival_times(
+        self, requests: Sequence[tuple[int, SlidingWindowTrajectory, TargetLine]]
+    ) -> list[float | PredictionError]:
+        """Seconds until each (q, window, line) request's window reaches its
+        line, by the predictor of (window category, q), or the
+        PredictionError that request fails with.
+
+        The baseline requests are answered in one stacked_arrival_times pass
+        and the GRU requests in one predict_stacked pass per hidden size,
+        each distinct window's features computed once; every value has the
+        bits of a one-window predict call.
+        """
+        out: list = [None] * len(requests)
+        baseline, recurrent = [], []
+        for i, (q, window, _) in enumerate(requests):
+            predictor = self.predictor_for(window.category, q)
+            if isinstance(predictor, RecurrentRegressor):
+                recurrent.append((i, window, predictor))
+            else:
+                baseline.append(i)
+        if baseline:
+            seconds = stacked_arrival_times([requests[i][1:] for i in baseline])
+            for i, value in zip(baseline, seconds):
+                out[i] = value
+        if recurrent:
+            windows = list({id(w): w for _, w, _ in recurrent}.values())
+            row = {id(w): k for k, w in enumerate(windows)}
+            features = stacked_features(
+                np.stack([w.times for w in windows]), np.stack([w.positions for w in windows])
+            )
+            by_size: dict[int, list] = {}
+            for request in recurrent:
+                by_size.setdefault(request[2].hidden_size, []).append(request)
+            for group in by_size.values():
+                seconds = predict_stacked(
+                    [model for *_, model in group], features[[row[id(w)] for _, w, _ in group]]
+                )
+                for (i, _, _), value in zip(group, seconds.tolist()):
+                    out[i] = value
+        return out
 
     @classmethod
     def historical_average(cls) -> "TrainedModelBundle":
@@ -83,7 +130,7 @@ class TrainedModelBundle:
             raise ManifestError("model bundle is missing the mandatory version field")
         if doc["version"] != BUNDLE_VERSION:
             raise ManifestError(f"unsupported model bundle version {doc['version']}")
-        predictors: dict[tuple[AgentCategory, int], ArrivalTimePredictor] = {}
+        predictors: dict[tuple[AgentCategory, int], Predictor] = {}
         maes: dict[tuple[AgentCategory, int], float | None] = {}
         for entry in doc.get("models", []):
             key = (AgentCategory(int(entry["category"])), int(entry["q"]))

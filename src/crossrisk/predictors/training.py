@@ -8,10 +8,10 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import DatasetTooSmall, DivergedLoss, EmptyCandidates, PredictionError
+from ..errors import DatasetTooSmall, DivergedLoss, PredictionError
 from ..stream import AgentCategory
-from .base import ARRIVAL_TIME_CAP_S, ArrivalTimePredictor
-from .bundle import ALL_PAIRS, SPLIT_RATIO, TrainedModelBundle
+from .base import ARRIVAL_TIME_CAP_S
+from .bundle import ALL_PAIRS, SPLIT_RATIO, Predictor, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
 from .historical import HistoricalAveragePredictor, stacked_arrival_times
 from .recurrent import RecurrentRegressor, stacked_features
@@ -154,50 +154,25 @@ def train(
     return model, best_mae
 
 
-def evaluate_mae(
-    predictor: ArrivalTimePredictor, samples: Sequence[LabeledSample]
-) -> float:
+def evaluate_mae(predictor: Predictor, samples: Sequence[LabeledSample]) -> float:
     """Mean absolute error of a predictor on labeled samples.
 
     A recurrent predictor scores all samples in one forward pass and the
-    baseline in one stacked pass. For any other predictor, failed predictions
-    (agent past the line, no approach, ...) count as the cap value, the
-    maximally wrong answer, so a fragile predictor cannot win selection by
-    silently skipping hard samples.
+    baseline in one stacked pass. A failed baseline prediction (agent past
+    the line, no approach, ...) counts as the cap value, the maximally wrong
+    answer, so the baseline cannot win selection by silently skipping hard
+    samples.
     """
     if not samples:
         raise ValueError("cannot evaluate on an empty sample list")
     if isinstance(predictor, RecurrentRegressor):
         return predictor.batch_mae(*_features_and_targets(samples))
-    if isinstance(predictor, HistoricalAveragePredictor):
-        seconds = stacked_arrival_times([(s.window, s.q.line) for s in samples])
-        predicted = [ARRIVAL_TIME_CAP_S if isinstance(v, PredictionError) else v for v in seconds]
-    else:
-        predicted = []
-        for s in samples:
-            try:
-                predicted.append(predictor.predict(s.window, s.q.line).seconds)
-            except PredictionError:
-                predicted.append(ARRIVAL_TIME_CAP_S)
+    seconds = stacked_arrival_times([(s.window, s.q.line) for s in samples])
+    predicted = [ARRIVAL_TIME_CAP_S if isinstance(v, PredictionError) else v for v in seconds]
     return float(np.mean([abs(p - s.arrival_time) for p, s in zip(predicted, samples)]))
 
 
-def select_model(
-    candidates: Sequence[ArrivalTimePredictor],
-    validation_samples: Sequence[LabeledSample],
-) -> tuple[ArrivalTimePredictor, float]:
-    """Pick the candidate with the lowest validation MAE.
-
-    Ties resolve toward the earliest declared candidate.
-    """
-    if not candidates:
-        raise EmptyCandidates("no predictors to select from")
-    return _lowest_mae(candidates, [evaluate_mae(c, validation_samples) for c in candidates])
-
-
-def _lowest_mae(
-    candidates: Sequence[ArrivalTimePredictor], maes: Sequence[float]
-) -> tuple[ArrivalTimePredictor, float]:
+def _lowest_mae(candidates: Sequence[Predictor], maes: Sequence[float]) -> tuple[Predictor, float]:
     best = int(np.argmin(maes))  # first of equal minima: the earliest candidate
     return candidates[best], maes[best]
 
@@ -206,14 +181,14 @@ def train_and_select(
     samples: Sequence[LabeledSample],
     config: TrainingConfig,
     hidden_sizes: Sequence[int] = (16, 32),
-) -> tuple[ArrivalTimePredictor, float]:
+) -> tuple[Predictor, float]:
     """Train the recurrent candidates and pick among {baseline, trained GRUs}
     by validation MAE on one shared split, featurized once. A trained GRU's
     MAE is the best validation MAE that `train` reports for the weights it
     returns."""
     split = prepare_split(samples, config.seed)
     baseline = HistoricalAveragePredictor()
-    candidates: list[ArrivalTimePredictor] = [baseline]
+    candidates: list[Predictor] = [baseline]
     maes = [evaluate_mae(baseline, split.val_set)]
     for size in hidden_sizes:
         model = RecurrentRegressor.initialize(size, np.random.default_rng(config.seed))

@@ -298,7 +298,10 @@ class StreamEngine:
 
     Pedestrians become Target when they enter Area 1 (or are first seen
     already inside Areas 2-3); a Target leaving Area 3 exits the episode and
-    its trajectory buffer is cleared. Vehicles are buffered without lifecycle.
+    its trajectory buffer is cleared. An exited pedestrian starts a new
+    episode only when it enters Area 1 from outside every area, not when it
+    walks on from Area 2 into the far Area 1. Vehicles are buffered without
+    lifecycle.
     """
 
     def __init__(self, area_map: AreaMap):
@@ -389,7 +392,7 @@ class StreamEngine:
         # NonTarget (or exited, starting a fresh episode) entering the crossing
         enters = area is not None and area.startswith(_TARGET_ENTRY_PREFIXES)
         if state.status is PedestrianStatus.EXITED:
-            enters = area is not None and area.startswith("1.")
+            enters = prev_area is None and area is not None and area.startswith("1.")
         if enters:
             state.status = PedestrianStatus.TARGET
             state.episode += 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .predictors.dataset import Awareness, Reaction
 from .risk import RiskLevel, in_evaluation_zone
-from .stream import AgentCategory, Direction, Observation, infer_direction
+from .stream import AgentCategory, Direction, Observation, closer_further_assignment, infer_direction
 
 # --- reference site layout ------------------------------------------------------
 
@@ -302,17 +302,27 @@ def _lane_b_position(distance: float) -> tuple[float, float]:
     return (LANE_B_X, cy - (distance - _LANE_B_LEG1 - _LANE_B_LEG2))
 
 
-def _lane_distance_to_enter(lane: str) -> float:
-    """Path length from spawn to the conflict-area entry line (y = 3)."""
-    if lane == "A":
-        return _LANE_A_SPAWN_Y - BAND_Y_HI
-    return _LANE_B_LEG1 + _LANE_B_LEG2 + (_LANE_B_ARC_CENTER[1] - BAND_Y_HI)
+@dataclass(frozen=True)
+class _Lane:
+    """A vehicle lane: position at a path distance from spawn, the path
+    length to the conflict-area entry line (y = 3), and the total length."""
+
+    position: Callable[[float], tuple[float, float]]
+    distance_to_enter: float
+    total_length: float
 
 
-def _lane_total_length(lane: str) -> float:
-    if lane == "A":
-        return _LANE_A_SPAWN_Y - _LANE_A_EXIT_Y
-    return _LANE_B_LEG1 + _LANE_B_LEG2 + (_LANE_B_ARC_CENTER[1] - _LANE_B_EXIT_Y)
+# The lane each vehicle class drives; it crosses the class's conflict_area.
+_LANES = {
+    AgentCategory.VEHICLE_AREA_41: _Lane(
+        _lane_a_position, _LANE_A_SPAWN_Y - BAND_Y_HI, _LANE_A_SPAWN_Y - _LANE_A_EXIT_Y
+    ),
+    AgentCategory.VEHICLE_AREA_42: _Lane(
+        _lane_b_position,
+        _LANE_B_LEG1 + _LANE_B_LEG2 + (_LANE_B_ARC_CENTER[1] - BAND_Y_HI),
+        _LANE_B_LEG1 + _LANE_B_LEG2 + (_LANE_B_ARC_CENTER[1] - _LANE_B_EXIT_Y),
+    ),
+}
 
 
 # --- generation -----------------------------------------------------------------
@@ -335,7 +345,7 @@ class _PedPlan:
 @dataclass
 class _VehPlan:
     agent_id: str
-    lane: str
+    category: AgentCategory  # its lane is _LANES[category]
     speed: float
     spawn_t: float
 
@@ -407,22 +417,21 @@ def _schedule_vehicles(
     vehicles: list[_VehPlan] = []
     counter = 0
 
-    def add(lane: str, enter_t: float, speed: float) -> None:
+    def add(category: AgentCategory, enter_t: float, speed: float) -> None:
         nonlocal counter
-        spawn_t = enter_t - _lane_distance_to_enter(lane) / speed
+        spawn_t = enter_t - _LANES[category].distance_to_enter / speed
         if spawn_t < 0:
             return
-        vehicles.append(_VehPlan(f"v{counter:03d}", lane, speed, spawn_t))
+        vehicles.append(_VehPlan(f"v{counter:03d}", category, speed, spawn_t))
         counter += 1
 
     # dedicated vehicles timed against each pedestrian's no-reaction plan
     for plan in plans:
         if rng.uniform() > spec.conflict_probability:
             continue
-        area = "3.1" if rng.uniform() < 0.5 else "3.2"
-        lane = "A" if area == "3.1" else "B"
+        category = AgentCategory.VEHICLE_AREA_41 if rng.uniform() < 0.5 else AgentCategory.VEHICLE_AREA_42
         speed = float(np.clip(rng.normal(spec.vehicle_speed_mps, spec.vehicle_speed_sd), 5.0, 12.0))
-        enter, leave = _planned_occupancy(plan, area)
+        enter, leave = _planned_occupancy(plan, category.conflict_area)
         transit = (BAND_Y_HI - BAND_Y_LO) / speed
         if rng.uniform() < spec.risky_fraction:
             enter_t = float(rng.uniform(enter - 0.4, leave + 1.2))
@@ -430,16 +439,16 @@ def _schedule_vehicles(
             enter_t = leave + float(rng.uniform(2.5, 5.5))          # pedestrian first, wide gap
         else:
             enter_t = enter - transit - float(rng.uniform(2.5, 5.5))  # vehicle first, wide gap
-        add(lane, enter_t, speed)
+        add(category, enter_t, speed)
 
     # background traffic
-    for lane in ("A", "B"):
+    for category in _LANES:
         if spec.vehicle_rate_per_min <= 0:
             continue
         t = float(rng.exponential(60.0 / spec.vehicle_rate_per_min))
         while t < spec.duration_s:
             speed = float(np.clip(rng.normal(spec.vehicle_speed_mps, spec.vehicle_speed_sd), 5.0, 12.0))
-            add(lane, t, speed)
+            add(category, t, speed)
             t += float(rng.exponential(60.0 / spec.vehicle_rate_per_min))
     return vehicles
 
@@ -448,8 +457,7 @@ def _simulate_vehicle(
     plan: _VehPlan, spec: ScenarioSpec
 ) -> list[Observation]:
     dt = 1.0 / spec.fps
-    category = AgentCategory.VEHICLE_AREA_41 if plan.lane == "A" else AgentCategory.VEHICLE_AREA_42
-    total = _lane_total_length(plan.lane)
+    lane = _LANES[plan.category]
     first_frame = max(0, int(math.ceil(plan.spawn_t * spec.fps)))
     out = []
     frame = first_frame
@@ -458,10 +466,10 @@ def _simulate_vehicle(
         if t > spec.duration_s:
             break
         distance = (t - plan.spawn_t) * plan.speed
-        if distance > total:
+        if distance > lane.total_length:
             break
-        x, y = _lane_a_position(distance) if plan.lane == "A" else _lane_b_position(distance)
-        out.append(Observation(frame, t, plan.agent_id, category, WorldPoint(x, y)))
+        x, y = lane.position(distance)
+        out.append(Observation(frame, t, plan.agent_id, plan.category, WorldPoint(x, y)))
         frame += 1
     return out
 
@@ -472,10 +480,9 @@ def _vehicle_threat_times(
     """veh_id -> (area, enter_t, leave_t) under the constant-speed plan."""
     out = {}
     for plan in vehicles:
-        enter_t = plan.spawn_t + _lane_distance_to_enter(plan.lane) / plan.speed
+        enter_t = plan.spawn_t + _LANES[plan.category].distance_to_enter / plan.speed
         leave_t = enter_t + (BAND_Y_HI - BAND_Y_LO) / plan.speed
-        area = "3.1" if plan.lane == "A" else "3.2"
-        out[plan.agent_id] = (area, enter_t, leave_t)
+        out[plan.agent_id] = (plan.category.conflict_area, enter_t, leave_t)
     return out
 
 
@@ -612,7 +619,7 @@ def label_risk(
     pedestrian took an evasive speed change with a vehicle around; else
     Risk 1.
     """
-    vehicle_windows: dict[str, list[tuple[str, float, float]]] = {"3.1": [], "3.2": []}
+    vehicle_windows: dict[str, list[tuple[str, float, float]]] = {c.conflict_area: [] for c in _LANES}
     for agent_id, trajectory in trajectories.items():
         category = trajectory[0].category
         if not category.is_vehicle:
@@ -633,7 +640,7 @@ def label_risk(
         crossing = _pedestrian_crossing_times(trajectory, area_map, direction)
         if not all(k in crossing for k in ("q0", "q1", "q2")):
             continue
-        closer, further = ("3.1", "3.2") if direction is Direction.LEFT_TO_RIGHT else ("3.2", "3.1")
+        closer, further = closer_further_assignment(direction)
         occupancy = {
             "closer": (crossing["q0"], crossing["q1"]),
             "further": (crossing["q1"], crossing["q2"]),
@@ -740,9 +747,9 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
         trajectory = trajectories.get(plan.agent_id)
         if not trajectory:
             continue
-        area = "3.1" if plan.lane == "A" else "3.2"
+        area = plan.category.conflict_area
         truth.agents[plan.agent_id] = AgentTruth(
-            category=trajectory[0].category,
+            category=plan.category,
             crossing_times=_vehicle_crossing_times(trajectory, area_map, area),
             conflict_area=area,
         )

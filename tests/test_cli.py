@@ -414,6 +414,23 @@ class TestReplayAndMetrics:
         assert code == EXIT_INPUT
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build-dataset", "--stream", "s.csv", "--area-map", "a.json", "--out", "o.jsonl", "--fps", "25"],
+        ["evaluate", "--stream", "s.csv", "--area-map", "a.json", "--seed", "1"],
+    ],
+    ids=["build-dataset-fps", "evaluate-seed"],
+)
+def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
+    """Each command takes only the shared flags it reads: --seed for gen,
+    train and tune, --fps for evaluate and replay."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
 @pytest.mark.parametrize(
     "header, bad_row",

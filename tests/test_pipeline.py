@@ -17,20 +17,6 @@ from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMo
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
 
 
-class Jumbled:
-    """Predictor answering a fixed number of seconds for every window."""
-
-    name = "jumbled"
-
-    def __init__(self, value):
-        self.value = value
-
-    def predict(self, window, line):
-        from crossrisk.predictors import ArrivalPrediction
-
-        return ArrivalPrediction(self.value, self.name)
-
-
 def constant_gru(value, hidden=4):
     """A zero-weight GRU: its state stays 0, so it outputs softplus(b_out) = value."""
     model = RecurrentRegressor.zeros(hidden)
@@ -38,15 +24,14 @@ def constant_gru(value, hidden=4):
     return model
 
 
-def _ordered_frame_estimate(make):
-    """The frame estimate of one pedestrian whose predictors, made by
-    make(seconds), answer 5, 3 and 4 s for lines q0, q1 and q2."""
+def _ordered_frame_estimate(predictor_for_q):
+    """The frame estimate of one pedestrian walking at 2 m/s, 5.57 m before
+    the q1 line, whose pairs' predictors are predictor_for_q(q)."""
     from crossrisk.predictors.bundle import ALL_PAIRS
     from crossrisk.stream import Direction
     from conftest import constant_velocity_window
 
-    values = {0: 5.0, 1: 3.0, 2: 4.0}  # q1 < q0: must be raised
-    bundle = TrainedModelBundle(predictors={pair: make(values.get(pair[1], 1.0)) for pair in ALL_PAIRS})
+    bundle = TrainedModelBundle(predictors={pair: predictor_for_q(pair[1]) for pair in ALL_PAIRS})
     pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
     window = constant_velocity_window((-2.0, 1.0), (2.0, 0.0))
     (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, {})])
@@ -152,15 +137,21 @@ class TestPipeline:
             pipeline.run(frames)
 
     def test_non_monotone_predictions_are_ordered(self):
-        """A predictor emitting out-of-order per-line estimates must still
-        produce a physically ordered estimate set."""
-        est = _ordered_frame_estimate(Jumbled)
-        assert [est.ped_q0, est.ped_q1, est.ped_q2] == [5.0, 5.0, 5.0]
+        """Out-of-order per-line estimates from different passes (a GRU
+        answers 5 s for q0 and 4 s for q2, the baseline about 2.8 s for q1)
+        must still produce a physically ordered estimate set."""
+        from crossrisk.predictors import HistoricalAveragePredictor
+
+        est = _ordered_frame_estimate(
+            lambda q: HistoricalAveragePredictor() if q == 1 else constant_gru(5.0 if q == 0 else 4.0)
+        )
+        assert est.ped_q0 == pytest.approx(5.0, rel=1e-12)
+        assert [est.ped_q0, est.ped_q1, est.ped_q2] == [est.ped_q0] * 3
 
     def test_non_monotone_stacked_predictions_are_ordered(self):
-        """The same for GRU estimates, which arrive after the frame's
-        stacked pass."""
-        est = _ordered_frame_estimate(constant_gru)
+        """The same for GRU estimates alone, 5, 3 and 4 s for q0, q1 and q2,
+        which arrive after the frame's stacked pass."""
+        est = _ordered_frame_estimate(lambda q: constant_gru({0: 5.0, 1: 3.0, 2: 4.0}[q]))
         assert est.ped_q0 == pytest.approx(5.0, rel=1e-12)
         assert [est.ped_q0, est.ped_q1, est.ped_q2] == [est.ped_q0] * 3
 
@@ -323,7 +314,7 @@ class TestBatchedFrame:
     def test_baseline_frame_makes_one_stacked_pass(self, busy_scenario, monkeypatch):
         """With the default bundle a frame answers all its requests in one
         stacked_arrival_times pass and makes no one-window predict call."""
-        import crossrisk.pipeline as pipeline_module
+        import crossrisk.predictors.bundle as bundle_module
         from crossrisk.predictors import HistoricalAveragePredictor
 
         def no_single_window_calls(*args, **kwargs):
@@ -331,13 +322,13 @@ class TestBatchedFrame:
 
         monkeypatch.setattr(HistoricalAveragePredictor, "predict", no_single_window_calls)
         passes = []
-        stacked = pipeline_module.stacked_arrival_times
+        stacked = bundle_module.stacked_arrival_times
 
         def counting(requests):
             passes[-1].append(len(requests))
             return stacked(requests)
 
-        monkeypatch.setattr(pipeline_module, "stacked_arrival_times", counting)
+        monkeypatch.setattr(bundle_module, "stacked_arrival_times", counting)
         pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
         for frame in range(min(busy_scenario), max(busy_scenario) + 1):
             passes.append([])
@@ -347,21 +338,22 @@ class TestBatchedFrame:
         assert pipeline.result.trace
 
     def test_failing_baseline_request_yields_none(self):
-        from crossrisk.errors import NoApproach
+        """A standing pedestrian: its baseline pair fails with
+        ZeroDisplacement and gives None, while its GRU pairs answer."""
+        from crossrisk.errors import ZeroDisplacement
+        from crossrisk.predictors import HistoricalAveragePredictor
         from crossrisk.predictors.bundle import ALL_PAIRS
         from crossrisk.stream import Direction
-        from conftest import constant_velocity_window
-
-        class Failing:
-            name = "failing"
-
-            def predict(self, window, line):
-                raise NoApproach("never approaches")
+        from conftest import make_window
 
         predictors = {pair: constant_gru(2.0 + pair[1]) for pair in ALL_PAIRS}
-        window = constant_velocity_window((-2.0, 1.0), (2.0, 0.0))
-        predictors[(window.category, 1)] = Failing()
-        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), TrainedModelBundle(predictors))
+        window = make_window(np.tile([-2.0, 1.0], (30, 1)))
+        predictors[(window.category, 1)] = HistoricalAveragePredictor()
+        bundle = TrainedModelBundle(predictors)
+        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
+        line = pipeline.area_map.line("ped_ltr_q1")
+        (failure,) = bundle.arrival_times([(1, window, line)])
+        assert isinstance(failure, ZeroDisplacement)
         (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, {})])
         assert est.ped_q1 is None
         assert est.ped_q0 == pytest.approx(2.0, rel=1e-12)
@@ -371,7 +363,7 @@ class TestBatchedFrame:
         """Pedestrian pairs hidden 5, vehicle pairs hidden 9: a frame makes at
         most one predict_stacked call per hidden size, and no one-window
         GRU call at all."""
-        import crossrisk.pipeline as pipeline_module
+        import crossrisk.predictors.bundle as bundle_module
 
         def no_single_window_calls(*args, **kwargs):
             raise AssertionError("the frame loop made a one-window GRU call")
@@ -379,13 +371,13 @@ class TestBatchedFrame:
         monkeypatch.setattr(RecurrentRegressor, "predict", no_single_window_calls)
         monkeypatch.setattr(RecurrentRegressor, "forward_batch", no_single_window_calls)
         passes = []
-        stacked = pipeline_module.predict_stacked
+        stacked = bundle_module.predict_stacked
 
         def counting(models, features):
             passes[-1].append((models[0].hidden_size, len(models)))
             return stacked(models, features)
 
-        monkeypatch.setattr(pipeline_module, "predict_stacked", counting)
+        monkeypatch.setattr(bundle_module, "predict_stacked", counting)
 
         def hidden_for(pair):
             return 9 if pair[0].conflict_area is not None else 5
@@ -400,3 +392,19 @@ class TestBatchedFrame:
         # two pedestrians' three lines each in one pass
         assert max(g for frame in passes for _, g in frame) >= 6
         assert pipeline.result.trace
+
+    def test_bundle_holding_another_predictor_raises_type_error(self):
+        """A bundle answers only with the baseline and the GRU; anything else
+        raises TypeError naming its pair."""
+        from crossrisk.predictors.bundle import ALL_PAIRS
+        from crossrisk.stream import AgentCategory
+        from conftest import constant_velocity_window
+
+        predictors = {pair: constant_gru(2.0) for pair in ALL_PAIRS}
+        predictors[(AgentCategory.ADULT, 2)] = object()
+        bundle = TrainedModelBundle(predictors)
+        window = constant_velocity_window((-2.0, 1.0), (2.0, 0.0))
+        line = reference_area_map().line("ped_ltr_q2")
+        assert bundle.arrival_times([(1, window, line)]) == [pytest.approx(2.0, rel=1e-12)]
+        with pytest.raises(TypeError, match=r"\(i=0, q=2\)"):
+            bundle.arrival_times([(1, window, line), (2, window, line)])

@@ -291,10 +291,12 @@ class TestLifecycle:
             engine.ingest_frame(2, [obs(2)])
 
     def test_lifecycle_monotone_within_episode(self, area_map):
+        """Across the crossing, through the far Area 2 and Area 1 and out of
+        the map: one episode, which ends exited."""
         engine = StreamEngine(area_map)
         statuses = []
         frame = 0
-        for x in np.arange(-5.0, 12.5, 0.08):
+        for x in np.arange(-5.0, 24.0, 0.08):
             engine.ingest_frame(frame, [obs(frame, x=float(x))])
             statuses.append(engine.pedestrians["a0"].status)
             frame += 1
@@ -302,6 +304,7 @@ class TestLifecycle:
         ranks = [order[s] for s in statuses]
         assert ranks == sorted(ranks)
         assert ranks[-1] == 2
+        assert engine.pedestrians["a0"].episode == 1
 
     def test_replay_determinism(self, area_map):
         frames = [walk("a0", -5.0, 0.08, 1, first_frame=i)[0] for i in range(60)]

@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from crossrisk.errors import DatasetTooSmall, DivergedLoss, EmptyCandidates, PredictionError
+from crossrisk.errors import DatasetTooSmall, DivergedLoss, PredictionError
 from crossrisk.geometry import TargetLine, WorldPoint
 from crossrisk.predictors import (
     AgentKind,
-    ArrivalPrediction,
     LabeledSample,
     TargetLocation,
     TrainingConfig,
@@ -17,9 +16,9 @@ from crossrisk.predictors.recurrent import RecurrentRegressor, window_features
 from crossrisk.predictors.training import (
     _features_and_targets,
     evaluate_mae,
-    select_model,
     split_samples,
     train,
+    train_and_select,
     usable_samples,
 )
 from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
@@ -54,17 +53,6 @@ def constant_velocity_samples(n: int, seed: int = 0, awareness=Awareness.DID_NOT
             )
         )
     return out
-
-
-class StubPredictor:
-    """Constant-output predictor for selection arithmetic."""
-
-    def __init__(self, value: float, name: str):
-        self.value = value
-        self.name = name
-
-    def predict(self, window, line):
-        return ArrivalPrediction(self.value, self.name)
 
 
 class TestTrain:
@@ -107,60 +95,49 @@ class TestTrain:
             train(model, samples, config)
 
 
-class TestSelectModel:
-    def _val_samples(self):
-        # label 1.0 everywhere makes a stub's MAE = |value - 1|
-        return [
-            LabeledSample(
-                window=window_ending_at_distance(1.0, 5.0, f"s{k}"),
-                arrival_time=1.0,
-                category=AgentCategory.ADULT,
-                q=TARGET,
-            )
-            for k in range(10)
-        ]
+def select_by_maes(monkeypatch, baseline_mae, gru_maes, hidden_sizes):
+    """train_and_select where the baseline scores baseline_mae and the GRU of
+    hidden size h trains to gru_maes[h]: its selection arithmetic alone."""
+    from crossrisk.predictors import training
 
-    def test_argmin_by_validation_mae(self):
-        val = self._val_samples()
-        candidates = [StubPredictor(3.0, "m0"), StubPredictor(2.5, "m1"), StubPredictor(2.8, "m2")]
-        chosen, mae = select_model(candidates, val)
-        assert chosen.name == "m1"
-        assert mae == pytest.approx(1.5)
+    monkeypatch.setattr(training, "evaluate_mae", lambda predictor, samples: baseline_mae)
+    monkeypatch.setattr(training, "train", lambda model, split, config: (model, gru_maes[model.hidden_size]))
+    return train_and_select(constant_velocity_samples(60), TrainingConfig(seed=0), hidden_sizes)
+
+
+class TestSelectModel:
+    def test_argmin_by_validation_mae(self, monkeypatch):
+        chosen, mae = select_by_maes(monkeypatch, 3.0, {4: 2.5, 6: 2.8}, (4, 6))
+        assert chosen.name == "gru4"
+        assert mae == 2.5
 
     def test_single_candidate(self):
-        val = self._val_samples()
-        chosen, _ = select_model([StubPredictor(2.0, "only")], val)
-        assert chosen.name == "only"
+        samples = constant_velocity_samples(60)
+        chosen, mae = train_and_select(samples, TrainingConfig(seed=0), hidden_sizes=())
+        assert isinstance(chosen, HistoricalAveragePredictor)
+        _, val = split_samples(samples, 0)
+        assert mae == evaluate_mae(chosen, val)
 
-    def test_tie_breaks_to_first_declared(self):
-        val = self._val_samples()
-        candidates = [StubPredictor(2.5, "first"), StubPredictor(-0.0 + 2.5, "second")]
-        chosen, _ = select_model(candidates, val)
-        assert chosen.name == "first"
+    def test_tie_breaks_to_first_declared(self, monkeypatch):
+        chosen, _ = select_by_maes(monkeypatch, 2.5, {4: 2.5, 6: 2.5}, (4, 6))
+        assert isinstance(chosen, HistoricalAveragePredictor)
+        chosen, _ = select_by_maes(monkeypatch, 3.0, {4: 2.5, 6: 2.5}, (6, 4))
+        assert chosen.name == "gru6"
 
-    def test_empty_candidates(self):
-        with pytest.raises(EmptyCandidates):
-            select_model([], self._val_samples())
-
-    def test_selection_dominance_under_permutation(self):
-        val = self._val_samples()
-        candidates = [StubPredictor(v, f"m{v}") for v in (3.0, 1.4, 2.0, 5.0)]
-        maes = {c.name: evaluate_mae(c, val) for c in candidates}
+    def test_selection_dominance_under_permutation(self, monkeypatch):
+        maes = {3: 3.0, 4: 1.4, 5: 2.0, 6: 5.0}
         rng = np.random.default_rng(3)
         for _ in range(10):
-            perm = [candidates[i] for i in rng.permutation(len(candidates))]
-            chosen, mae = select_model(perm, val)
-            assert mae <= min(maes.values()) + 1e-12
+            sizes = tuple(int(h) for h in rng.permutation(list(maes)))
+            chosen, mae = select_by_maes(monkeypatch, 2.2, maes, sizes)
+            assert (chosen.name, mae) == ("gru4", 1.4)
 
     def test_ha_wins_on_constant_velocity_data(self):
         """On exactly constant-velocity windows the closed-form baseline is
         exact, so selection must prefer it over a briefly trained model."""
         samples = constant_velocity_samples(120, seed=9)
         config = TrainingConfig(seed=3, hidden_size=8, epochs=3, patience=2)
-        model = RecurrentRegressor.initialize(8, np.random.default_rng(config.seed))
-        trained, _ = train(model, samples, config)
-        _, val = split_samples(samples, config.seed)
-        chosen, _ = select_model([HistoricalAveragePredictor(), trained], val)
+        chosen, _ = train_and_select(samples, config, hidden_sizes=(8,))
         assert isinstance(chosen, HistoricalAveragePredictor)
 
 
@@ -178,8 +155,8 @@ def test_train_and_select_featurizes_the_split_once(monkeypatch):
 
 def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
     """Only the baseline is scored again; each GRU's MAE is the one train
-    returned. The choice and its MAE equal select_model's over the same
-    candidates, bit for bit."""
+    returned. The choice and its MAE are the lowest evaluate_mae over the
+    same candidates, bit for bit."""
     from crossrisk.predictors import training
 
     samples = jittered_samples(120, seed=12)
@@ -195,7 +172,8 @@ def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
         train(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
         for h in (4, 6)
     ]
-    expected, expected_mae = select_model(candidates, val)
+    maes = [evaluate(c, val) for c in candidates]
+    expected, expected_mae = candidates[int(np.argmin(maes))], min(maes)
     assert isinstance(chosen, RecurrentRegressor) and chosen.name == expected.name
     assert mae == expected_mae
     assert all(np.array_equal(chosen.params[k], expected.params[k]) for k in chosen.params)
@@ -262,27 +240,26 @@ class TestBatchedScoring:
         baseline = candidates[0]
         assert any(s.window.end_position.x > LINE_X for s in samples)
         assert evaluate_mae(baseline, samples) == per_window_mae(baseline, samples)
-        for candidate in candidates + [StubPredictor(2.0, "stub")]:
+        for candidate in candidates:
             assert evaluate_mae(candidate, samples) == pytest.approx(
                 per_window_mae(candidate, samples), rel=1e-12
             )
 
-    def test_selection_matches_per_window_selection(self, candidates):
-        rng = np.random.default_rng(6)
-        chosen_names = set()
+    def test_selection_matches_per_window_selection(self):
+        """train_and_select picks the candidate that one predict call per
+        validation window would pick, with that candidate's MAE."""
         for seed in range(3):
-            samples = jittered_samples(50, seed=10 + seed)
-            # the 2.0 stub beats every other candidate here; the 9.0 one loses to the trained GRU
-            for stub in (StubPredictor(2.0, "stub"), StubPredictor(9.0, "stub")):
-                pool = candidates + [stub]
-                for _ in range(4):
-                    order = [pool[i] for i in rng.permutation(len(pool))]
-                    reference = [per_window_mae(c, samples) for c in order]
-                    chosen, mae = select_model(order, samples)
-                    assert chosen is order[int(np.argmin(reference))]
-                    assert mae == pytest.approx(min(reference), rel=1e-12)
-                    chosen_names.add(chosen.name)
-        assert chosen_names == {"stub", "gru8"}
+            samples = jittered_samples(120, seed=10 + seed)
+            config = TrainingConfig(seed=seed, epochs=2, patience=1)
+            chosen, mae = train_and_select(samples, config, hidden_sizes=(4, 6))
+            _, val = split_samples(usable_samples(samples), config.seed)
+            candidates = [HistoricalAveragePredictor()] + [
+                train(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
+                for h in (4, 6)
+            ]
+            reference = [per_window_mae(c, val) for c in candidates]
+            assert chosen.name == candidates[int(np.argmin(reference))].name
+            assert mae == pytest.approx(min(reference), rel=1e-12)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_recurrent_output_raises(self):
