@@ -12,27 +12,11 @@ import csv
 import gc
 import json
 import sys
-import time
-from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics
-from .errors import BudgetExceeded, CrossRiskError, DegenerateAnchors, ManifestError
-from .geometry import (
-    HomographyTile,
-    PixelPoint,
-    TileGrid,
-    WorldPoint,
-    load_area_map,
-    load_tile_grid,
-    project_point,
-    save_area_map,
-    save_tile_grid,
-    solve_homography,
-    transform_point,
-)
+from .errors import BudgetExceeded, CrossRiskError, ManifestError
+from .geometry import load_area_map, load_tile_grid, save_area_map, save_tile_grid
 from .pipeline import (
     RiskPipeline,
     latency_report,
@@ -50,14 +34,7 @@ from .predictors import (
 )
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
 from .risk import AreaRole, RiskLevel, RiskThresholdConfig
-from .stream import (
-    Observation,
-    StreamRow,
-    agent_trajectories,
-    read_stream_csv,
-    read_stream_rows,
-    write_stream_csv,
-)
+from .stream import StreamRow, agent_trajectories, load_stream, read_stream_rows, write_stream_csv
 from .synthgen import GroundTruth, ScenarioSpec, generate, reference_area_map
 
 EXIT_OK = 0
@@ -104,42 +81,18 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_homography(args: argparse.Namespace) -> int:
-    path = _require(args.anchors, "anchors file")
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    if not isinstance(raw, list) or not raw:
-        raise ManifestError(f"{path}: expected a non-empty JSON array of tiles")
-    tiles = []
-    max_residual = 0.0
-    for idx, entry in enumerate(raw):
-        try:
-            pixel = tuple(PixelPoint(float(u), float(v)) for u, v in entry["pixel"])
-            world = tuple(WorldPoint(float(x), float(y)) for x, y in entry["world"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"{path}: tile {idx} malformed: {exc}") from exc
-        try:
-            matrix = solve_homography(pixel, world)
-        except DegenerateAnchors as exc:
-            raise ManifestError(f"{path}: tile {idx}: {exc}") from exc
-        for p, w in zip(pixel, world):
-            x, y = project_point(matrix, p.u, p.v)
-            max_residual = max(max_residual, float(np.hypot(x - w.x, y - w.y)))
-        tiles.append(HomographyTile(pixel, matrix, world))
-    grid = TileGrid(tuple(tiles))
+    grid = load_tile_grid(str(_require(args.anchors, "anchors file")))
+    max_residual = max(
+        tile.transform(p).distance_to(w)
+        for tile in grid.tiles
+        for p, w in zip(tile.pixel_region, tile.world_region)
+    )
     save_tile_grid(args.out, grid)
-    print(f"homography: {len(tiles)} tiles, max corner residual {max_residual:.3e} m")
+    print(f"homography: {len(grid.tiles)} tiles, max corner residual {max_residual:.3e} m")
     return EXIT_OK
 
 
 # --- build-dataset ------------------------------------------------------------------
-
-
-def _load_stream(args: argparse.Namespace) -> dict[int, list[Observation]]:
-    grid = load_tile_grid(str(_require(args.tile_grid, "tile grid"))) if args.tile_grid else None
-    return read_stream_csv(str(_require(args.stream, "stream file")), grid)
 
 
 def _annotations_from_truth(truth: GroundTruth) -> dict[str, AgentAnnotation]:
@@ -160,7 +113,7 @@ def _annotations_from_truth(truth: GroundTruth) -> dict[str, AgentAnnotation]:
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     area_map = load_area_map(str(_require(args.area_map, "area map")))
-    frames = _load_stream(args)
+    frames, _ = load_stream(args.stream, args.tile_grid)
     annotations = None
     if args.truth:
         annotations = _annotations_from_truth(GroundTruth.load(str(_require(args.truth, "ground truth"))))
@@ -208,41 +161,43 @@ def _load_bundle(args: argparse.Namespace) -> TrainedModelBundle:
     return TrainedModelBundle.historical_average()
 
 
-@contextmanager
-def _gc_frozen():
-    """Run the frame loop with every object built so far (stream rows, bundle,
-    area map, pipeline) moved out of the collector's reach by gc.freeze(), so
-    no full collection walks them inside a frame; gc.unfreeze() on exit."""
-    gc.freeze()
-    try:
-        yield
-    finally:
-        gc.unfreeze()
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskPipeline, int, list[float]]:
+    """Load the area map, thresholds, bundle and stream of evaluate or replay,
+    and run the stream through one pipeline. The run holds every object built
+    so far (stream, bundle, area map, pipeline) out of the collector's reach
+    by gc.freeze(), so no full collection walks them inside a frame. Returns
+    the pipeline, the number of frames with rows and the per-frame transform
+    times."""
     area_map = load_area_map(str(_require(args.area_map, "area map")))
     thresholds = _load_thresholds(args)
     bundle = _load_bundle(args)
-    frames = _load_stream(args)
+    frames, transform_ms = load_stream(args.stream, args.tile_grid)
+    pipeline = RiskPipeline(area_map, thresholds, bundle, fps=args.fps)
+    gc.freeze()
+    try:
+        pipeline.run(frames, realtime)
+    finally:
+        gc.unfreeze()
+    return pipeline, len(frames), transform_ms
+
+
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    pipeline, frames, _ = _run_stream(args)
+    result = pipeline.result
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-
-    pipeline = RiskPipeline(area_map, thresholds, bundle, fps=args.fps)
-    with _gc_frozen():
-        result = pipeline.run(frames)
     write_risk_scenarios(str(out / "risk_scenarios.jsonl"), result.risk_scenarios)
     write_trace_csv(str(out / "ppet_trace.csv"), result.trace)
 
     vectors = result.vectors_by_ped
     summary = {
-        "frames": len(frames),
+        "frames": frames,
         "risk_scenarios": len(result.risk_scenarios),
         "evaluated_pedestrians": len(vectors),
     }
     if args.truth:
         truth = GroundTruth.load(str(_require(args.truth, "ground truth")))
-        counts = confusion(_truth_episodes(truth, vectors), thresholds)
+        counts = confusion(_truth_episodes(truth, vectors), pipeline.thresholds)
         summary["metrics"] = metrics(counts).to_dict()
         _write_json(str(out / "metrics.json"), summary["metrics"])
     _write_json(str(out / "summary.json"), summary)
@@ -322,52 +277,17 @@ def _read_pixel_rows(path: str) -> dict[int, list[StreamRow]]:
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    area_map = load_area_map(str(_require(args.area_map, "area map")))
-    thresholds = _load_thresholds(args)
-    bundle = _load_bundle(args)
-    point, rows = read_stream_rows(str(_require(args.stream, "stream file")))
-    pixel = point is PixelPoint
-    grid = load_tile_grid(str(_require(args.tile_grid, "tile grid"))) if pixel else None
-
-    pipeline = RiskPipeline(area_map, thresholds, bundle, fps=args.fps)
-    transform_ms: list[float] = []
-    if rows:
-        frame_period = 1.0 / args.fps
-        wall_start = time.perf_counter()
-        with _gc_frozen():
-            for index, frame in enumerate(range(min(rows), max(rows) + 1)):
-                t0 = time.perf_counter()
-                observations = [
-                    Observation(frame, t, agent_id, category, transform_point(grid, p) if pixel else p)
-                    for (t, agent_id, category, p) in rows.get(frame, [])
-                ]
-                if pixel:
-                    transform_ms.append((time.perf_counter() - t0) * 1000.0)
-                pipeline.process_frame(frame, observations)
-                if args.realtime:
-                    target = wall_start + (index + 1) * frame_period
-                    delay = target - time.perf_counter()
-                    if delay > 0:
-                        time.sleep(delay)
-
-    report = latency_report(
-        pipeline.result.prediction_ms, pipeline.result.ppet_risk_ms, transform_ms
-    )
-    doc = report.to_dict()
-    doc["risk_scenarios"] = len(pipeline.result.risk_scenarios)
+    pipeline, _, transform_ms = _run_stream(args, args.realtime)
+    result = pipeline.result
+    doc = latency_report(result.prediction_ms, result.ppet_risk_ms, transform_ms)
+    doc["risk_scenarios"] = len(result.risk_scenarios)
     if args.out:
         _write_json(args.out, doc)
     print(json.dumps(doc, indent=2, sort_keys=True))
-    if args.assert_budget is not None and report.safety_eval_mean_ms >= args.assert_budget:
-        raise BudgetExceeded(
-            f"safety evaluation mean {report.safety_eval_mean_ms:.3f} ms "
-            f">= budget {args.assert_budget} ms"
-        )
-    if args.assert_p99 is not None and report.safety_eval_p99_ms >= args.assert_p99:
-        raise BudgetExceeded(
-            f"safety evaluation p99 {report.safety_eval_p99_ms:.3f} ms "
-            f">= budget {args.assert_p99} ms"
-        )
+    for gate, budget in (("mean", args.assert_budget), ("p99", args.assert_p99)):
+        value = doc[f"safety_evaluation_{gate}_ms"]
+        if budget is not None and value >= budget:
+            raise BudgetExceeded(f"safety evaluation {gate} {value:.3f} ms >= budget {budget} ms")
     return EXIT_OK
 
 

@@ -484,8 +484,10 @@ def locate_area(area_map: AreaMap, p: WorldPoint) -> str | None:
 def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.NEAREST_TILE) -> TileGrid:
     """Read a tile-grid JSON file (list of {"pixel": ..., "world": ...}).
 
-    Entries may carry a precomputed "matrix"; otherwise the map is solved
-    from the anchor pairs.
+    Entries may carry a precomputed "matrix", kept once it maps the pixel
+    corners onto the world corners; otherwise the map is solved from the
+    anchor pairs. A malformed or degenerate tile, or overlapping tiles,
+    raise ManifestError naming the file (and the tile).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -499,13 +501,16 @@ def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.N
         try:
             pixel = tuple(PixelPoint(float(u), float(v)) for u, v in entry["pixel"])
             world = tuple(WorldPoint(float(x), float(y)) for x, y in entry["world"])
-        except (KeyError, TypeError, ValueError) as exc:
+            if "matrix" in entry:
+                tiles.append(HomographyTile(pixel, np.asarray(entry["matrix"], dtype=float), world))
+            else:
+                tiles.append(tile_from_anchors(pixel, world))
+        except (KeyError, TypeError, ValueError, DegenerateAnchors) as exc:
             raise ManifestError(f"tile {idx} in {path} is malformed: {exc}") from exc
-        if "matrix" in entry:
-            tiles.append(HomographyTile(pixel, np.asarray(entry["matrix"], dtype=float), world))
-        else:
-            tiles.append(tile_from_anchors(pixel, world))
-    return TileGrid(tuple(tiles), fallback_policy)
+    try:
+        return TileGrid(tuple(tiles), fallback_policy)
+    except ValueError as exc:
+        raise ManifestError(f"tile grid {path}: {exc}") from exc
 
 
 def save_tile_grid(path: str, grid: TileGrid) -> None:

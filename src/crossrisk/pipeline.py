@@ -235,11 +235,20 @@ class RiskPipeline:
         self.result.ppet_risk_ms.append(ppet_risk_ms)
         return decisions_out
 
-    def run(self, frames: Mapping[int, Sequence[Observation]]) -> EvaluationResult:
-        """Process a whole stream (contiguous frame range, empty frames included)."""
+    def run(self, frames: Mapping[int, Sequence[Observation]], realtime: bool = False) -> EvaluationResult:
+        """Process a whole stream (contiguous frame range, empty frames included).
+
+        With realtime, frames arrive as from a camera at self.fps: the n-th
+        frame after the first is not handed over before n / fps seconds.
+        """
         if frames:
-            first, last = min(frames), max(frames)
-            for frame in range(first, last + 1):
+            period = 1.0 / self.fps
+            start = time.perf_counter()
+            for index, frame in enumerate(range(min(frames), max(frames) + 1)):
+                if realtime:
+                    delay = start + index * period - time.perf_counter()
+                    if delay > 0:
+                        time.sleep(delay)
                 self.process_frame(frame, frames.get(frame, []))
         return self.result
 
@@ -333,67 +342,32 @@ def write_risk_scenarios(path: str, scenarios: Sequence[RiskScenario]) -> None:
             fh.write("\n")
 
 
-@dataclass(frozen=True)
-class LatencyReport:
-    """Per-frame latency of the safety-evaluation path, in milliseconds.
-
-    The safety-evaluation figures are prediction plus P-PET/risk time per
-    frame: their mean, which the real-time budget gates, and their tail.
-    """
-
-    transform_mean_ms: float
-    transform_std_ms: float
-    prediction_mean_ms: float
-    prediction_std_ms: float
-    ppet_risk_mean_ms: float
-    ppet_risk_std_ms: float
-    safety_eval_mean_ms: float
-    safety_eval_p50_ms: float
-    safety_eval_p99_ms: float
-    safety_eval_max_ms: float
-    frames: int
-    unit: str = "frame"
-
-    def to_dict(self) -> dict:
-        return {
-            "unit": self.unit,
-            "frames": self.frames,
-            "transform_ms": {"mean": self.transform_mean_ms, "std": self.transform_std_ms},
-            "prediction_ms": {"mean": self.prediction_mean_ms, "std": self.prediction_std_ms},
-            "ppet_risk_ms": {"mean": self.ppet_risk_mean_ms, "std": self.ppet_risk_std_ms},
-            "safety_evaluation_mean_ms": self.safety_eval_mean_ms,
-            "safety_evaluation_p50_ms": self.safety_eval_p50_ms,
-            "safety_evaluation_p99_ms": self.safety_eval_p99_ms,
-            "safety_evaluation_max_ms": self.safety_eval_max_ms,
-        }
-
-
 def latency_report(
     prediction_ms: Sequence[float],
     ppet_risk_ms: Sequence[float],
     transform_ms: Sequence[float] = (),
-) -> LatencyReport:
-    def stats(values: Sequence[float]) -> tuple[float, float]:
+) -> dict:
+    """Per-frame latency of the safety-evaluation path, in milliseconds: the
+    mean and standard deviation of each stage, and of the safety evaluation
+    (prediction plus P-PET/risk per frame) its mean, which the real-time
+    budget gates, and its tail."""
+    def stats(values: Sequence[float]) -> dict[str, float]:
         if not values:
-            return 0.0, 0.0
+            return {"mean": 0.0, "std": 0.0}
         arr = np.asarray(values)
-        return float(arr.mean()), float(arr.std())
+        return {"mean": float(arr.mean()), "std": float(arr.std())}
 
-    t_mean, t_std = stats(transform_ms)
-    p_mean, p_std = stats(prediction_ms)
-    r_mean, r_std = stats(ppet_risk_ms)
+    prediction, ppet_risk = stats(prediction_ms), stats(ppet_risk_ms)
     safety = np.add(prediction_ms, ppet_risk_ms)
     p50, p99, worst = np.percentile(safety, [50, 99, 100]).tolist() if safety.size else (0.0, 0.0, 0.0)
-    return LatencyReport(
-        transform_mean_ms=t_mean,
-        transform_std_ms=t_std,
-        prediction_mean_ms=p_mean,
-        prediction_std_ms=p_std,
-        ppet_risk_mean_ms=r_mean,
-        ppet_risk_std_ms=r_std,
-        safety_eval_mean_ms=p_mean + r_mean,
-        safety_eval_p50_ms=p50,
-        safety_eval_p99_ms=p99,
-        safety_eval_max_ms=worst,
-        frames=len(prediction_ms),
-    )
+    return {
+        "unit": "frame",
+        "frames": len(prediction_ms),
+        "transform_ms": stats(transform_ms),
+        "prediction_ms": prediction,
+        "ppet_risk_ms": ppet_risk,
+        "safety_evaluation_mean_ms": prediction["mean"] + ppet_risk["mean"],
+        "safety_evaluation_p50_ms": p50,
+        "safety_evaluation_p99_ms": p99,
+        "safety_evaluation_max_ms": worst,
+    }

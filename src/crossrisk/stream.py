@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import math
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -26,7 +27,7 @@ from .errors import (
     OutOfOrderFrame,
     UnknownDirection,
 )
-from .geometry import AreaMap, PixelPoint, TileGrid, WorldPoint, locate_areas, transform_point
+from .geometry import AreaMap, PixelPoint, WorldPoint, load_tile_grid, locate_areas, transform_point
 
 WINDOW_SIZE = 30           # points per sliding window (1 s at 30 FPS)
 MIN_TRAJECTORY_LENGTH = 30  # prediction gate; coincides with the window size
@@ -466,19 +467,36 @@ def read_stream_rows(path: str) -> tuple[type, dict[int, list[StreamRow]]]:
     return point, frames
 
 
-def read_stream_csv(path: str, tile_grid: TileGrid | None = None) -> dict[int, list[Observation]]:
-    """Read a stream CSV into frame -> observations.
+def load_stream(path: str, tile_grid: str | None = None) -> tuple[dict[int, list[Observation]], list[float]]:
+    """Read a stream CSV into frame -> world observations, and the time (ms)
+    spent turning each frame's rows into observations.
 
-    Accepts the world-coordinate header (x, y) or the pixel variant (u, v);
-    the pixel variant requires a tile grid to transform on ingest.
+    A world header (x, y) ignores tile_grid and times nothing. A pixel header
+    (u, v) requires tile_grid, the path of a tile-grid file, which is read
+    only then: each frame's rows are transformed through it once, and every
+    frame from the first to the last, empty ones included, gets one time.
     """
-    frames: dict[int, list[Observation]] = {}
-    with open_stream(path) as (point, rows):
-        pixel = point is PixelPoint
-        if pixel and tile_grid is None:
+    point, rows = read_stream_rows(path)
+    pixel = point is PixelPoint
+    if pixel:
+        if tile_grid is None:
             raise ManifestError(f"{path} is a pixel stream; a tile grid is required")
-        for frame, (t, agent_id, category, p) in rows:
-            if pixel:
-                p = transform_point(tile_grid, p)
-            frames.setdefault(frame, []).append(Observation(frame, t, agent_id, category, p))
-    return frames
+        grid = load_tile_grid(tile_grid)
+    frames: dict[int, list[Observation]] = {}
+    transform_ms: list[float] = []
+    for frame in range(min(rows), max(rows) + 1) if rows else ():
+        t0 = time.perf_counter()
+        observations = [
+            Observation(frame, t, agent_id, category, transform_point(grid, p) if pixel else p)
+            for t, agent_id, category, p in rows.pop(frame, ())
+        ]
+        if pixel:
+            transform_ms.append((time.perf_counter() - t0) * 1000.0)
+        if observations:
+            frames[frame] = observations
+    return frames, transform_ms
+
+
+def read_stream_csv(path: str) -> dict[int, list[Observation]]:
+    """Read a world-coordinate stream CSV into frame -> observations."""
+    return load_stream(path)[0]

@@ -75,11 +75,24 @@ class TestHomography:
         assert code == EXIT_INPUT
         assert "line" in capsys.readouterr().err
 
-    def test_degenerate_tile_fails_fast(self, tmp_path):
+    def test_degenerate_tile_fails_fast(self, tmp_path, capsys):
         anchors = [{"pixel": [[0, 0], [1, 1], [2, 2], [0, 1]], "world": [[0, 0], [1, 0], [1, 1], [0, 1]]}]
         src = tmp_path / "anchors.json"
         src.write_text(json.dumps(anchors), encoding="utf-8")
         assert main(["homography", "--anchors", str(src), "--out", str(tmp_path / "g.json")]) == EXIT_INPUT
+        assert f"tile 0 in {src}" in capsys.readouterr().err
+
+    def test_matrix_entry_is_kept_once_it_maps_the_corners(self, tmp_path, capsys):
+        """An anchors entry with a "matrix" keeps it (a scaled matrix is the
+        same map); one that misses a corner exits 2 naming the tile."""
+        square = [[0, 0], [1, 0], [1, 1], [0, 1]]
+        src = tmp_path / "anchors.json"
+        out = tmp_path / "grid.json"
+        for matrix, code in ((2 * np.eye(3), EXIT_OK), (np.diag([2.0, 1.0, 1.0]), EXIT_INPUT)):
+            src.write_text(json.dumps([{"pixel": square, "world": square, "matrix": matrix.tolist()}]))
+            assert main(["homography", "--anchors", str(src), "--out", str(out)]) == code
+        assert json.loads(out.read_text())[0]["matrix"] == (2 * np.eye(3)).tolist()
+        assert f"tile 0 in {src}" in capsys.readouterr().err
 
 
 class TestBuildDatasetAndTrain:
@@ -323,6 +336,14 @@ class TestReplayAndMetrics:
         report = json.loads(out.read_text())
         assert report["transform_ms"]["mean"] > 0.0
         assert report["frames"] > 0
+        # evaluate runs the same frames and reports the same flags
+        code = main([
+            "evaluate", "--stream", str(pixel_path), "--area-map", str(map_path),
+            "--tile-grid", str(grid_path), "--out", str(tmp_path / "eval"),
+        ])
+        assert code == EXIT_OK
+        summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
+        assert summary["risk_scenarios"] == report["risk_scenarios"] > 0
 
     def test_replay_budget_violation_exits_3(self, gen_dir, tmp_path):
         code = main([
@@ -490,7 +511,36 @@ def test_pixel_stream_without_tile_grid_is_exit_2(command, rows, tmp_path, capsy
     stream = tmp_path / "pixels.csv"
     stream.write_text("frame,t,id,category,u,v\n" + rows, encoding="utf-8")
     assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
-    assert "tile grid" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"error: {stream} is a pixel stream; a tile grid is required\n"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+def test_world_stream_does_not_read_the_tile_grid(command, tmp_path):
+    stream = tmp_path / "stream.csv"
+    stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
+    assert _stream_command(command, stream, tmp_path, "--tile-grid", str(tmp_path / "nope.json")) == EXIT_OK
+
+
+_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize(
+    "second_tile, message",
+    [
+        ({"pixel": [[2, 0], [3, 1], [4, 2], [2, 1]], "world": _SQUARE}, "tile 1 in {grid} is malformed"),
+        ({"pixel": _SQUARE, "world": _SQUARE}, "tile grid {grid}: tile 0 overlaps tile 1"),
+    ],
+    ids=["degenerate", "overlapping"],
+)
+def test_bad_tile_grid_names_the_file(command, second_tile, message, tmp_path, capsys):
+    stream = tmp_path / "pixels.csv"
+    stream.write_text("frame,t,id,category,u,v\n0,0.0,a0,0,640.0,400.0\n", encoding="utf-8")
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps([{"pixel": _SQUARE, "world": _SQUARE}, second_tile]))
+    assert _stream_command(command, stream, tmp_path, "--tile-grid", str(grid)) == EXIT_INPUT
+    assert message.format(grid=grid) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])

@@ -113,21 +113,22 @@ class TestPipeline:
         assert len(result.prediction_ms) == n_frames
         assert len(result.ppet_risk_ms) == n_frames
         report = latency_report(result.prediction_ms, result.ppet_risk_ms)
-        assert report.safety_eval_mean_ms == pytest.approx(
-            report.prediction_mean_ms + report.ppet_risk_mean_ms
+        assert report["safety_evaluation_mean_ms"] == pytest.approx(
+            report["prediction_ms"]["mean"] + report["ppet_risk_ms"]["mean"]
         )
-        assert report.frames == n_frames
+        assert report["frames"] == n_frames
 
     def test_latency_report_tail_of_per_frame_safety_evaluation(self):
         prediction = [float(i) for i in range(1, 101)]
         ppet_risk = [0.5] * 100
         report = latency_report(prediction, ppet_risk)
-        assert report.safety_eval_mean_ms == pytest.approx(51.0)
-        assert report.safety_eval_p50_ms == pytest.approx(51.0)
-        assert report.safety_eval_p99_ms == pytest.approx(99.5 + 0.01)
-        assert report.safety_eval_max_ms == 100.5
+        assert report["safety_evaluation_mean_ms"] == pytest.approx(51.0)
+        assert report["safety_evaluation_p50_ms"] == pytest.approx(51.0)
+        assert report["safety_evaluation_p99_ms"] == pytest.approx(99.5 + 0.01)
+        assert report["safety_evaluation_max_ms"] == 100.5
         empty = latency_report([], [])
-        assert (empty.safety_eval_p50_ms, empty.safety_eval_p99_ms, empty.safety_eval_max_ms) == (0.0, 0.0, 0.0)
+        tail = [empty[f"safety_evaluation_{q}_ms"] for q in ("p50", "p99", "max")]
+        assert tail == [0.0, 0.0, 0.0]
 
     def test_missing_predictor_raises(self, scenario):
         frames, _ = scenario

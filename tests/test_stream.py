@@ -24,6 +24,7 @@ from crossrisk.stream import (
     agent_trajectories,
     closer_further_assignment,
     infer_direction,
+    load_stream,
     read_stream_csv,
     window,
     write_stream_csv,
@@ -396,6 +397,7 @@ class TestStreamCsv(object):
             assert back[k] == per_frame[k]
 
     def test_pixel_variant_transforms(self, tmp_path, tile_grid):
+        from crossrisk.geometry import save_tile_grid
         from crossrisk.synthgen import camera_pixel_of
 
         world = WorldPoint(3.0, 1.0)
@@ -403,10 +405,16 @@ class TestStreamCsv(object):
         path = tmp_path / "pixels.csv"
         path.write_text(
             "frame,t,id,category,u,v\n"
-            f"0,0.0,a0,0,{pixel.u!r},{pixel.v!r}\n",
+            f"0,0.0,a0,0,{pixel.u!r},{pixel.v!r}\n"
+            f"3,0.1,a0,0,{pixel.u!r},{pixel.v!r}\n",
             encoding="utf-8",
         )
-        back = read_stream_csv(str(path), tile_grid)
+        grid_path = tmp_path / "grid.json"
+        save_tile_grid(str(grid_path), tile_grid)
+        back, transform_ms = load_stream(str(path), str(grid_path))
+        assert sorted(back) == [0, 3]
         got = back[0][0].position
         assert abs(got.x - world.x) < 1e-6
         assert abs(got.y - world.y) < 1e-6
+        # one time per frame from the first to the last, empty frames included
+        assert len(transform_ms) == 4
