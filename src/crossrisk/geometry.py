@@ -250,31 +250,57 @@ class TileGrid:
     def __post_init__(self) -> None:
         if not self.tiles:
             raise ValueError("tile grid must contain at least one tile")
+        # rows u_min, u_max, v_min, v_max, one column per tile: the padded
+        # boxes outside which a tile contains no point, and the corners'
+        # own boxes, which hold every point of a tile's edges
+        boxes = np.array([tile._box for tile in self.tiles]).T.copy()
+        corners = np.array([tile._corners for tile in self.tiles])
+        corner_boxes = np.stack([corners[:, :, 0].min(1), corners[:, :, 0].max(1),
+                                 corners[:, :, 1].min(1), corners[:, :, 1].max(1)])
+        object.__setattr__(self, "_boxes", boxes)
+        object.__setattr__(self, "_corner_boxes", corner_boxes)
+        object.__setattr__(self, "_scale", max(1.0, float(np.abs(corners).max())))
         # cheap overlap guard: a tile center must not sit inside another tile
         centers = [
             (sum(c.u for c in t.pixel_region) / 4.0, sum(c.v for c in t.pixel_region) / 4.0)
             for t in self.tiles
         ]
         for i, (cu, cv) in enumerate(centers):
-            for j, tile in enumerate(self.tiles):
-                if i != j and point_in_polygon(cu, cv, [(c.u, c.v) for c in tile.pixel_region]):
+            for j in self._held_by(cu, cv):
+                if i != j and point_in_polygon(cu, cv, self.tiles[j]._corners):
                     raise ValueError(f"tile {i} overlaps tile {j} beyond a shared edge")
+
+    def _held_by(self, u: float, v: float) -> list[int]:
+        """Indices, in tile order, of the tiles whose padded box holds (u, v):
+        the only ones that can contain it."""
+        b = self._boxes
+        return np.flatnonzero((b[0] <= u) & (u <= b[1]) & (b[2] <= v) & (v <= b[3])).tolist()
 
 
 def transform_point(grid: TileGrid, p: PixelPoint) -> WorldPoint:
     """Map a pixel point to world coordinates through its owning tile.
 
     The owning tile is the first one containing the point. Misses follow the
-    grid fallback policy: nearest tile by pixel distance, or rejection.
+    grid fallback policy: nearest tile by pixel distance to its edges (the
+    first of equal ones), or rejection.
     """
-    for tile in grid.tiles:
-        if tile.contains(p):
-            return tile.transform(p)
+    for k in grid._held_by(p.u, p.v):
+        if grid.tiles[k].contains(p):
+            return grid.tiles[k].transform(p)
     if grid.fallback_policy is FallbackPolicy.REJECT:
         raise OutsideCalibratedRegion(f"pixel ({p.u}, {p.v}) not covered by any tile")
-    # no tile contains p, so its distance to a tile is the one to the tile's edges
-    best = min(grid.tiles, key=lambda tile: tile.edge_distance(p))
-    return best.transform(p)
+    # No tile contains p, so its distance to a tile is the one to the tile's
+    # edges: the first tile of least edge distance. The distance to a tile's
+    # corner box is a lower bound of it, so only tiles whose bound comes
+    # within a margin, far above rounding error, of one tile's exact
+    # distance can be nearest; min over them in tile order keeps ties.
+    c = grid._corner_boxes
+    bound = np.hypot(np.maximum(np.maximum(c[0] - p.u, p.u - c[1]), 0.0),
+                     np.maximum(np.maximum(c[2] - p.v, p.v - c[3]), 0.0))
+    reach = grid.tiles[int(np.argmin(bound))].edge_distance(p)
+    reach += 1e-9 * (grid._scale + abs(p.u) + abs(p.v))
+    near = (grid.tiles[k] for k in np.flatnonzero(bound <= reach).tolist())
+    return min(near, key=lambda tile: tile.edge_distance(p)).transform(p)
 
 
 @dataclass(frozen=True)
@@ -486,8 +512,10 @@ def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.N
 
     Entries may carry a precomputed "matrix", kept once it maps the pixel
     corners onto the world corners; otherwise the map is solved from the
-    anchor pairs. A malformed or degenerate tile, or overlapping tiles,
-    raise ManifestError naming the file (and the tile).
+    anchor pairs. An entry with a matrix may leave "world" out or null (as
+    save_tile_grid writes for a tile built without one). A malformed or
+    degenerate tile, an entry with neither a matrix nor world corners, or
+    overlapping tiles raise ManifestError naming the file (and the tile).
     """
     try:
         with open(path, encoding="utf-8") as fh:
@@ -500,9 +528,13 @@ def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.N
     for idx, entry in enumerate(raw):
         try:
             pixel = tuple(PixelPoint(float(u), float(v)) for u, v in entry["pixel"])
-            world = tuple(WorldPoint(float(x), float(y)) for x, y in entry["world"])
+            world = entry.get("world")
+            if world is not None:
+                world = tuple(WorldPoint(float(x), float(y)) for x, y in world)
             if "matrix" in entry:
                 tiles.append(HomographyTile(pixel, np.asarray(entry["matrix"], dtype=float), world))
+            elif world is None:
+                raise ValueError('an entry needs a "matrix" or "world" corners')
             else:
                 tiles.append(tile_from_anchors(pixel, world))
         except (KeyError, TypeError, ValueError, DegenerateAnchors) as exc:

@@ -29,9 +29,15 @@ PARAM_NAMES = (
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
-    # so neither branch can overflow.
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # so neither branch can overflow. The steps run in place on two fresh
+    # arrays: on a large batch, allocating a temporary per step cost more
+    # than the arithmetic.
+    e = np.abs(x)
+    np.exp(np.negative(e, out=e), out=e)
+    y = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    y /= e
+    return y
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -51,18 +57,47 @@ def window_features(window: SlidingWindowTrajectory) -> np.ndarray:
     return stacked_features(window.times[None], window.positions[None])[0]
 
 
-def _cell(p: Mapping[str, np.ndarray], xk: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One step of the gated cell: (h', z, r, c) from standardized inputs xk
-    and state h. The same equations serve a (N, 3) batch of one model's
-    windows and a (G, 1, 3) stack of G models' windows."""
-    z = _sigmoid(xk @ p["w_xz"] + h @ p["w_hz"] + p["b_z"])
-    r = _sigmoid(xk @ p["w_xr"] + h @ p["w_hr"] + p["b_r"])
-    c = np.tanh(xk @ p["w_xc"] + (r * h) @ p["w_hc"] + p["b_c"])
+def _fused(p: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
+    """The cell's weights laid out for _cell, with the gates on an axis of
+    their own: w_x (..., 3, 3, H) holds w_xz, w_xr and w_xc, w_hzr
+    (..., 2, H, H) w_hz and w_hr, b_zr (..., 2, 1, H) b_z and b_r. Works on
+    one model's parameters and on a leading stack axis of G models alike."""
+    return {
+        "w_x": np.stack([p["w_xz"], p["w_xr"], p["w_xc"]], axis=-3),
+        "w_hzr": np.stack([p["w_hz"], p["w_hr"]], axis=-3),
+        "b_zr": np.stack([p["b_z"], p["b_r"]], axis=-2)[..., None, :],
+        "w_hc": p["w_hc"],
+        "b_c": p["b_c"][..., None, :],
+    }
+
+
+def _cell(w: Mapping[str, np.ndarray], a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
+    """One step of the gated cell: (h', z, r, c) from the step's input
+    products a = x @ w_x (..., 3, rows, H), state h (..., rows, H) and the
+    weights of _fused. The same equations serve an (N, H) batch of one
+    model's windows and a (G, 1, H) stack of G models' windows.
+
+    Both gates come from one matmul call and one sigmoid. Each matmul still
+    multiplies the (rows, K) @ (K, H) matrices a per-gate product would, and
+    each pre-activation is (x w + h w) + b, summed in place on the h w
+    product, so every value keeps its bits: concatenating the gates' columns
+    instead changes which BLAS kernel path computes a column when H is not
+    a multiple of the kernel's block width.
+    """
+    pre = h[..., None, :, :] @ w["w_hzr"]
+    pre += a[..., :2, :, :]
+    pre += w["b_zr"]
+    zr = _sigmoid(pre)
+    z, r = zr[..., 0, :, :], zr[..., 1, :, :]
+    c = (r * h) @ w["w_hc"]
+    c += a[..., 2, :, :]
+    c += w["b_c"]
+    np.tanh(c, out=c)
     return (1.0 - z) * h + z * c, z, r, c
 
 
 def _check_finite(params: Mapping[str, np.ndarray]) -> None:
-    if not all(np.all(np.isfinite(v)) for v in params.values()):
+    if not all(np.isfinite(v).all() for v in params.values()):
         raise NonFiniteParameters("model weights contain non-finite values")
 
 
@@ -77,17 +112,20 @@ def predict_stacked(models: Sequence["RecurrentRegressor"], features: np.ndarray
     as ArrivalPrediction does, when an output is not a finite, non-negative
     number of seconds.
     """
-    p = {name: np.stack([m.params[name] for m in models]) for name in PARAM_NAMES}
+    p = {name: np.array([m.params[name] for m in models]) for name in PARAM_NAMES}
     _check_finite(p)
-    for name in ("b_z", "b_r", "b_c", "b_out"):
-        p[name] = p[name][:, None, :]
-    mean = np.stack([m.feat_mean for m in models])[:, None, :]
-    std = np.stack([m.feat_std for m in models])[:, None, :]
+    w = _fused(p)
+    mean = np.array([m.feat_mean for m in models])[:, None, :]
+    std = np.array([m.feat_std for m in models])[:, None, :]
     x = (np.asarray(features, dtype=float) - mean) / std
+    # every step's input products in one call, still one (1, 3) @ (3, H)
+    # product per window, step and gate: a (T, 3) @ (3, H) product per
+    # window would run a matrix-matrix kernel and move bits
+    a = x[:, :, None, None, :] @ w["w_x"][:, None]
     h = np.zeros((len(models), 1, models[0].hidden_size))
     for k in range(x.shape[1]):
-        h = _cell(p, x[:, k : k + 1, :], h)[0]
-    y = _softplus(h @ p["w_out"][:, :, None] + p["b_out"]).reshape(-1)
+        h = _cell(w, a[:, k], h)[0]
+    y = _softplus(h @ p["w_out"][:, :, None] + p["b_out"][:, None, :]).reshape(-1)
     if not np.all(np.isfinite(y) & (y >= 0.0)):
         raise ValueError("arrival time must be finite and >= 0 for every window")
     return y
@@ -187,13 +225,14 @@ class RecurrentRegressor:
         """
         p = self.params
         _check_finite(p)
+        w = _fused(p)
         x = self._standardize(np.asarray(features, dtype=float))
         n, t, _ = x.shape
         h = np.zeros((n, self.hidden_size))
         steps = []
         for k in range(t):
             xk = x[:, k, :]
-            h_new, z, r, c = _cell(p, xk, h)
+            h_new, z, r, c = _cell(w, xk @ w["w_x"], h)
             steps.append((xk, h, z, r, c))
             h = h_new
         s = h @ p["w_out"] + p["b_out"][0]

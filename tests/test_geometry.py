@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from crossrisk.errors import DegenerateAnchors, OutsideCalibratedRegion, ProjectiveSingularity
+from crossrisk.errors import DegenerateAnchors, ManifestError, OutsideCalibratedRegion, ProjectiveSingularity
 from crossrisk.geometry import (
     AreaMap,
     FallbackPolicy,
@@ -14,10 +14,12 @@ from crossrisk.geometry import (
     TileGrid,
     WorldPoint,
     first_crossing_time,
+    load_tile_grid,
     locate_area,
     locate_areas,
     point_in_polygon,
     project_point,
+    save_tile_grid,
     signed_distance_to_line,
     solve_homography,
     transform_point,
@@ -216,6 +218,65 @@ class TestTileValidation:
                 out = tile.transform(pc)
                 worst = max(worst, out.distance_to(wc))
         assert worst < 1e-6
+
+
+class TestTileGridFile:
+    def test_tile_without_world_region_round_trips(self, tmp_path):
+        """save_tile_grid writes "world": null for a tile built from a matrix
+        alone; load_tile_grid reads it back."""
+        tile = HomographyTile(tuple(_px(((0, 0), (100, 0), (100, 100), (0, 100)))), np.eye(3))
+        path = tmp_path / "grid.json"
+        save_tile_grid(str(path), TileGrid((tile,)))
+        assert json.loads(path.read_text())[0]["world"] is None
+        (loaded,) = load_tile_grid(str(path)).tiles
+        assert loaded.pixel_region == tile.pixel_region and loaded.world_region is None
+        assert np.array_equal(loaded.matrix, tile.matrix)
+
+    def test_matrix_entry_may_leave_world_out(self, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([{"pixel": UNIT_SQUARE, "matrix": np.diag([2.0, 2.0, 1.0]).tolist()}]))
+        out = transform_point(load_tile_grid(str(path)), PixelPoint(0.5, 0.25))
+        assert (out.x, out.y) == (1.0, 0.5)
+
+    @pytest.mark.parametrize("world", [{}, {"world": None}], ids=["missing", "null"])
+    def test_entry_without_matrix_or_world_names_the_file_and_tile(self, world, tmp_path):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps([{"pixel": UNIT_SQUARE, "world": UNIT_SQUARE}, {"pixel": UNIT_SQUARE, **world}]))
+        with pytest.raises(ManifestError, match=f"tile 1 in {path} is malformed"):
+            load_tile_grid(str(path))
+
+
+def _first_overlap(tiles):
+    """The overlap guard as first written: every tile center against every
+    other tile's full polygon test."""
+    for i, a in enumerate(tiles):
+        cu = sum(c.u for c in a.pixel_region) / 4.0
+        cv = sum(c.v for c in a.pixel_region) / 4.0
+        for j, b in enumerate(tiles):
+            if i != j and point_in_polygon(cu, cv, [(c.u, c.v) for c in b.pixel_region]):
+                return i, j
+    return None
+
+
+def test_overlap_guard_names_the_first_pair_of_the_full_scan():
+    rng = np.random.default_rng(8)
+    outcomes = set()
+    for _ in range(200):
+        tiles = []
+        for _ in range(int(rng.integers(2, 7))):
+            u, v = rng.uniform(0.0, 60.0, 2)
+            size = rng.uniform(4.0, 20.0)
+            quad = [(u, v), (u + size, v), (u + size, v + size), (u, v + size)]
+            quad = [(a + rng.uniform(-1.0, 1.0), b + rng.uniform(-1.0, 1.0)) for a, b in quad]
+            tiles.append(HomographyTile(tuple(_px(quad)), np.eye(3)))
+        expected = _first_overlap(tiles)
+        outcomes.add(expected is None)
+        if expected is None:
+            TileGrid(tuple(tiles))
+        else:
+            with pytest.raises(ValueError, match=f"^tile {expected[0]} overlaps tile {expected[1]} "):
+                TileGrid(tuple(tiles))
+    assert outcomes == {True, False}
 
 
 def _scalar_locate(area_map, x, y):
@@ -434,3 +495,44 @@ def test_transform_point_bits_on_the_benchmark_pixels_corners_and_edges(tile_gri
     for p in points:
         got, expect = transform_point(tile_grid, p), reference(p)
         assert (got.x, got.y) == (expect.x, expect.y), p
+
+
+def _gapped_grid():
+    """Six 10 px squares 10 px apart, each with its own scale: the points
+    between them lie at equal edge distance from two or four tiles."""
+    tiles = [
+        HomographyTile(tuple(_px(((u, v), (u + 10, v), (u + 10, v + 10), (u, v + 10)))),
+                       np.diag([1.0 + k, 2.0 + k, 1.0]))
+        for k, (u, v) in enumerate((u, v) for v in (0, 20) for u in (0, 20, 40))
+    ]
+    return TileGrid(tuple(tiles))
+
+
+@pytest.mark.parametrize("grid_name", ["reference", "gapped"])
+def test_transform_point_bits_equal_the_full_scan_oracle(grid_name, tile_grid):
+    """Random points up to 300 px beyond the grid (integer ones too, which
+    tie on the gapped grid), every tile corner and every edge midpoint:
+    the box pruning gives the tile, and so the bits, of the full scan; the
+    REJECT policy raises for exactly the points no tile contains."""
+    grid = tile_grid if grid_name == "reference" else _gapped_grid()
+    corners = np.array([[(c.u, c.v) for c in tile.pixel_region] for tile in grid.tiles])
+    lo, hi = corners.reshape(-1, 2).min(axis=0) - 300.0, corners.reshape(-1, 2).max(axis=0) + 300.0
+    rng = np.random.default_rng(12)
+    points = rng.uniform(lo, hi, (3000, 2)).tolist() + rng.integers(lo, hi, (1000, 2)).astype(float).tolist()
+    points += corners.reshape(-1, 2).tolist()
+    points += [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+               for cs in corners.tolist() for a, b in zip(cs, cs[1:] + cs[:1])]
+    reference = reference_transform(grid)
+    reject = TileGrid(grid.tiles, FallbackPolicy.REJECT)
+    misses = 0
+    for u, v in points:
+        p = PixelPoint(u, v)
+        got, expect = transform_point(grid, p), reference(p)
+        assert (got.x, got.y) == (expect.x, expect.y), p
+        if any(point_in_polygon(u, v, cs) for cs in corners.tolist()):
+            assert transform_point(reject, p) == got
+        else:
+            misses += 1
+            with pytest.raises(OutsideCalibratedRegion):
+                transform_point(reject, p)
+    assert 0 < misses < len(points)

@@ -147,6 +147,90 @@ class TestStackedPass:
             recurrent.predict_stacked(models, features)
 
 
+def per_gate_cell(p, xk, h):
+    """The cell as first written: one product per gate and weight matrix,
+    one sigmoid per gate."""
+    z = recurrent._sigmoid(xk @ p["w_xz"] + h @ p["w_hz"] + p["b_z"])
+    r = recurrent._sigmoid(xk @ p["w_xr"] + h @ p["w_hr"] + p["b_r"])
+    c = np.tanh(xk @ p["w_xc"] + (r * h) @ p["w_hc"] + p["b_c"])
+    return (1.0 - z) * h + z * c, z, r, c
+
+
+def per_gate_stacked(models, features):
+    """predict_stacked on per_gate_cell, one step's inputs at a time."""
+    p = {name: np.stack([m.params[name] for m in models]) for name in PARAM_NAMES}
+    for name in ("b_z", "b_r", "b_c", "b_out"):
+        p[name] = p[name][:, None, :]
+    mean = np.stack([m.feat_mean for m in models])[:, None, :]
+    std = np.stack([m.feat_std for m in models])[:, None, :]
+    x = (features - mean) / std
+    h = np.zeros((len(models), 1, models[0].hidden_size))
+    for k in range(x.shape[1]):
+        h = per_gate_cell(p, x[:, k : k + 1, :], h)[0]
+    return recurrent._softplus(h @ p["w_out"][:, :, None] + p["b_out"]).reshape(-1)
+
+
+def per_gate_forward_batch(model, features):
+    """RecurrentRegressor.forward_batch on per_gate_cell."""
+    p = model.params
+    x = (features - model.feat_mean) / model.feat_std
+    h = np.zeros((x.shape[0], model.hidden_size))
+    steps = []
+    for k in range(x.shape[1]):
+        xk = x[:, k, :]
+        h_new, z, r, c = per_gate_cell(p, xk, h)
+        steps.append((xk, h, z, r, c))
+        h = h_new
+    s = h @ p["w_out"] + p["b_out"][0]
+    return recurrent._softplus(s), {"steps": steps, "h_last": h, "s": s}
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPerGateOracle:
+    """Gate-stacked products and one sigmoid for both gates give, bit for
+    bit, the cell with one product per gate, including hidden sizes that
+    are not a multiple of a BLAS kernel's block width."""
+
+    def _models(self, rng, hidden, count):
+        models = [RecurrentRegressor.initialize(hidden, rng) for _ in range(count)]
+        for m in models:
+            m.set_normalization(rng.normal(0.0, 0.1, 3), rng.uniform(0.2, 2.0, 3))
+            for name in ("b_z", "b_r", "b_c", "b_out"):
+                m.params[name] = rng.normal(0.0, 0.3, m.params[name].shape)
+        return models
+
+    @pytest.mark.parametrize("hidden", [3, 8, 16, 32])
+    def test_predict_stacked(self, hidden):
+        rng = np.random.default_rng(100 + hidden)
+        models = self._models(rng, hidden, 3)
+        for count in range(1, 7):
+            picks = [models[i] for i in rng.integers(0, len(models), count)]
+            features = rng.normal(0.0, 1.0, (count, 29, 3))
+            assert _bits(recurrent.predict_stacked(picks, features)) == _bits(per_gate_stacked(picks, features))
+
+    @pytest.mark.parametrize("hidden", [3, 8, 16, 32])
+    def test_forward_batch_and_gradients(self, hidden, monkeypatch):
+        rng = np.random.default_rng(200 + hidden)
+        (model,) = self._models(rng, hidden, 1)
+        for n in (1, 2, 5, 64):
+            features = rng.normal(0.0, 1.0, (n, 29, 3))
+            targets = rng.uniform(0.5, 4.0, n)
+            y, cache = model.forward_batch(features)
+            y_ref, cache_ref = per_gate_forward_batch(model, features)
+            assert _bits(y) == _bits(y_ref)
+            for step, step_ref in zip(cache["steps"], cache_ref["steps"], strict=True):
+                assert [_bits(a) for a in step] == [_bits(a) for a in step_ref]
+            loss, grads = model.loss_and_gradients(features, targets)
+            with monkeypatch.context() as m:
+                m.setattr(RecurrentRegressor, "forward_batch", per_gate_forward_batch)
+                loss_ref, grads_ref = model.loss_and_gradients(features, targets)
+            assert loss == loss_ref
+            assert {k: _bits(v) for k, v in grads.items()} == {k: _bits(v) for k, v in grads_ref.items()}
+
+
 def relative_error(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1e-8)
 
