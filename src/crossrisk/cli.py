@@ -279,7 +279,7 @@ def _read_pixel_rows(path: str) -> dict[int, list[StreamRow]]:
 def cmd_replay(args: argparse.Namespace) -> int:
     pipeline, _, transform_ms = _run_stream(args, args.realtime)
     result = pipeline.result
-    doc = latency_report(result.prediction_ms, result.ppet_risk_ms, transform_ms)
+    doc = latency_report(result.prediction_ms, result.ppet_risk_ms, transform_ms, result.ingest_ms)
     doc["risk_scenarios"] = len(result.risk_scenarios)
     if args.out:
         _write_json(args.out, doc)

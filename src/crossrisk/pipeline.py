@@ -26,7 +26,7 @@ from .geometry import (
     vehicle_line_name,
 )
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
-from .predictors import TrainedModelBundle
+from .predictors import ALL_PAIRS, TrainedModelBundle
 from .risk import (
     AreaRole,
     Decision,
@@ -85,6 +85,7 @@ class TraceRow:
 class EvaluationResult:
     risk_scenarios: list[RiskScenario] = field(default_factory=list)
     trace: list[TraceRow] = field(default_factory=list)
+    ingest_ms: list[float] = field(default_factory=list)
     prediction_ms: list[float] = field(default_factory=list)
     ppet_risk_ms: list[float] = field(default_factory=list)
 
@@ -98,7 +99,12 @@ class EvaluationResult:
 
 
 class RiskPipeline:
-    """Frame-serialized evaluator combining all library stages."""
+    """Frame-serialized evaluator combining all library stages.
+
+    The bundle must hold a predictor for every pair of ALL_PAIRS: the
+    constructor asks each once, so MissingPredictor or TypeError is raised
+    here and not on the first frame that happens to need the pair.
+    """
 
     def __init__(
         self,
@@ -110,6 +116,8 @@ class RiskPipeline:
         self.area_map = area_map
         self.thresholds = thresholds
         self.bundle = bundle if bundle is not None else TrainedModelBundle.historical_average()
+        for category, q in ALL_PAIRS:
+            self.bundle.predictor_for(category, q)
         self.fps = fps
         self.engine = StreamEngine(area_map)
         self.result = EvaluationResult()
@@ -125,9 +133,13 @@ class RiskPipeline:
 
         The frame's requests form one table keyed by (agent id, line name),
         so a vehicle serving several pedestrians is asked, and its window
-        built, once; a line behind the agent is not asked and gives None. The
-        bundle answers the whole table in one call, and a request that fails
-        gives None.
+        built, once; a line behind the agent is not asked and gives None. A
+        pedestrian's lines are asked only where a P-PET component reads them:
+        none unless one of its conflict vehicles has a request in the table,
+        q0 and q1 when only the closer one has, all three when the further
+        one has (_ordered lifts q1 to q0 and q2 to both); the others give
+        None. The bundle answers the whole table in one call, and a request
+        that fails gives None.
         """
         table: dict[tuple[str, str], int | None] = {}
         requests: list[tuple[int, SlidingWindowTrajectory, TargetLine]] = []
@@ -143,19 +155,25 @@ class RiskPipeline:
 
         rows = []
         for window, direction, vehicles in targets:
-            row = [ask(window, q, pedestrian_line_name(direction.value, q)) for q in (0, 1, 2)]
-            for role, area_id in zip(_ROLES, closer_further_assignment(direction)):
+            veh_keys, ped_lines = [], 0
+            for role, area_id, lines_read in zip(_ROLES, closer_further_assignment(direction), (2, 3)):
                 veh_id = vehicles[role][0] if role in vehicles else None
                 keys = [(veh_id, vehicle_line_name(area_id, enter)) for enter in (True, False)]
                 if veh_id is not None and keys[0] not in table and self.engine.window_ready(veh_id):
                     veh_window = self.engine.window(veh_id)
                     for q, (_, name) in enumerate(keys):
                         ask(veh_window, q, name)
-                row += keys
-            rows.append(row)
+                if any(table.get(key) is not None for key in keys):
+                    ped_lines = lines_read
+                veh_keys += keys
+            ped_keys = [
+                ask(window, q, pedestrian_line_name(direction.value, q)) if q < ped_lines else None
+                for q in (0, 1, 2)
+            ]
+            rows.append(ped_keys + veh_keys)
         answers = self.bundle.arrival_times(requests)
 
-        def seconds(key: tuple[str, str]) -> float | None:
+        def seconds(key: tuple[str, str] | None) -> float | None:
             i = table.get(key)
             value = None if i is None else answers[i]
             return None if isinstance(value, PredictionError) else value
@@ -177,16 +195,15 @@ class RiskPipeline:
 
     def process_frame(self, frame: int, observations: Sequence[Observation]) -> list[Decision]:
         """Ingest one frame and evaluate every ready target pedestrian."""
-        self.engine.ingest_frame(frame, observations)
         t = frame / self.fps
         decisions_out: list[Decision] = []
 
+        t_ingest = time.perf_counter()
+        self.engine.ingest_frame(frame, observations)
         t0 = time.perf_counter()
-        # one vehicle snapshot per frame, shared across pedestrians
-        snapshot = {
-            category: dict(self.engine.agents_in_areas([category], ("3.", "4.")))
-            for category in CONFLICT_AREA_VEHICLE.values()
-        }
+        # one vehicle snapshot per frame, shared across pedestrians, built
+        # for the first pedestrian the frame evaluates
+        snapshot = None
         evaluated = []
         for ped_id, state in self.engine.pedestrians.items():
             if state.status is not PedestrianStatus.TARGET:
@@ -195,6 +212,11 @@ class RiskPipeline:
                 continue
             if not self.engine.window_ready(ped_id) or state.direction is Direction.UNKNOWN:
                 continue
+            if snapshot is None:
+                snapshot = {
+                    category: dict(self.engine.agents_in_areas([category], ("3.", "4.")))
+                    for category in CONFLICT_AREA_VEHICLE.values()
+                }
             window = self.engine.window(ped_id)
             vehicles: dict[AreaRole, tuple[str, WorldPoint]] = {}
             for role, area_id in zip(_ROLES, closer_further_assignment(state.direction)):
@@ -231,6 +253,7 @@ class RiskPipeline:
                 )
         ppet_risk_ms = (time.perf_counter() - t1) * 1000.0
 
+        self.result.ingest_ms.append((t0 - t_ingest) * 1000.0)
         self.result.prediction_ms.append(prediction_ms)
         self.result.ppet_risk_ms.append(ppet_risk_ms)
         return decisions_out
@@ -346,11 +369,13 @@ def latency_report(
     prediction_ms: Sequence[float],
     ppet_risk_ms: Sequence[float],
     transform_ms: Sequence[float] = (),
+    ingest_ms: Sequence[float] = (),
 ) -> dict:
     """Per-frame latency of the safety-evaluation path, in milliseconds: the
-    mean and standard deviation of each stage, and of the safety evaluation
-    (prediction plus P-PET/risk per frame) its mean, which the real-time
-    budget gates, and its tail."""
+    mean and standard deviation of each stage (the pixel transform and the
+    ingest included), and of the safety evaluation (prediction plus
+    P-PET/risk per frame) its mean, which the real-time budget gates, and its
+    tail."""
     def stats(values: Sequence[float]) -> dict[str, float]:
         if not values:
             return {"mean": 0.0, "std": 0.0}
@@ -364,6 +389,7 @@ def latency_report(
         "unit": "frame",
         "frames": len(prediction_ms),
         "transform_ms": stats(transform_ms),
+        "ingest_ms": stats(ingest_ms),
         "prediction_ms": prediction,
         "ppet_risk_ms": ppet_risk,
         "safety_evaluation_mean_ms": prediction["mean"] + ppet_risk["mean"],

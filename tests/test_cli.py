@@ -335,6 +335,7 @@ class TestReplayAndMetrics:
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["transform_ms"]["mean"] > 0.0
+        assert report["ingest_ms"]["mean"] > 0.0
         assert report["frames"] > 0
         # evaluate runs the same frames and reports the same flags
         code = main([
@@ -825,3 +826,23 @@ def test_malformed_bundle_is_input_error(case, gen_dir, tmp_path, capsys):
     assert _evaluate_with_models(gen_dir, bundle, tmp_path / "eval") == EXIT_INPUT
     err = capsys.readouterr().err
     assert str(bundle) in err and "model entry (i=0, q=1)" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "replay"])
+@pytest.mark.parametrize("rows", ["all", "none"])
+def test_bundle_missing_a_pair_is_input_error(command, rows, gen_dir, tmp_path, capsys):
+    """A bundle file without a predictor for one pair exits 2 naming the
+    pair, checked before the first frame: on a header-only stream too."""
+    from crossrisk.predictors import TrainedModelBundle
+    from crossrisk.stream import AgentCategory
+
+    bundle = TrainedModelBundle.historical_average()
+    del bundle.predictors[(AgentCategory.KID, 2)]
+    bundle.save(str(tmp_path / "bundle.json"))
+    stream = gen_dir / "stream.csv"
+    if rows == "none":
+        stream = tmp_path / "stream.csv"
+        stream.write_text((gen_dir / "stream.csv").read_text().splitlines()[0] + "\n")
+    code = _stream_command(command, stream, tmp_path, "--models", str(tmp_path / "bundle.json"))
+    assert code == EXIT_INPUT
+    assert "no predictor for (i=1, q=2)" in capsys.readouterr().err

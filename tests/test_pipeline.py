@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 from dataclasses import astuple
 
 import numpy as np
@@ -12,6 +13,7 @@ from crossrisk.pipeline import (
     write_risk_scenarios,
     write_trace_csv,
 )
+from crossrisk.ppet import ppet
 from crossrisk.predictors import RecurrentRegressor, TrainedModelBundle
 from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode, classify_offline
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
@@ -24,9 +26,40 @@ def constant_gru(value, hidden=4):
     return model
 
 
+def drive_vehicles(pipeline, lanes, frames=30):
+    """Feed the pipeline's engine `frames` frames of vehicles driving south
+    at 5 m/s, each given as id -> (category, x, y at the last frame, points
+    observed); returns id -> (id, last position), the conflict-vehicle form
+    that _frame_estimates takes."""
+    from crossrisk.geometry import WorldPoint
+    from crossrisk.stream import Observation
+
+    last = {}
+    for frame in range(frames):
+        t = frame / 30.0
+        observations = []
+        for veh_id, (category, x, y_end, points) in lanes.items():
+            if frame >= frames - points:
+                position = WorldPoint(x, y_end + 5.0 * (frames - 1 - frame) / 30.0)
+                observations.append(Observation(frame, t, veh_id, category, position))
+                last[veh_id] = (veh_id, position)
+        pipeline.engine.ingest_frame(frame, observations)
+    return last
+
+
+def _further_vehicle(pipeline):
+    """A vehicle 7 m before the 3.2 enter line, the further conflict area of
+    a left-to-right pedestrian, as the pedestrian's conflict vehicles."""
+    from crossrisk.stream import AgentCategory
+
+    (vehicle,) = drive_vehicles(pipeline, {"v0": (AgentCategory.VEHICLE_AREA_42, 8.25, 10.0, 30)}).values()
+    return {AreaRole.FURTHER: vehicle}
+
+
 def _ordered_frame_estimate(predictor_for_q):
     """The frame estimate of one pedestrian walking at 2 m/s, 5.57 m before
-    the q1 line, whose pairs' predictors are predictor_for_q(q)."""
+    the q1 line, whose pairs' predictors are predictor_for_q(q); a further
+    conflict vehicle makes its components read all three of its lines."""
     from crossrisk.predictors.bundle import ALL_PAIRS
     from crossrisk.stream import Direction
     from conftest import constant_velocity_window
@@ -34,7 +67,7 @@ def _ordered_frame_estimate(predictor_for_q):
     bundle = TrainedModelBundle(predictors={pair: predictor_for_q(pair[1]) for pair in ALL_PAIRS})
     pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
     window = constant_velocity_window((-2.0, 1.0), (2.0, 0.0))
-    (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, {})])
+    (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, _further_vehicle(pipeline))])
     return est
 
 
@@ -118,6 +151,20 @@ class TestPipeline:
         )
         assert report["frames"] == n_frames
 
+    def test_ingest_timed_once_per_frame(self, run, scenario):
+        """Every frame's ingest is timed, and the latency report gives its
+        mean and standard deviation next to the transform's."""
+        frames, _ = scenario
+        _, result, _ = run
+        assert len(result.ingest_ms) == max(frames) - min(frames) + 1
+        assert all(ms >= 0.0 for ms in result.ingest_ms)
+        report = latency_report(result.prediction_ms, result.ppet_risk_ms, ingest_ms=result.ingest_ms)
+        assert report["ingest_ms"] == {
+            "mean": pytest.approx(float(np.mean(result.ingest_ms))),
+            "std": pytest.approx(float(np.std(result.ingest_ms))),
+        }
+        assert latency_report([], [])["ingest_ms"] == {"mean": 0.0, "std": 0.0}
+
     def test_latency_report_tail_of_per_frame_safety_evaluation(self):
         prediction = [float(i) for i in range(1, 101)]
         ppet_risk = [0.5] * 100
@@ -133,9 +180,22 @@ class TestPipeline:
     def test_missing_predictor_raises(self, scenario):
         frames, _ = scenario
         empty_bundle = TrainedModelBundle(predictors={})
-        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), empty_bundle)
         with pytest.raises(MissingPredictor):
+            pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), empty_bundle)
             pipeline.run(frames)
+
+    def test_bundle_is_checked_for_every_pair_at_construction(self):
+        """A pair that no frame may ever ask for (a kid's q2) still fails
+        the construction, by name: missing, or held by a non-predictor."""
+        from crossrisk.stream import AgentCategory
+
+        bundle = TrainedModelBundle.historical_average()
+        del bundle.predictors[(AgentCategory.KID, 2)]
+        with pytest.raises(MissingPredictor, match=r"\(i=1, q=2\)"):
+            RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
+        bundle.predictors[(AgentCategory.KID, 2)] = object()
+        with pytest.raises(TypeError, match=r"\(i=1, q=2\)"):
+            RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
 
     def test_non_monotone_predictions_are_ordered(self):
         """Out-of-order per-line estimates from different passes (a GRU
@@ -235,8 +295,12 @@ def _gru_bundle(hidden_for, seed=0):
 
 
 def one_window_estimates(pipeline, window, direction, vehicles):
-    """The estimate set the frame helper must give, one predict call per
-    (window, line), in the order of ArrivalEstimateSet's fields."""
+    """The estimate set of one pedestrian with every line asked, one predict
+    call per (window, line), in the order of ArrivalEstimateSet's fields;
+    and how many of its pedestrian lines the P-PET components read: two
+    with an asked closer vehicle only, three with an asked further one,
+    else none. A vehicle is asked when its window is ready and one of its
+    lines is ahead of it."""
     from crossrisk.errors import PredictionError
     from crossrisk.geometry import pedestrian_line_name, signed_distance_to_line, vehicle_line_name
     from crossrisk.stream import closer_further_assignment
@@ -257,16 +321,73 @@ def one_window_estimates(pipeline, window, direction, vehicles):
             earlier = [v for v in ped[:i] if v is not None]
             if earlier and ped[i] < earlier[-1]:
                 ped[i] = earlier[-1]
-    veh = []
+    veh, read = [], 0
     for role, area_id in zip((AreaRole.CLOSER, AreaRole.FURTHER), closer_further_assignment(direction)):
         veh_id = vehicles.get(role, (None,))[0]
         if veh_id is None or not pipeline.engine.window_ready(veh_id):
             veh += [None, None]
             continue
         w = pipeline.engine.window(veh_id)
-        veh += [predict(w, 0, lines(vehicle_line_name(area_id, True))),
-                predict(w, 1, lines(vehicle_line_name(area_id, False)))]
-    return ped + veh
+        veh_lines = [lines(vehicle_line_name(area_id, enter)) for enter in (True, False)]
+        if any(signed_distance_to_line(w.end_position, line) >= 0.0 for line in veh_lines):
+            read = 2 if role is AreaRole.CLOSER else 3
+        veh += [predict(w, q, line) for q, line in enumerate(veh_lines)]
+    return ped + veh, read
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def _mixed_hidden(pair):
+    return (None, 6, 11)[(int(pair[0]) + pair[1]) % 3]
+
+
+class AllLinesPipeline(RiskPipeline):
+    """Asks all three lines of every target pedestrian, whether or not a
+    P-PET component reads them: the request rule's reference."""
+
+    def _frame_estimates(self, targets):
+        from crossrisk.errors import PredictionError
+        from crossrisk.geometry import pedestrian_line_name, signed_distance_to_line, vehicle_line_name
+        from crossrisk.pipeline import _ordered
+        from crossrisk.ppet import ArrivalEstimateSet
+        from crossrisk.stream import closer_further_assignment
+
+        table, requests = {}, []
+
+        def ask(window, q, name):
+            key = (window.agent_id, name)
+            line = self.area_map.line(name)
+            behind = signed_distance_to_line(window.end_position, line) < 0.0
+            table[key] = None if behind else len(requests)
+            if not behind:
+                requests.append((q, window, line))
+            return key
+
+        rows = []
+        for window, direction, vehicles in targets:
+            row = [ask(window, q, pedestrian_line_name(direction.value, q)) for q in (0, 1, 2)]
+            for role, area_id in zip((AreaRole.CLOSER, AreaRole.FURTHER), closer_further_assignment(direction)):
+                veh_id = vehicles[role][0] if role in vehicles else None
+                keys = [(veh_id, vehicle_line_name(area_id, enter)) for enter in (True, False)]
+                if veh_id is not None and keys[0] not in table and self.engine.window_ready(veh_id):
+                    veh_window = self.engine.window(veh_id)
+                    for q, (_, name) in enumerate(keys):
+                        ask(veh_window, q, name)
+                row += keys
+            rows.append(row)
+        answers = self.bundle.arrival_times(requests)
+
+        def seconds(key):
+            i = table.get(key)
+            value = None if i is None else answers[i]
+            return None if isinstance(value, PredictionError) else value
+
+        return [
+            ArrivalEstimateSet(*_ordered([seconds(k) for k in row[:3]]), *map(seconds, row[3:]))
+            for row in rows
+        ]
 
 
 def _spy_frames(pipeline, check):
@@ -286,31 +407,49 @@ def _spy_frames(pipeline, check):
 class TestBatchedFrame:
     def test_estimates_equal_one_window_predictions(self, busy_scenario):
         """GRU pairs of two hidden sizes and baseline pairs mixed in one
-        bundle: every estimate equals its one-window predict call, exactly."""
-        def hidden_for(pair):
-            return (None, 6, 11)[(int(pair[0]) + pair[1]) % 3]
+        bundle: every estimate a P-PET component reads equals its one-window
+        predict call, exactly, the pedestrian lines no component reads are
+        None, and each P-PET vector has the bits of the all-lines one."""
+        from crossrisk.ppet import ArrivalEstimateSet
 
-        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), _gru_bundle(hidden_for))
-        seen = {"frames": 0, "values": 0, "shared": 0}
+        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), _gru_bundle(_mixed_hidden))
+        seen = {"frames": 0, "values": 0, "shared": 0, "unread": 0}
 
         def check(targets, estimates):
             seen["frames"] += 1
             seen["shared"] += len(targets) > 1 or any(v for _, _, v in targets)
             for (window, direction, vehicles), est in zip(targets, estimates):
-                expect = one_window_estimates(pipeline, window, direction, vehicles)
+                every_line, read = one_window_estimates(pipeline, window, direction, vehicles)
+                expect = every_line[:read] + [None] * (3 - read) + every_line[3:]
+                seen["unread"] += read < 3 and any(v is not None for v in every_line[read:3])
                 got = list(astuple(est))
                 assert [v is None for v in got] == [v is None for v in expect]
                 for g, e in zip(got, expect):
                     if e is not None:
                         seen["values"] += 1
                         assert g == e
+                assert _bits(astuple(ppet(est))) == _bits(astuple(ppet(ArrivalEstimateSet(*every_line))))
 
         _spy_frames(pipeline, check)
         frame = min(busy_scenario)
         while seen["frames"] < 200:
             pipeline.process_frame(frame, busy_scenario.get(frame, []))
             frame += 1
-        assert seen["shared"] > 150 and seen["values"] > 1000
+        assert seen["shared"] > 150 and seen["values"] > 1000 and seen["unread"] > 0
+
+    def test_run_equals_asking_every_line(self, busy_scenario):
+        """The whole busy run with a mixed GRU/baseline bundle gives the
+        trace and flags of a pipeline that asks every pedestrian line."""
+        bundle = _gru_bundle(_mixed_hidden)
+        results = [
+            cls(reference_area_map(), RiskThresholdConfig.default(), bundle).run(busy_scenario)
+            for cls in (RiskPipeline, AllLinesPipeline)
+        ]
+        traces = [[(*astuple(r)[:4], *_bits((r.pf, r.vf))) for r in result.trace] for result in results]
+        assert traces[0] == traces[1]
+        assert any(r.pf is not None or r.vf is not None for r in results[0].trace)
+        flags = [[s.to_dict() for s in result.risk_scenarios] for result in results]
+        assert flags[0] == flags[1] and flags[0]
 
     def test_baseline_frame_makes_one_stacked_pass(self, busy_scenario, monkeypatch):
         """With the default bundle a frame answers all its requests in one
@@ -339,8 +478,9 @@ class TestBatchedFrame:
         assert pipeline.result.trace
 
     def test_failing_baseline_request_yields_none(self):
-        """A standing pedestrian: its baseline pair fails with
-        ZeroDisplacement and gives None, while its GRU pairs answer."""
+        """A standing pedestrian with a further conflict vehicle, so that all
+        its lines are read: its baseline pair fails with ZeroDisplacement and
+        gives None, while its GRU pairs answer."""
         from crossrisk.errors import ZeroDisplacement
         from crossrisk.predictors import HistoricalAveragePredictor
         from crossrisk.predictors.bundle import ALL_PAIRS
@@ -355,7 +495,8 @@ class TestBatchedFrame:
         line = pipeline.area_map.line("ped_ltr_q1")
         (failure,) = bundle.arrival_times([(1, window, line)])
         assert isinstance(failure, ZeroDisplacement)
-        (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, {})])
+        vehicles = _further_vehicle(pipeline)
+        (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, vehicles)])
         assert est.ped_q1 is None
         assert est.ped_q0 == pytest.approx(2.0, rel=1e-12)
         assert est.ped_q2 == pytest.approx(4.0, rel=1e-12)
@@ -409,3 +550,93 @@ class TestBatchedFrame:
         assert bundle.arrival_times([(1, window, line)]) == [pytest.approx(2.0, rel=1e-12)]
         with pytest.raises(TypeError, match=r"\(i=0, q=2\)"):
             bundle.arrival_times([(1, window, line), (2, window, line)])
+
+
+# --- which lines a frame asks ------------------------------------------------------
+
+
+def _asked_lines(targets_for):
+    """The (agent id, line name) counts of the requests the bundle receives
+    for one frame, and the frame's estimates. The frame has left-to-right
+    pedestrians a0, a1, ... with the conflict vehicles that
+    targets_for(vehicles) lists for each, then b0 with none. The engine holds
+    v_closer and v_further 7 m before their areas' enter lines, v_past
+    beyond both lines of area 3.1 and v_new, of 5 points only, before them."""
+    from crossrisk.stream import AgentCategory, Direction
+    from conftest import constant_velocity_window
+
+    pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
+    vehicles = drive_vehicles(pipeline, {
+        "v_closer": (AgentCategory.VEHICLE_AREA_41, 2.75, 10.0, 30),
+        "v_further": (AgentCategory.VEHICLE_AREA_42, 8.25, 10.0, 30),
+        "v_past": (AgentCategory.VEHICLE_AREA_41, 2.75, -4.0, 30),
+        "v_new": (AgentCategory.VEHICLE_AREA_41, 2.75, 10.0, 5),
+    })
+    names = {id(line): name for name, line in pipeline.area_map.target_lines.items()}
+    asked = Counter()
+    answer = pipeline.bundle.arrival_times
+
+    def spy(requests):
+        asked.update((window.agent_id, names[id(line)]) for _, window, line in requests)
+        return answer(requests)
+
+    pipeline.bundle.arrival_times = spy
+    ltr = Direction.LEFT_TO_RIGHT
+    targets = [
+        (constant_velocity_window((-2.0 - k, 1.0), (2.0, 0.0), agent_id=f"a{k}"), ltr, own)
+        for k, own in enumerate(targets_for(vehicles))
+    ]
+    targets.append((constant_velocity_window((-3.0, 0.5), (1.5, 0.0), agent_id="b0"), ltr, {}))
+    estimates = pipeline._frame_estimates(targets)
+    return asked, estimates
+
+
+def ped_lines(agent_id="a0"):
+    return [(agent_id, f"ped_ltr_q{q}") for q in (0, 1, 2)]
+
+
+# the lines ahead of each vehicle; v_past has none and v_new no window
+VEH_LINES = {
+    veh_id: [(veh_id, f"veh_{area}_{end}") for end in ("enter", "leave")]
+    for veh_id, area in (("v_closer", "3.1"), ("v_further", "3.2"))
+}
+
+
+class TestRequestRule:
+    @pytest.mark.parametrize("roles", [
+        {},
+        {AreaRole.CLOSER: "v_past"},
+        {AreaRole.CLOSER: "v_new"},
+        {AreaRole.CLOSER: "v_past", AreaRole.FURTHER: "v_new"},
+    ], ids=["none", "past-both-lines", "window-not-ready", "neither-asked"])
+    def test_no_asked_conflict_vehicle_asks_no_pedestrian_line(self, roles):
+        asked, (est, other) = _asked_lines(lambda v: [{role: v[veh] for role, veh in roles.items()}])
+        assert not asked
+        assert astuple(est) == (None,) * 7 and astuple(other) == (None,) * 7
+
+    def test_closer_vehicle_only_asks_q0_and_q1(self):
+        asked, (est, _) = _asked_lines(lambda v: [{AreaRole.CLOSER: v["v_closer"]}])
+        assert asked == Counter(ped_lines()[:2] + VEH_LINES["v_closer"])
+        assert est.ped_q0 is not None and est.ped_q1 is not None and est.ped_q2 is None
+        assert ppet(est).c_pf is not None and ppet(est).c_vf is not None
+
+    @pytest.mark.parametrize("closer", [None, "v_closer", "v_past"])
+    def test_further_vehicle_asks_all_three(self, closer):
+        def targets_for(v):
+            vehicles = {AreaRole.FURTHER: v["v_further"]}
+            if closer is not None:
+                vehicles[AreaRole.CLOSER] = v[closer]
+            return [vehicles]
+
+        asked, (est, _) = _asked_lines(targets_for)
+        expect = ped_lines() + VEH_LINES["v_further"] + VEH_LINES.get(closer, [])
+        assert asked == Counter(expect)
+        assert None not in (est.ped_q0, est.ped_q1, est.ped_q2)
+
+    def test_vehicle_serving_two_pedestrians_is_asked_once(self):
+        """a0 and a1 share their closer vehicle, b0 has none: the vehicle's
+        two lines are asked once, q0 and q1 of a0 and a1 once each, and
+        nothing else."""
+        asked, estimates = _asked_lines(lambda v: [{AreaRole.CLOSER: v["v_closer"]}] * 2)
+        assert asked == Counter(VEH_LINES["v_closer"] + ped_lines("a0")[:2] + ped_lines("a1")[:2])
+        assert estimates[0].veh_closer_enter == estimates[1].veh_closer_enter is not None
