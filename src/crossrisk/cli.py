@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics
 from .errors import BudgetExceeded, CrossRiskError, ManifestError
-from .geometry import load_area_map, load_tile_grid, save_area_map, save_tile_grid
+from .geometry import AreaMap, load_area_map, load_tile_grid, save_area_map, save_tile_grid
 from .pipeline import (
     RiskPipeline,
     latency_report,
@@ -34,7 +34,7 @@ from .predictors import (
 )
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
 from .risk import AreaRole, RiskLevel, RiskThresholdConfig
-from .stream import StreamRow, agent_trajectories, load_stream, read_stream_rows, write_stream_csv
+from .stream import StreamRow, agent_trajectories, load_stream, read_stream_rows, target_line_table, write_stream_csv
 from .synthgen import GroundTruth, ScenarioSpec, generate, reference_area_map
 
 EXIT_OK = 0
@@ -47,6 +47,16 @@ def _require(path: str | None, what: str) -> Path:
     if not path or not Path(path).is_file():
         raise ManifestError(f"{what} not found: {path}")
     return Path(path)
+
+
+def _load_area_map(path: str) -> AreaMap:
+    """The area map at path, checked to hold every target line an agent can need."""
+    area_map = load_area_map(str(_require(path, "area map")))
+    try:
+        target_line_table(area_map)
+    except KeyError as exc:
+        raise ManifestError(f"{path}: {exc.args[0]}") from None
+    return area_map
 
 
 def _write_json(path: str, doc: dict) -> None:
@@ -112,7 +122,7 @@ def _annotations_from_truth(truth: GroundTruth) -> dict[str, AgentAnnotation]:
 
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
-    area_map = load_area_map(str(_require(args.area_map, "area map")))
+    area_map = _load_area_map(args.area_map)
     frames, _ = load_stream(args.stream, args.tile_grid)
     annotations = None
     if args.truth:
@@ -168,7 +178,7 @@ def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskP
     by gc.freeze(), so no full collection walks them inside a frame. Returns
     the pipeline, the number of frames with rows and the per-frame transform
     times."""
-    area_map = load_area_map(str(_require(args.area_map, "area map")))
+    area_map = _load_area_map(args.area_map)
     thresholds = _load_thresholds(args)
     bundle = _load_bundle(args)
     frames, transform_ms = load_stream(args.stream, args.tile_grid)

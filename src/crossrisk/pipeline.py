@@ -17,14 +17,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import ManifestError, PredictionError
-from .geometry import (
-    AreaMap,
-    TargetLine,
-    WorldPoint,
-    pedestrian_line_name,
-    signed_distance_to_line,
-    vehicle_line_name,
-)
+from .geometry import AreaMap, TargetLine, WorldPoint, signed_distance_to_line
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
 from .predictors import ALL_PAIRS, TrainedModelBundle
 from .risk import (
@@ -46,12 +39,15 @@ from .stream import (
     SlidingWindowTrajectory,
     StreamEngine,
     closer_further_assignment,
+    target_line_table,
 )
 
 # Vehicle class that serves each conflict area (approach-zone association).
 CONFLICT_AREA_VEHICLE = {c.conflict_area: c for c in AgentCategory if c.conflict_area is not None}
 
 _ROLES = (AreaRole.CLOSER, AreaRole.FURTHER)
+# Per area role: the pedestrian lines (q) its components read, and how many a frame asks.
+_VEHICLE_READS = ((AreaRole.CLOSER, (0, 1), 2), (AreaRole.FURTHER, (1, 2), 3))
 _PF = ConflictScenario.PEDESTRIAN_FIRST
 _VF = ConflictScenario.VEHICLE_FIRST
 
@@ -101,9 +97,10 @@ class EvaluationResult:
 class RiskPipeline:
     """Frame-serialized evaluator combining all library stages.
 
-    The bundle must hold a predictor for every pair of ALL_PAIRS: the
-    constructor asks each once, so MissingPredictor or TypeError is raised
-    here and not on the first frame that happens to need the pair.
+    The bundle must hold a predictor for every pair of ALL_PAIRS, and the
+    area map every target line an agent can need: the constructor asks each
+    once, so MissingPredictor, TypeError or KeyError is raised here and not
+    on the first frame that happens to need it.
     """
 
     def __init__(
@@ -118,6 +115,7 @@ class RiskPipeline:
         self.bundle = bundle if bundle is not None else TrainedModelBundle.historical_average()
         for category, q in ALL_PAIRS:
             self.bundle.predictor_for(category, q)
+        self._lines = target_line_table(area_map)
         self.fps = fps
         self.engine = StreamEngine(area_map)
         self.result = EvaluationResult()
@@ -131,65 +129,57 @@ class RiskPipeline:
         its window, its direction and its conflict vehicles: (id, position)
         per area role that has one.
 
-        The frame's requests form one table keyed by (agent id, line name),
-        so a vehicle serving several pedestrians is asked, and its window
-        built, once; a line behind the agent is not asked and gives None. A
-        pedestrian's lines are asked only where a P-PET component reads them:
-        none unless one of its conflict vehicles has a request in the table,
-        q0 and q1 when only the closer one has, all three when the further
-        one has (_ordered lifts q1 to q0 and q2 to both); the others give
-        None. The bundle answers the whole table in one call, and a request
-        that fails gives None.
+        The frame's requests form one table keyed by (agent id, q), so a
+        vehicle serving several pedestrians is asked, and its window built,
+        once; a line behind the agent is not asked and gives None. Only what
+        a P-PET component reads is asked: a conflict vehicle only while a
+        pedestrian line that its area reads is ahead (_VEHICLE_READS), and a
+        pedestrian's lines none unless one of its vehicles has a request, q0
+        and q1 when only the closer one has, all three when the further one
+        has (_ordered lifts q1 to q0 and q2 to both); the others give None.
+        The bundle answers the whole table in one call, and a request that
+        fails gives None.
         """
-        table: dict[tuple[str, str], int | None] = {}
+        index: dict[tuple[str, int], int] = {}  # (agent id, q) -> its request
         requests: list[tuple[int, SlidingWindowTrajectory, TargetLine]] = []
+        asked: set[str] = set()
 
-        def ask(window: SlidingWindowTrajectory, q: int, name: str) -> tuple[str, str]:
-            key = (window.agent_id, name)
-            line = self.area_map.line(name)
-            behind = signed_distance_to_line(window.end_position, line) < 0.0
-            table[key] = None if behind else len(requests)
-            if not behind:
-                requests.append((q, window, line))
-            return key
+        def ask(window: SlidingWindowTrajectory, lines: Sequence[TargetLine]) -> None:
+            asked.add(window.agent_id)
+            for q, line in enumerate(lines):
+                if signed_distance_to_line(window.end_position, line) >= 0.0:
+                    index[window.agent_id, q] = len(requests)
+                    requests.append((q, window, line))
 
         rows = []
         for window, direction, vehicles in targets:
-            veh_keys, ped_lines = [], 0
-            for role, area_id, lines_read in zip(_ROLES, closer_further_assignment(direction), (2, 3)):
-                veh_id = vehicles[role][0] if role in vehicles else None
-                keys = [(veh_id, vehicle_line_name(area_id, enter)) for enter in (True, False)]
-                if veh_id is not None and keys[0] not in table and self.engine.window_ready(veh_id):
+            ped_lines = self._lines[window.category, direction]
+            ahead = [signed_distance_to_line(window.end_position, line) >= 0.0 for line in ped_lines]
+            veh_ids, ped_read = [], 0
+            for role, (a, b), lines_read in _VEHICLE_READS:
+                veh_id = vehicles[role][0] if role in vehicles and (ahead[a] or ahead[b]) else None
+                if veh_id is not None and veh_id not in asked and self.engine.window_ready(veh_id):
                     veh_window = self.engine.window(veh_id)
-                    for q, (_, name) in enumerate(keys):
-                        ask(veh_window, q, name)
-                if any(table.get(key) is not None for key in keys):
-                    ped_lines = lines_read
-                veh_keys += keys
-            ped_keys = [
-                ask(window, q, pedestrian_line_name(direction.value, q)) if q < ped_lines else None
-                for q in (0, 1, 2)
-            ]
-            rows.append(ped_keys + veh_keys)
+                    ask(veh_window, self._lines[veh_window.category, direction])
+                if (veh_id, 0) in index or (veh_id, 1) in index:
+                    ped_read = lines_read
+                veh_ids.append(veh_id)
+            ask(window, ped_lines[:ped_read])
+            rows.append((window.agent_id, veh_ids))
         answers = self.bundle.arrival_times(requests)
 
-        def seconds(key: tuple[str, str] | None) -> float | None:
-            i = table.get(key)
+        def seconds(agent_id: str | None, q: int) -> float | None:
+            i = index.get((agent_id, q))
             value = None if i is None else answers[i]
             return None if isinstance(value, PredictionError) else value
 
         return [
-            ArrivalEstimateSet(*_ordered([seconds(k) for k in row[:3]]), *map(seconds, row[3:]))
-            for row in rows
+            ArrivalEstimateSet(
+                *_ordered([seconds(ped_id, q) for q in (0, 1, 2)]),
+                *(seconds(veh_id, q) for veh_id in veh_ids for q in (0, 1)),
+            )
+            for ped_id, veh_ids in rows
         ]
-
-    def _conflict_vehicle(
-        self, ped_position: WorldPoint, area_id: str,
-        snapshot: Mapping[AgentCategory, dict[str, WorldPoint]],
-    ) -> tuple[str, WorldPoint] | None:
-        candidates = snapshot[CONFLICT_AREA_VEHICLE[area_id]]
-        veh_id = select_conflict_vehicle(ped_position, candidates.items())
-        return None if veh_id is None else (veh_id, candidates[veh_id])
 
     # -- frame loop ----------------------------------------------------------------
 
@@ -214,15 +204,16 @@ class RiskPipeline:
                 continue
             if snapshot is None:
                 snapshot = {
-                    category: dict(self.engine.agents_in_areas([category], ("3.", "4.")))
-                    for category in CONFLICT_AREA_VEHICLE.values()
+                    area_id: dict(self.engine.agents_in_areas([category], ("3.", "4.")))
+                    for area_id, category in CONFLICT_AREA_VEHICLE.items()
                 }
             window = self.engine.window(ped_id)
             vehicles: dict[AreaRole, tuple[str, WorldPoint]] = {}
             for role, area_id in zip(_ROLES, closer_further_assignment(state.direction)):
-                found = self._conflict_vehicle(window.end_position, area_id, snapshot)
-                if found is not None:
-                    vehicles[role] = found
+                candidates = snapshot[area_id]
+                veh_id = select_conflict_vehicle(window.end_position, candidates.items())
+                if veh_id is not None:
+                    vehicles[role] = (veh_id, candidates[veh_id])
             evaluated.append((state, window, vehicles))
         estimates = self._frame_estimates(
             [(window, state.direction, vehicles) for state, window, vehicles in evaluated]
@@ -239,18 +230,10 @@ class RiskPipeline:
             for decision in decisions:
                 if decision.kind is DecisionKind.RISK2_FLAGGED and decision.scenario is not None:
                     self.result.risk_scenarios.append(decision.scenario)
-            for role in (AreaRole.CLOSER, AreaRole.FURTHER):
+            for role in _ROLES:
                 veh_id = vehicles.get(role, ("", None))[0]
-                self.result.trace.append(
-                    TraceRow(
-                        frame=frame,
-                        ped_id=state.agent_id,
-                        veh_id=veh_id,
-                        area=role,
-                        pf=vector.component(role.value, _PF),
-                        vf=vector.component(role.value, _VF),
-                    )
-                )
+                pf, vf = vector.component(role.value, _PF), vector.component(role.value, _VF)
+                self.result.trace.append(TraceRow(frame, state.agent_id, veh_id, role, pf, vf))
         ppet_risk_ms = (time.perf_counter() - t1) * 1000.0
 
         self.result.ingest_ms.append((t0 - t_ingest) * 1000.0)

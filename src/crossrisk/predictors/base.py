@@ -7,6 +7,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from ..geometry import TargetLine
+from ..stream import AgentCategory
 
 # Near-tangential approaches produce huge finite times; cap well beyond any
 # plausible conflict horizon so they cannot distort downstream differences.
@@ -18,10 +19,11 @@ class AgentKind(Enum):
     VEHICLE = "vehicle"
 
 
-# Valid target-location indices per agent kind: pedestrians pass the closer
-# entry (0), the center line (1) and the further exit (2); vehicles enter (0)
-# and leave (1) their conflict area.
-_VALID_Q = {AgentKind.PEDESTRIAN: (0, 1, 2), AgentKind.VEHICLE: (0, 1)}
+# Valid target-location indices per agent kind: the q of stream.target_lines.
+_VALID_Q = {
+    AgentKind.PEDESTRIAN: range(AgentCategory.ADULT.target_count),
+    AgentKind.VEHICLE: range(AgentCategory.VEHICLE_AREA_41.target_count),
+}
 
 
 @dataclass(frozen=True)

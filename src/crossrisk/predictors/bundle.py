@@ -21,7 +21,7 @@ SPLIT_RATIO = (0.8, 0.2)
 
 # All (category, q) pairs the evaluation pipeline can ask for.
 ALL_PAIRS: tuple[tuple[AgentCategory, int], ...] = tuple(
-    (c, q) for c in AgentCategory for q in ((0, 1) if c.conflict_area is not None else (0, 1, 2))
+    (c, q) for c in AgentCategory for q in range(c.target_count)
 )
 
 

@@ -12,22 +12,17 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ManifestError
-from ..geometry import (
-    AreaMap,
-    TargetLine,
-    WorldPoint,
-    first_crossing_time,
-    pedestrian_line_name,
-    vehicle_line_name,
-)
+from ..errors import ManifestError, UnknownDirection
+from ..geometry import AreaMap, TargetLine, WorldPoint
 from ..stream import (
     WINDOW_SIZE,
     AgentCategory,
     Direction,
     Observation,
     SlidingWindowTrajectory,
+    crossing_times,
     infer_direction,
+    target_lines,
 )
 from .base import AgentKind, TargetLocation
 
@@ -76,26 +71,17 @@ class LabeledSample:
 def targets_for_agent(
     trajectory: Sequence[Observation], area_map: AreaMap
 ) -> list[TargetLocation]:
-    """Standard target locations for one agent's complete trajectory.
-
-    Pedestrian targets depend on the crossing direction inferred from the
-    full trajectory; vehicle targets are the enter/leave lines of the
-    conflict area their class serves.
-    """
+    """Standard target locations for one agent's complete trajectory: its
+    target_lines, a pedestrian's in the crossing direction inferred from the
+    full trajectory (none when that is unknown)."""
     category = trajectory[0].category
-    if category.is_pedestrian:
-        direction = infer_direction(trajectory)
-        if direction is Direction.UNKNOWN:
-            return []
-        return [
-            TargetLocation(AgentKind.PEDESTRIAN, q, area_map.line(pedestrian_line_name(direction.value, q)))
-            for q in (0, 1, 2)
-        ]
-    area = category.conflict_area
-    return [
-        TargetLocation(AgentKind.VEHICLE, 0, area_map.line(vehicle_line_name(area, enter=True))),
-        TargetLocation(AgentKind.VEHICLE, 1, area_map.line(vehicle_line_name(area, enter=False))),
-    ]
+    kind = AgentKind.PEDESTRIAN if category.is_pedestrian else AgentKind.VEHICLE
+    direction = infer_direction(trajectory) if category.is_pedestrian else Direction.UNKNOWN
+    try:
+        lines = target_lines(area_map, category, direction)
+    except UnknownDirection:
+        return []
+    return [TargetLocation(kind, q, line) for q, line in enumerate(lines)]
 
 
 def build_labeled_dataset(
@@ -128,8 +114,8 @@ def build_labeled_dataset(
         positions = np.array([(o.position.x, o.position.y) for o in trajectory])
         # the windows are overlapping views of these arrays
         times.flags.writeable = positions.flags.writeable = False
-        for target in agent_targets:
-            t_cross = first_crossing_time(positions, times, target.line)
+        crossings = crossing_times([target.line for target in agent_targets], times, positions)
+        for target, t_cross in zip(agent_targets, crossings):
             if t_cross is None:
                 log.info("agent %s never crosses q=%d", agent_id, target.q)
                 continue

@@ -27,10 +27,10 @@ from .errors import (
     OutOfOrderFrame,
     UnknownDirection,
 )
-from .geometry import AreaMap, PixelPoint, WorldPoint, load_tile_grid, locate_areas, transform_point
+from .geometry import AreaMap, PixelPoint, TargetLine, WorldPoint, first_crossing_time, load_tile_grid, locate_areas
+from .geometry import pedestrian_line_name, transform_point, vehicle_line_name
 
 WINDOW_SIZE = 30           # points per sliding window (1 s at 30 FPS)
-MIN_TRAJECTORY_LENGTH = 30  # prediction gate; coincides with the window size
 MAX_INTERPOLATED_GAP = 5    # missed frames repaired by linear interpolation
 DIRECTION_DEAD_BAND_M = 0.2
 
@@ -60,6 +60,11 @@ class AgentCategory(IntEnum):
         if self is AgentCategory.VEHICLE_AREA_42:
             return "3.2"
         return None
+
+    @property
+    def target_count(self) -> int:
+        """How many target lines (q) an agent of this class has: see target_lines."""
+        return 3 if self.is_pedestrian else 2
 
 
 @dataclass(frozen=True)
@@ -233,6 +238,33 @@ def closer_further_assignment(direction: Direction) -> tuple[str, str]:
     if direction is Direction.RIGHT_TO_LEFT:
         return ("3.2", "3.1")
     raise UnknownDirection("closer/further assignment needs a known direction")
+
+
+def target_lines(area_map: AreaMap, category: AgentCategory, direction: Direction) -> tuple[TargetLine, ...]:
+    """An agent's target lines in q order: q0-q2 of a pedestrian's crossing
+    direction, or the enter and leave lines of the conflict area its vehicle
+    class serves, whatever the direction. A pedestrian of unknown direction
+    raises UnknownDirection, a line the area map lacks KeyError."""
+    if category.is_vehicle:
+        names = [vehicle_line_name(category.conflict_area, enter) for enter in (True, False)]
+    elif direction is Direction.UNKNOWN:
+        raise UnknownDirection("a pedestrian's target lines need a known direction")
+    else:
+        names = [pedestrian_line_name(direction.value, q) for q in range(category.target_count)]
+    return tuple(map(area_map.line, names))
+
+
+def target_line_table(area_map: AreaMap) -> dict[tuple[AgentCategory, Direction], tuple[TargetLine, ...]]:
+    """target_lines of every category and known direction: every line an
+    agent can need, so a line the area map lacks raises KeyError here."""
+    known = (Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT)
+    return {(c, d): target_lines(area_map, c, d) for c in AgentCategory for d in known}
+
+
+def crossing_times(lines: Iterable[TargetLine], times: np.ndarray, positions: np.ndarray) -> list[float | None]:
+    """Each line's first crossing time along an agent's path, given as its
+    times (N,) and positions (N, 2); None where the path never reaches it."""
+    return [first_crossing_time(positions, times, line) for line in lines]
 
 
 class PedestrianStatus(Enum):

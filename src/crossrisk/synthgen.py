@@ -15,22 +15,30 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleSpec, ManifestError
+from .errors import InfeasibleSpec, ManifestError, UnknownDirection
 from .geometry import (
     AreaMap,
     PixelPoint,
     TargetLine,
     TileGrid,
     WorldPoint,
-    first_crossing_time,
     locate_areas,
     pedestrian_line_name,
+    signed_distance_to_line,
     tile_from_anchors,
     vehicle_line_name,
 )
 from .predictors.dataset import Awareness, Reaction
-from .risk import RiskLevel, in_evaluation_zone
-from .stream import AgentCategory, Direction, Observation, closer_further_assignment, infer_direction
+from .risk import AreaRole, RiskLevel, in_evaluation_zone
+from .stream import (
+    AgentCategory,
+    Direction,
+    Observation,
+    closer_further_assignment,
+    crossing_times,
+    infer_direction,
+    target_lines,
+)
 
 # --- reference site layout ------------------------------------------------------
 
@@ -255,7 +263,7 @@ class GroundTruth:
                 conflict_area=raw.get("conflict_area"),
             )
         for entry in doc.get("risk", []):
-            truth.risk[(entry["ped_id"], entry["area"])] = RiskLevel(int(entry["level"]))
+            truth.risk[(entry["ped_id"], AreaRole(entry["area"]).value)] = RiskLevel(int(entry["level"]))
         return truth
 
     def save(self, path: str) -> None:
@@ -392,27 +400,18 @@ def _plan_pedestrians(spec: ScenarioSpec, rng: np.random.Generator) -> list[_Ped
     return plans
 
 
-def _planned_occupancy(plan: _PedPlan, area: str) -> tuple[float, float]:
-    """When the no-reaction plan enters and leaves a conflict area."""
-    if plan.direction is Direction.LEFT_TO_RIGHT:
-        edges = {
-            "3.1": (CROSSWALK_START_X, CROSSWALK_CENTER_X),
-            "3.2": (CROSSWALK_CENTER_X, CROSSWALK_END_X),
-        }[area]
-        enter = plan.start_t + (edges[0] - plan.start_x) / plan.speed
-        leave = plan.start_t + (edges[1] - plan.start_x) / plan.speed
-    else:
-        edges = {
-            "3.2": (CROSSWALK_END_X, CROSSWALK_CENTER_X),
-            "3.1": (CROSSWALK_CENTER_X, CROSSWALK_START_X),
-        }[area]
-        enter = plan.start_t + (plan.start_x - edges[0]) / plan.speed
-        leave = plan.start_t + (plan.start_x - edges[1]) / plan.speed
+def _planned_occupancy(plan: _PedPlan, area: str, area_map: AreaMap) -> tuple[float, float]:
+    """When the no-reaction plan enters and leaves a conflict area: reaches
+    the pair of its target lines that bounds the area."""
+    q = closer_further_assignment(plan.direction).index(area)
+    start = WorldPoint(plan.start_x, plan.lane_y)
+    lines = target_lines(area_map, plan.category, plan.direction)[q:q + 2]
+    enter, leave = (plan.start_t + signed_distance_to_line(start, line) / plan.speed for line in lines)
     return enter, leave
 
 
 def _schedule_vehicles(
-    spec: ScenarioSpec, plans: Sequence[_PedPlan], rng: np.random.Generator
+    spec: ScenarioSpec, plans: Sequence[_PedPlan], rng: np.random.Generator, area_map: AreaMap
 ) -> list[_VehPlan]:
     vehicles: list[_VehPlan] = []
     counter = 0
@@ -431,7 +430,7 @@ def _schedule_vehicles(
             continue
         category = AgentCategory.VEHICLE_AREA_41 if rng.uniform() < 0.5 else AgentCategory.VEHICLE_AREA_42
         speed = float(np.clip(rng.normal(spec.vehicle_speed_mps, spec.vehicle_speed_sd), 5.0, 12.0))
-        enter, leave = _planned_occupancy(plan, category.conflict_area)
+        enter, leave = _planned_occupancy(plan, category.conflict_area, area_map)
         transit = (BAND_Y_HI - BAND_Y_LO) / speed
         if rng.uniform() < spec.risky_fraction:
             enter_t = float(rng.uniform(enter - 0.4, leave + 1.2))
@@ -562,35 +561,36 @@ def _simulate_pedestrian(
     return out
 
 
-def _trajectory_arrays(trajectory: Sequence[Observation]) -> tuple[np.ndarray, np.ndarray]:
-    positions = np.array([[o.position.x, o.position.y] for o in trajectory])
+@dataclass(frozen=True)
+class _Track:
+    """One agent's category, time (N,) and position (N, 2) arrays, crossing
+    direction (UNKNOWN for vehicles) and the first crossing time of each of
+    its target lines, in q order (none when the direction is unknown)."""
+
+    category: AgentCategory
+    times: np.ndarray
+    positions: np.ndarray
+    direction: Direction
+    crossings: list[float | None]
+
+
+def _track(trajectory: Sequence[Observation], area_map: AreaMap) -> _Track:
+    category = trajectory[0].category
     times = np.array([o.t for o in trajectory])
-    return positions, times
+    positions = np.array([[o.position.x, o.position.y] for o in trajectory])
+    direction = infer_direction(trajectory) if category.is_pedestrian else Direction.UNKNOWN
+    try:
+        lines = target_lines(area_map, category, direction)
+    except UnknownDirection:
+        lines = ()
+    return _Track(category, times, positions, direction, crossing_times(lines, times, positions))
 
 
-def _pedestrian_crossing_times(
-    trajectory: Sequence[Observation], area_map: AreaMap, direction: Direction
-) -> dict[str, float]:
-    positions, times = _trajectory_arrays(trajectory)
-    out = {}
-    for q in (0, 1, 2):
-        line = area_map.line(pedestrian_line_name(direction.value, q))
-        t_cross = first_crossing_time(positions, times, line)
-        if t_cross is not None:
-            out[f"q{q}"] = t_cross
-    return out
-
-
-def _vehicle_crossing_times(
-    trajectory: Sequence[Observation], area_map: AreaMap, area: str
-) -> dict[str, float]:
-    positions, times = _trajectory_arrays(trajectory)
-    out = {}
-    for key, enter in (("enter", True), ("leave", False)):
-        t_cross = first_crossing_time(positions, times, area_map.line(vehicle_line_name(area, enter)))
-        if t_cross is not None:
-            out[key] = t_cross
-    return out
+def _crossing_dict(track: _Track) -> dict[str, float]:
+    """AgentTruth.crossing_times: the crossing time of each target line
+    reached, by its ground-truth name (in target_lines' q order)."""
+    keys = ("q0", "q1", "q2") if track.category.is_pedestrian else ("enter", "leave")
+    return {key: t for key, t in zip(keys, track.crossings) if t is not None}
 
 
 def _realized_pet(
@@ -619,35 +619,27 @@ def label_risk(
     pedestrian took an evasive speed change with a vehicle around; else
     Risk 1.
     """
+    return _label_tracks({k: _track(v, area_map) for k, v in trajectories.items()}, area_map, fps)
+
+
+def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap, fps: int) -> dict[tuple[str, str], RiskLevel]:
+    """label_risk of the agents' tracks."""
     vehicle_windows: dict[str, list[tuple[str, float, float]]] = {c.conflict_area: [] for c in _LANES}
-    for agent_id, trajectory in trajectories.items():
-        category = trajectory[0].category
-        if not category.is_vehicle:
-            continue
-        area = category.conflict_area
-        times = _vehicle_crossing_times(trajectory, area_map, area)
-        if "enter" in times and "leave" in times:
-            vehicle_windows[area].append((agent_id, times["enter"], times["leave"]))
+    for agent_id, track in tracks.items():
+        if track.category.is_vehicle and None not in track.crossings:
+            enter, leave = track.crossings
+            vehicle_windows[track.category.conflict_area].append((agent_id, enter, leave))
 
     labels: dict[tuple[str, str], RiskLevel] = {}
-    for agent_id, trajectory in trajectories.items():
-        category = trajectory[0].category
-        if not category.is_pedestrian:
+    for agent_id, track in tracks.items():
+        if track.category.is_vehicle or not track.crossings or None in track.crossings:
             continue
-        direction = infer_direction(trajectory)
-        if direction is Direction.UNKNOWN:
-            continue
-        crossing = _pedestrian_crossing_times(trajectory, area_map, direction)
-        if not all(k in crossing for k in ("q0", "q1", "q2")):
-            continue
-        closer, further = closer_further_assignment(direction)
-        occupancy = {
-            "closer": (crossing["q0"], crossing["q1"]),
-            "further": (crossing["q1"], crossing["q2"]),
-        }
+        q0, q1, q2 = track.crossings
+        closer, further = closer_further_assignment(track.direction)
+        occupancy = {"closer": (q0, q1), "further": (q1, q2)}
         area_of_role = {"closer": closer, "further": further}
 
-        evasive = _took_evasive_action(trajectory, area_map, fps)
+        evasive = _took_evasive_action(track, area_map, fps)
         min_pet: dict[str, float | None] = {}
         for role in ("closer", "further"):
             ped_window = occupancy[role]
@@ -674,14 +666,12 @@ def label_risk(
     return labels
 
 
-def _took_evasive_action(
-    trajectory: Sequence[Observation], area_map: AreaMap, fps: int
-) -> bool:
+def _took_evasive_action(track: _Track, area_map: AreaMap, fps: int) -> bool:
     """Detect a sustained >= 30% smoothed speed change against the approach
     baseline while the pedestrian was in the react or conflict zones."""
-    if len(trajectory) < fps * 2:
+    positions, times = track.positions, track.times
+    if len(times) < fps * 2:
         return False
-    positions, times = _trajectory_arrays(trajectory)
     speed = np.hypot(*np.diff(positions, axis=0).T) / np.diff(times)
     kernel = np.ones(10) / 10.0
     smooth = np.convolve(speed, kernel, mode="valid")
@@ -710,10 +700,10 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
     plan_rng = np.random.default_rng(plan_seed)
     veh_rng = np.random.default_rng(veh_seed)
 
-    ped_plans = _plan_pedestrians(spec, plan_rng)
-    veh_plans = _schedule_vehicles(spec, ped_plans, veh_rng)
-    threats = _vehicle_threat_times(veh_plans, spec)
     area_map = reference_area_map()
+    ped_plans = _plan_pedestrians(spec, plan_rng)
+    veh_plans = _schedule_vehicles(spec, ped_plans, veh_rng, area_map)
+    threats = _vehicle_threat_times(veh_plans, spec)
 
     trajectories: dict[str, list[Observation]] = {}
     walk_rngs = walk_seed.spawn(len(ped_plans))
@@ -726,35 +716,31 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
         if trajectory:
             trajectories[plan.agent_id] = trajectory
 
+    # each agent's arrays, direction and crossing times, built once for the
+    # truth and the risk labels
+    tracks = {agent_id: _track(trajectory, area_map) for agent_id, trajectory in trajectories.items()}
     truth = GroundTruth(fps=spec.fps)
     for plan in ped_plans:
-        trajectory = trajectories.get(plan.agent_id)
-        if not trajectory:
+        track = tracks.get(plan.agent_id)
+        if track is None:
             continue
-        direction = infer_direction(trajectory)
         truth.agents[plan.agent_id] = AgentTruth(
             category=plan.category,
-            direction=direction.value if direction is not Direction.UNKNOWN else None,
+            direction=track.direction.value if track.direction is not Direction.UNKNOWN else None,
             awareness=plan.awareness,
             reaction=plan.reaction,
-            crossing_times=(
-                _pedestrian_crossing_times(trajectory, area_map, direction)
-                if direction is not Direction.UNKNOWN
-                else {}
-            ),
+            crossing_times=_crossing_dict(track),
         )
     for plan in veh_plans:
-        trajectory = trajectories.get(plan.agent_id)
-        if not trajectory:
+        track = tracks.get(plan.agent_id)
+        if track is None:
             continue
-        area = plan.category.conflict_area
         truth.agents[plan.agent_id] = AgentTruth(
             category=plan.category,
-            crossing_times=_vehicle_crossing_times(trajectory, area_map, area),
-            conflict_area=area,
+            crossing_times=_crossing_dict(track),
+            conflict_area=plan.category.conflict_area,
         )
-
-    truth.risk = label_risk(trajectories, area_map, spec.fps)
+    truth.risk = _label_tracks(tracks, area_map, spec.fps)
 
     frames: dict[int, list[Observation]] = {}
     for agent_id in sorted(trajectories):

@@ -545,6 +545,37 @@ def test_bad_tile_grid_names_the_file(command, second_tile, message, tmp_path, c
 
 
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+def test_area_map_without_a_target_line_is_input_error(command, gen_dir, tmp_path, capsys):
+    """An area map that lacks a line some agent can need exits 2 naming the
+    file and the line, checked when the map is loaded."""
+    doc = json.loads((gen_dir / "area_map.json").read_text(encoding="utf-8"))
+    del doc["target_lines"]["veh_3.2_leave"]
+    area_map = tmp_path / "area_map.json"
+    area_map.write_text(json.dumps(doc), encoding="utf-8")
+    out = tmp_path / ("samples.jsonl" if command == "build-dataset" else "out")
+    argv = [command, "--stream", str(gen_dir / "stream.csv"), "--area-map", str(area_map), "--out", str(out)]
+    assert main(argv) == EXIT_INPUT
+    assert f"{area_map}: area map has no target line 'veh_3.2_leave'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "metrics", "tune"])
+def test_truth_risk_area_other_than_closer_or_further_is_input_error(command, tmp_path, capsys):
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    doc = json.loads(truth_path.read_text(encoding="utf-8"))
+    doc["risk"][0]["area"] = "middle"
+    truth_path.write_text(json.dumps(doc), encoding="utf-8")
+    if command == "evaluate":
+        stream = tmp_path / "stream.csv"
+        stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
+        code = _stream_command(command, stream, tmp_path, "--truth", str(truth_path))
+    else:
+        code = _tune_or_metrics(command, trace_path, truth_path, tmp_path)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"cannot read ground truth {truth_path}" in err and "'middle'" in err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
 def test_category_change_is_input_error(command, tmp_path, capsys):
     stream = tmp_path / "stream.csv"
     stream.write_text(

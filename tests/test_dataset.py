@@ -130,6 +130,54 @@ class TestTargetsForAgent:
         assert targets[1].line is area_map.line(vehicle_line_name("3.1", False))
 
 
+class TestLabelsAgreeWithGroundTruth:
+    """build-dataset's labels and the generator's ground truth take their
+    lines and crossing times from one place."""
+
+    # AgentTruth.crossing_times names of a target q, per agent kind
+    TRUTH_NAMES = {AgentKind.PEDESTRIAN: ("q0", "q1", "q2"), AgentKind.VEHICLE: ("enter", "leave")}
+
+    @pytest.fixture(scope="class")
+    def generated(self):
+        from crossrisk.stream import agent_trajectories
+        from crossrisk.synthgen import ScenarioSpec, generate
+
+        frames, truth = generate(ScenarioSpec(seed=4, duration_s=60, n_adults=4, n_kids=2, n_cyclists=2))
+        return agent_trajectories(frames), truth
+
+    def test_label_is_truth_crossing_minus_window_end(self, generated, area_map):
+        trajectories, truth = generated
+        samples = build_labeled_dataset(trajectories, area_map)
+        for s in samples:
+            name = self.TRUTH_NAMES[s.q.kind][s.q.q]
+            t_cross = truth.agents[s.window.agent_id].crossing_times[name]
+            assert float(s.arrival_time).hex() == float(t_cross - s.window.times[-1]).hex()
+        assert {s.q.kind for s in samples} == set(AgentKind)
+        assert {s.q.q for s in samples} == {0, 1, 2}
+
+    def test_truth_crossing_times_name_the_agents_target_lines(self, generated, area_map):
+        from crossrisk.errors import UnknownDirection
+        from crossrisk.stream import Direction, crossing_times, target_lines
+
+        trajectories, truth = generated
+        for trajectory in trajectories:
+            agent = truth.agents[trajectory[0].agent_id]
+            kind = AgentKind.PEDESTRIAN if agent.category.is_pedestrian else AgentKind.VEHICLE
+            try:
+                lines = target_lines(area_map, agent.category, Direction(agent.direction or "unknown"))
+            except UnknownDirection:
+                lines = ()
+            times = np.array([o.t for o in trajectory])
+            positions = np.array([(o.position.x, o.position.y) for o in trajectory])
+            expect = {
+                name: t for name, t in zip(self.TRUTH_NAMES[kind], crossing_times(lines, times, positions))
+                if t is not None
+            }
+            assert agent.crossing_times == expect
+        assert any(len(a.crossing_times) == 3 for a in truth.agents.values())
+        assert any(set(a.crossing_times) == {"enter", "leave"} for a in truth.agents.values())
+
+
 class TestSamplesFile:
     def test_jsonl_round_trip(self, tmp_path):
         traj = straight_trajectory("a0", 0.0, 1.2, 120, category=AgentCategory.KID)

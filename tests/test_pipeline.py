@@ -297,10 +297,13 @@ def _gru_bundle(hidden_for, seed=0):
 def one_window_estimates(pipeline, window, direction, vehicles):
     """The estimate set of one pedestrian with every line asked, one predict
     call per (window, line), in the order of ArrivalEstimateSet's fields;
-    and how many of its pedestrian lines the P-PET components read: two
-    with an asked closer vehicle only, three with an asked further one,
-    else none. A vehicle is asked when its window is ready and one of its
-    lines is ahead of it."""
+    which of its conflict vehicles a frame asks; and how many of its
+    pedestrian lines the P-PET components read: two with an asked closer
+    vehicle only, three with an asked further one, else none. A vehicle is
+    asked when its window is ready, one of its lines is ahead of it and one
+    of the pedestrian lines that its area's components read (q0 or q1 for
+    the closer area, q1 or q2 for the further one) is ahead of the
+    pedestrian."""
     from crossrisk.errors import PredictionError
     from crossrisk.geometry import pedestrian_line_name, signed_distance_to_line, vehicle_line_name
     from crossrisk.stream import closer_further_assignment
@@ -315,24 +318,29 @@ def one_window_estimates(pipeline, window, direction, vehicles):
         except PredictionError:
             return None
 
-    ped = [predict(window, q, lines(pedestrian_line_name(direction.value, q))) for q in (0, 1, 2)]
+    ped_lines = [lines(pedestrian_line_name(direction.value, q)) for q in (0, 1, 2)]
+    ped_ahead = [signed_distance_to_line(window.end_position, line) >= 0.0 for line in ped_lines]
+    ped = [predict(window, q, line) for q, line in enumerate(ped_lines)]
     for i in (1, 2):
         if ped[i] is not None:
             earlier = [v for v in ped[:i] if v is not None]
             if earlier and ped[i] < earlier[-1]:
                 ped[i] = earlier[-1]
-    veh, read = [], 0
-    for role, area_id in zip((AreaRole.CLOSER, AreaRole.FURTHER), closer_further_assignment(direction)):
+    veh, asked, read = [], [], 0
+    roles = zip((AreaRole.CLOSER, AreaRole.FURTHER), closer_further_assignment(direction), ((0, 1), (1, 2)))
+    for role, area_id, reads in roles:
         veh_id = vehicles.get(role, (None,))[0]
         if veh_id is None or not pipeline.engine.window_ready(veh_id):
             veh += [None, None]
             continue
         w = pipeline.engine.window(veh_id)
         veh_lines = [lines(vehicle_line_name(area_id, enter)) for enter in (True, False)]
-        if any(signed_distance_to_line(w.end_position, line) >= 0.0 for line in veh_lines):
+        wanted = any(ped_ahead[q] for q in reads)
+        if wanted and any(signed_distance_to_line(w.end_position, line) >= 0.0 for line in veh_lines):
             read = 2 if role is AreaRole.CLOSER else 3
+            asked.append(role)
         veh += [predict(w, q, line) for q, line in enumerate(veh_lines)]
-    return ped + veh, read
+    return ped + veh, asked, read
 
 
 def _bits(values):
@@ -408,19 +416,24 @@ class TestBatchedFrame:
     def test_estimates_equal_one_window_predictions(self, busy_scenario):
         """GRU pairs of two hidden sizes and baseline pairs mixed in one
         bundle: every estimate a P-PET component reads equals its one-window
-        predict call, exactly, the pedestrian lines no component reads are
-        None, and each P-PET vector has the bits of the all-lines one."""
+        predict call, exactly, the pedestrian lines no component reads and
+        the lines of a conflict vehicle whose area reads no pedestrian line
+        ahead are None, and each P-PET vector has the bits of the all-lines
+        one."""
         from crossrisk.ppet import ArrivalEstimateSet
 
         pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), _gru_bundle(_mixed_hidden))
-        seen = {"frames": 0, "values": 0, "shared": 0, "unread": 0}
+        seen = {"frames": 0, "values": 0, "shared": 0, "unread": 0, "dropped": 0}
 
         def check(targets, estimates):
             seen["frames"] += 1
             seen["shared"] += len(targets) > 1 or any(v for _, _, v in targets)
             for (window, direction, vehicles), est in zip(targets, estimates):
-                every_line, read = one_window_estimates(pipeline, window, direction, vehicles)
-                expect = every_line[:read] + [None] * (3 - read) + every_line[3:]
+                every_line, asked, read = one_window_estimates(pipeline, window, direction, vehicles)
+                expect = every_line[:read] + [None] * (3 - read)
+                for role, values in zip((AreaRole.CLOSER, AreaRole.FURTHER), (every_line[3:5], every_line[5:])):
+                    expect += values if role in asked else [None, None]
+                    seen["dropped"] += role not in asked and any(v is not None for v in values)
                 seen["unread"] += read < 3 and any(v is not None for v in every_line[read:3])
                 got = list(astuple(est))
                 assert [v is None for v in got] == [v is None for v in expect]
@@ -432,10 +445,10 @@ class TestBatchedFrame:
 
         _spy_frames(pipeline, check)
         frame = min(busy_scenario)
-        while seen["frames"] < 200:
+        while seen["frames"] < 300:
             pipeline.process_frame(frame, busy_scenario.get(frame, []))
             frame += 1
-        assert seen["shared"] > 150 and seen["values"] > 1000 and seen["unread"] > 0
+        assert seen["shared"] > 150 and seen["values"] > 1000 and seen["unread"] > 0 and seen["dropped"] > 0
 
     def test_run_equals_asking_every_line(self, busy_scenario):
         """The whole busy run with a mixed GRU/baseline bundle gives the
@@ -555,11 +568,12 @@ class TestBatchedFrame:
 # --- which lines a frame asks ------------------------------------------------------
 
 
-def _asked_lines(targets_for):
+def _asked_lines(targets_for, start_x=-2.0):
     """The (agent id, line name) counts of the requests the bundle receives
     for one frame, and the frame's estimates. The frame has left-to-right
-    pedestrians a0, a1, ... with the conflict vehicles that
-    targets_for(vehicles) lists for each, then b0 with none. The engine holds
+    pedestrians a0, a1, ... walking at 2 m/s from x = start_x, start_x - 1,
+    ... with the conflict vehicles that targets_for(vehicles) lists for each,
+    then b0 with none. The engine holds
     v_closer and v_further 7 m before their areas' enter lines, v_past
     beyond both lines of area 3.1 and v_new, of 5 points only, before them."""
     from crossrisk.stream import AgentCategory, Direction
@@ -583,7 +597,7 @@ def _asked_lines(targets_for):
     pipeline.bundle.arrival_times = spy
     ltr = Direction.LEFT_TO_RIGHT
     targets = [
-        (constant_velocity_window((-2.0 - k, 1.0), (2.0, 0.0), agent_id=f"a{k}"), ltr, own)
+        (constant_velocity_window((start_x - k, 1.0), (2.0, 0.0), agent_id=f"a{k}"), ltr, own)
         for k, own in enumerate(targets_for(vehicles))
     ]
     targets.append((constant_velocity_window((-3.0, 0.5), (1.5, 0.0), agent_id="b0"), ltr, {}))
@@ -632,6 +646,22 @@ class TestRequestRule:
         expect = ped_lines() + VEH_LINES["v_further"] + VEH_LINES.get(closer, [])
         assert asked == Counter(expect)
         assert None not in (est.ped_q0, est.ped_q1, est.ped_q2)
+
+    @pytest.mark.parametrize("start_x, roles, expect", [
+        (6.0, {AreaRole.CLOSER: "v_closer"}, []),
+        (6.0, {AreaRole.CLOSER: "v_closer", AreaRole.FURTHER: "v_further"},
+         [("a0", "ped_ltr_q2")] + VEH_LINES["v_further"]),
+        (12.0, {AreaRole.CLOSER: "v_closer", AreaRole.FURTHER: "v_further"}, []),
+    ], ids=["past-q1-closer-only", "past-q1-both", "past-q2-both"])
+    def test_vehicle_whose_area_reads_no_line_ahead_is_not_asked(self, start_x, roles, expect):
+        """The closer area's components read q0 and q1, the further one's q1
+        and q2: a pedestrian past both lines that an area reads makes no
+        request of that area's vehicle, and its components stay None."""
+        asked, (est, _) = _asked_lines(lambda v: [{role: v[veh] for role, veh in roles.items()}], start_x)
+        assert asked == Counter(expect)
+        vector = ppet(est)
+        assert (vector.c_pf, vector.c_vf, vector.f_vf) == (None, None, None)
+        assert (vector.f_pf is None) == (not expect)
 
     def test_vehicle_serving_two_pedestrians_is_asked_once(self):
         """a0 and a1 share their closer vehicle, b0 has none: the vehicle's

@@ -23,9 +23,11 @@ from crossrisk.stream import (
     TrajectoryBuffer,
     agent_trajectories,
     closer_further_assignment,
+    crossing_times,
     infer_direction,
     load_stream,
     read_stream_csv,
+    target_lines,
     window,
     write_stream_csv,
 )
@@ -193,6 +195,47 @@ class TestDirection:
         assert closer_further_assignment(Direction.RIGHT_TO_LEFT) == ("3.2", "3.1")
         with pytest.raises(UnknownDirection):
             closer_further_assignment(Direction.UNKNOWN)
+
+
+class TestTargetLines:
+    @pytest.mark.parametrize("direction", [Direction.LEFT_TO_RIGHT, Direction.RIGHT_TO_LEFT])
+    @pytest.mark.parametrize("category", list(AgentCategory))
+    def test_lines_in_q_order(self, category, direction, area_map):
+        from crossrisk.geometry import pedestrian_line_name, vehicle_line_name
+
+        if category.is_pedestrian:
+            names = [pedestrian_line_name(direction.value, q) for q in (0, 1, 2)]
+        else:
+            names = [vehicle_line_name(category.conflict_area, enter) for enter in (True, False)]
+        lines = target_lines(area_map, category, direction)
+        assert len(lines) == category.target_count
+        assert all(line is area_map.line(name) for line, name in zip(lines, names, strict=True))
+
+    def test_unknown_direction(self, area_map):
+        with pytest.raises(UnknownDirection):
+            target_lines(area_map, AgentCategory.KID, Direction.UNKNOWN)
+        assert len(target_lines(area_map, AgentCategory.VEHICLE_AREA_42, Direction.UNKNOWN)) == 2
+
+    def test_missing_line_names_it(self, area_map):
+        from crossrisk.geometry import AreaMap
+
+        lines = {k: v for k, v in area_map.target_lines.items() if k != "ped_rtl_q2"}
+        partial = AreaMap(area_map.areas, lines, area_map.center_line)
+        assert target_lines(partial, AgentCategory.ADULT, Direction.LEFT_TO_RIGHT)
+        with pytest.raises(KeyError, match="ped_rtl_q2"):
+            target_lines(partial, AgentCategory.ADULT, Direction.RIGHT_TO_LEFT)
+
+    def test_crossing_times_are_first_crossings(self, area_map):
+        """Walking right from x = -1 at 3 m/s: q0 (x = 0), q1 (5.5) and q2
+        (11) are first crossed between samples, interpolated; walking back
+        never reaches the right-to-left lines from their approach side."""
+        track = walk("a0", -1.0, 0.1, 150)
+        times = np.array([o.t for o in track])
+        positions = np.array([(o.position.x, o.position.y) for o in track])
+        got = crossing_times(target_lines(area_map, AgentCategory.ADULT, Direction.LEFT_TO_RIGHT), times, positions)
+        assert got == pytest.approx([1.0 / 3.0, 6.5 / 3.0, 12.0 / 3.0], abs=1e-12)
+        rtl = target_lines(area_map, AgentCategory.ADULT, Direction.RIGHT_TO_LEFT)
+        assert crossing_times(rtl, times, positions) == [None, None, None]
 
 
 class TestLifecycle:

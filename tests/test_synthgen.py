@@ -45,6 +45,29 @@ class TestDeterminism:
         assert stream_bytes(a) != stream_bytes(b)
 
 
+    def test_each_line_crossing_is_computed_once(self, monkeypatch):
+        """The truth and the risk labels share one first-crossing search per
+        agent and target line: three per pedestrian of known direction, two
+        per vehicle."""
+        import crossrisk.stream as stream_module
+
+        calls = []
+        search = stream_module.first_crossing_time
+
+        def counting(positions, times, line):
+            calls.append(line)
+            return search(positions, times, line)
+
+        monkeypatch.setattr(stream_module, "first_crossing_time", counting)
+        _, truth = generate(ScenarioSpec(seed=12, duration_s=40, n_adults=4, n_kids=2, n_cyclists=2))
+        expected = sum(
+            agent.category.target_count
+            for agent in truth.agents.values()
+            if agent.category.is_vehicle or agent.direction is not None
+        )
+        assert expected > 0 and len(calls) == expected
+
+
 class TestSpecValidation:
     def test_fps_fixed(self):
         with pytest.raises(InfeasibleSpec):
