@@ -182,7 +182,7 @@ def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskP
     thresholds = _load_thresholds(args)
     bundle = _load_bundle(args)
     frames, transform_ms = load_stream(args.stream, args.tile_grid)
-    pipeline = RiskPipeline(area_map, thresholds, bundle, fps=args.fps)
+    pipeline = RiskPipeline(area_map, thresholds, bundle)
     gc.freeze()
     try:
         pipeline.run(frames, realtime)
@@ -331,8 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     # each command takes only the shared flags it reads
     seeded = argparse.ArgumentParser(add_help=False)
     seeded.add_argument("--seed", type=int, default=None, help="Override the seed")
-    framed = argparse.ArgumentParser(add_help=False)
-    framed.add_argument("--fps", type=float, default=30.0, help="Frame rate (default 30)")
 
     p = sub.add_parser("gen", parents=[seeded], help="Generate a synthetic scenario")
     p.add_argument("--spec", help="Scenario spec JSON (defaults when omitted)")
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", help="Validation MAE report JSON")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", parents=[framed], help="Streaming risk evaluation")
+    p = sub.add_parser("evaluate", help="Streaming risk evaluation")
     p.add_argument("--stream", required=True)
     p.add_argument("--area-map", required=True)
     p.add_argument("--thresholds", help="Threshold config JSON (defaults when omitted)")
@@ -379,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-csv", help="Per-grid-point accuracies CSV")
     p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("replay", parents=[framed], help="Timed replay of a stream")
+    p = sub.add_parser("replay", help="Timed replay of a stream")
     p.add_argument("--stream", required=True)
     p.add_argument("--area-map", required=True)
     p.add_argument("--thresholds")

@@ -13,10 +13,6 @@ class DegenerateAnchors(CrossRiskError):
     """Anchor points are collinear or duplicated; no projective map exists."""
 
 
-class OutsideCalibratedRegion(CrossRiskError):
-    """Pixel point falls outside every calibrated tile and policy is reject."""
-
-
 class ProjectiveSingularity(CrossRiskError):
     """Homogeneous scale collapsed (|w| below tolerance) during projection."""
 

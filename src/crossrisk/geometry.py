@@ -11,17 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateAnchors,
-    ManifestError,
-    OutsideCalibratedRegion,
-    ProjectiveSingularity,
-)
+from .errors import DegenerateAnchors, ManifestError, ProjectiveSingularity
 
 # Homogeneous scale below this is treated as a projective singularity.
 W_TOLERANCE = 1e-12
@@ -229,13 +223,6 @@ def tile_from_anchors(
     return HomographyTile(tuple(pixel_pts), matrix, tuple(world_pts))
 
 
-class FallbackPolicy(Enum):
-    """What transform_point does for pixels outside every tile."""
-
-    NEAREST_TILE = "nearest_tile"
-    REJECT = "reject"
-
-
 @dataclass(frozen=True, eq=False)
 class TileGrid:
     """Ordered tiles covering the calibrated image region.
@@ -245,7 +232,6 @@ class TileGrid:
     """
 
     tiles: tuple[HomographyTile, ...]
-    fallback_policy: FallbackPolicy = FallbackPolicy.NEAREST_TILE
 
     def __post_init__(self) -> None:
         if not self.tiles:
@@ -280,15 +266,13 @@ class TileGrid:
 def transform_point(grid: TileGrid, p: PixelPoint) -> WorldPoint:
     """Map a pixel point to world coordinates through its owning tile.
 
-    The owning tile is the first one containing the point. Misses follow the
-    grid fallback policy: nearest tile by pixel distance to its edges (the
-    first of equal ones), or rejection.
+    The owning tile is the first one containing the point; a point outside
+    every tile takes the nearest tile by pixel distance to its edges (the
+    first of equal ones).
     """
     for k in grid._held_by(p.u, p.v):
         if grid.tiles[k].contains(p):
             return grid.tiles[k].transform(p)
-    if grid.fallback_policy is FallbackPolicy.REJECT:
-        raise OutsideCalibratedRegion(f"pixel ({p.u}, {p.v}) not covered by any tile")
     # No tile contains p, so its distance to a tile is the one to the tile's
     # edges: the first tile of least edge distance. The distance to a tile's
     # corner box is a lower bound of it, so only tiles whose bound comes
@@ -507,7 +491,7 @@ def locate_area(area_map: AreaMap, p: WorldPoint) -> str | None:
 
 # --- file formats -------------------------------------------------------------
 
-def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.NEAREST_TILE) -> TileGrid:
+def load_tile_grid(path: str) -> TileGrid:
     """Read a tile-grid JSON file (list of {"pixel": ..., "world": ...}).
 
     Entries may carry a precomputed "matrix", kept once it maps the pixel
@@ -540,7 +524,7 @@ def load_tile_grid(path: str, fallback_policy: FallbackPolicy = FallbackPolicy.N
         except (KeyError, TypeError, ValueError, DegenerateAnchors) as exc:
             raise ManifestError(f"tile {idx} in {path} is malformed: {exc}") from exc
     try:
-        return TileGrid(tuple(tiles), fallback_policy)
+        return TileGrid(tuple(tiles))
     except ValueError as exc:
         raise ManifestError(f"tile grid {path}: {exc}") from exc
 

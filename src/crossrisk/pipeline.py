@@ -32,6 +32,7 @@ from .risk import (
     step_evaluate,
 )
 from .stream import (
+    FPS,
     AgentCategory,
     Direction,
     Observation,
@@ -108,7 +109,6 @@ class RiskPipeline:
         area_map: AreaMap,
         thresholds: RiskThresholdConfig,
         bundle: TrainedModelBundle | None = None,
-        fps: float = 30.0,
     ):
         self.area_map = area_map
         self.thresholds = thresholds
@@ -116,7 +116,6 @@ class RiskPipeline:
         for category, q in ALL_PAIRS:
             self.bundle.predictor_for(category, q)
         self._lines = target_line_table(area_map)
-        self.fps = fps
         self.engine = StreamEngine(area_map)
         self.result = EvaluationResult()
 
@@ -185,7 +184,7 @@ class RiskPipeline:
 
     def process_frame(self, frame: int, observations: Sequence[Observation]) -> list[Decision]:
         """Ingest one frame and evaluate every ready target pedestrian."""
-        t = frame / self.fps
+        t = frame / FPS
         decisions_out: list[Decision] = []
 
         t_ingest = time.perf_counter()
@@ -244,11 +243,11 @@ class RiskPipeline:
     def run(self, frames: Mapping[int, Sequence[Observation]], realtime: bool = False) -> EvaluationResult:
         """Process a whole stream (contiguous frame range, empty frames included).
 
-        With realtime, frames arrive as from a camera at self.fps: the n-th
-        frame after the first is not handed over before n / fps seconds.
+        With realtime, frames arrive as from a camera at FPS: the n-th frame
+        after the first is not handed over before n / FPS seconds.
         """
         if frames:
-            period = 1.0 / self.fps
+            period = 1.0 / FPS
             start = time.perf_counter()
             for index, frame in enumerate(range(min(frames), max(frames) + 1)):
                 if realtime:

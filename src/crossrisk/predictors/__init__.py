@@ -1,7 +1,7 @@
 """Arrival-time prediction: the constant-velocity baseline, the recurrent
 regressor, labeled-dataset construction, training and model selection."""
 
-from .base import ARRIVAL_TIME_CAP_S, AgentKind, ArrivalPrediction, TargetLocation
+from .base import ARRIVAL_TIME_CAP_S, ArrivalPrediction, TargetLocation
 from .bundle import ALL_PAIRS, TrainedModelBundle
 from .dataset import (
     AgentAnnotation,
@@ -27,7 +27,6 @@ __all__ = [
     "ARRIVAL_TIME_CAP_S",
     "ALL_PAIRS",
     "AgentAnnotation",
-    "AgentKind",
     "ArrivalPrediction",
     "Awareness",
     "HistoricalAveragePredictor",

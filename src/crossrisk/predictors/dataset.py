@@ -24,7 +24,7 @@ from ..stream import (
     infer_direction,
     target_lines,
 )
-from .base import AgentKind, TargetLocation
+from .base import TargetLocation
 
 log = logging.getLogger(__name__)
 
@@ -64,6 +64,8 @@ class LabeledSample:
     def __post_init__(self) -> None:
         if not math.isfinite(self.arrival_time) or self.arrival_time < 0.0:
             raise ValueError(f"arrival time must be finite and >= 0, got {self.arrival_time}")
+        if not 0 <= self.q.q < self.category.target_count:
+            raise ValueError(f"q={self.q.q} invalid for category {int(self.category)}")
         if self.risk_level not in (0, 1, 2):
             raise ValueError(f"risk level must be 0, 1 or 2, got {self.risk_level}")
 
@@ -75,13 +77,12 @@ def targets_for_agent(
     target_lines, a pedestrian's in the crossing direction inferred from the
     full trajectory (none when that is unknown)."""
     category = trajectory[0].category
-    kind = AgentKind.PEDESTRIAN if category.is_pedestrian else AgentKind.VEHICLE
     direction = infer_direction(trajectory) if category.is_pedestrian else Direction.UNKNOWN
     try:
         lines = target_lines(area_map, category, direction)
     except UnknownDirection:
         return []
-    return [TargetLocation(kind, q, line) for q, line in enumerate(lines)]
+    return [TargetLocation(q, line) for q, line in enumerate(lines)]
 
 
 def build_labeled_dataset(
@@ -150,6 +151,11 @@ _HEADER = json.dumps({"format": SAMPLES_FORMAT, "version": SAMPLES_VERSION}, sor
 _WINDOW_ROWS = np.arange(WINDOW_SIZE)
 
 
+def _kind(category: AgentCategory) -> str:
+    """The "kind" a samples file writes on each target of an agent."""
+    return "pedestrian" if category.is_pedestrian else "vehicle"
+
+
 def _runs(keys: Sequence, what: str) -> list[tuple[int, int]]:
     """(start, end) of each run of equal consecutive keys; ValueError when a
     key has more than one run, i.e. its samples are not contiguous."""
@@ -186,12 +192,13 @@ def _agent_doc(samples: Sequence[LabeledSample]) -> dict:
         and np.array_equal(xy[rows].view(np.int64), positions.view(np.int64))
     ):
         raise ValueError(f"agent {agent_id}: windows disagree at a shared frame")
+    kind = _kind(head.category)
     targets = []
     for start, end in _runs([s.q for s in samples], f"target of agent {agent_id}"):
         q = samples[start].q
         line = q.line
         targets.append({
-            "kind": q.kind.value,
+            "kind": kind,
             "q": q.q,
             "line": {"p0": [line.p0.x, line.p0.y], "p1": [line.p1.x, line.p1.y], "normal": list(line.normal)},
             "first_frames": first_frames[start:end].tolist(),
@@ -260,12 +267,14 @@ def _parse_agent(doc: Mapping) -> list[LabeledSample]:
     times.flags.writeable = positions.flags.writeable = False
     samples = []
     for target in doc["targets"]:
+        if target["kind"] != _kind(category):
+            raise ValueError(f"target kind {target['kind']!r} contradicts category {int(category)}")
         line = TargetLine(
             WorldPoint(*map(float, target["line"]["p0"])),
             WorldPoint(*map(float, target["line"]["p1"])),
             (float(target["line"]["normal"][0]), float(target["line"]["normal"][1])),
         )
-        q = TargetLocation(AgentKind(target["kind"]), int(target["q"]), line)
+        q = TargetLocation(int(target["q"]), line)
         first_frames, arrivals = _int_array(target["first_frames"], "first_frames"), target["arrival_time"]
         if len(first_frames) != len(arrivals):
             raise ValueError(f"{len(first_frames)} first_frames but {len(arrivals)} arrival times")
@@ -322,10 +331,12 @@ def read_samples_jsonl(path: str) -> list[LabeledSample]:
     A first line other than the version-2 header, or an agent line that is
     not valid JSON, lacks a key, has frames/t/x/y of unequal length or fewer
     than WINDOW_SIZE points, a non-finite or non-increasing time, a
-    non-finite coordinate, non-increasing frames, a target whose first_frames
-    and arrival_time differ in length, a first frame missing from frames, a
-    window whose WINDOW_SIZE rows are not consecutive frames, or an arrival
-    time that is not finite and >= 0 raises ManifestError naming path:line.
+    non-finite coordinate, non-increasing frames, a target whose kind
+    contradicts the agent's category, whose q is outside the category's
+    range or whose first_frames and arrival_time differ in length, a first
+    frame missing from frames, a window whose WINDOW_SIZE rows are not
+    consecutive frames, or an arrival time that is not finite and >= 0
+    raises ManifestError naming path:line.
     """
     samples = []
     try:

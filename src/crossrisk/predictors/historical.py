@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -142,7 +142,7 @@ def arrival_time(window: SlidingWindowTrajectory, line: TargetLine) -> float:
 class HistoricalAveragePredictor:
     """Stateless predictor wrapping the constant-velocity estimate."""
 
-    name: str = "historical_average"
+    name: ClassVar[str] = "historical_average"
 
     def predict(self, window: SlidingWindowTrajectory, line: TargetLine) -> ArrivalPrediction:
         return ArrivalPrediction(arrival_time(window, line), self.name)

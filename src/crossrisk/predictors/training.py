@@ -34,6 +34,10 @@ class TrainingConfig:
     batch_size: int = 32
 
     def __post_init__(self) -> None:
+        for name in ("seed", "epochs", "patience", "batch_size", "hidden_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.patience < 0 or self.batch_size < 1:
             raise ValueError("epochs, patience and batch_size must be positive")
         if self.learning_rate <= 0:

@@ -239,7 +239,6 @@ def select_conflict_vehicle(
 
 
 class DecisionKind(Enum):
-    NO_CHANGE = "no_change"
     COUNTER_INCREMENTED = "counter_incremented"
     RISK2_FLAGGED = "risk2_flagged"
 

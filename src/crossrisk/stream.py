@@ -30,7 +30,8 @@ from .errors import (
 from .geometry import AreaMap, PixelPoint, TargetLine, WorldPoint, first_crossing_time, load_tile_grid, locate_areas
 from .geometry import pedestrian_line_name, transform_point, vehicle_line_name
 
-WINDOW_SIZE = 30           # points per sliding window (1 s at 30 FPS)
+FPS = 30                   # frames per second of every stream
+WINDOW_SIZE = 30           # points per sliding window (1 s at FPS)
 MAX_INTERPOLATED_GAP = 5    # missed frames repaired by linear interpolation
 DIRECTION_DEAD_BAND_M = 0.2
 

@@ -28,9 +28,11 @@ from .geometry import (
     tile_from_anchors,
     vehicle_line_name,
 )
+from .ppet import pet
 from .predictors.dataset import Awareness, Reaction
 from .risk import AreaRole, RiskLevel, in_evaluation_zone
 from .stream import (
+    FPS,
     AgentCategory,
     Direction,
     Observation,
@@ -116,26 +118,15 @@ _CAMERA_WORLD_TO_PIXEL = np.array(
 )
 
 
-def reference_tile_grid(
-    x_range: tuple[float, float] = (-12.0, 24.0),
-    y_range: tuple[float, float] = (-2.0, 4.0),
-    tile_m: float = 2.0,
-) -> TileGrid:
-    """Tiled calibration of the synthetic camera: one projective map per
-    tile_m x tile_m world square, solved from its four corner anchors."""
+def reference_tile_grid() -> TileGrid:
+    """Tiled calibration of the synthetic camera over x in [-12, 24] m and
+    y in [-2, 4] m: one projective map per 2 m square, solved from its four
+    corner anchors."""
     tiles = []
-    nx = int(round((x_range[1] - x_range[0]) / tile_m))
-    ny = int(round((y_range[1] - y_range[0]) / tile_m))
-    for iy in range(ny):
-        for ix in range(nx):
-            x0 = x_range[0] + ix * tile_m
-            y0 = y_range[0] + iy * tile_m
-            world = _rect(x0, x0 + tile_m, y0, y0 + tile_m)
-            pixel = []
-            for corner in world:
-                vec = _CAMERA_WORLD_TO_PIXEL @ np.array([corner.x, corner.y, 1.0])
-                pixel.append(PixelPoint(float(vec[0] / vec[2]), float(vec[1] / vec[2])))
-            tiles.append(tile_from_anchors(tuple(pixel), world))
+    for y0 in (-2.0, 0.0, 2.0):
+        for x0 in (-12.0 + 2.0 * i for i in range(18)):
+            world = _rect(x0, x0 + 2.0, y0, y0 + 2.0)
+            tiles.append(tile_from_anchors(tuple(map(camera_pixel_of, world)), world))
     return TileGrid(tuple(tiles))
 
 
@@ -154,7 +145,7 @@ class ScenarioSpec:
 
     seed: int = 0
     duration_s: float = 120.0
-    fps: int = 30
+    fps: int = FPS                      # fixed: a spec may only state it
     n_adults: int = 12
     n_kids: int = 4
     n_cyclists: int = 4
@@ -178,8 +169,12 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "reaction_delay_s", tuple(self.reaction_delay_s))
-        if self.fps != 30:
-            raise InfeasibleSpec("frame rate is fixed at 30 FPS")
+        for name in ("seed", "fps", "n_adults", "n_kids", "n_cyclists"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.fps != FPS:
+            raise InfeasibleSpec(f"frame rate is fixed at {FPS} FPS")
         if self.duration_s <= 0:
             raise InfeasibleSpec("duration must be positive")
         for name in ("adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s",
@@ -455,9 +450,9 @@ def _schedule_vehicles(
 def _simulate_vehicle(
     plan: _VehPlan, spec: ScenarioSpec
 ) -> list[Observation]:
-    dt = 1.0 / spec.fps
+    dt = 1.0 / FPS
     lane = _LANES[plan.category]
-    first_frame = max(0, int(math.ceil(plan.spawn_t * spec.fps)))
+    first_frame = max(0, int(math.ceil(plan.spawn_t * FPS)))
     out = []
     frame = first_frame
     while True:
@@ -493,14 +488,14 @@ def _simulate_pedestrian(
 ) -> list[Observation]:
     """Frame-by-frame walk with lateral jitter and (for aware pedestrians)
     a reaction when a vehicle is about to occupy the area ahead of them."""
-    dt = 1.0 / spec.fps
+    dt = 1.0 / FPS
     sign = 1.0 if plan.direction is Direction.LEFT_TO_RIGHT else -1.0
     x = plan.start_x
     lateral = 0.0
     speed = plan.speed
     target_speed = plan.speed
     exit_x = 22.3 if sign > 0 else -11.3
-    first_frame = max(0, int(math.ceil(plan.start_t * spec.fps)))
+    first_frame = max(0, int(math.ceil(plan.start_t * FPS)))
     reacting = False
     react_at = None  # threat noticed, reaction pending after human latency
     release_t = 0.0
@@ -593,23 +588,8 @@ def _crossing_dict(track: _Track) -> dict[str, float]:
     return {key: t for key, t in zip(keys, track.crossings) if t is not None}
 
 
-def _realized_pet(
-    ped_window: tuple[float, float], veh_window: tuple[float, float]
-) -> float:
-    """Realized post-encroachment gap; 0 when occupancies overlap."""
-    ped_enter, ped_leave = ped_window
-    veh_enter, veh_leave = veh_window
-    if veh_enter >= ped_leave:
-        return veh_enter - ped_leave
-    if ped_enter >= veh_leave:
-        return ped_enter - veh_leave
-    return 0.0
-
-
 def label_risk(
-    trajectories: Mapping[str, Sequence[Observation]],
-    area_map: AreaMap,
-    fps: int = 30,
+    trajectories: Mapping[str, Sequence[Observation]], area_map: AreaMap
 ) -> dict[tuple[str, str], RiskLevel]:
     """Ground-truth risk per (pedestrian, closer/further area) from realized
     kinematics.
@@ -619,10 +599,10 @@ def label_risk(
     pedestrian took an evasive speed change with a vehicle around; else
     Risk 1.
     """
-    return _label_tracks({k: _track(v, area_map) for k, v in trajectories.items()}, area_map, fps)
+    return _label_tracks({k: _track(v, area_map) for k, v in trajectories.items()}, area_map)
 
 
-def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap, fps: int) -> dict[tuple[str, str], RiskLevel]:
+def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap) -> dict[tuple[str, str], RiskLevel]:
     """label_risk of the agents' tracks."""
     vehicle_windows: dict[str, list[tuple[str, float, float]]] = {c.conflict_area: [] for c in _LANES}
     for agent_id, track in tracks.items():
@@ -639,17 +619,19 @@ def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap, fps: int) -> 
         occupancy = {"closer": (q0, q1), "further": (q1, q2)}
         area_of_role = {"closer": closer, "further": further}
 
-        evasive = _took_evasive_action(track, area_map, fps)
+        evasive = _took_evasive_action(track, area_map)
         min_pet: dict[str, float | None] = {}
         for role in ("closer", "further"):
             ped_window = occupancy[role]
+            # realized PET: the pedestrian-first gap, else the vehicle-first
+            # one, else 0 when the occupancies overlap
             pets = [
-                _realized_pet(ped_window, (enter, leave))
+                next((gap for gap in pet(*ped_window, enter, leave) if gap >= 0.0), 0.0)
                 for _, enter, leave in vehicle_windows[area_of_role[role]]
                 if enter <= ped_window[1] + INTERACTION_HORIZON_S
                 and leave >= ped_window[0] - INTERACTION_HORIZON_S
             ]
-            min_pet[role] = min((abs(p) for p in pets), default=None)
+            min_pet[role] = min(pets, default=None)
 
         evasive_role = None
         if evasive:
@@ -666,18 +648,18 @@ def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap, fps: int) -> 
     return labels
 
 
-def _took_evasive_action(track: _Track, area_map: AreaMap, fps: int) -> bool:
+def _took_evasive_action(track: _Track, area_map: AreaMap) -> bool:
     """Detect a sustained >= 30% smoothed speed change against the approach
     baseline while the pedestrian was in the react or conflict zones."""
     positions, times = track.positions, track.times
-    if len(times) < fps * 2:
+    if len(times) < FPS * 2:
         return False
     speed = np.hypot(*np.diff(positions, axis=0).T) / np.diff(times)
     kernel = np.ones(10) / 10.0
     smooth = np.convolve(speed, kernel, mode="valid")
     # indices of smoothed samples roughly align with trajectory[9:]
     areas = locate_areas(area_map, positions[9:-1, 0], positions[9:-1, 1])
-    baseline_n = min(len(smooth), int(1.5 * fps))
+    baseline_n = min(len(smooth), int(1.5 * FPS))
     baseline = float(np.median(smooth[:baseline_n]))
     if baseline <= 0:
         return False
@@ -719,7 +701,7 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
     # each agent's arrays, direction and crossing times, built once for the
     # truth and the risk labels
     tracks = {agent_id: _track(trajectory, area_map) for agent_id, trajectory in trajectories.items()}
-    truth = GroundTruth(fps=spec.fps)
+    truth = GroundTruth(fps=FPS)
     for plan in ped_plans:
         track = tracks.get(plan.agent_id)
         if track is None:
@@ -740,7 +722,7 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
             crossing_times=_crossing_dict(track),
             conflict_area=plan.category.conflict_area,
         )
-    truth.risk = _label_tracks(tracks, area_map, spec.fps)
+    truth.risk = _label_tracks(tracks, area_map)
 
     frames: dict[int, list[Observation]] = {}
     for agent_id in sorted(trajectories):

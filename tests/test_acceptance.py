@@ -22,7 +22,6 @@ from crossrisk.geometry import PixelPoint, WorldPoint, project_point, solve_homo
 from crossrisk.pipeline import RiskPipeline, latency_report
 from crossrisk.ppet import ArrivalEstimateSet, ConflictScenario, ppet
 from crossrisk.predictors import (
-    AgentKind,
     TargetLocation,
     TrainingConfig,
     build_labeled_dataset,
@@ -122,7 +121,7 @@ def test_criterion_03_learned_beats_baseline_on_deceleration():
     baseline on decelerating pedestrians."""
     start = time.perf_counter()
     area_map = reference_area_map()
-    q2 = TargetLocation(AgentKind.PEDESTRIAN, 2, area_map.line("ped_ltr_q2"))
+    q2 = TargetLocation(2, area_map.line("ped_ltr_q2"))
     rng = np.random.default_rng(3003)
     trajectories = [
         _decelerating_trajectory(f"d{k}", float(rng.uniform(0.03, 0.10))) for k in range(24)

@@ -441,12 +441,14 @@ class TestReplayAndMetrics:
     [
         ["build-dataset", "--stream", "s.csv", "--area-map", "a.json", "--out", "o.jsonl", "--fps", "25"],
         ["evaluate", "--stream", "s.csv", "--area-map", "a.json", "--seed", "1"],
+        ["evaluate", "--stream", "s.csv", "--area-map", "a.json", "--fps", "30"],
+        ["replay", "--stream", "s.csv", "--area-map", "a.json", "--fps", "30"],
     ],
-    ids=["build-dataset-fps", "evaluate-seed"],
+    ids=["build-dataset-fps", "evaluate-seed", "evaluate-fps", "replay-fps"],
 )
 def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
     """Each command takes only the shared flags it reads: --seed for gen,
-    train and tune, --fps for evaluate and replay."""
+    train and tune. No command takes --fps: every stream is at stream.FPS."""
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -683,7 +685,7 @@ def test_non_increasing_time_is_input_error(command, t, tmp_path, capsys):
 def _samples_file(tmp_path):
     """A labeled-samples file of one adult's windows before it crosses q0."""
     from crossrisk.geometry import WorldPoint
-    from crossrisk.predictors import AgentKind, TargetLocation, build_labeled_dataset
+    from crossrisk.predictors import TargetLocation, build_labeled_dataset
     from crossrisk.predictors.dataset import write_samples_jsonl
     from crossrisk.stream import AgentCategory, Observation
 
@@ -692,7 +694,7 @@ def _samples_file(tmp_path):
         Observation(i, i / 30.0, "a0", AgentCategory.ADULT, WorldPoint(-2.0 + 0.05 * i, 1.0))
         for i in range(45)
     ]
-    target = TargetLocation(AgentKind.PEDESTRIAN, 0, area_map.line("ped_ltr_q0"))
+    target = TargetLocation(0, area_map.line("ped_ltr_q0"))
     samples = build_labeled_dataset([traj], area_map, targets=[target])
     path = tmp_path / "samples.jsonl"
     write_samples_jsonl(str(path), samples)
@@ -747,6 +749,15 @@ def _break_sample(doc, case):
     if case == "negative-arrival":
         target["arrival_time"][-1] = -0.5
         return "arrival time must be finite and >= 0"
+    if case == "vehicle-kind":
+        target["kind"] = "vehicle"
+        return "target kind 'vehicle' contradicts category 0"
+    if case == "vehicle-category":
+        doc["category"] = 3
+        return "target kind 'pedestrian' contradicts category 3"
+    if case == "q-outside-category":
+        doc["category"], target["kind"], target["q"] = 3, "vehicle", 2
+        return "q=2 invalid for category 3"
     raise AssertionError(case)
 
 
@@ -755,6 +766,7 @@ def _break_sample(doc, case):
     [
         "inf-time", "nan-arrival", "short-x", "29-points", "nan-y", "repeated-time", "missing-t",
         "first-frame-not-in-frames", "window-not-consecutive", "unequal-window-lists", "negative-arrival",
+        "vehicle-kind", "vehicle-category", "q-outside-category",
     ],
 )
 def test_malformed_sample_is_input_error(case, tmp_path, capsys):
@@ -877,3 +889,38 @@ def test_bundle_missing_a_pair_is_input_error(command, rows, gen_dir, tmp_path, 
     code = _stream_command(command, stream, tmp_path, "--models", str(tmp_path / "bundle.json"))
     assert code == EXIT_INPUT
     assert "no predictor for (i=1, q=2)" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("batch_size", 1.5), ("epochs", 2.5), ("seed", "x"), ("patience", 1.5), ("hidden_size", True)],
+)
+def test_non_integer_training_config_field_is_input_error(field, value, tmp_path, capsys):
+    """An integer field of a training config holding a float, a string or a
+    boolean exits 2 naming the file and the field."""
+    samples, _ = _samples_file(tmp_path)
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1, field: value}), encoding="utf-8")
+    code = main(["train", "--dataset", str(samples), "--config", str(config), "--out", str(tmp_path / "b.json")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(config) in err and f"{field} must be an integer, got {value!r}" in err
+    assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_adults", 2.5), ("seed", 1.5), ("fps", 30.0), ("n_kids", "1"), ("n_cyclists", False)],
+)
+def test_non_integer_scenario_spec_field_is_input_error(field, value, tmp_path, capsys):
+    """An integer field of a scenario spec holding a float, a string or a
+    boolean exits 2 naming the file and the field, before writing anything."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"duration_s": 5.0, "n_adults": 1, "n_kids": 0, "n_cyclists": 0, field: value}),
+        encoding="utf-8",
+    )
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(spec) in err and f"{field} must be an integer, got {value!r}" in err
+    assert not (tmp_path / "out").exists()

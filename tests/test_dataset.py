@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from crossrisk.geometry import TargetLine, WorldPoint, pedestrian_line_name, vehicle_line_name
-from crossrisk.predictors import AgentKind, TargetLocation
+from crossrisk.predictors import TargetLocation
 from crossrisk.predictors.dataset import (
     AgentAnnotation,
     Awareness,
+    LabeledSample,
     Reaction,
     build_labeled_dataset,
     read_samples_jsonl,
@@ -20,6 +21,8 @@ from crossrisk.predictors.historical import HistoricalAveragePredictor
 from crossrisk.predictors.recurrent import RecurrentRegressor
 from crossrisk.predictors.training import TrainingConfig, train, train_bundle
 from crossrisk.stream import AgentCategory, Observation, SlidingWindowTrajectory, TrajectoryBuffer, window
+
+from conftest import constant_velocity_window
 
 FPS = 30.0
 
@@ -51,7 +54,7 @@ class TestBuildLabeledDataset:
         # window 0 ends at x = 29/30; line 5 m further; 1 m/s -> label 5.0 s
         traj = straight_trajectory("a0", 0.0, 1.0, 220)
         end_x = 29 / FPS
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(end_x + 5.0))
+        target = TargetLocation(1, vline(end_x + 5.0))
         samples = build_labeled_dataset([traj], None, targets=[target])
         assert samples[0].arrival_time == pytest.approx(5.0, rel=1e-12)
 
@@ -59,7 +62,7 @@ class TestBuildLabeledDataset:
         # 45-point trajectory crossing exactly at its last sample: every
         # window is pre-crossing, so 45 - 30 + 1 = 16 samples
         traj = straight_trajectory("a0", 0.0, 1.0, 45)
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(44 / FPS))
+        target = TargetLocation(1, vline(44 / FPS))
         samples = build_labeled_dataset([traj], None, targets=[target])
         assert len(samples) == 16
 
@@ -70,7 +73,7 @@ class TestBuildLabeledDataset:
             for k in range(5)
         ]
         line_x = 6.0
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(line_x))
+        target = TargetLocation(1, vline(line_x))
         samples = build_labeled_dataset(trajs, None, targets=[target])
         assert samples
         by_agent = {t[0].agent_id: t for t in trajs}
@@ -81,7 +84,7 @@ class TestBuildLabeledDataset:
     def test_windows_after_crossing_excluded(self):
         traj = straight_trajectory("a0", 0.0, 1.0, 150)
         line_x = 2.0
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(line_x))
+        target = TargetLocation(1, vline(line_x))
         samples = build_labeled_dataset([traj], None, targets=[target])
         t_cross = crossing_oracle(traj, line_x)
         assert all(s.window.times[-1] <= t_cross for s in samples)
@@ -89,7 +92,7 @@ class TestBuildLabeledDataset:
 
     def test_never_reaching_trajectory_skipped_and_logged(self, caplog):
         traj = straight_trajectory("a0", 0.0, 1.0, 60)
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(1000.0))
+        target = TargetLocation(1, vline(1000.0))
         with caplog.at_level(logging.INFO, logger="crossrisk.predictors.dataset"):
             samples = build_labeled_dataset([traj], None, targets=[target])
         assert samples == []
@@ -97,7 +100,7 @@ class TestBuildLabeledDataset:
 
     def test_annotations_attached(self):
         traj = straight_trajectory("a0", 0.0, 1.0, 120)
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(3.0))
+        target = TargetLocation(1, vline(3.0))
         notes = {"a0": AgentAnnotation(Awareness.NOTICED, Reaction.DECELERATE, 2)}
         samples = build_labeled_dataset([traj], None, targets=[target], annotations=notes)
         assert samples[0].awareness is Awareness.NOTICED
@@ -130,12 +133,24 @@ class TestTargetsForAgent:
         assert targets[1].line is area_map.line(vehicle_line_name("3.1", False))
 
 
+class TestLabeledSample:
+    @pytest.mark.parametrize(
+        "category, q",
+        [(AgentCategory.VEHICLE_AREA_41, 2), (AgentCategory.VEHICLE_AREA_42, -1), (AgentCategory.ADULT, 3)],
+    )
+    def test_q_outside_the_categorys_range_raises(self, category, q):
+        """A sample's q must index one of its category's target lines."""
+        w = constant_velocity_window((0.0, 1.0), (1.0, 0.0), category=category)
+        with pytest.raises(ValueError, match=f"q={q} invalid for category {int(category)}"):
+            LabeledSample(w, 1.0, category, TargetLocation(q, vline(3.0)))
+
+
 class TestLabelsAgreeWithGroundTruth:
     """build-dataset's labels and the generator's ground truth take their
     lines and crossing times from one place."""
 
-    # AgentTruth.crossing_times names of a target q, per agent kind
-    TRUTH_NAMES = {AgentKind.PEDESTRIAN: ("q0", "q1", "q2"), AgentKind.VEHICLE: ("enter", "leave")}
+    # AgentTruth.crossing_times names of a target q, for a pedestrian (True) or a vehicle
+    TRUTH_NAMES = {True: ("q0", "q1", "q2"), False: ("enter", "leave")}
 
     @pytest.fixture(scope="class")
     def generated(self):
@@ -149,10 +164,10 @@ class TestLabelsAgreeWithGroundTruth:
         trajectories, truth = generated
         samples = build_labeled_dataset(trajectories, area_map)
         for s in samples:
-            name = self.TRUTH_NAMES[s.q.kind][s.q.q]
+            name = self.TRUTH_NAMES[s.category.is_pedestrian][s.q.q]
             t_cross = truth.agents[s.window.agent_id].crossing_times[name]
             assert float(s.arrival_time).hex() == float(t_cross - s.window.times[-1]).hex()
-        assert {s.q.kind for s in samples} == set(AgentKind)
+        assert {s.category.is_pedestrian for s in samples} == {True, False}
         assert {s.q.q for s in samples} == {0, 1, 2}
 
     def test_truth_crossing_times_name_the_agents_target_lines(self, generated, area_map):
@@ -162,7 +177,6 @@ class TestLabelsAgreeWithGroundTruth:
         trajectories, truth = generated
         for trajectory in trajectories:
             agent = truth.agents[trajectory[0].agent_id]
-            kind = AgentKind.PEDESTRIAN if agent.category.is_pedestrian else AgentKind.VEHICLE
             try:
                 lines = target_lines(area_map, agent.category, Direction(agent.direction or "unknown"))
             except UnknownDirection:
@@ -170,7 +184,7 @@ class TestLabelsAgreeWithGroundTruth:
             times = np.array([o.t for o in trajectory])
             positions = np.array([(o.position.x, o.position.y) for o in trajectory])
             expect = {
-                name: t for name, t in zip(self.TRUTH_NAMES[kind], crossing_times(lines, times, positions))
+                name: t for name, t in zip(self.TRUTH_NAMES[agent.category.is_pedestrian], crossing_times(lines, times, positions))
                 if t is not None
             }
             assert agent.crossing_times == expect
@@ -181,7 +195,7 @@ class TestLabelsAgreeWithGroundTruth:
 class TestSamplesFile:
     def test_jsonl_round_trip(self, tmp_path):
         traj = straight_trajectory("a0", 0.0, 1.2, 120, category=AgentCategory.KID)
-        target = TargetLocation(AgentKind.PEDESTRIAN, 2, vline(3.0))
+        target = TargetLocation(2, vline(3.0))
         samples = build_labeled_dataset(
             [traj], None, targets=[target],
             annotations={"a0": AgentAnnotation(Awareness.NOTICED, Reaction.ACCELERATE, 2)},
@@ -220,7 +234,7 @@ class TestSamplesFile:
             buf.append(o)
         live = window(buf)
         path = tmp_path / "samples.jsonl"
-        target = TargetLocation(AgentKind.PEDESTRIAN, 1, line)
+        target = TargetLocation(1, line)
         write_samples_jsonl(str(path), build_labeled_dataset([traj], None, targets=[target]))
         stored = [s.window for s in read_samples_jsonl(str(path)) if s.window.first_frame == live.first_frame]
         assert len(stored) == 1
@@ -244,7 +258,7 @@ def _mixed_samples(area_map):
     notes = {"p2": AgentAnnotation(Awareness.NOTICED, Reaction.DECELERATE, 2)}
     samples = build_labeled_dataset([ltr, gappy, rtl, vehicle], area_map, annotations=notes)
     edge = straight_trajectory("e0", 0.0, 1.0, 45, category=AgentCategory.CYCLIST)
-    target = TargetLocation(AgentKind.PEDESTRIAN, 1, vline(44 / FPS))
+    target = TargetLocation(1, vline(44 / FPS))
     return samples + build_labeled_dataset([edge], None, targets=[target])
 
 
@@ -255,7 +269,7 @@ def _bits(s):
     return (
         w.agent_id, w.category, w.first_frame, w.times.dtype.str, w.positions.dtype.str,
         w.times.shape, w.positions.shape, w.times.tobytes(), w.positions.tobytes(),
-        s.category, s.q.kind, s.q.q, tuple(float(v).hex() for v in floats),
+        s.category, s.q.q, tuple(float(v).hex() for v in floats),
         s.awareness, s.reaction, s.risk_level,
     )
 
@@ -263,8 +277,8 @@ def _bits(s):
 class TestAgentSamplesFile:
     def test_round_trip_is_bit_for_bit(self, area_map, tmp_path):
         samples = _mixed_samples(area_map)
-        kinds = {(s.window.agent_id, s.q.kind) for s in samples}
-        assert {("p0", AgentKind.PEDESTRIAN), ("p2", AgentKind.PEDESTRIAN), ("v0", AgentKind.VEHICLE)} <= kinds
+        kinds = {(s.window.agent_id, s.category.is_pedestrian) for s in samples}
+        assert {("p0", True), ("p2", True), ("v0", False)} <= kinds
         assert {s.q.q for s in samples if s.window.agent_id == "p0"} == {0, 1, 2}
         # the window ending at the last pre-crossing frame is stored
         assert max(s.window.first_frame for s in samples if s.window.agent_id == "e0") == 15

@@ -4,10 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from crossrisk.errors import DegenerateAnchors, ManifestError, OutsideCalibratedRegion, ProjectiveSingularity
+from crossrisk.errors import DegenerateAnchors, ManifestError, ProjectiveSingularity
 from crossrisk.geometry import (
     AreaMap,
-    FallbackPolicy,
     HomographyTile,
     PixelPoint,
     TargetLine,
@@ -158,15 +157,10 @@ class TestTransformPoint:
             assert math.isclose(out.x, expect[0], abs_tol=1e-12)
             assert math.isclose(out.y, expect[1], abs_tol=1e-12)
 
-    def test_reject_policy(self):
-        grid = TileGrid((self._identity_tile(),), FallbackPolicy.REJECT)
-        with pytest.raises(OutsideCalibratedRegion):
-            transform_point(grid, PixelPoint(500, 500))
-
     def test_nearest_tile_fallback(self):
         near = self._identity_tile(((0, 0), (10, 0), (10, 10), (0, 10)))
         far = HomographyTile(tuple(_px(((100, 100), (110, 100), (110, 110), (100, 110)))), np.diag([3.0, 3.0, 1.0]))
-        grid = TileGrid((far, near), FallbackPolicy.NEAREST_TILE)
+        grid = TileGrid((far, near))
         out = transform_point(grid, PixelPoint(12, 5))  # closest to `near`
         assert (out.x, out.y) == (12.0, 5.0)
 
@@ -512,8 +506,8 @@ def _gapped_grid():
 def test_transform_point_bits_equal_the_full_scan_oracle(grid_name, tile_grid):
     """Random points up to 300 px beyond the grid (integer ones too, which
     tie on the gapped grid), every tile corner and every edge midpoint:
-    the box pruning gives the tile, and so the bits, of the full scan; the
-    REJECT policy raises for exactly the points no tile contains."""
+    the box pruning gives the tile, and so the bits, of the full scan, both
+    for points some tile contains and for points no tile contains."""
     grid = tile_grid if grid_name == "reference" else _gapped_grid()
     corners = np.array([[(c.u, c.v) for c in tile.pixel_region] for tile in grid.tiles])
     lo, hi = corners.reshape(-1, 2).min(axis=0) - 300.0, corners.reshape(-1, 2).max(axis=0) + 300.0
@@ -523,16 +517,10 @@ def test_transform_point_bits_equal_the_full_scan_oracle(grid_name, tile_grid):
     points += [((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
                for cs in corners.tolist() for a, b in zip(cs, cs[1:] + cs[:1])]
     reference = reference_transform(grid)
-    reject = TileGrid(grid.tiles, FallbackPolicy.REJECT)
     misses = 0
     for u, v in points:
         p = PixelPoint(u, v)
         got, expect = transform_point(grid, p), reference(p)
         assert (got.x, got.y) == (expect.x, expect.y), p
-        if any(point_in_polygon(u, v, cs) for cs in corners.tolist()):
-            assert transform_point(reject, p) == got
-        else:
-            misses += 1
-            with pytest.raises(OutsideCalibratedRegion):
-                transform_point(reject, p)
+        misses += not any(point_in_polygon(u, v, cs) for cs in corners.tolist())
     assert 0 < misses < len(points)

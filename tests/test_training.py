@@ -4,7 +4,6 @@ import pytest
 from crossrisk.errors import DatasetTooSmall, DivergedLoss, PredictionError
 from crossrisk.geometry import TargetLine, WorldPoint
 from crossrisk.predictors import (
-    AgentKind,
     LabeledSample,
     TargetLocation,
     TrainingConfig,
@@ -26,7 +25,7 @@ from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
 FPS = 30.0
 LINE_X = 20.0
 LINE = TargetLine(WorldPoint(LINE_X, -50.0), WorldPoint(LINE_X, 50.0), (1.0, 0.0))
-TARGET = TargetLocation(AgentKind.PEDESTRIAN, 1, LINE)
+TARGET = TargetLocation(1, LINE)
 
 
 def window_ending_at_distance(v: float, distance: float, agent_id: str) -> SlidingWindowTrajectory:
