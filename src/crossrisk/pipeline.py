@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ManifestError, PredictionError
 from .geometry import AreaMap, TargetLine, WorldPoint, signed_distance_to_line
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
-from .predictors import ALL_PAIRS, TrainedModelBundle
+from .predictors import InferenceView, TrainedModelBundle
 from .risk import (
     AreaRole,
     Decision,
@@ -98,10 +98,11 @@ class EvaluationResult:
 class RiskPipeline:
     """Frame-serialized evaluator combining all library stages.
 
-    The bundle must hold a predictor for every pair of ALL_PAIRS, and the
-    area map every target line an agent can need: the constructor asks each
-    once, so MissingPredictor, TypeError or KeyError is raised here and not
-    on the first frame that happens to need it.
+    The bundle must hold a finite predictor for every pair of ALL_PAIRS, and
+    the area map every target line an agent can need: the constructor builds
+    the bundle's InferenceView and asks the map for each line once, so
+    MissingPredictor, TypeError, NonFiniteParameters or KeyError is raised
+    here and not on the first frame that happens to need it.
     """
 
     def __init__(
@@ -113,8 +114,7 @@ class RiskPipeline:
         self.area_map = area_map
         self.thresholds = thresholds
         self.bundle = bundle if bundle is not None else TrainedModelBundle.historical_average()
-        for category, q in ALL_PAIRS:
-            self.bundle.predictor_for(category, q)
+        self.view = InferenceView(self.bundle)
         self._lines = target_line_table(area_map)
         self.engine = StreamEngine(area_map)
         self.result = EvaluationResult()
@@ -136,8 +136,8 @@ class RiskPipeline:
         pedestrian's lines none unless one of its vehicles has a request, q0
         and q1 when only the closer one has, all three when the further one
         has (_ordered lifts q1 to q0 and q2 to both); the others give None.
-        The bundle answers the whole table in one call, and a request that
-        fails gives None.
+        The bundle's view answers the whole table in one call, and a request
+        that fails gives None.
         """
         index: dict[tuple[str, int], int] = {}  # (agent id, q) -> its request
         requests: list[tuple[int, SlidingWindowTrajectory, TargetLine]] = []
@@ -165,7 +165,7 @@ class RiskPipeline:
                 veh_ids.append(veh_id)
             ask(window, ped_lines[:ped_read])
             rows.append((window.agent_id, veh_ids))
-        answers = self.bundle.arrival_times(requests)
+        answers = self.view.arrival_times(requests)
 
         def seconds(agent_id: str | None, q: int) -> float | None:
             i = index.get((agent_id, q))

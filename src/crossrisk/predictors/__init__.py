@@ -2,7 +2,7 @@
 regressor, labeled-dataset construction, training and model selection."""
 
 from .base import ARRIVAL_TIME_CAP_S, ArrivalPrediction, TargetLocation
-from .bundle import ALL_PAIRS, TrainedModelBundle
+from .bundle import ALL_PAIRS, InferenceView, TrainedModelBundle
 from .dataset import (
     AgentAnnotation,
     Awareness,
@@ -30,6 +30,7 @@ __all__ = [
     "ArrivalPrediction",
     "Awareness",
     "HistoricalAveragePredictor",
+    "InferenceView",
     "LabeledSample",
     "Reaction",
     "RecurrentRegressor",

@@ -12,7 +12,7 @@ from ..errors import ManifestError, MissingPredictor, PredictionError
 from ..geometry import TargetLine
 from ..stream import AgentCategory, SlidingWindowTrajectory
 from .historical import HistoricalAveragePredictor, stacked_arrival_times
-from .recurrent import PARAM_NAMES, RecurrentRegressor, predict_stacked, stacked_features
+from .recurrent import PARAM_NAMES, GruStack, RecurrentRegressor, stacked_features
 
 BUNDLE_VERSION = 1
 
@@ -43,47 +43,6 @@ class TrainedModelBundle:
         if not isinstance(predictor, Predictor):
             raise TypeError(f"(i={int(category)}, q={q}) holds {type(predictor).__name__}, not a predictor")
         return predictor
-
-    def arrival_times(
-        self, requests: Sequence[tuple[int, SlidingWindowTrajectory, TargetLine]]
-    ) -> list[float | PredictionError]:
-        """Seconds until each (q, window, line) request's window reaches its
-        line, by the predictor of (window category, q), or the
-        PredictionError that request fails with.
-
-        The baseline requests are answered in one stacked_arrival_times pass
-        and the GRU requests in one predict_stacked pass per hidden size,
-        each distinct window's features computed once; every value has the
-        bits of a one-window predict call.
-        """
-        out: list = [None] * len(requests)
-        baseline, recurrent = [], []
-        for i, (q, window, _) in enumerate(requests):
-            predictor = self.predictor_for(window.category, q)
-            if isinstance(predictor, RecurrentRegressor):
-                recurrent.append((i, window, predictor))
-            else:
-                baseline.append(i)
-        if baseline:
-            seconds = stacked_arrival_times([requests[i][1:] for i in baseline])
-            for i, value in zip(baseline, seconds):
-                out[i] = value
-        if recurrent:
-            windows = list({id(w): w for _, w, _ in recurrent}.values())
-            row = {id(w): k for k, w in enumerate(windows)}
-            features = stacked_features(
-                np.stack([w.times for w in windows]), np.stack([w.positions for w in windows])
-            )
-            by_size: dict[int, list] = {}
-            for request in recurrent:
-                by_size.setdefault(request[2].hidden_size, []).append(request)
-            for group in by_size.values():
-                seconds = predict_stacked(
-                    [model for *_, model in group], features[[row[id(w)] for _, w, _ in group]]
-                )
-                for (i, _, _), value in zip(group, seconds.tolist()):
-                    out[i] = value
-        return out
 
     @classmethod
     def historical_average(cls) -> "TrainedModelBundle":
@@ -173,3 +132,67 @@ class TrainedModelBundle:
                 return cls.from_dict(json.load(fh))
         except (OSError, json.JSONDecodeError, KeyError, ValueError, ManifestError) as exc:
             raise ManifestError(f"cannot read model bundle {path}: {exc}") from exc
+
+
+class InferenceView:
+    """A bundle's predictors laid out for inference, built once: every GRU
+    model's weights stacked per hidden size (GruStack), and each pair of
+    ALL_PAIRS mapped to the baseline or to its (hidden size, row) of those
+    stacks.
+
+    Building it asks the bundle for every pair, so MissingPredictor,
+    TypeError and NonFiniteParameters are raised here, not on the first
+    frame that asks the pair. The stacks copy the weights: a bundle trained
+    further afterwards needs a new view.
+    """
+
+    def __init__(self, bundle: TrainedModelBundle):
+        self._routes: dict[tuple[AgentCategory, int], tuple[int, int] | None] = {}
+        models: dict[int, list[RecurrentRegressor]] = {}
+        for category, q in ALL_PAIRS:
+            predictor = bundle.predictor_for(category, q)
+            if isinstance(predictor, RecurrentRegressor):
+                stack = models.setdefault(predictor.hidden_size, [])
+                self._routes[category, q] = (predictor.hidden_size, len(stack))
+                stack.append(predictor)
+            else:
+                self._routes[category, q] = None
+        self._stacks = {hidden: GruStack(stack) for hidden, stack in models.items()}
+
+    def arrival_times(
+        self, requests: Sequence[tuple[int, SlidingWindowTrajectory, TargetLine]]
+    ) -> list[float | PredictionError]:
+        """Seconds until each (q, window, line) request's window reaches its
+        line, by the predictor of (window category, q), or the
+        PredictionError that request fails with.
+
+        The baseline requests are answered in one stacked_arrival_times pass
+        and the GRU requests in one GruStack pass per hidden size, each
+        distinct window's features computed once; every value has the bits
+        of a one-window predict call.
+        """
+        out: list = [None] * len(requests)
+        baseline, by_size = [], {}
+        for i, (q, window, _) in enumerate(requests):
+            route = self._routes[window.category, q]
+            if route is None:
+                baseline.append(i)
+            else:
+                by_size.setdefault(route[0], []).append((i, window, route[1]))
+        if baseline:
+            seconds = stacked_arrival_times([requests[i][1:] for i in baseline])
+            for i, value in zip(baseline, seconds):
+                out[i] = value
+        if by_size:
+            windows = list({id(w): w for group in by_size.values() for _, w, _ in group}.values())
+            index = {id(w): k for k, w in enumerate(windows)}
+            features = stacked_features(
+                np.stack([w.times for w in windows]), np.stack([w.positions for w in windows])
+            )
+            for hidden, group in by_size.items():
+                seconds = self._stacks[hidden].predict(
+                    [row for *_, row in group], features[[index[id(w)] for _, w, _ in group]]
+                )
+                for (i, _, _), value in zip(group, seconds.tolist()):
+                    out[i] = value
+        return out

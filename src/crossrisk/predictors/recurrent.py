@@ -27,17 +27,26 @@ PARAM_NAMES = (
 )
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1 / (1 + e) for x >= 0 and e / (1 + e) below, with e = exp(-|x|) <= 1,
-    # so neither branch can overflow. The steps run in place on two fresh
-    # arrays: on a large batch, allocating a temporary per step cost more
-    # than the arithmetic.
-    e = np.abs(x)
-    np.exp(np.negative(e, out=e), out=e)
-    y = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    y /= e
-    return y
+# The constants of the cell's in-place steps as 0-d arrays: a ufunc takes
+# them faster than a Python float, and their values are the same.
+_ZERO, _ONE, _MINUS_ONE = np.array(0.0), np.array(1.0), np.array(-1.0)
+
+
+def _sigmoid(x: np.ndarray, e: np.ndarray | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """exp(min(x, 0)) / (exp(-|x|) + 1): 1 / (1 + e) for x >= 0 and
+    e / (e + 1) below, with e = exp(-|x|) <= 1, so neither branch can
+    overflow. Both exponentials come from one exp call over the stacked
+    scratch e (2, *x.shape), which may hold x itself in e[1]. fmin takes 0
+    for a NaN x, so the NaN comes from the denominator, sign included, as in
+    the two-branch form."""
+    if e is None:
+        e = np.empty((2, *x.shape))
+    lo, neg = e[0], e[1]
+    np.fmin(x, _ZERO, lo)
+    np.copysign(x, _MINUS_ONE, neg)
+    np.exp(e, e)
+    neg += _ONE
+    return np.divide(lo, neg, out)
 
 
 def _softplus(x: np.ndarray) -> np.ndarray:
@@ -58,42 +67,76 @@ def window_features(window: SlidingWindowTrajectory) -> np.ndarray:
 
 
 def _fused(p: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The cell's weights laid out for _cell, with the gates on an axis of
-    their own: w_x (..., 3, 3, H) holds w_xz, w_xr and w_xc, w_hzr
-    (..., 2, H, H) w_hz and w_hr, b_zr (..., 2, 1, H) b_z and b_r. Works on
-    one model's parameters and on a leading stack axis of G models alike."""
+    """The cell's weights laid out for _cell, with the gates on a leading
+    axis of their own: w_x (3, ..., 3, H) holds w_xz, w_xr and w_xc, w_hzr
+    (2, ..., H, H) w_hz and w_hr, b_zr (2, ..., 1, H) b_z and b_r. Works on
+    one model's parameters and on a stack of G models alike; the model
+    axis, if any, is the third from the last of every array."""
     return {
-        "w_x": np.stack([p["w_xz"], p["w_xr"], p["w_xc"]], axis=-3),
-        "w_hzr": np.stack([p["w_hz"], p["w_hr"]], axis=-3),
-        "b_zr": np.stack([p["b_z"], p["b_r"]], axis=-2)[..., None, :],
+        "w_x": np.stack([p["w_xz"], p["w_xr"], p["w_xc"]]),
+        "w_hzr": np.stack([p["w_hz"], p["w_hr"]]),
+        "b_zr": np.stack([p["b_z"], p["b_r"]])[..., None, :],
         "w_hc": p["w_hc"],
         "b_c": p["b_c"][..., None, :],
     }
 
 
-def _cell(w: Mapping[str, np.ndarray], a: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, ...]:
-    """One step of the gated cell: (h', z, r, c) from the step's input
-    products a = x @ w_x (..., 3, rows, H), state h (..., rows, H) and the
-    weights of _fused. The same equations serve an (N, H) batch of one
-    model's windows and a (G, 1, H) stack of G models' windows.
+class _Buffers:
+    """What the cell's steps write on states h of shape (rows, H) or
+    (G, rows, H), with every view that a step reads or writes made once per
+    binding. Stacked halves sit on a leading axis, so that each one is
+    contiguous.
+
+    The scratch serves every step: e (2, 2, *h.shape) is the sigmoid's, and
+    e[1] holds the gates' pre-activation. bind() points the steps at the
+    state hc (2, *h.shape), which holds [h, c], the gates (3, *h.shape),
+    which receive [1 - z, z, r], and the state nxt whose [0] receives h'.
+    The stacked pass binds one of each for all its steps, with nxt = hc;
+    forward_batch binds a fresh nxt per step, which its cache keeps."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.e = np.empty((2, 2, *shape))
+        self.pre = self.e[1]
+        self.rh = np.empty(shape)
+        self.prod = np.empty((2, *shape))
+        self.prod_h, self.prod_c = self.prod[0], self.prod[1]
+
+    def bind(self, hc: np.ndarray, gates: np.ndarray, nxt: np.ndarray) -> None:
+        self.hc = hc
+        self.h_rows = hc[:1]  # h on a gate axis of one, for h @ w_hzr
+        self.h, self.c = hc[0], hc[1]
+        self.u, self.zr = gates[:2], gates[1:]
+        self.one_minus_z, self.z, self.r = gates[0], gates[1], gates[2]
+        self.out = nxt[0]
+
+
+def _cell(w: Mapping[str, np.ndarray], a_zr: np.ndarray, a_c: np.ndarray, b: _Buffers) -> None:
+    """One step of the gated cell on the state that b is bound to, given the
+    step's input products x @ w_x of the gates, a_zr (2, *h.shape), and of
+    the candidate, a_c (h.shape), and the weights of _fused. The same
+    equations serve an (N, H) batch of one model's windows and a (G, 1, H)
+    stack of G models' windows.
 
     Both gates come from one matmul call and one sigmoid. Each matmul still
     multiplies the (rows, K) @ (K, H) matrices a per-gate product would, and
-    each pre-activation is (x w + h w) + b, summed in place on the h w
+    each pre-activation is (h w + x w) + b, summed in place on the h w
     product, so every value keeps its bits: concatenating the gates' columns
     instead changes which BLAS kernel path computes a column when H is not
-    a multiple of the kernel's block width.
+    a multiple of the kernel's block width. The update (1 - z) h + z c is one
+    product of the stacked [1 - z, z] and [h, c], then one sum.
     """
-    pre = h[..., None, :, :] @ w["w_hzr"]
-    pre += a[..., :2, :, :]
-    pre += w["b_zr"]
-    zr = _sigmoid(pre)
-    z, r = zr[..., 0, :, :], zr[..., 1, :, :]
-    c = (r * h) @ w["w_hc"]
-    c += a[..., 2, :, :]
-    c += w["b_c"]
-    np.tanh(c, out=c)
-    return (1.0 - z) * h + z * c, z, r, c
+    np.matmul(b.h_rows, w["w_hzr"], b.pre)
+    b.pre += a_zr
+    b.pre += w["b_zr"]
+    _sigmoid(b.pre, b.e, b.zr)
+    np.subtract(_ONE, b.z, b.one_minus_z)
+    np.multiply(b.r, b.h, b.rh)
+    np.matmul(b.rh, w["w_hc"], b.c)
+    b.c += a_c
+    b.c += w["b_c"]
+    np.tanh(b.c, b.c)
+    np.multiply(b.u, b.hc, b.prod)
+    np.add(b.prod_h, b.prod_c, b.out)
 
 
 def _check_finite(params: Mapping[str, np.ndarray]) -> None:
@@ -101,34 +144,50 @@ def _check_finite(params: Mapping[str, np.ndarray]) -> None:
         raise NonFiniteParameters("model weights contain non-finite values")
 
 
-def predict_stacked(models: Sequence["RecurrentRegressor"], features: np.ndarray) -> np.ndarray:
-    """Arrival seconds (G,) of G models of one hidden size, model g run on its
-    own (T, 3) raw-feature window features[g], in one pass.
+class GruStack:
+    """The weights of GRU models of one hidden size, stacked once along a
+    leading model axis, fused for _cell and checked: NonFiniteParameters is
+    raised here, not by a pass. A pass runs any rows of the stack together.
 
-    The models' parameters are stacked along a leading axis and the cell runs
-    once per step on (G, 1, hidden) states. Each product is the one a lone
-    model computes for its window, so every output has the bits of a G = 1
-    pass. Raises NonFiniteParameters for non-finite weights and ValueError,
-    as ArrivalPrediction does, when an output is not a finite, non-negative
-    number of seconds.
+    The stack copies the weights, so it reads a model as it was when the
+    stack was built.
     """
-    p = {name: np.array([m.params[name] for m in models]) for name in PARAM_NAMES}
-    _check_finite(p)
-    w = _fused(p)
-    mean = np.array([m.feat_mean for m in models])[:, None, :]
-    std = np.array([m.feat_std for m in models])[:, None, :]
-    x = (np.asarray(features, dtype=float) - mean) / std
-    # every step's input products in one call, still one (1, 3) @ (3, H)
-    # product per window, step and gate: a (T, 3) @ (3, H) product per
-    # window would run a matrix-matrix kernel and move bits
-    a = x[:, :, None, None, :] @ w["w_x"][:, None]
-    h = np.zeros((len(models), 1, models[0].hidden_size))
-    for k in range(x.shape[1]):
-        h = _cell(w, a[:, k], h)[0]
-    y = _softplus(h @ p["w_out"][:, :, None] + p["b_out"][:, None, :]).reshape(-1)
-    if not np.all(np.isfinite(y) & (y >= 0.0)):
-        raise ValueError("arrival time must be finite and >= 0 for every window")
-    return y
+
+    def __init__(self, models: Sequence["RecurrentRegressor"]):
+        self.hidden_size = models[0].hidden_size
+        p = {name: np.array([m.params[name] for m in models]) for name in PARAM_NAMES}
+        _check_finite(p)
+        self.w = _fused(p)
+        self.mean = np.array([m.feat_mean for m in models])[:, None, :]
+        self.std = np.array([m.feat_std for m in models])[:, None, :]
+        self.w_out = p["w_out"][:, :, None]
+        self.b_out = p["b_out"][:, None, :]
+
+    def predict(self, rows: Sequence[int], features: np.ndarray) -> np.ndarray:
+        """Arrival seconds (G,) of the stack's models rows[g], each run on its
+        own (T, 3) raw-feature window features[g], in one pass.
+
+        The cell runs once per step on (G, 1, hidden) states, and every
+        step's input products come from one call before the loop, still one
+        (1, 3) @ (3, H) product per window, step and gate: a (T, 3) @ (3, H)
+        product per window would run a matrix-matrix kernel and move bits.
+        So each output has the bits of a G = 1 pass. Raises ValueError, as
+        ArrivalPrediction does, when an output is not a finite, non-negative
+        number of seconds.
+        """
+        w = {name: np.take(v, rows, axis=-3) for name, v in self.w.items()}
+        x = (np.asarray(features, dtype=float) - self.mean[rows]) / self.std[rows]
+        shape = (x.shape[0], 1, self.hidden_size)
+        a = x.transpose(1, 0, 2)[:, None, :, None, :] @ w["w_x"]  # (T, 3, G, 1, H), step-major
+        hc = np.zeros((2, *shape))
+        b = _Buffers(shape)
+        b.bind(hc, np.empty((3, *shape)), hc)
+        for a_zr, a_c in zip(a[:, :2], a[:, 2]):
+            _cell(w, a_zr, a_c, b)
+        y = _softplus(b.h @ self.w_out[rows] + self.b_out[rows]).reshape(-1)
+        if not np.all(np.isfinite(y) & (y >= 0.0)):
+            raise ValueError("arrival time must be finite and >= 0 for every window")
+        return y
 
 
 class RecurrentRegressor:
@@ -222,19 +281,32 @@ class RecurrentRegressor:
         """Run the cell over a (N, T, 3) raw-feature batch.
 
         Returns predictions (N,) and the cache needed for backpropagation.
+        Each step writes its input products, gates and the cell's scratch
+        into buffers that every step reuses, and its state [h, c] into a
+        fresh array; the cache keeps the state and a copy of z and r, and
+        1 - z, which backpropagation does not read, is not kept.
         """
         p = self.params
         _check_finite(p)
         w = _fused(p)
         x = self._standardize(np.asarray(features, dtype=float))
         n, t, _ = x.shape
-        h = np.zeros((n, self.hidden_size))
+        shape = (n, self.hidden_size)
+        a = np.empty((3, *shape))
+        b = _Buffers(shape)
+        hc = np.zeros((2, *shape))
+        gates = np.empty((3, *shape))
         steps = []
         for k in range(t):
             xk = x[:, k, :]
-            h_new, z, r, c = _cell(w, xk @ w["w_x"], h)
-            steps.append((xk, h, z, r, c))
-            h = h_new
+            np.matmul(xk, w["w_x"], a)
+            nxt = np.empty_like(hc)
+            b.bind(hc, gates, nxt)
+            _cell(w, a[:2], a[2], b)
+            z, r = b.zr.copy()
+            steps.append((xk, b.h, z, r, b.c))
+            hc = nxt
+        h = hc[0]
         s = h @ p["w_out"] + p["b_out"][0]
         y = _softplus(s)
         cache = {"steps": steps, "h_last": h, "s": s}
@@ -242,8 +314,8 @@ class RecurrentRegressor:
 
     def predict_features(self, features: np.ndarray) -> float:
         """Arrival seconds for one (T, 3) raw-feature window: the stacked
-        pass with this model alone."""
-        return float(predict_stacked([self], features[None, :, :])[0])
+        pass of this model alone."""
+        return float(GruStack([self]).predict([0], features[None, :, :])[0])
 
     def predict(self, window: SlidingWindowTrajectory, line: TargetLine | None = None) -> ArrivalPrediction:
         """Arrival prediction for one window; the line argument is unused but

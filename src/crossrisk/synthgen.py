@@ -139,6 +139,13 @@ def camera_pixel_of(p: WorldPoint) -> PixelPoint:
 # --- scenario specification -----------------------------------------------------
 
 
+def _check_number(name: str, value: object) -> None:
+    """Reject a scenario spec value that is not a finite int or float (a
+    bool, a string, null, NaN or infinity)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Knobs of the deterministic scenario generator."""
@@ -173,6 +180,16 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        for name in ("duration_s", "adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s",
+                     "crossing_jitter", "speed_noise", "lateral_noise_m", "kid_lateral_sigma",
+                     "kid_lateral_sigma_further", "rtl_fraction", "vehicle_rate_per_min",
+                     "vehicle_speed_mps", "vehicle_speed_sd", "notice_probability",
+                     "decelerate_probability", "conflict_probability", "risky_fraction"):
+            _check_number(name, getattr(self, name))
+        if len(self.reaction_delay_s) != 2:
+            raise ValueError(f"reaction_delay_s must hold two numbers, got {list(self.reaction_delay_s)!r}")
+        for value in self.reaction_delay_s:
+            _check_number("reaction_delay_s", value)
         if self.fps != FPS:
             raise InfeasibleSpec(f"frame rate is fixed at {FPS} FPS")
         if self.duration_s <= 0:
@@ -225,6 +242,11 @@ class GroundTruth:
     agents: dict[str, AgentTruth] = field(default_factory=dict)
     risk: dict[tuple[str, str], RiskLevel] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        # every time of the stream it labels is at FPS; the field only states it
+        if isinstance(self.fps, bool) or not isinstance(self.fps, int) or self.fps != FPS:
+            raise ValueError(f"fps must be {FPS}, got {self.fps!r}")
+
     def to_dict(self) -> dict:
         return {
             "fps": self.fps,
@@ -247,7 +269,7 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "GroundTruth":
-        truth = cls(fps=int(doc["fps"]))
+        truth = cls(fps=doc["fps"])
         for agent_id, raw in doc["agents"].items():
             truth.agents[agent_id] = AgentTruth(
                 category=AgentCategory(int(raw["category"])),

@@ -577,6 +577,26 @@ def test_truth_risk_area_other_than_closer_or_further_is_input_error(command, tm
     assert f"cannot read ground truth {truth_path}" in err and "'middle'" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "metrics", "tune"])
+@pytest.mark.parametrize("fps", [25.9, 24, 30.0, True])
+def test_truth_frame_rate_other_than_the_streams_is_input_error(command, fps, tmp_path, capsys):
+    """A ground truth must state the stream's frame rate, 30, as an integer:
+    every command that reads one exits 2 naming the file."""
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    doc = json.loads(truth_path.read_text(encoding="utf-8"))
+    doc["fps"] = fps
+    truth_path.write_text(json.dumps(doc), encoding="utf-8")
+    if command in ("evaluate", "build-dataset"):
+        stream = tmp_path / "stream.csv"
+        stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
+        code = _stream_command(command, stream, tmp_path, "--truth", str(truth_path))
+    else:
+        code = _tune_or_metrics(command, trace_path, truth_path, tmp_path)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"cannot read ground truth {truth_path}: fps must be 30, got {fps!r}" in err
+
+
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
 def test_category_change_is_input_error(command, tmp_path, capsys):
     stream = tmp_path / "stream.csv"
@@ -923,4 +943,40 @@ def test_non_integer_scenario_spec_field_is_input_error(field, value, tmp_path, 
     assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert str(spec) in err and f"{field} must be an integer, got {value!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("rtl_fraction", "x"),
+        ("notice_probability", None),
+        ("vehicle_speed_sd", True),
+        ("lateral_noise_m", float("nan")),
+        ("kid_lateral_sigma", float("inf")),
+        ("reaction_delay_s", [0.4, "1.0"]),
+    ],
+)
+def test_non_number_scenario_spec_field_is_input_error(field, value, tmp_path, capsys):
+    """A float field of a scenario spec holding a string, null, a boolean
+    or a non-finite value exits 2 naming the file and the field, before
+    writing anything."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(
+        json.dumps({"duration_s": 5.0, "n_adults": 1, "n_kids": 0, "n_cyclists": 0, field: value}),
+        encoding="utf-8",
+    )
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    shown = value[1] if field == "reaction_delay_s" else value
+    assert str(spec) in err and f"{field} must be a finite number, got {shown!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reaction_delay_of_one_value_is_input_error(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"duration_s": 5.0, "n_adults": 1, "reaction_delay_s": [0.4]}), encoding="utf-8")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(spec) in err and "reaction_delay_s must hold two numbers, got [0.4]" in err
     assert not (tmp_path / "out").exists()

@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from crossrisk.errors import MissingPredictor
+from crossrisk.errors import MissingPredictor, NonFiniteParameters
 from crossrisk.pipeline import (
     RiskPipeline,
     latency_report,
@@ -14,7 +14,7 @@ from crossrisk.pipeline import (
     write_trace_csv,
 )
 from crossrisk.ppet import ppet
-from crossrisk.predictors import RecurrentRegressor, TrainedModelBundle
+from crossrisk.predictors import InferenceView, RecurrentRegressor, TrainedModelBundle
 from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode, classify_offline
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
 
@@ -385,7 +385,7 @@ class AllLinesPipeline(RiskPipeline):
                         ask(veh_window, q, name)
                 row += keys
             rows.append(row)
-        answers = self.bundle.arrival_times(requests)
+        answers = self.view.arrival_times(requests)
 
         def seconds(key):
             i = table.get(key)
@@ -506,7 +506,7 @@ class TestBatchedFrame:
         bundle = TrainedModelBundle(predictors)
         pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
         line = pipeline.area_map.line("ped_ltr_q1")
-        (failure,) = bundle.arrival_times([(1, window, line)])
+        (failure,) = pipeline.view.arrival_times([(1, window, line)])
         assert isinstance(failure, ZeroDisplacement)
         vehicles = _further_vehicle(pipeline)
         (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, vehicles)])
@@ -516,9 +516,9 @@ class TestBatchedFrame:
 
     def test_gru_only_frame_makes_one_stacked_pass_per_hidden_size(self, busy_scenario, monkeypatch):
         """Pedestrian pairs hidden 5, vehicle pairs hidden 9: a frame makes at
-        most one predict_stacked call per hidden size, and no one-window
-        GRU call at all."""
-        import crossrisk.predictors.bundle as bundle_module
+        most one GruStack pass per hidden size, and no one-window GRU call
+        at all."""
+        from crossrisk.predictors.recurrent import GruStack
 
         def no_single_window_calls(*args, **kwargs):
             raise AssertionError("the frame loop made a one-window GRU call")
@@ -526,13 +526,13 @@ class TestBatchedFrame:
         monkeypatch.setattr(RecurrentRegressor, "predict", no_single_window_calls)
         monkeypatch.setattr(RecurrentRegressor, "forward_batch", no_single_window_calls)
         passes = []
-        stacked = bundle_module.predict_stacked
+        stacked = GruStack.predict
 
-        def counting(models, features):
-            passes[-1].append((models[0].hidden_size, len(models)))
-            return stacked(models, features)
+        def counting(stack, rows, features):
+            passes[-1].append((stack.hidden_size, len(rows)))
+            return stacked(stack, rows, features)
 
-        monkeypatch.setattr(bundle_module, "predict_stacked", counting)
+        monkeypatch.setattr(GruStack, "predict", counting)
 
         def hidden_for(pair):
             return 9 if pair[0].conflict_area is not None else 5
@@ -549,20 +549,69 @@ class TestBatchedFrame:
         assert pipeline.result.trace
 
     def test_bundle_holding_another_predictor_raises_type_error(self):
-        """A bundle answers only with the baseline and the GRU; anything else
-        raises TypeError naming its pair."""
+        """A view answers only with the baseline and the GRU; anything else
+        raises TypeError naming its pair when the view is built."""
         from crossrisk.predictors.bundle import ALL_PAIRS
         from crossrisk.stream import AgentCategory
         from conftest import constant_velocity_window
 
         predictors = {pair: constant_gru(2.0) for pair in ALL_PAIRS}
-        predictors[(AgentCategory.ADULT, 2)] = object()
-        bundle = TrainedModelBundle(predictors)
         window = constant_velocity_window((-2.0, 1.0), (2.0, 0.0))
         line = reference_area_map().line("ped_ltr_q2")
-        assert bundle.arrival_times([(1, window, line)]) == [pytest.approx(2.0, rel=1e-12)]
+        view = InferenceView(TrainedModelBundle(predictors))
+        assert view.arrival_times([(1, window, line)]) == [pytest.approx(2.0, rel=1e-12)]
+        predictors[(AgentCategory.ADULT, 2)] = object()
         with pytest.raises(TypeError, match=r"\(i=0, q=2\)"):
-            bundle.arrival_times([(1, window, line), (2, window, line)])
+            InferenceView(TrainedModelBundle(predictors))
+
+    def test_weights_are_stacked_and_checked_once_per_hidden_size(self, busy_scenario, monkeypatch):
+        """Pedestrian pairs hidden 5, vehicle pairs hidden 9: building the
+        pipeline stacks each size's weights and checks them once, and 200
+        frames of GRU passes neither stack nor check again."""
+        import crossrisk.predictors.bundle as bundle_module
+        from crossrisk.predictors import recurrent
+
+        stacks, checks = [], []
+        check_finite = recurrent._check_finite
+
+        class CountingStack(recurrent.GruStack):
+            def __init__(self, models):
+                stacks.append(models[0].hidden_size)
+                super().__init__(models)
+
+        def counting_check(params):
+            checks.append(params["w_hz"].shape[-1])
+            check_finite(params)
+
+        monkeypatch.setattr(bundle_module, "GruStack", CountingStack)
+        monkeypatch.setattr(recurrent, "_check_finite", counting_check)
+        passes = []
+        stacked = recurrent.GruStack.predict
+
+        def counting_pass(stack, rows, features):
+            passes.append(len(rows))
+            return stacked(stack, rows, features)
+
+        monkeypatch.setattr(recurrent.GruStack, "predict", counting_pass)
+        bundle = _gru_bundle(lambda pair: 9 if pair[0].conflict_area is not None else 5)
+        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
+        assert sorted(stacks) == sorted(checks) == [5, 9]
+        first = min(busy_scenario)
+        for frame in range(first, first + 200):
+            pipeline.process_frame(frame, busy_scenario.get(frame, []))
+        assert sorted(stacks) == sorted(checks) == [5, 9]
+        assert passes and pipeline.result.trace
+
+    def test_non_finite_weight_fails_construction(self):
+        """A NaN weight in an in-memory bundle, here in a kid's q2 model,
+        raises NonFiniteParameters when the pipeline is built, before any
+        frame asks for it."""
+        from crossrisk.stream import AgentCategory
+
+        bundle = _gru_bundle(lambda pair: 6)
+        bundle.predictors[(AgentCategory.KID, 2)].params["w_hc"][1, 2] = np.nan
+        with pytest.raises(NonFiniteParameters):
+            RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
 
 
 # --- which lines a frame asks ------------------------------------------------------
@@ -588,13 +637,13 @@ def _asked_lines(targets_for, start_x=-2.0):
     })
     names = {id(line): name for name, line in pipeline.area_map.target_lines.items()}
     asked = Counter()
-    answer = pipeline.bundle.arrival_times
+    answer = pipeline.view.arrival_times
 
     def spy(requests):
         asked.update((window.agent_id, names[id(line)]) for _, window, line in requests)
         return answer(requests)
 
-    pipeline.bundle.arrival_times = spy
+    pipeline.view.arrival_times = spy
     ltr = Direction.LEFT_TO_RIGHT
     targets = [
         (constant_velocity_window((start_x - k, 1.0), (2.0, 0.0), agent_id=f"a{k}"), ltr, own)

@@ -67,6 +67,19 @@ def test_sigmoid_equals_masked_two_branch_formula():
         assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
 
 
+def test_sigmoid_equals_two_branch_formula_on_edges():
+    """One exp over exp(min(x, 0)) and exp(-|x|) gives the bits of the
+    where(x >= 0, 1, e) / (1 + e) form, NaN and its sign included."""
+    edges = np.array([
+        0.0, 5e-324, 1e-310, 1e-17, 708.4, 745.0, 746.0, 1e308, np.inf, np.nan,
+    ])
+    x = np.concatenate([edges, -edges, np.random.default_rng(5).normal(0.0, 30.0, 20000)])
+    with np.errstate(under="ignore", invalid="ignore"):
+        e = np.exp(-np.abs(x))
+        expected = np.where(x >= 0, 1.0, e) / (1.0 + e)
+        assert np.array_equal(recurrent._sigmoid(x).view(np.uint64), expected.view(np.uint64))
+
+
 class TestForward:
     def test_zero_weights_give_log_two(self):
         model = RecurrentRegressor.zeros(8)
@@ -124,18 +137,19 @@ class TestStackedPass:
             models = self._models(rng, hidden, 4)
             picks = [0, 2, 2, 3, 1, 0]
             features = rng.normal(0.0, 1.0, (len(picks), 29, 3))
-            got = recurrent.predict_stacked([models[i] for i in picks], features)
+            got = recurrent.GruStack(models).predict(picks, features)
             for g, i in enumerate(picks):
                 alone, _ = models[i].forward_batch(features[g][None])
                 assert got[g].tobytes() == alone[0].tobytes()
                 assert models[i].predict_features(features[g]) == float(got[g])
 
     def test_non_finite_weights_in_any_model_rejected(self):
+        """The stack checks its weights when it is built, before any pass."""
         rng = np.random.default_rng(2)
         models = self._models(rng, 4, 3)
         models[1].params["w_hc"][0, 0] = np.inf
         with pytest.raises(NonFiniteParameters):
-            recurrent.predict_stacked(models, rng.normal(0.0, 1.0, (3, 29, 3)))
+            recurrent.GruStack(models)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_output_rejected(self):
@@ -144,7 +158,7 @@ class TestStackedPass:
         features = rng.normal(0.0, 1.0, (2, 29, 3))
         features[1, 3, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            recurrent.predict_stacked(models, features)
+            recurrent.GruStack(models).predict([0, 1], features)
 
 
 def per_gate_cell(p, xk, h):
@@ -157,7 +171,7 @@ def per_gate_cell(p, xk, h):
 
 
 def per_gate_stacked(models, features):
-    """predict_stacked on per_gate_cell, one step's inputs at a time."""
+    """GruStack.predict on per_gate_cell, one step's inputs at a time."""
     p = {name: np.stack([m.params[name] for m in models]) for name in PARAM_NAMES}
     for name in ("b_z", "b_r", "b_c", "b_out"):
         p[name] = p[name][:, None, :]
@@ -206,10 +220,12 @@ class TestPerGateOracle:
     def test_predict_stacked(self, hidden):
         rng = np.random.default_rng(100 + hidden)
         models = self._models(rng, hidden, 3)
+        stack = recurrent.GruStack(models)
         for count in range(1, 7):
-            picks = [models[i] for i in rng.integers(0, len(models), count)]
+            rows = rng.integers(0, len(models), count).tolist()
             features = rng.normal(0.0, 1.0, (count, 29, 3))
-            assert _bits(recurrent.predict_stacked(picks, features)) == _bits(per_gate_stacked(picks, features))
+            expected = per_gate_stacked([models[i] for i in rows], features)
+            assert _bits(stack.predict(rows, features)) == _bits(expected)
 
     @pytest.mark.parametrize("hidden", [3, 8, 16, 32])
     def test_forward_batch_and_gradients(self, hidden, monkeypatch):
