@@ -14,6 +14,8 @@ import numpy as np
 from .errors import BadFoldCount, EmptyGrid, ManifestError, TooFewEpisodes
 from .ppet import ConflictScenario, PPetVector
 from .risk import (
+    AREAS,
+    MODE_ROLES,
     AreaRole,
     CategoryThresholds,
     RiskLevel,
@@ -26,6 +28,7 @@ from .risk import (
     interval_bounds,
 )
 from .stream import AgentCategory
+from .synthgen import GroundTruth
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,24 @@ class Episode:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "labels", dict(self.labels))
+
+
+def truth_episodes(truth: GroundTruth, vectors: Mapping[str, Sequence[PPetVector]]) -> list[Episode]:
+    """One episode per pedestrian the ground truth labels, in id order, with
+    its P-PET vectors or an empty trace when it was never evaluated.
+
+    GroundTruth labels every labeled pedestrian in both areas, so a stream's
+    evaluation and a trace file read back score the same episodes.
+    """
+    return [
+        Episode(
+            ped_id,
+            truth.agents[ped_id].category,
+            tuple(vectors.get(ped_id, ())),
+            {area: truth.risk[ped_id, area.value] for area in AREAS},
+        )
+        for ped_id in sorted({ped_id for ped_id, _ in truth.risk})
+    ]
 
 
 T = TypeVar("T")
@@ -157,13 +178,10 @@ class GridSpec:
         counter limits 1..6. Exhaustive search over this full joint grid is
         enormous; narrow it for practical runs."""
         grid = IntervalGrid(-4.0, 3.0, 0.1, -4.0, 3.0, 0.1)
-        axes = {
-            (role, scenario): grid
-            for role in (AreaRole.CLOSER, AreaRole.FURTHER, AreaRole.MERGED)
-            for scenario in ConflictScenario
-        }
+        roles = [role for mode_roles in MODE_ROLES.values() for role in mode_roles]
+        axes = {(role, scenario): grid for role in roles for scenario in ConflictScenario}
         thetas = tuple(range(1, 7))
-        return cls(axes, {role: thetas for role in AreaRole})
+        return cls(axes, {role: thetas for role in roles})
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "GridSpec":
@@ -250,8 +268,8 @@ def confusion_from_labels(
     """Confusion counts from (predicted, truth) level pairs; Risk 2 positive."""
     tp = tn = fp = fn = 0
     for predicted, truth in pairs:
-        pred_pos = predicted is RiskLevel.RISK2 or predicted == RiskLevel.RISK2
-        true_pos = truth is RiskLevel.RISK2 or truth == RiskLevel.RISK2
+        pred_pos = predicted == RiskLevel.RISK2
+        true_pos = truth == RiskLevel.RISK2
         if pred_pos and true_pos:
             tp += 1
         elif pred_pos:
@@ -277,13 +295,13 @@ def _search_role(
     episodes: Sequence[Episode],
     grid: GridSpec,
     role: AreaRole,
-    mode: ThresholdMode,
+    areas: tuple[AreaRole, ...],
     k: int,
     seed: int,
     rows: list[GridPointRow],
 ) -> GridPointRow:
-    """Score every (PF, VF, theta) point for one area role at once, appending
-    a row per point to rows.
+    """Score every (PF, VF, theta) point for one role, which judges the
+    given areas, at once, appending a row per point to rows.
 
     A point's accuracy is the unweighted mean over the k folds of its
     accuracy on each fold. Returns the row with the highest accuracy; ties
@@ -296,25 +314,24 @@ def _search_role(
     positions = np.arange(len(episodes))
     membership = np.array([np.isin(positions, f) for f in kfold_split(positions, k, seed)], dtype=float)
 
-    # The areas whose hits count against this role's threshold: both in
-    # merged mode, where one count per episode is judged against both labels.
-    counted = (AreaRole.CLOSER, AreaRole.FURTHER) if mode is ThresholdMode.MERGED_AREA else (role,)
+    # One count per episode over the role's areas, judged against each of
+    # their labels.
     counts = np.empty((len(pf_pairs), len(vf_pairs), len(episodes)), dtype=np.int64)
     for i, e in enumerate(episodes):
-        per_area = [component_values(e.trace, r) for r in counted]
+        per_area = [component_values(e.trace, area) for area in areas]
         counts[:, :, i] = hit_count(
             np.concatenate([pf for pf, _ in per_area]),
             np.concatenate([vf for _, vf in per_area]),
             pf_bounds, vf_bounds,
         )
-    positives = np.array([sum(e.labels[r] == RiskLevel.RISK2 for r in counted) for e in episodes])
+    positives = np.array([sum(e.labels[area] == RiskLevel.RISK2 for area in areas) for e in episodes])
 
     # One row per point in enumeration order: how many of each episode's
     # judged areas the point classifies correctly, then each fold's accuracy
     # with the fold axis last.
     predicted = counts[:, :, None, :] > np.array(thetas)[:, None]
-    correct = np.where(predicted, positives, len(counted) - positives).reshape(-1, len(episodes))
-    fold_acc = (correct @ membership.T) / (len(counted) * membership.sum(axis=1))
+    correct = np.where(predicted, positives, len(areas) - positives).reshape(-1, len(episodes))
+    fold_acc = (correct @ membership.T) / (len(areas) * membership.sum(axis=1))
     acc = fold_acc.mean(axis=-1)
     pf_width, vf_width = (b[:, 1] - b[:, 0] for b in (pf_bounds, vf_bounds))
     width = np.repeat(np.add.outer(pf_width, vf_width).ravel(), len(thetas))
@@ -360,13 +377,8 @@ def grid_search(
         cat_episodes = [e for e in search_set if e.category == category]
         intervals: dict[tuple[AreaRole, ConflictScenario], ThresholdInterval] = {}
         counters: dict[AreaRole, int] = {}
-        roles = (
-            (AreaRole.MERGED,)
-            if mode is ThresholdMode.MERGED_AREA
-            else (AreaRole.CLOSER, AreaRole.FURTHER)
-        )
-        for role in roles:
-            best = _search_role(cat_episodes, grid, role, mode, k, seed, rows)
+        for role, areas in MODE_ROLES[mode].items():
+            best = _search_role(cat_episodes, grid, role, areas, k, seed, rows)
             intervals[(role, ConflictScenario.PEDESTRIAN_FIRST)] = best.pf
             intervals[(role, ConflictScenario.VEHICLE_FIRST)] = best.vf
             counters[role] = best.theta

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics
+from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics, truth_episodes
 from .errors import BudgetExceeded, CrossRiskError, ManifestError
 from .geometry import AreaMap, load_area_map, load_tile_grid, save_area_map, save_tile_grid
 from .pipeline import (
@@ -24,7 +24,6 @@ from .pipeline import (
     write_risk_scenarios,
     write_trace_csv,
 )
-from .ppet import PPetVector
 from .predictors import (
     AgentAnnotation,
     TrainedModelBundle,
@@ -33,7 +32,7 @@ from .predictors import (
     train_bundle,
 )
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
-from .risk import AreaRole, RiskLevel, RiskThresholdConfig
+from .risk import RiskThresholdConfig
 from .stream import StreamRow, agent_trajectories, load_stream, read_stream_rows, target_line_table, write_stream_csv
 from .synthgen import GroundTruth, ScenarioSpec, generate, reference_area_map
 
@@ -207,7 +206,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     }
     if args.truth:
         truth = GroundTruth.load(str(_require(args.truth, "ground truth")))
-        counts = confusion(_truth_episodes(truth, vectors), pipeline.thresholds)
+        counts = confusion(truth_episodes(truth, vectors), pipeline.thresholds)
         summary["metrics"] = metrics(counts).to_dict()
         _write_json(str(out / "metrics.json"), summary["metrics"])
     _write_json(str(out / "summary.json"), summary)
@@ -219,28 +218,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 # --- tune -----------------------------------------------------------------------------
 
 
-def _truth_episodes(truth: GroundTruth, vectors: dict[str, list[PPetVector]]) -> list[Episode]:
-    """One episode per labeled pedestrian of the ground truth, by id; a
-    pedestrian without a trace gets an empty one."""
-    labels: dict[str, dict[AreaRole, RiskLevel]] = {}
-    for (ped_id, role), level in sorted(truth.risk.items()):
-        if ped_id in truth.agents:
-            labels.setdefault(ped_id, {})[AreaRole(role)] = level
-    return [
-        Episode(ped_id, truth.agents[ped_id].category, tuple(vectors.get(ped_id, ())), ped_labels)
-        for ped_id, ped_labels in labels.items()
-    ]
-
-
 def _episodes_from_files(trace_path: str, truth_path: str) -> list[Episode]:
-    """Episodes of the traced pedestrians labeled in both areas."""
     vectors = read_trace_csv(str(_require(trace_path, "trace file")))
     truth = GroundTruth.load(str(_require(truth_path, "ground truth")))
-    both = {AreaRole.CLOSER, AreaRole.FURTHER}
-    return [
-        e for e in _truth_episodes(truth, vectors)
-        if e.ped_id in vectors and set(e.labels) == both
-    ]
+    return truth_episodes(truth, vectors)
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
@@ -412,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (CrossRiskError, ManifestError) as exc:
+    except CrossRiskError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - internal invariant breach

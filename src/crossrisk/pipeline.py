@@ -21,10 +21,10 @@ from .geometry import AreaMap, TargetLine, WorldPoint, signed_distance_to_line
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
 from .predictors import InferenceView, TrainedModelBundle
 from .risk import (
+    AREAS,
     AreaRole,
     Decision,
     DecisionKind,
-    FrameContext,
     RiskScenario,
     RiskThresholdConfig,
     in_evaluation_zone,
@@ -46,7 +46,6 @@ from .stream import (
 # Vehicle class that serves each conflict area (approach-zone association).
 CONFLICT_AREA_VEHICLE = {c.conflict_area: c for c in AgentCategory if c.conflict_area is not None}
 
-_ROLES = (AreaRole.CLOSER, AreaRole.FURTHER)
 # Per area role: the pedestrian lines (q) its components read, and how many a frame asks.
 _VEHICLE_READS = ((AreaRole.CLOSER, (0, 1), 2), (AreaRole.FURTHER, (1, 2), 3))
 _PF = ConflictScenario.PEDESTRIAN_FIRST
@@ -208,7 +207,7 @@ class RiskPipeline:
                 }
             window = self.engine.window(ped_id)
             vehicles: dict[AreaRole, tuple[str, WorldPoint]] = {}
-            for role, area_id in zip(_ROLES, closer_further_assignment(state.direction)):
+            for role, area_id in zip(AREAS, closer_further_assignment(state.direction)):
                 candidates = snapshot[area_id]
                 veh_id = select_conflict_vehicle(window.end_position, candidates.items())
                 if veh_id is not None:
@@ -221,15 +220,13 @@ class RiskPipeline:
 
         t1 = time.perf_counter()
         for (state, window, vehicles), est in zip(evaluated, estimates):
-            ped_position = window.end_position
             vector = ppet(est)
-            context = FrameContext(frame, t, ped_position, vehicles)
-            decisions = step_evaluate(state, vector, self.thresholds, context)
+            decisions = step_evaluate(state, vector, self.thresholds, t, window.end_position, vehicles)
             decisions_out.extend(decisions)
             for decision in decisions:
                 if decision.kind is DecisionKind.RISK2_FLAGGED and decision.scenario is not None:
                     self.result.risk_scenarios.append(decision.scenario)
-            for role in _ROLES:
+            for role in AREAS:
                 veh_id = vehicles.get(role, ("", None))[0]
                 pf, vf = vector.component(role.value, _PF), vector.component(role.value, _VF)
                 self.result.trace.append(TraceRow(frame, state.agent_id, veh_id, role, pf, vf))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +31,18 @@ class AreaRole(Enum):
 class ThresholdMode(Enum):
     PER_AREA = "per_area"
     MERGED_AREA = "merged_area"
+
+
+# The two conflict areas a pedestrian crosses, in the order they are judged.
+AREAS = (AreaRole.CLOSER, AreaRole.FURTHER)
+
+# Per threshold mode: the roles a category holds, each with its intervals
+# and a counter limit, and the conflict areas whose in-interval frames each
+# role counts. A role's outcome is every one of its areas' outcome.
+MODE_ROLES: Mapping[ThresholdMode, Mapping[AreaRole, tuple[AreaRole, ...]]] = {
+    ThresholdMode.PER_AREA: {area: (area,) for area in AREAS},
+    ThresholdMode.MERGED_AREA: {AreaRole.MERGED: AREAS},
+}
 
 
 class RiskLevel(IntEnum):
@@ -67,12 +79,7 @@ class CategoryThresholds:
     def __post_init__(self) -> None:
         object.__setattr__(self, "intervals", dict(self.intervals))
         object.__setattr__(self, "counters", dict(self.counters))
-        roles = (
-            (AreaRole.CLOSER, AreaRole.FURTHER)
-            if self.mode is ThresholdMode.PER_AREA
-            else (AreaRole.MERGED,)
-        )
-        for role in roles:
+        for role in self.roles:
             for scenario in ConflictScenario:
                 if (role, scenario) not in self.intervals:
                     raise ValueError(f"missing interval for ({role.value}, {scenario.value})")
@@ -81,6 +88,11 @@ class CategoryThresholds:
         for limit in self.counters.values():
             if limit < 1:
                 raise ValueError("counter limits must be >= 1")
+
+    @property
+    def roles(self) -> Mapping[AreaRole, tuple[AreaRole, ...]]:
+        """This mode's roles and the areas each judges (MODE_ROLES)."""
+        return MODE_ROLES[self.mode]
 
     def interval(self, role: AreaRole, scenario: ConflictScenario) -> ThresholdInterval:
         try:
@@ -250,16 +262,6 @@ class Decision:
     scenario: RiskScenario | None = None
 
 
-@dataclass(frozen=True)
-class FrameContext:
-    """Per-frame facts step_evaluate needs to emit a risk scenario."""
-
-    frame: int
-    t: float
-    ped_position: WorldPoint
-    conflict_vehicles: Mapping[AreaRole, tuple[str, WorldPoint]] = field(default_factory=dict)
-
-
 # Risk is evaluated only while the pedestrian is in the react or conflict
 # zones; the approach zone is deliberately not assessed.
 _EVAL_AREA_PREFIXES = ("2.", "3.")
@@ -271,14 +273,13 @@ def in_evaluation_zone(area: str | None) -> bool:
 
 
 def _role_hit(
-    vector: PPetVector, component_role: AreaRole, thresholds: CategoryThresholds,
-    interval_role: AreaRole,
+    vector: PPetVector, area: AreaRole, thresholds: CategoryThresholds, role: AreaRole
 ) -> bool:
-    """True when any available component of the area falls in its interval."""
+    """True when any available component of the area falls in the role's interval."""
     hit = False
     for scenario in ConflictScenario:
-        interval = thresholds.interval(interval_role, scenario)
-        value = vector.component(component_role.value, scenario)
+        interval = thresholds.interval(role, scenario)
+        value = vector.component(area.value, scenario)
         if value is not None and interval.contains(value):
             hit = True
     return hit
@@ -288,48 +289,48 @@ def step_evaluate(
     state: PedestrianState,
     vector: PPetVector,
     config: RiskThresholdConfig,
-    context: FrameContext,
+    t: float,
+    ped_position: WorldPoint,
+    conflict_vehicles: Mapping[AreaRole, tuple[str, WorldPoint]],
 ) -> list[Decision]:
     """Advance one pedestrian's risk counters with this frame's P-PET vector.
 
-    Each conflict area contributes at most one increment per frame even when
-    both of its scenario components are in range. A counter strictly
-    exceeding its limit flags Risk 2 once per area and episode and emits the
-    scenario snapshot.
+    Each conflict area contributes at most one increment per frame, to the
+    counter of the role that judges it, even when both of its scenario
+    components are in range. A counter strictly exceeding its limit flags
+    Risk 2 once per role and episode and emits the scenario snapshot of the
+    area whose increment crossed it, with that area's conflict vehicle
+    (id, position), or none.
     """
     thresholds = config.for_category(state.category)
     if not in_evaluation_zone(state.current_area):
         return []
 
-    merged = thresholds.mode is ThresholdMode.MERGED_AREA
     decisions: list[Decision] = []
-    for role in (AreaRole.CLOSER, AreaRole.FURTHER):
-        interval_role = AreaRole.MERGED if merged else role
-        counter_role = AreaRole.MERGED if merged else role
-        if not _role_hit(vector, role, thresholds, interval_role):
-            continue
-        count = state.risk_counters.get(counter_role.value, 0) + 1
-        state.risk_counters[counter_role.value] = count
-        decisions.append(Decision(DecisionKind.COUNTER_INCREMENTED, role))
-        limit = thresholds.counter_limit(counter_role)
-        if count > limit and not state.flagged_risk2.get(counter_role.value, False):
-            state.flagged_risk2[counter_role.value] = True
-            vehicle = context.conflict_vehicles.get(role)
-            veh_id, veh_position = vehicle if vehicle is not None else ("", context.ped_position)
-            decisions.append(
-                Decision(
-                    DecisionKind.RISK2_FLAGGED,
-                    role,
-                    RiskScenario(
-                        ped_id=state.agent_id,
-                        ped_position=context.ped_position,
-                        veh_id=veh_id,
-                        veh_position=veh_position,
-                        t=context.t,
-                        area=role,
-                    ),
+    for role, areas in thresholds.roles.items():
+        for area in areas:
+            if not _role_hit(vector, area, thresholds, role):
+                continue
+            count = state.risk_counters.get(role.value, 0) + 1
+            state.risk_counters[role.value] = count
+            decisions.append(Decision(DecisionKind.COUNTER_INCREMENTED, area))
+            if count > thresholds.counter_limit(role) and not state.flagged_risk2.get(role.value, False):
+                state.flagged_risk2[role.value] = True
+                veh_id, veh_position = conflict_vehicles.get(area, ("", ped_position))
+                decisions.append(
+                    Decision(
+                        DecisionKind.RISK2_FLAGGED,
+                        area,
+                        RiskScenario(
+                            ped_id=state.agent_id,
+                            ped_position=ped_position,
+                            veh_id=veh_id,
+                            veh_position=veh_position,
+                            t=t,
+                            area=area,
+                        ),
+                    )
                 )
-            )
     return decisions
 
 
@@ -376,29 +377,16 @@ def classify_offline(
 ) -> dict[AreaRole, RiskLevel]:
     """Episode-level classification from a complete P-PET trace.
 
-    Batch mirror of the streaming counters: an area is Risk 2 exactly when
-    its count of in-interval frames strictly exceeds the counter limit. An
-    empty trace is Risk 1 (never flagged). Merged mode aggregates both
-    areas' in-range frames against the single limit and assigns the merged
-    outcome to both areas.
+    Batch mirror of the streaming counters: a role is Risk 2 exactly when
+    its areas' in-interval frames, summed, strictly exceed its counter
+    limit, and each of its areas takes that level. An empty trace is Risk 1
+    (never flagged).
     """
     thresholds = config.for_category(category)
-    merged = thresholds.mode is ThresholdMode.MERGED_AREA
-    counts = {}
-    for role in (AreaRole.CLOSER, AreaRole.FURTHER):
-        interval_role = AreaRole.MERGED if merged else role
-        pf_bounds, vf_bounds = (interval_bounds([thresholds.interval(interval_role, s)]) for s in ConflictScenario)
-        counts[role] = int(hit_count(*component_values(trace, role), pf_bounds, vf_bounds)[0, 0])
-
-    if merged:
-        total = counts[AreaRole.CLOSER] + counts[AreaRole.FURTHER]
-        level = RiskLevel.RISK2 if total > thresholds.counter_limit(AreaRole.MERGED) else RiskLevel.RISK1
-        return {AreaRole.CLOSER: level, AreaRole.FURTHER: level}
-    return {
-        role: (
-            RiskLevel.RISK2
-            if counts[role] > thresholds.counter_limit(role)
-            else RiskLevel.RISK1
-        )
-        for role in (AreaRole.CLOSER, AreaRole.FURTHER)
-    }
+    levels = {}
+    for role, areas in thresholds.roles.items():
+        pf_bounds, vf_bounds = (interval_bounds([thresholds.interval(role, s)]) for s in ConflictScenario)
+        count = sum(int(hit_count(*component_values(trace, area), pf_bounds, vf_bounds)[0, 0]) for area in areas)
+        level = RiskLevel.RISK2 if count > thresholds.counter_limit(role) else RiskLevel.RISK1
+        levels.update(dict.fromkeys(areas, level))
+    return levels

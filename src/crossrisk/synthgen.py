@@ -30,7 +30,7 @@ from .geometry import (
 )
 from .ppet import pet
 from .predictors.dataset import Awareness, Reaction
-from .risk import AreaRole, RiskLevel, in_evaluation_zone
+from .risk import AREAS, RiskLevel, in_evaluation_zone
 from .stream import (
     FPS,
     AgentCategory,
@@ -146,6 +146,14 @@ def _check_number(name: str, value: object) -> None:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
+# A scenario spec's float fields, by the range each must lie in.
+_POSITIVE = ("duration_s", "adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s", "vehicle_speed_mps")
+_NON_NEGATIVE = ("crossing_jitter", "speed_noise", "lateral_noise_m", "kid_lateral_sigma",
+                 "kid_lateral_sigma_further", "vehicle_rate_per_min", "vehicle_speed_sd")
+_FRACTIONS = ("rtl_fraction", "notice_probability", "decelerate_probability", "conflict_probability",
+              "risky_fraction")
+
+
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Knobs of the deterministic scenario generator."""
@@ -180,11 +188,7 @@ class ScenarioSpec:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in ("duration_s", "adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s",
-                     "crossing_jitter", "speed_noise", "lateral_noise_m", "kid_lateral_sigma",
-                     "kid_lateral_sigma_further", "rtl_fraction", "vehicle_rate_per_min",
-                     "vehicle_speed_mps", "vehicle_speed_sd", "notice_probability",
-                     "decelerate_probability", "conflict_probability", "risky_fraction"):
+        for name in _POSITIVE + _NON_NEGATIVE + _FRACTIONS:
             _check_number(name, getattr(self, name))
         if len(self.reaction_delay_s) != 2:
             raise ValueError(f"reaction_delay_s must hold two numbers, got {list(self.reaction_delay_s)!r}")
@@ -192,16 +196,18 @@ class ScenarioSpec:
             _check_number("reaction_delay_s", value)
         if self.fps != FPS:
             raise InfeasibleSpec(f"frame rate is fixed at {FPS} FPS")
-        if self.duration_s <= 0:
-            raise InfeasibleSpec("duration must be positive")
-        for name in ("adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s",
-                     "vehicle_speed_mps"):
-            if getattr(self, name) <= 0:
-                raise InfeasibleSpec(f"{name} must be positive")
         if min(self.n_adults, self.n_kids, self.n_cyclists) < 0:
             raise InfeasibleSpec("agent counts must be non-negative")
-        if self.vehicle_rate_per_min < 0:
-            raise InfeasibleSpec("vehicle rate must be non-negative")
+        for names, in_range, rule in ((_POSITIVE, lambda v: v > 0, "be positive"),
+                                      (_NON_NEGATIVE, lambda v: v >= 0, "be non-negative"),
+                                      (_FRACTIONS, lambda v: 0 <= v <= 1, "lie in [0, 1]")):
+            for name in names:
+                if not in_range(getattr(self, name)):
+                    raise InfeasibleSpec(f"{name} must {rule}, got {getattr(self, name)!r}")
+        low, high = self.reaction_delay_s
+        if not 0 <= low <= high:
+            raise InfeasibleSpec(f"reaction_delay_s must be [low, high] with 0 <= low <= high, "
+                                 f"got {list(self.reaction_delay_s)!r}")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -219,7 +225,7 @@ class ScenarioSpec:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, ValueError, InfeasibleSpec) as exc:
             raise ManifestError(f"cannot read scenario spec {path}: {exc}") from exc
 
 
@@ -279,8 +285,17 @@ class GroundTruth:
                 crossing_times={k: float(v) for k, v in raw.get("crossing_times", {}).items()},
                 conflict_area=raw.get("conflict_area"),
             )
+        areas = [area.value for area in AREAS]
         for entry in doc.get("risk", []):
-            truth.risk[(entry["ped_id"], AreaRole(entry["area"]).value)] = RiskLevel(int(entry["level"]))
+            ped_id, area = entry["ped_id"], entry["area"]
+            if area not in areas:
+                raise ValueError(f"risk area of {ped_id!r} must be one of {areas}, got {area!r}")
+            if ped_id not in truth.agents:
+                raise ValueError(f"risk entry for {ped_id!r}, which is not an agent")
+            truth.risk[(ped_id, area)] = RiskLevel(int(entry["level"]))
+        for ped_id, _ in truth.risk:
+            if any((ped_id, area) not in truth.risk for area in areas):
+                raise ValueError(f"{ped_id!r} is labeled in one area only; label it in each of {areas}")
         return truth
 
     def save(self, path: str) -> None:

@@ -13,6 +13,7 @@ from crossrisk.calibration import (
     grid_search,
     kfold_split,
     metrics,
+    truth_episodes,
 )
 from crossrisk.errors import BadFoldCount, EmptyGrid, TooFewEpisodes
 from crossrisk.ppet import ConflictScenario, PPetVector
@@ -25,6 +26,7 @@ from crossrisk.risk import (
     classify_offline,
 )
 from crossrisk.stream import AgentCategory
+from crossrisk.synthgen import AgentTruth, GroundTruth
 
 from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid
 
@@ -370,3 +372,25 @@ def test_confusion_from_labels():
     ]
     counts = confusion_from_labels(pairs)
     assert (counts.tp, counts.fp, counts.fn, counts.tn) == (1, 1, 1, 1)
+
+
+def test_truth_episodes_give_every_labeled_pedestrian_an_episode():
+    """Each labeled pedestrian, in id order, with its trace or an empty one
+    when it was never evaluated; agents without labels have none."""
+    truth = GroundTruth(fps=30)
+    for agent_id, category in (("p2", AgentCategory.KID), ("p1", AgentCategory.ADULT),
+                               ("v0", AgentCategory.VEHICLE_AREA_41)):
+        truth.agents[agent_id] = AgentTruth(category=category)
+    for ped_id, level in (("p2", RiskLevel.RISK2), ("p1", RiskLevel.RISK1)):
+        for role in (AreaRole.FURTHER, AreaRole.CLOSER):
+            truth.risk[(ped_id, role.value)] = level
+    traced = [PPetVector(c_pf=-0.5)]
+    episodes = truth_episodes(truth, {"p1": traced, "v0": traced})
+    assert [(e.ped_id, e.category, e.trace) for e in episodes] == [
+        ("p1", AgentCategory.ADULT, tuple(traced)),
+        ("p2", AgentCategory.KID, ()),
+    ]
+    assert [list(e.labels.items()) for e in episodes] == [
+        [(AreaRole.CLOSER, RiskLevel.RISK1), (AreaRole.FURTHER, RiskLevel.RISK1)],
+        [(AreaRole.CLOSER, RiskLevel.RISK2), (AreaRole.FURTHER, RiskLevel.RISK2)],
+    ]

@@ -5,8 +5,8 @@ import pytest
 
 from crossrisk.cli import EXIT_BUDGET, EXIT_INPUT, EXIT_OK, main
 from crossrisk.pipeline import RiskPipeline, TraceRow, write_risk_scenarios, write_trace_csv
-from crossrisk.risk import AreaRole, RiskThresholdConfig
-from crossrisk.stream import read_stream_csv
+from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig
+from crossrisk.stream import AgentCategory, read_stream_csv
 from crossrisk.synthgen import AgentTruth, GroundTruth, reference_area_map
 
 from helpers import planted_episodes
@@ -577,6 +577,72 @@ def test_truth_risk_area_other_than_closer_or_further_is_input_error(command, tm
     assert f"cannot read ground truth {truth_path}" in err and "'middle'" in err
 
 
+@pytest.mark.parametrize("command", ["evaluate", "metrics", "tune"])
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("merged-area", "risk area of 'p000' must be one of ['closer', 'further'], got 'merged'"),
+        ("one-area", "'p000' is labeled in one area only; label it in each of ['closer', 'further']"),
+        ("unknown-agent", "risk entry for 'ghost', which is not an agent"),
+    ],
+    ids=["merged-area", "one-area", "unknown-agent"],
+)
+def test_truth_that_does_not_label_both_areas_of_an_agent_is_input_error(
+    command, case, message, tmp_path, capsys
+):
+    """A ground truth labels each labeled pedestrian, which must be one of
+    its agents, in the closer and the further area and nowhere else: every
+    command that scores episodes exits 2 naming the file."""
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    doc = json.loads(truth_path.read_text(encoding="utf-8"))
+    p000 = [entry for entry in doc["risk"] if entry["ped_id"] == "p000"]
+    if case == "merged-area":
+        doc["risk"].append({**p000[0], "area": "merged"})
+    elif case == "one-area":
+        doc["risk"].remove(p000[1])
+    else:
+        doc["risk"].append({**p000[0], "ped_id": "ghost"})
+    truth_path.write_text(json.dumps(doc), encoding="utf-8")
+    if command == "evaluate":
+        stream = tmp_path / "stream.csv"
+        stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
+        code = _stream_command(command, stream, tmp_path, "--truth", str(truth_path))
+    else:
+        code = _tune_or_metrics(command, trace_path, truth_path, tmp_path)
+    assert code == EXIT_INPUT
+    assert f"cannot read ground truth {truth_path}: {message}" in capsys.readouterr().err
+
+
+def test_evaluate_metrics_and_tune_score_the_same_episodes(gen_dir, tmp_path, capsys):
+    """A labeled pedestrian that the stream never shows is one episode with
+    an empty trace for evaluate --truth, metrics --trace --truth and tune."""
+    truth = GroundTruth.load(str(gen_dir / "ground_truth.json"))
+    truth.agents["ghost"] = AgentTruth(category=AgentCategory.ADULT)
+    for role in ("closer", "further"):
+        truth.risk[("ghost", role)] = RiskLevel.RISK2
+    truth_path = tmp_path / "truth.json"
+    truth.save(str(truth_path))
+    labeled = {ped_id for ped_id, _ in truth.risk}
+    out = tmp_path / "eval"
+    assert main([
+        "evaluate", "--stream", str(gen_dir / "stream.csv"), "--area-map", str(gen_dir / "area_map.json"),
+        "--truth", str(truth_path), "--out", str(out),
+    ]) == EXIT_OK
+    assert ",ghost," not in (out / "ppet_trace.csv").read_text()
+    capsys.readouterr()
+    assert main(["metrics", "--trace", str(out / "ppet_trace.csv"), "--truth", str(truth_path)]) == EXIT_OK
+    printed = json.loads(capsys.readouterr().out)
+    assert sum(printed.pop("counts").values()) == 2 * len(labeled)
+    assert printed == json.loads((out / "metrics.json").read_text())
+    grid_path = tmp_path / "grid.json"
+    grid_path.write_text(json.dumps(_SMALL_GRID), encoding="utf-8")
+    assert main([
+        "tune", "--trace", str(out / "ppet_trace.csv"), "--truth", str(truth_path), "--grid", str(grid_path),
+        "--k", "1", "--out", str(tmp_path / "report.json"),
+    ]) == EXIT_OK
+    assert json.loads((tmp_path / "report.json").read_text())["episodes"] == len(labeled)
+
+
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "metrics", "tune"])
 @pytest.mark.parametrize("fps", [25.9, 24, 30.0, True])
 def test_truth_frame_rate_other_than_the_streams_is_input_error(command, fps, tmp_path, capsys):
@@ -970,6 +1036,37 @@ def test_non_number_scenario_spec_field_is_input_error(field, value, tmp_path, c
     err = capsys.readouterr().err
     shown = value[1] if field == "reaction_delay_s" else value
     assert str(spec) in err and f"{field} must be a finite number, got {shown!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+_OUT_OF_RANGE_SPEC_FIELDS = [
+    ("vehicle_speed_sd", -1.0, "must be non-negative, got -1.0"),
+    ("crossing_jitter", -0.5, "must be non-negative, got -0.5"),
+    ("speed_noise", -0.01, "must be non-negative, got -0.01"),
+    ("lateral_noise_m", -0.01, "must be non-negative, got -0.01"),
+    ("kid_lateral_sigma", -1.0, "must be non-negative, got -1.0"),
+    ("kid_lateral_sigma_further", -1.0, "must be non-negative, got -1.0"),
+    ("notice_probability", 1.5, "must lie in [0, 1], got 1.5"),
+    ("rtl_fraction", -0.1, "must lie in [0, 1], got -0.1"),
+    ("decelerate_probability", 2, "must lie in [0, 1], got 2"),
+    ("conflict_probability", 1.01, "must lie in [0, 1], got 1.01"),
+    ("risky_fraction", -1.0, "must lie in [0, 1], got -1.0"),
+    ("reaction_delay_s", [1.0, 0.4], "must be [low, high] with 0 <= low <= high, got [1.0, 0.4]"),
+    ("reaction_delay_s", [-0.2, 0.4], "must be [low, high] with 0 <= low <= high, got [-0.2, 0.4]"),
+]
+
+
+@pytest.mark.parametrize(
+    "field, value, message", _OUT_OF_RANGE_SPEC_FIELDS, ids=[f"{f}={v}" for f, v, _ in _OUT_OF_RANGE_SPEC_FIELDS]
+)
+def test_out_of_range_scenario_spec_field_is_input_error(field, value, message, tmp_path, capsys):
+    """A noise or sigma below 0, a probability outside [0, 1] or a reaction
+    delay range that is not 0 <= low <= high exits 2 naming the file and
+    the field, before writing anything."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"duration_s": 10.0, "n_adults": 1, "n_kids": 1, field: value}), encoding="utf-8")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert f"cannot read scenario spec {spec}: {field} {message}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -7,10 +7,11 @@ from crossrisk.errors import MissingThreshold
 from crossrisk.geometry import WorldPoint
 from crossrisk.ppet import ConflictScenario, PPetVector
 from crossrisk.risk import (
+    AREAS,
+    MODE_ROLES,
     AreaRole,
     CategoryThresholds,
     DecisionKind,
-    FrameContext,
     RiskLevel,
     RiskThresholdConfig,
     ThresholdInterval,
@@ -35,22 +36,20 @@ def ped_state(category=AgentCategory.ADULT, area="2.1"):
 
 
 def ctx(frame=0):
-    return FrameContext(
-        frame=frame,
-        t=frame / 30.0,
-        ped_position=WorldPoint(1.0, 1.0),
-        conflict_vehicles={
-            AreaRole.CLOSER: ("v1", WorldPoint(2.75, 5.0)),
-            AreaRole.FURTHER: ("v2", WorldPoint(8.25, 5.0)),
-        },
-    )
+    """step_evaluate's frame arguments: time, pedestrian position and
+    conflict vehicles."""
+    vehicles = {
+        AreaRole.CLOSER: ("v1", WorldPoint(2.75, 5.0)),
+        AreaRole.FURTHER: ("v2", WorldPoint(8.25, 5.0)),
+    }
+    return frame / 30.0, WorldPoint(1.0, 1.0), vehicles
 
 
 def replay_streaming(trace, category, config):
     """Frame-ordered step_evaluate replay; returns per-area levels."""
     state = ped_state(category)
     for frame, vector in enumerate(trace):
-        step_evaluate(state, vector, config, ctx(frame))
+        step_evaluate(state, vector, config, *ctx(frame))
     thresholds = config.for_category(category)
     if thresholds.mode is ThresholdMode.MERGED_AREA:
         flagged = state.flagged_risk2.get(AreaRole.MERGED.value, False)
@@ -135,11 +134,33 @@ class TestDefaults:
             config.for_category(AgentCategory.VEHICLE_AREA_41)
 
 
+class TestModeRoles:
+    def test_each_mode_lists_its_roles_and_the_areas_each_judges(self):
+        closer, further, merged = AreaRole.CLOSER, AreaRole.FURTHER, AreaRole.MERGED
+        assert AREAS == (closer, further)
+        table = {mode: list(roles.items()) for mode, roles in MODE_ROLES.items()}
+        assert table == {
+            ThresholdMode.PER_AREA: [(closer, (closer,)), (further, (further,))],
+            ThresholdMode.MERGED_AREA: [(merged, (closer, further))],
+        }
+
+    @pytest.mark.parametrize("mode", list(ThresholdMode))
+    def test_thresholds_must_hold_every_role_of_their_mode(self, mode):
+        intervals = {(role, s): ThresholdInterval(0.0, 1.0) for role in AreaRole for s in (PF, VF)}
+        counters = {role: 2 for role in AreaRole}
+        assert CategoryThresholds(mode, intervals, counters).roles is MODE_ROLES[mode]
+        for role in MODE_ROLES[mode]:
+            with pytest.raises(ValueError, match=f"missing counter limit for {role.value}"):
+                CategoryThresholds(mode, intervals, {r: 2 for r in AreaRole if r is not role})
+            with pytest.raises(ValueError, match=f"missing interval for \\({role.value}, "):
+                CategoryThresholds(mode, {k: v for k, v in intervals.items() if k[0] is not role}, counters)
+
+
 class TestStepEvaluate:
     def test_adult_closer_pf_in_interval_increments(self):
         config = RiskThresholdConfig.default()
         state = ped_state()
-        decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, ctx())
+        decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, *ctx())
         assert [d.kind for d in decisions] == [DecisionKind.COUNTER_INCREMENTED]
         assert decisions[0].area is AreaRole.CLOSER
         assert state.risk_counters[AreaRole.CLOSER.value] == 1
@@ -149,7 +170,7 @@ class TestStepEvaluate:
         state = ped_state()
         flagged_at = None
         for frame in range(6):
-            decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, ctx(frame))
+            decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, *ctx(frame))
             if any(d.kind is DecisionKind.RISK2_FLAGGED for d in decisions):
                 flagged_at = frame
                 break
@@ -165,14 +186,14 @@ class TestStepEvaluate:
         state = ped_state()
         flags = 0
         for frame in range(40):
-            decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, ctx(frame))
+            decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, *ctx(frame))
             flags += sum(d.kind is DecisionKind.RISK2_FLAGGED for d in decisions)
         assert flags == 1
 
     def test_kid_merged_out_of_range_is_no_change(self):
         config = RiskThresholdConfig.default()
         state = ped_state(AgentCategory.KID)
-        decisions = step_evaluate(state, PPetVector(c_pf=-2.0), config, ctx())
+        decisions = step_evaluate(state, PPetVector(c_pf=-2.0), config, *ctx())
         assert decisions == []
         assert state.risk_counters == {}
 
@@ -181,9 +202,9 @@ class TestStepEvaluate:
         state = ped_state(AgentCategory.KID)
         # both areas in the merged PF range each frame: +2 per frame
         vec = PPetVector(c_pf=-3.2, f_pf=-3.2)
-        step_evaluate(state, vec, config, ctx(0))
+        step_evaluate(state, vec, config, *ctx(0))
         assert state.risk_counters[AreaRole.MERGED.value] == 2
-        decisions = step_evaluate(state, vec, config, ctx(1))
+        decisions = step_evaluate(state, vec, config, *ctx(1))
         # count reaches 4 > 3 on the closer increment of frame 1
         assert any(d.kind is DecisionKind.RISK2_FLAGGED for d in decisions)
 
@@ -191,28 +212,28 @@ class TestStepEvaluate:
         config = RiskThresholdConfig.default()
         state = ped_state()
         # both PF and VF of the closer area in range simultaneously
-        step_evaluate(state, PPetVector(c_pf=-0.3, c_vf=0.5), config, ctx())
+        step_evaluate(state, PPetVector(c_pf=-0.3, c_vf=0.5), config, *ctx())
         assert state.risk_counters[AreaRole.CLOSER.value] == 1
 
     def test_no_evaluation_in_area_1(self):
         config = RiskThresholdConfig.default()
         state = ped_state(area="1.1")
         for frame in range(10):
-            assert step_evaluate(state, PPetVector(c_pf=-0.3), config, ctx(frame)) == []
+            assert step_evaluate(state, PPetVector(c_pf=-0.3), config, *ctx(frame)) == []
         assert state.risk_counters == {}
 
     def test_unavailable_components_never_fire(self):
         config = RiskThresholdConfig.default()
         state = ped_state()
         for frame in range(10):
-            step_evaluate(state, PPetVector(), config, ctx(frame))
+            step_evaluate(state, PPetVector(), config, *ctx(frame))
         assert state.risk_counters == {}
 
     def test_missing_threshold_category(self):
         config = RiskThresholdConfig.default()
         state = ped_state(AgentCategory.VEHICLE_AREA_41)
         with pytest.raises(MissingThreshold):
-            step_evaluate(state, PPetVector(c_pf=-0.3), config, ctx())
+            step_evaluate(state, PPetVector(c_pf=-0.3), config, *ctx())
 
 
 class TestHitCount:
