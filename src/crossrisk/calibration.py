@@ -20,6 +20,7 @@ from .risk import (
     CategoryThresholds,
     RiskLevel,
     RiskThresholdConfig,
+    RoleThresholds,
     ThresholdInterval,
     ThresholdMode,
     classify_offline,
@@ -157,20 +158,36 @@ class IntervalGrid:
         return [ThresholdInterval(a, b) for a in alphas for b in betas if a <= b]
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    """Search space: interval grids per (area, scenario) and counter candidates
-    per area."""
+def _interval_grid(ranges: Mapping) -> IntervalGrid:
+    """An IntervalGrid from a grid spec's {"alpha": [lo, hi, step], "beta": [lo, hi, step]}."""
+    a_lo, a_hi, a_step = (float(v) for v in ranges["alpha"])
+    b_lo, b_hi, b_step = (float(v) for v in ranges["beta"])
+    return IntervalGrid(a_lo, a_hi, a_step, b_lo, b_hi, b_step)
 
-    axes: Mapping[tuple[AreaRole, ConflictScenario], IntervalGrid]
-    theta: Mapping[AreaRole, tuple[int, ...]]
+
+@dataclass(frozen=True)
+class RoleGrid:
+    """One role's search axes: PF and VF interval grids and the counter
+    limit candidates."""
+
+    pf: IntervalGrid
+    vf: IntervalGrid
+    theta: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "axes", dict(self.axes))
-        object.__setattr__(self, "theta", dict(self.theta))
-        for role, thetas in self.theta.items():
-            if any(theta < 1 for theta in thetas):
-                raise ValueError(f"counter limits for area {role.value} must be >= 1: {list(thetas)}")
+        object.__setattr__(self, "theta", tuple(self.theta))
+        if any(theta < 1 for theta in self.theta):
+            raise ValueError(f"counter limits must be >= 1: {list(self.theta)}")
+
+
+@dataclass(frozen=True)
+class GridSpec:
+    """Search space: one RoleGrid per role."""
+
+    roles: Mapping[AreaRole, RoleGrid]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "roles", dict(self.roles))
 
     @classmethod
     def default(cls) -> "GridSpec":
@@ -178,26 +195,19 @@ class GridSpec:
         counter limits 1..6. Exhaustive search over this full joint grid is
         enormous; narrow it for practical runs."""
         grid = IntervalGrid(-4.0, 3.0, 0.1, -4.0, 3.0, 0.1)
-        roles = [role for mode_roles in MODE_ROLES.values() for role in mode_roles]
-        axes = {(role, scenario): grid for role in roles for scenario in ConflictScenario}
-        thetas = tuple(range(1, 7))
-        return cls(axes, {role: thetas for role in roles})
+        role_grid = RoleGrid(grid, grid, tuple(range(1, 7)))
+        return cls({role: role_grid for mode_roles in MODE_ROLES.values() for role in mode_roles})
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "GridSpec":
-        axes = {}
-        for role_name, scenarios in doc["axes"].items():
-            for scenario_name, ranges in scenarios.items():
-                a_lo, a_hi, a_step = (float(v) for v in ranges["alpha"])
-                b_lo, b_hi, b_step = (float(v) for v in ranges["beta"])
-                axes[(AreaRole(role_name), ConflictScenario(scenario_name))] = IntervalGrid(
-                    a_lo, a_hi, a_step, b_lo, b_hi, b_step
-                )
-        theta = {
-            AreaRole(role_name): tuple(int(v) for v in values)
-            for role_name, values in doc["theta"].items()
-        }
-        return cls(axes, theta)
+        axes, theta = doc["axes"], doc["theta"]
+        if set(theta) != set(axes):
+            raise ValueError(f"theta names roles {sorted(theta)}, axes {sorted(axes)}")
+        roles = {}
+        for name, scenarios in axes.items():
+            pf, vf = (_interval_grid(scenarios[s.value]) for s in ConflictScenario)
+            roles[AreaRole(name)] = RoleGrid(pf, vf, tuple(int(v) for v in theta[name]))
+        return cls(roles)
 
     @classmethod
     def load(cls, path: str) -> tuple[dict, "GridSpec", ThresholdMode]:
@@ -218,18 +228,16 @@ class GridSpec:
     def role_axes(
         self, role: AreaRole
     ) -> tuple[list[ThresholdInterval], list[ThresholdInterval], tuple[int, ...]]:
-        """The area's PF intervals, VF intervals and counter candidates, each
+        """The role's PF intervals, VF intervals and counter candidates, each
         in enumeration order; EmptyGrid when any of them is empty."""
-        pf_axis = self.axes.get((role, ConflictScenario.PEDESTRIAN_FIRST))
-        vf_axis = self.axes.get((role, ConflictScenario.VEHICLE_FIRST))
-        thetas = self.theta.get(role, ())
-        if pf_axis is None or vf_axis is None or not thetas:
+        role_grid = self.roles.get(role)
+        if role_grid is None or not role_grid.theta:
             raise EmptyGrid(f"grid has no axes for area {role.value}")
-        pf_pairs = pf_axis.pairs()
-        vf_pairs = vf_axis.pairs()
+        pf_pairs = role_grid.pf.pairs()
+        vf_pairs = role_grid.vf.pairs()
         if not pf_pairs or not vf_pairs:
             raise EmptyGrid(f"grid enumerates no intervals for area {role.value}")
-        return pf_pairs, vf_pairs, tuple(thetas)
+        return pf_pairs, vf_pairs, role_grid.theta
 
     def configs_for_role(
         self, role: AreaRole
@@ -340,7 +348,7 @@ def _search_role(
     best = int(np.argmax(top & (width <= width[top].min() + 1e-12)))
     role_rows = [
         GridPointRow(episodes[0].category, role, pf, vf, theta, point_acc)
-        for (pf, vf, theta), point_acc in zip(grid.configs_for_role(role), acc.tolist())
+        for (pf, vf, theta), point_acc in zip(itertools.product(pf_pairs, vf_pairs, thetas), acc.tolist())
     ]
     rows.extend(role_rows)
     return role_rows[best]
@@ -375,15 +383,12 @@ def grid_search(
     categories: dict[AgentCategory, CategoryThresholds] = {}
     for category in sorted({e.category for e in search_set}, key=int):
         cat_episodes = [e for e in search_set if e.category == category]
-        intervals: dict[tuple[AreaRole, ConflictScenario], ThresholdInterval] = {}
-        counters: dict[AreaRole, int] = {}
+        roles: dict[AreaRole, RoleThresholds] = {}
         for role, areas in MODE_ROLES[mode].items():
             best = _search_role(cat_episodes, grid, role, areas, k, seed, rows)
-            intervals[(role, ConflictScenario.PEDESTRIAN_FIRST)] = best.pf
-            intervals[(role, ConflictScenario.VEHICLE_FIRST)] = best.vf
-            counters[role] = best.theta
+            roles[role] = RoleThresholds(best.pf, best.vf, best.theta)
             cv_accuracy[(category, role)] = best.cv_accuracy
-        categories[category] = CategoryThresholds(mode, intervals, counters)
+        categories[category] = CategoryThresholds(mode, roles)
 
     config = RiskThresholdConfig(categories)
     test_metrics = metrics(confusion((e for e in test_set if e.category in categories), config))

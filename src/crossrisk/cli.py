@@ -191,6 +191,7 @@ def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskP
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    truth = GroundTruth.load(str(_require(args.truth, "ground truth"))) if args.truth else None
     pipeline, frames, _ = _run_stream(args)
     result = pipeline.result
     out = Path(args.out)
@@ -204,8 +205,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "risk_scenarios": len(result.risk_scenarios),
         "evaluated_pedestrians": len(vectors),
     }
-    if args.truth:
-        truth = GroundTruth.load(str(_require(args.truth, "ground truth")))
+    if truth is not None:
         counts = confusion(truth_episodes(truth, vectors), pipeline.thresholds)
         summary["metrics"] = metrics(counts).to_dict()
         _write_json(str(out / "metrics.json"), summary["metrics"])

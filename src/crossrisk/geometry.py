@@ -375,7 +375,6 @@ class AreaMap:
 
     areas: Mapping[str, tuple[WorldPoint, ...]]
     target_lines: Mapping[str, TargetLine]
-    center_line: tuple[WorldPoint, WorldPoint]
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "areas", dict(self.areas))
@@ -559,10 +558,9 @@ def load_area_map(path: str) -> AreaMap:
             )
             for name, spec in raw["target_lines"].items()
         }
-        center = tuple(WorldPoint(float(x), float(y)) for x, y in raw["center_line"])
     except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ManifestError(f"cannot read area map {path}: {exc}") from exc
-    return AreaMap(areas, lines, (center[0], center[1]))
+    return AreaMap(areas, lines)
 
 
 def save_area_map(path: str, area_map: AreaMap) -> None:
@@ -572,7 +570,6 @@ def save_area_map(path: str, area_map: AreaMap) -> None:
             name: {"p0": [ln.p0.x, ln.p0.y], "p1": [ln.p1.x, ln.p1.y], "normal": list(ln.normal)}
             for name, ln in area_map.target_lines.items()
         },
-        "center_line": [[p.x, p.y] for p in area_map.center_line],
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2)

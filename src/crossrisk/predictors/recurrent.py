@@ -91,7 +91,7 @@ class _Buffers:
     e[1] holds the gates' pre-activation. bind() points the steps at the
     state hc (2, *h.shape), which holds [h, c], the gates (3, *h.shape),
     which receive [1 - z, z, r], and the state nxt whose [0] receives h'.
-    The stacked pass binds one of each for all its steps, with nxt = hc;
+    The stacked pass and a forward pass without a cache bind nxt = hc;
     forward_batch binds a fresh nxt per step, which its cache keeps."""
 
     def __init__(self, shape: tuple[int, ...]):
@@ -277,14 +277,18 @@ class RecurrentRegressor:
     def _standardize(self, x: np.ndarray) -> np.ndarray:
         return (x - self.feat_mean) / self.feat_std
 
-    def forward_batch(self, features: np.ndarray) -> tuple[np.ndarray, dict]:
-        """Run the cell over a (N, T, 3) raw-feature batch.
+    def _forward(self, features: np.ndarray, steps: list | None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Run the cell over a (N, T, 3) raw-feature batch and return the
+        predictions (N,), the last state h (N, H) and the head's
+        pre-activation s (N,).
 
-        Returns predictions (N,) and the cache needed for backpropagation.
         Each step writes its input products, gates and the cell's scratch
-        into buffers that every step reuses, and its state [h, c] into a
-        fresh array; the cache keeps the state and a copy of z and r, and
-        1 - z, which backpropagation does not read, is not kept.
+        into buffers that every step reuses. With a steps list, each step's
+        state [h, c] goes to a fresh array and the list receives what
+        backpropagation reads of the step: its input, the state, a copy of z
+        and r, and the candidate. Without one, the state is updated in place
+        and nothing of a step is kept; the products and their bits are the
+        same either way.
         """
         p = self.params
         _check_finite(p)
@@ -296,21 +300,30 @@ class RecurrentRegressor:
         b = _Buffers(shape)
         hc = np.zeros((2, *shape))
         gates = np.empty((3, *shape))
-        steps = []
         for k in range(t):
             xk = x[:, k, :]
             np.matmul(xk, w["w_x"], a)
-            nxt = np.empty_like(hc)
+            nxt = hc if steps is None else np.empty_like(hc)
             b.bind(hc, gates, nxt)
             _cell(w, a[:2], a[2], b)
-            z, r = b.zr.copy()
-            steps.append((xk, b.h, z, r, b.c))
+            if steps is not None:
+                z, r = b.zr.copy()
+                steps.append((xk, b.h, z, r, b.c))
             hc = nxt
         h = hc[0]
         s = h @ p["w_out"] + p["b_out"][0]
-        y = _softplus(s)
-        cache = {"steps": steps, "h_last": h, "s": s}
-        return y, cache
+        return _softplus(s), h, s
+
+    def forward_batch(self, features: np.ndarray) -> tuple[np.ndarray, dict]:
+        """Run the cell over a (N, T, 3) raw-feature batch.
+
+        Returns predictions (N,) and the cache needed for backpropagation:
+        each step's input, state, z, r and candidate; 1 - z, which
+        backpropagation does not read, is not kept.
+        """
+        steps: list = []
+        y, h, s = self._forward(features, steps)
+        return y, {"steps": steps, "h_last": h, "s": s}
 
     def predict_features(self, features: np.ndarray) -> float:
         """Arrival seconds for one (T, 3) raw-feature window: the stacked
@@ -381,10 +394,11 @@ class RecurrentRegressor:
     def batch_mae(self, features: np.ndarray, targets: np.ndarray) -> float:
         """Mean absolute error over a raw-feature batch.
 
-        Raises ValueError, as ArrivalPrediction does for one window, when a
+        Runs the forward pass without the backpropagation cache. Raises
+        ValueError, as ArrivalPrediction does for one window, when a
         prediction is not a finite, non-negative number of seconds.
         """
-        y, _ = self.forward_batch(features)
+        y = self._forward(features, None)[0]
         if not np.all(np.isfinite(y) & (y >= 0.0)):
             raise ValueError("arrival time must be finite and >= 0 for every window")
         return float(np.mean(np.abs(y - np.asarray(targets, dtype=float))))

@@ -69,44 +69,34 @@ class ThresholdInterval:
 
 
 @dataclass(frozen=True)
-class CategoryThresholds:
-    """Intervals and counter limits for one pedestrian category."""
+class RoleThresholds:
+    """One role's pedestrian-first and vehicle-first intervals and the
+    counter limit its in-interval frames must strictly exceed."""
 
-    mode: ThresholdMode
-    intervals: Mapping[tuple[AreaRole, ConflictScenario], ThresholdInterval]
-    counters: Mapping[AreaRole, int]
+    pf: ThresholdInterval
+    vf: ThresholdInterval
+    limit: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "intervals", dict(self.intervals))
-        object.__setattr__(self, "counters", dict(self.counters))
-        for role in self.roles:
-            for scenario in ConflictScenario:
-                if (role, scenario) not in self.intervals:
-                    raise ValueError(f"missing interval for ({role.value}, {scenario.value})")
-            if role not in self.counters:
-                raise ValueError(f"missing counter limit for {role.value}")
-        for limit in self.counters.values():
-            if limit < 1:
-                raise ValueError("counter limits must be >= 1")
+        if self.limit < 1:
+            raise ValueError(f"counter limits must be >= 1, got {self.limit}")
 
-    @property
-    def roles(self) -> Mapping[AreaRole, tuple[AreaRole, ...]]:
-        """This mode's roles and the areas each judges (MODE_ROLES)."""
-        return MODE_ROLES[self.mode]
 
-    def interval(self, role: AreaRole, scenario: ConflictScenario) -> ThresholdInterval:
-        try:
-            return self.intervals[(role, scenario)]
-        except KeyError:
-            raise MissingThreshold(
-                f"no interval for area {role.value}, scenario {scenario.value}"
-            ) from None
+@dataclass(frozen=True)
+class CategoryThresholds:
+    """One pedestrian category's threshold record for each role of its mode."""
 
-    def counter_limit(self, role: AreaRole) -> int:
-        try:
-            return self.counters[role]
-        except KeyError:
-            raise MissingThreshold(f"no counter limit for area {role.value}") from None
+    mode: ThresholdMode
+    roles: Mapping[AreaRole, RoleThresholds]
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "roles", dict(self.roles))
+        expected = MODE_ROLES[self.mode]
+        if set(self.roles) != set(expected):
+            raise ValueError(
+                f"{self.mode.value} thresholds need roles {[r.value for r in expected]}, "
+                f"got {[r.value for r in self.roles]}"
+            )
 
 
 @dataclass(frozen=True)
@@ -128,41 +118,21 @@ class RiskThresholdConfig:
     def default(cls) -> "RiskThresholdConfig":
         """Shipped defaults: per-area intervals for adults and cyclists, a
         single merged range for kids (better recall on erratic movers)."""
-        pf, vf = ConflictScenario.PEDESTRIAN_FIRST, ConflictScenario.VEHICLE_FIRST
-        closer, further, merged = AreaRole.CLOSER, AreaRole.FURTHER, AreaRole.MERGED
-        adult = CategoryThresholds(
-            ThresholdMode.PER_AREA,
-            {
-                (closer, pf): ThresholdInterval(-0.7, 0.1),
-                (closer, vf): ThresholdInterval(0.1, 1.1),
-                (further, pf): ThresholdInterval(-2.5, -1.5),
-                (further, vf): ThresholdInterval(0.9, 2.4),
-            },
-            {closer: 3, further: 3},
-        )
-        cyclist = CategoryThresholds(
-            ThresholdMode.PER_AREA,
-            {
-                (closer, pf): ThresholdInterval(-3.0, -2.6),
-                (closer, vf): ThresholdInterval(1.4, 2.0),
-                (further, pf): ThresholdInterval(-0.6, 0.2),
-                (further, vf): ThresholdInterval(0.6, 1.6),
-            },
-            {closer: 5, further: 3},
-        )
-        kid = CategoryThresholds(
-            ThresholdMode.MERGED_AREA,
-            {
-                (merged, pf): ThresholdInterval(-3.3, -3.1),
-                (merged, vf): ThresholdInterval(1.0, 1.5),
-            },
-            {merged: 3},
-        )
+        per_area, merged = ThresholdMode.PER_AREA, ThresholdMode.MERGED_AREA
+        closer, further = AreaRole.CLOSER, AreaRole.FURTHER
         return cls(
             {
-                AgentCategory.ADULT: adult,
-                AgentCategory.KID: kid,
-                AgentCategory.CYCLIST: cyclist,
+                AgentCategory.ADULT: CategoryThresholds(per_area, {
+                    closer: RoleThresholds(ThresholdInterval(-0.7, 0.1), ThresholdInterval(0.1, 1.1), 3),
+                    further: RoleThresholds(ThresholdInterval(-2.5, -1.5), ThresholdInterval(0.9, 2.4), 3),
+                }),
+                AgentCategory.KID: CategoryThresholds(merged, {
+                    AreaRole.MERGED: RoleThresholds(ThresholdInterval(-3.3, -3.1), ThresholdInterval(1.0, 1.5), 3),
+                }),
+                AgentCategory.CYCLIST: CategoryThresholds(per_area, {
+                    closer: RoleThresholds(ThresholdInterval(-3.0, -2.6), ThresholdInterval(1.4, 2.0), 5),
+                    further: RoleThresholds(ThresholdInterval(-0.6, 0.2), ThresholdInterval(0.6, 1.6), 3),
+                }),
             }
         )
 
@@ -171,13 +141,13 @@ class RiskThresholdConfig:
     def to_dict(self) -> dict:
         doc: dict = {"categories": {}}
         for category, spec in sorted(self.categories.items(), key=lambda kv: int(kv[0])):
-            intervals: dict = {}
-            for (role, scenario), interval in spec.intervals.items():
-                intervals.setdefault(role.value, {})[scenario.value] = [interval.alpha, interval.beta]
             doc["categories"][str(int(category))] = {
                 "mode": spec.mode.value,
-                "intervals": intervals,
-                "counters": {role.value: limit for role, limit in spec.counters.items()},
+                "intervals": {
+                    role.value: {"pf": [r.pf.alpha, r.pf.beta], "vf": [r.vf.alpha, r.vf.beta]}
+                    for role, r in spec.roles.items()
+                },
+                "counters": {role.value: r.limit for role, r in spec.roles.items()},
             }
         return doc
 
@@ -185,16 +155,16 @@ class RiskThresholdConfig:
     def from_dict(cls, doc: Mapping) -> "RiskThresholdConfig":
         categories = {}
         for key, raw in doc["categories"].items():
-            intervals = {}
-            for role_name, scenarios in raw["intervals"].items():
-                for scenario_name, bounds in scenarios.items():
-                    intervals[(AreaRole(role_name), ConflictScenario(scenario_name))] = (
-                        ThresholdInterval(float(bounds[0]), float(bounds[1]))
-                    )
-            counters = {AreaRole(role): int(limit) for role, limit in raw["counters"].items()}
-            categories[AgentCategory(int(key))] = CategoryThresholds(
-                ThresholdMode(raw["mode"]), intervals, counters
-            )
+            intervals, counters = raw["intervals"], raw["counters"]
+            if set(counters) != set(intervals):
+                raise ValueError(f"category {key}: counters name roles {sorted(counters)}, "
+                                 f"intervals {sorted(intervals)}")
+            roles = {}
+            for name, bounds in intervals.items():
+                pf, vf = (ThresholdInterval(float(bounds[s.value][0]), float(bounds[s.value][1]))
+                          for s in ConflictScenario)
+                roles[AreaRole(name)] = RoleThresholds(pf, vf, int(counters[name]))
+            categories[AgentCategory(int(key))] = CategoryThresholds(ThresholdMode(raw["mode"]), roles)
         return cls(categories)
 
     def save(self, path: str) -> None:
@@ -272,17 +242,13 @@ def in_evaluation_zone(area: str | None) -> bool:
     return area is not None and area.startswith(_EVAL_AREA_PREFIXES)
 
 
-def _role_hit(
-    vector: PPetVector, area: AreaRole, thresholds: CategoryThresholds, role: AreaRole
-) -> bool:
-    """True when any available component of the area falls in the role's interval."""
-    hit = False
-    for scenario in ConflictScenario:
-        interval = thresholds.interval(role, scenario)
-        value = vector.component(area.value, scenario)
-        if value is not None and interval.contains(value):
-            hit = True
-    return hit
+def _role_hit(vector: PPetVector, area: AreaRole, thresholds: RoleThresholds) -> bool:
+    """True when either available component of the area falls in the role's interval."""
+    pf = vector.component(area.value, ConflictScenario.PEDESTRIAN_FIRST)
+    if pf is not None and thresholds.pf.contains(pf):
+        return True
+    vf = vector.component(area.value, ConflictScenario.VEHICLE_FIRST)
+    return vf is not None and thresholds.vf.contains(vf)
 
 
 def step_evaluate(
@@ -307,14 +273,15 @@ def step_evaluate(
         return []
 
     decisions: list[Decision] = []
-    for role, areas in thresholds.roles.items():
+    for role, areas in MODE_ROLES[thresholds.mode].items():
+        role_thresholds = thresholds.roles[role]
         for area in areas:
-            if not _role_hit(vector, area, thresholds, role):
+            if not _role_hit(vector, area, role_thresholds):
                 continue
             count = state.risk_counters.get(role.value, 0) + 1
             state.risk_counters[role.value] = count
             decisions.append(Decision(DecisionKind.COUNTER_INCREMENTED, area))
-            if count > thresholds.counter_limit(role) and not state.flagged_risk2.get(role.value, False):
+            if count > role_thresholds.limit and not state.flagged_risk2.get(role.value, False):
                 state.flagged_risk2[role.value] = True
                 veh_id, veh_position = conflict_vehicles.get(area, ("", ped_position))
                 decisions.append(
@@ -384,9 +351,10 @@ def classify_offline(
     """
     thresholds = config.for_category(category)
     levels = {}
-    for role, areas in thresholds.roles.items():
-        pf_bounds, vf_bounds = (interval_bounds([thresholds.interval(role, s)]) for s in ConflictScenario)
+    for role, areas in MODE_ROLES[thresholds.mode].items():
+        role_thresholds = thresholds.roles[role]
+        pf_bounds, vf_bounds = interval_bounds([role_thresholds.pf]), interval_bounds([role_thresholds.vf])
         count = sum(int(hit_count(*component_values(trace, area), pf_bounds, vf_bounds)[0, 0]) for area in areas)
-        level = RiskLevel.RISK2 if count > thresholds.counter_limit(role) else RiskLevel.RISK1
+        level = RiskLevel.RISK2 if count > role_thresholds.limit else RiskLevel.RISK1
         levels.update(dict.fromkeys(areas, level))
     return levels

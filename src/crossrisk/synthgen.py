@@ -59,6 +59,22 @@ LABEL_PET_SEVERE_S = 1.5
 LABEL_SPEED_CHANGE = 0.30
 INTERACTION_HORIZON_S = 60.0
 
+# Generator kinematics and behaviour, the same for every scenario.
+ADULT_CROSSING_S = 5.49             # mean crossing duration per category
+KID_CROSSING_S = 5.36
+CYCLIST_CROSSING_S = 3.01
+CROSSING_JITTER = 0.06              # relative sd of per-agent crossing duration
+SPEED_NOISE = 0.02                  # per-frame relative forward-speed noise
+LATERAL_NOISE_M = 0.01              # detector-style lateral jitter
+KID_LATERAL_SIGMA = 0.06            # OU lateral drive, closer half
+KID_LATERAL_SIGMA_FURTHER = 0.12    # OU lateral drive, further half
+RTL_FRACTION = 0.5                  # pedestrians crossing right to left
+VEHICLE_SPEED_MPS = 8.0             # vehicle speed mean and sd
+VEHICLE_SPEED_SD = 1.0
+NOTICE_PROBABILITY = 0.36           # pedestrians that notice a threat
+DECELERATE_PROBABILITY = 0.8        # of those, the ones that slow down
+REACTION_DELAY_S = (0.4, 1.0)       # uniform human latency before reacting
+
 
 def _rect(x0: float, x1: float, y0: float, y1: float) -> tuple[WorldPoint, ...]:
     return (
@@ -103,8 +119,7 @@ def reference_area_map() -> AreaMap:
         vehicle_line_name("3.2", True): hline(BAND_Y_HI, CROSSWALK_CENTER_X, CROSSWALK_END_X),
         vehicle_line_name("3.2", False): hline(BAND_Y_LO, CROSSWALK_CENTER_X, CROSSWALK_END_X),
     }
-    center = (WorldPoint(CROSSWALK_CENTER_X, BAND_Y_LO), WorldPoint(CROSSWALK_CENTER_X, BAND_Y_HI))
-    return AreaMap(areas, lines, center)
+    return AreaMap(areas, lines)
 
 
 # Synthetic oblique camera used to derive the reference pixel grid. Chosen so
@@ -139,21 +154,6 @@ def camera_pixel_of(p: WorldPoint) -> PixelPoint:
 # --- scenario specification -----------------------------------------------------
 
 
-def _check_number(name: str, value: object) -> None:
-    """Reject a scenario spec value that is not a finite int or float (a
-    bool, a string, null, NaN or infinity)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-
-
-# A scenario spec's float fields, by the range each must lie in.
-_POSITIVE = ("duration_s", "adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s", "vehicle_speed_mps")
-_NON_NEGATIVE = ("crossing_jitter", "speed_noise", "lateral_noise_m", "kid_lateral_sigma",
-                 "kid_lateral_sigma_further", "vehicle_rate_per_min", "vehicle_speed_sd")
-_FRACTIONS = ("rtl_fraction", "notice_probability", "decelerate_probability", "conflict_probability",
-              "risky_fraction")
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
     """Knobs of the deterministic scenario generator."""
@@ -164,50 +164,28 @@ class ScenarioSpec:
     n_adults: int = 12
     n_kids: int = 4
     n_cyclists: int = 4
-    adult_crossing_s: float = 5.49
-    kid_crossing_s: float = 5.36
-    cyclist_crossing_s: float = 3.01
-    crossing_jitter: float = 0.06       # relative sd of per-agent crossing duration
-    speed_noise: float = 0.02           # per-frame relative forward-speed noise
-    lateral_noise_m: float = 0.01       # detector-style lateral jitter
-    kid_lateral_sigma: float = 0.06     # OU lateral drive, closer half
-    kid_lateral_sigma_further: float = 0.12
-    rtl_fraction: float = 0.5
     vehicle_rate_per_min: float = 3.0   # background arrivals per lane
-    vehicle_speed_mps: float = 8.0
-    vehicle_speed_sd: float = 1.0
-    notice_probability: float = 0.36
-    decelerate_probability: float = 0.8
-    reaction_delay_s: tuple[float, float] = (0.4, 1.0)
     conflict_probability: float = 0.75  # pedestrians given a dedicated vehicle
     risky_fraction: float = 0.5         # of dedicated vehicles, tightly timed
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "reaction_delay_s", tuple(self.reaction_delay_s))
         for name in ("seed", "fps", "n_adults", "n_kids", "n_cyclists"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
-        for name in _POSITIVE + _NON_NEGATIVE + _FRACTIONS:
-            _check_number(name, getattr(self, name))
-        if len(self.reaction_delay_s) != 2:
-            raise ValueError(f"reaction_delay_s must hold two numbers, got {list(self.reaction_delay_s)!r}")
-        for value in self.reaction_delay_s:
-            _check_number("reaction_delay_s", value)
         if self.fps != FPS:
             raise InfeasibleSpec(f"frame rate is fixed at {FPS} FPS")
         if min(self.n_adults, self.n_kids, self.n_cyclists) < 0:
             raise InfeasibleSpec("agent counts must be non-negative")
-        for names, in_range, rule in ((_POSITIVE, lambda v: v > 0, "be positive"),
-                                      (_NON_NEGATIVE, lambda v: v >= 0, "be non-negative"),
-                                      (_FRACTIONS, lambda v: 0 <= v <= 1, "lie in [0, 1]")):
-            for name in names:
-                if not in_range(getattr(self, name)):
-                    raise InfeasibleSpec(f"{name} must {rule}, got {getattr(self, name)!r}")
-        low, high = self.reaction_delay_s
-        if not 0 <= low <= high:
-            raise InfeasibleSpec(f"reaction_delay_s must be [low, high] with 0 <= low <= high, "
-                                 f"got {list(self.reaction_delay_s)!r}")
+        for name, in_range, rule in (("duration_s", lambda v: v > 0, "be positive"),
+                                     ("vehicle_rate_per_min", lambda v: v >= 0, "be non-negative"),
+                                     ("conflict_probability", lambda v: 0 <= v <= 1, "lie in [0, 1]"),
+                                     ("risky_fraction", lambda v: 0 <= v <= 1, "lie in [0, 1]")):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            if not in_range(value):
+                raise InfeasibleSpec(f"{name} must {rule}, got {value!r}")
 
     def to_dict(self) -> dict:
         return {name: getattr(self, name) for name in self.__dataclass_fields__}
@@ -225,7 +203,7 @@ class ScenarioSpec:
         try:
             with open(path, encoding="utf-8") as fh:
                 return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, TypeError, ValueError, InfeasibleSpec) as exc:
+        except (OSError, json.JSONDecodeError, TypeError, ValueError, InfeasibleSpec, ManifestError) as exc:
             raise ManifestError(f"cannot read scenario spec {path}: {exc}") from exc
 
 
@@ -244,18 +222,15 @@ class AgentTruth:
 
 @dataclass
 class GroundTruth:
-    fps: int
+    """Every time of the stream it labels is at FPS; its file states "fps"
+    only to say so."""
+
     agents: dict[str, AgentTruth] = field(default_factory=dict)
     risk: dict[tuple[str, str], RiskLevel] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        # every time of the stream it labels is at FPS; the field only states it
-        if isinstance(self.fps, bool) or not isinstance(self.fps, int) or self.fps != FPS:
-            raise ValueError(f"fps must be {FPS}, got {self.fps!r}")
-
     def to_dict(self) -> dict:
         return {
-            "fps": self.fps,
+            "fps": FPS,
             "agents": {
                 agent_id: {
                     "category": int(truth.category),
@@ -275,7 +250,10 @@ class GroundTruth:
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "GroundTruth":
-        truth = cls(fps=doc["fps"])
+        fps = doc["fps"]
+        if isinstance(fps, bool) or not isinstance(fps, int) or fps != FPS:
+            raise ValueError(f"fps must be {FPS}, got {fps!r}")
+        truth = cls()
         for agent_id, raw in doc["agents"].items():
             truth.agents[agent_id] = AgentTruth(
                 category=AgentCategory(int(raw["category"])),
@@ -393,23 +371,23 @@ class _VehPlan:
 def _plan_pedestrians(spec: ScenarioSpec, rng: np.random.Generator) -> list[_PedPlan]:
     plans: list[_PedPlan] = []
     specs = (
-        [(AgentCategory.ADULT, spec.adult_crossing_s)] * spec.n_adults
-        + [(AgentCategory.KID, spec.kid_crossing_s)] * spec.n_kids
-        + [(AgentCategory.CYCLIST, spec.cyclist_crossing_s)] * spec.n_cyclists
+        [(AgentCategory.ADULT, ADULT_CROSSING_S)] * spec.n_adults
+        + [(AgentCategory.KID, KID_CROSSING_S)] * spec.n_kids
+        + [(AgentCategory.CYCLIST, CYCLIST_CROSSING_S)] * spec.n_cyclists
     )
     walk_span = 34.0  # spawn margin to exit margin
     for idx, (category, target_s) in enumerate(specs):
-        duration = target_s * max(0.5, 1.0 + spec.crossing_jitter * rng.standard_normal())
+        duration = target_s * max(0.5, 1.0 + CROSSING_JITTER * rng.standard_normal())
         speed = (CROSSWALK_END_X - CROSSWALK_START_X) / duration
         total_time = walk_span / speed + 2.0
         latest = max(1.0, spec.duration_s - total_time)
         start_t = float(rng.uniform(0.5, latest))
-        rtl = rng.uniform() < spec.rtl_fraction
+        rtl = rng.uniform() < RTL_FRACTION
         direction = Direction.RIGHT_TO_LEFT if rtl else Direction.LEFT_TO_RIGHT
         start_x = float(rng.uniform(20.0, 21.0)) if rtl else float(rng.uniform(-10.0, -9.0))
-        noticed = rng.uniform() < spec.notice_probability
+        noticed = rng.uniform() < NOTICE_PROBABILITY
         if noticed:
-            decel = rng.uniform() < spec.decelerate_probability
+            decel = rng.uniform() < DECELERATE_PROBABILITY
             reaction = Reaction.DECELERATE if decel else Reaction.ACCELERATE
             awareness = Awareness.NOTICED
         else:
@@ -426,7 +404,7 @@ def _plan_pedestrians(spec: ScenarioSpec, rng: np.random.Generator) -> list[_Ped
                 speed=speed,
                 awareness=awareness,
                 reaction=reaction,
-                reaction_delay=float(rng.uniform(*spec.reaction_delay_s)),
+                reaction_delay=float(rng.uniform(*REACTION_DELAY_S)),
             )
         )
     return plans
@@ -461,7 +439,7 @@ def _schedule_vehicles(
         if rng.uniform() > spec.conflict_probability:
             continue
         category = AgentCategory.VEHICLE_AREA_41 if rng.uniform() < 0.5 else AgentCategory.VEHICLE_AREA_42
-        speed = float(np.clip(rng.normal(spec.vehicle_speed_mps, spec.vehicle_speed_sd), 5.0, 12.0))
+        speed = float(np.clip(rng.normal(VEHICLE_SPEED_MPS, VEHICLE_SPEED_SD), 5.0, 12.0))
         enter, leave = _planned_occupancy(plan, category.conflict_area, area_map)
         transit = (BAND_Y_HI - BAND_Y_LO) / speed
         if rng.uniform() < spec.risky_fraction:
@@ -478,7 +456,7 @@ def _schedule_vehicles(
             continue
         t = float(rng.exponential(60.0 / spec.vehicle_rate_per_min))
         while t < spec.duration_s:
-            speed = float(np.clip(rng.normal(spec.vehicle_speed_mps, spec.vehicle_speed_sd), 5.0, 12.0))
+            speed = float(np.clip(rng.normal(VEHICLE_SPEED_MPS, VEHICLE_SPEED_SD), 5.0, 12.0))
             add(category, t, speed)
             t += float(rng.exponential(60.0 / spec.vehicle_rate_per_min))
     return vehicles
@@ -579,15 +557,15 @@ def _simulate_pedestrian(
 
         # first-order speed lag plus small forward noise
         speed += (target_speed - speed) * min(1.0, dt / 0.35)
-        step_speed = speed * (1.0 + spec.speed_noise * rng.standard_normal())
+        step_speed = speed * (1.0 + SPEED_NOISE * rng.standard_normal())
         x += sign * max(0.0, step_speed) * dt
 
         in_further = x > CROSSWALK_CENTER_X if sign > 0 else x < CROSSWALK_CENTER_X
         if plan.category is AgentCategory.KID:
-            sigma = spec.kid_lateral_sigma_further if in_further else spec.kid_lateral_sigma
+            sigma = KID_LATERAL_SIGMA_FURTHER if in_further else KID_LATERAL_SIGMA
             lateral += -1.8 * lateral * dt + sigma * math.sqrt(dt) * rng.standard_normal()
             lateral = float(np.clip(lateral, -0.65, 0.65))
-        y = plan.lane_y + lateral + spec.lateral_noise_m * rng.standard_normal()
+        y = plan.lane_y + lateral + LATERAL_NOISE_M * rng.standard_normal()
         out.append(Observation(frame, t, plan.agent_id, plan.category, WorldPoint(x, y)))
         frame += 1
     return out
@@ -738,7 +716,7 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
     # each agent's arrays, direction and crossing times, built once for the
     # truth and the risk labels
     tracks = {agent_id: _track(trajectory, area_map) for agent_id, trajectory in trajectories.items()}
-    truth = GroundTruth(fps=FPS)
+    truth = GroundTruth()
     for plan in ped_plans:
         track = tracks.get(plan.agent_id)
         if track is None:

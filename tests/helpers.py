@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from crossrisk.calibration import Episode, GridSpec, IntervalGrid
-from crossrisk.ppet import ConflictScenario, PPetVector
+from crossrisk.calibration import Episode, GridSpec, IntervalGrid, RoleGrid
+from crossrisk.ppet import PPetVector
 from crossrisk.risk import AreaRole, RiskLevel
 from crossrisk.stream import AgentCategory
 
@@ -56,14 +56,7 @@ def planted_grid(step: float = 0.25) -> GridSpec:
     """PF axes bracketing the planted interval; VF and further axes are a
     single never-matching point so the search focuses on the planted rule."""
     degenerate = IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0)
-    return GridSpec(
-        axes={
-            (AreaRole.CLOSER, ConflictScenario.PEDESTRIAN_FIRST): IntervalGrid(
-                -1.5, -0.5, step, -0.5, 0.5, step
-            ),
-            (AreaRole.CLOSER, ConflictScenario.VEHICLE_FIRST): degenerate,
-            (AreaRole.FURTHER, ConflictScenario.PEDESTRIAN_FIRST): degenerate,
-            (AreaRole.FURTHER, ConflictScenario.VEHICLE_FIRST): degenerate,
-        },
-        theta={AreaRole.CLOSER: (1, 2, 3, 4), AreaRole.FURTHER: (1, 2)},
-    )
+    return GridSpec({
+        AreaRole.CLOSER: RoleGrid(IntervalGrid(-1.5, -0.5, step, -0.5, 0.5, step), degenerate, (1, 2, 3, 4)),
+        AreaRole.FURTHER: RoleGrid(degenerate, degenerate, (1, 2)),
+    })

@@ -13,6 +13,7 @@ from crossrisk.calibration import (
     Episode,
     GridSpec,
     IntervalGrid,
+    RoleGrid,
     confusion_from_labels,
     grid_search,
     metrics,
@@ -20,7 +21,7 @@ from crossrisk.calibration import (
 from crossrisk.cli import EXIT_OK, main
 from crossrisk.geometry import PixelPoint, WorldPoint, project_point, solve_homography
 from crossrisk.pipeline import RiskPipeline, latency_report
-from crossrisk.ppet import ArrivalEstimateSet, ConflictScenario, ppet
+from crossrisk.ppet import ArrivalEstimateSet, ppet
 from crossrisk.predictors import (
     TargetLocation,
     TrainingConfig,
@@ -37,9 +38,6 @@ from conftest import FPS, constant_velocity_window, vertical_line
 from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid
 from test_ppet import eq10_oracle, random_estimate_set
 from test_risk import random_trace, replay_streaming
-
-PF = ConflictScenario.PEDESTRIAN_FIRST
-VF = ConflictScenario.VEHICLE_FIRST
 
 
 def report(criterion: int, message: str) -> None:
@@ -212,10 +210,10 @@ def test_criterion_06_threshold_recovery_and_corpus_performance():
     episodes = planted_episodes(60, seed=3)
     result = grid_search(episodes, planted_grid(step=0.25), k=10, seed=1)
     adult = result.config.for_category(AgentCategory.ADULT)
-    interval = adult.interval(AreaRole.CLOSER, PF)
-    assert abs(interval.alpha - PLANTED_ALPHA) <= 0.25 + 1e-9
-    assert abs(interval.beta - PLANTED_BETA) <= 0.25 + 1e-9
-    assert adult.counter_limit(AreaRole.CLOSER) == 2
+    closer = adult.roles[AreaRole.CLOSER]
+    assert abs(closer.pf.alpha - PLANTED_ALPHA) <= 0.25 + 1e-9
+    assert abs(closer.pf.beta - PLANTED_BETA) <= 0.25 + 1e-9
+    assert closer.limit == 2
     planted_acc = result.test_metrics.accuracy
     assert planted_acc is not None and planted_acc >= 0.95
 
@@ -224,11 +222,7 @@ def test_criterion_06_threshold_recovery_and_corpus_performance():
     evaluation_set = _corpus_episodes(seed=404)
     pf_axis = IntervalGrid(-3.5, -2.5, 0.5, 1.0, 1.5, 0.5)
     vf_axis = IntervalGrid(-2.0, -1.0, 0.5, 1.0, 2.0, 0.5)
-    grid = GridSpec(
-        axes={(role, PF): pf_axis for role in (AreaRole.CLOSER, AreaRole.FURTHER)}
-        | {(role, VF): vf_axis for role in (AreaRole.CLOSER, AreaRole.FURTHER)},
-        theta={AreaRole.CLOSER: (3, 5), AreaRole.FURTHER: (3, 5)},
-    )
+    grid = GridSpec({role: RoleGrid(pf_axis, vf_axis, (3, 5)) for role in (AreaRole.CLOSER, AreaRole.FURTHER)})
     calibrated = grid_search(calibration_set, grid, k=10, seed=5, test_fraction=0.1)
     pairs = []
     for e in evaluation_set:
@@ -240,7 +234,7 @@ def test_criterion_06_threshold_recovery_and_corpus_performance():
     assert scores.recall is not None and scores.recall >= 0.80
     assert scores.f1 is not None and scores.f1 >= 0.75
     assert elapsed < 600.0
-    report(6, f"planted interval [{interval.alpha}, {interval.beta}] theta 2, "
+    report(6, f"planted interval [{closer.pf.alpha}, {closer.pf.beta}] theta 2, "
               f"held-out accuracy {planted_acc:.3f}; corpus recall {scores.recall:.3f}, "
               f"F1 {scores.f1:.3f}, {elapsed:.0f} s")
 

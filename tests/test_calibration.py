@@ -9,6 +9,7 @@ from crossrisk.calibration import (
     Episode,
     GridSpec,
     IntervalGrid,
+    RoleGrid,
     confusion_from_labels,
     grid_search,
     kfold_split,
@@ -16,12 +17,13 @@ from crossrisk.calibration import (
     truth_episodes,
 )
 from crossrisk.errors import BadFoldCount, EmptyGrid, TooFewEpisodes
-from crossrisk.ppet import ConflictScenario, PPetVector
+from crossrisk.ppet import PPetVector
 from crossrisk.risk import (
     AreaRole,
     CategoryThresholds,
     RiskLevel,
     RiskThresholdConfig,
+    RoleThresholds,
     ThresholdMode,
     classify_offline,
 )
@@ -29,9 +31,6 @@ from crossrisk.stream import AgentCategory
 from crossrisk.synthgen import AgentTruth, GroundTruth
 
 from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid
-
-PF = ConflictScenario.PEDESTRIAN_FIRST
-VF = ConflictScenario.VEHICLE_FIRST
 
 
 class TestMetrics:
@@ -124,14 +123,14 @@ def cv_accuracy_oracle(episodes, pf, vf, theta, k, seed, role=AreaRole.CLOSER):
     over the folds of each fold's accuracy, one classify_offline call per
     episode. The merged role is judged against both areas' labels."""
     folds = kfold_split(episodes, k, seed)
+    point = RoleThresholds(pf, vf, theta)
     if role is AreaRole.MERGED:
         mode, judged = ThresholdMode.MERGED_AREA, (AreaRole.CLOSER, AreaRole.FURTHER)
-        intervals, counters = {(role, PF): pf, (role, VF): vf}, {role: theta}
+        roles = {role: point}
     else:
         mode, judged = ThresholdMode.PER_AREA, (role,)
-        intervals = {(r, s): iv for r in (AreaRole.CLOSER, AreaRole.FURTHER) for s, iv in ((PF, pf), (VF, vf))}
-        counters = {AreaRole.CLOSER: theta, AreaRole.FURTHER: theta}
-    config = RiskThresholdConfig({episodes[0].category: CategoryThresholds(mode, intervals, counters)})
+        roles = {AreaRole.CLOSER: point, AreaRole.FURTHER: point}
+    config = RiskThresholdConfig({episodes[0].category: CategoryThresholds(mode, roles)})
     accs = []
     for fold in folds:
         correct = []
@@ -166,13 +165,13 @@ def merged_episodes(n, seed):
     return episodes
 
 
-MERGED_GRID = GridSpec(
-    axes={
-        (AreaRole.MERGED, PF): IntervalGrid(-1.5, -0.5, 0.5, 0.0, 1.0, 0.5),
-        (AreaRole.MERGED, VF): IntervalGrid(-1.0, 0.0, 0.5, 0.5, 1.5, 0.5),
-    },
-    theta={AreaRole.MERGED: (1, 3, 5, 8, 12)},
-)
+MERGED_GRID = GridSpec({
+    AreaRole.MERGED: RoleGrid(
+        IntervalGrid(-1.5, -0.5, 0.5, 0.0, 1.0, 0.5), IntervalGrid(-1.0, 0.0, 0.5, 0.5, 1.5, 0.5), (1, 3, 5, 8, 12)
+    ),
+})
+# a grid axis that never matches a trace value
+NEVER = IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0)
 
 
 class TestGridSearch:
@@ -181,28 +180,23 @@ class TestGridSearch:
         grid = planted_grid(step=0.25)
         result = grid_search(episodes, grid, k=10, seed=1)
         adult = result.config.for_category(AgentCategory.ADULT)
-        pf = adult.interval(AreaRole.CLOSER, PF)
-        assert abs(pf.alpha - PLANTED_ALPHA) <= 0.25 + 1e-9
-        assert abs(pf.beta - PLANTED_BETA) <= 0.25 + 1e-9
-        assert adult.counter_limit(AreaRole.CLOSER) == 2  # strict > semantics
+        closer = adult.roles[AreaRole.CLOSER]
+        assert abs(closer.pf.alpha - PLANTED_ALPHA) <= 0.25 + 1e-9
+        assert abs(closer.pf.beta - PLANTED_BETA) <= 0.25 + 1e-9
+        assert closer.limit == 2  # strict > semantics
         assert result.cv_accuracy[(AgentCategory.ADULT, AreaRole.CLOSER)] >= 0.95
 
     def test_single_point_grid(self):
         episodes = planted_episodes(30, seed=5)
-        single = GridSpec(
-            axes={
-                (AreaRole.CLOSER, PF): IntervalGrid(-1.0, -1.0, 1.0, 0.0, 0.0, 1.0),
-                (AreaRole.CLOSER, VF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-                (AreaRole.FURTHER, PF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-                (AreaRole.FURTHER, VF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-            },
-            theta={AreaRole.CLOSER: (2,), AreaRole.FURTHER: (1,)},
-        )
+        single = GridSpec({
+            AreaRole.CLOSER: RoleGrid(IntervalGrid(-1.0, -1.0, 1.0, 0.0, 0.0, 1.0), NEVER, (2,)),
+            AreaRole.FURTHER: RoleGrid(NEVER, NEVER, (1,)),
+        })
         result = grid_search(episodes, single, k=5, seed=0)
-        adult = result.config.for_category(AgentCategory.ADULT)
-        assert adult.interval(AreaRole.CLOSER, PF).alpha == -1.0
-        assert adult.interval(AreaRole.CLOSER, PF).beta == 0.0
-        assert adult.counter_limit(AreaRole.CLOSER) == 2
+        closer = result.config.for_category(AgentCategory.ADULT).roles[AreaRole.CLOSER]
+        assert closer.pf.alpha == -1.0
+        assert closer.pf.beta == 0.0
+        assert closer.limit == 2
 
     def test_random_labels_give_prior_level_accuracy(self):
         rng = np.random.default_rng(11)
@@ -308,24 +302,18 @@ class TestGridSearch:
                     {AreaRole.CLOSER: RiskLevel.RISK1, AreaRole.FURTHER: RiskLevel.RISK1})
             for k in range(12)
         ]
-        grid = GridSpec(
-            axes={
-                (AreaRole.CLOSER, PF): IntervalGrid(-1.0, -0.5, 0.5, -0.5, 0.0, 0.5),
-                (AreaRole.CLOSER, VF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-                (AreaRole.FURTHER, PF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-                (AreaRole.FURTHER, VF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-            },
-            theta={AreaRole.CLOSER: (1, 2), AreaRole.FURTHER: (1,)},
-        )
+        grid = GridSpec({
+            AreaRole.CLOSER: RoleGrid(IntervalGrid(-1.0, -0.5, 0.5, -0.5, 0.0, 0.5), NEVER, (1, 2)),
+            AreaRole.FURTHER: RoleGrid(NEVER, NEVER, (1,)),
+        })
         result = grid_search(episodes, grid, k=3, seed=1)
-        adult = result.config.for_category(AgentCategory.ADULT)
-        pf = adult.interval(AreaRole.CLOSER, PF)
-        assert pf.beta - pf.alpha == 0.0  # narrowest possible width
-        assert adult.counter_limit(AreaRole.CLOSER) == 1  # first in order
+        closer = result.config.for_category(AgentCategory.ADULT).roles[AreaRole.CLOSER]
+        assert closer.pf.beta - closer.pf.alpha == 0.0  # narrowest possible width
+        assert closer.limit == 1  # first in order
 
     def test_empty_grid(self):
         episodes = planted_episodes(20, seed=1)
-        grid = GridSpec(axes={}, theta={})
+        grid = GridSpec({})
         with pytest.raises(EmptyGrid):
             grid_search(episodes, grid, k=5, seed=0)
 
@@ -348,18 +336,12 @@ class TestGridSearch:
                 Episode(f"m{k}", AgentCategory.KID, tuple(trace),
                         {AreaRole.CLOSER: level, AreaRole.FURTHER: level})
             )
-        grid = GridSpec(
-            axes={
-                (AreaRole.MERGED, PF): IntervalGrid(-1.0, -1.0, 1.0, 0.0, 0.0, 1.0),
-                (AreaRole.MERGED, VF): IntervalGrid(9.0, 9.0, 1.0, 9.0, 9.0, 1.0),
-            },
-            theta={AreaRole.MERGED: (2, 4, 8)},
-        )
+        grid = GridSpec({AreaRole.MERGED: RoleGrid(IntervalGrid(-1.0, -1.0, 1.0, 0.0, 0.0, 1.0), NEVER, (2, 4, 8))})
         result = grid_search(episodes, grid, k=5, seed=2, mode=ThresholdMode.MERGED_AREA)
         kid = result.config.for_category(AgentCategory.KID)
         assert kid.mode is ThresholdMode.MERGED_AREA
         # positives have 6 combined hits, negatives 2: theta 4 separates
-        assert kid.counter_limit(AreaRole.MERGED) == 4
+        assert kid.roles[AreaRole.MERGED].limit == 4
         assert result.cv_accuracy[(AgentCategory.KID, AreaRole.MERGED)] == 1.0
 
 
@@ -377,7 +359,7 @@ def test_confusion_from_labels():
 def test_truth_episodes_give_every_labeled_pedestrian_an_episode():
     """Each labeled pedestrian, in id order, with its trace or an empty one
     when it was never evaluated; agents without labels have none."""
-    truth = GroundTruth(fps=30)
+    truth = GroundTruth()
     for agent_id, category in (("p2", AgentCategory.KID), ("p1", AgentCategory.ADULT),
                                ("v0", AgentCategory.VEHICLE_AREA_41)):
         truth.agents[agent_id] = AgentTruth(category=category)

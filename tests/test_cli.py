@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,7 +236,7 @@ def _write_episode_files(tmp_path):
     """A planted-rule trace CSV and its ground truth, 40 episodes."""
     episodes = planted_episodes(40, seed=3)
     rows = []
-    truth = GroundTruth(fps=30)
+    truth = GroundTruth()
     for e in episodes:
         truth.agents[e.ped_id] = AgentTruth(category=e.category)
         for role, level in e.labels.items():
@@ -592,7 +593,8 @@ def test_truth_that_does_not_label_both_areas_of_an_agent_is_input_error(
 ):
     """A ground truth labels each labeled pedestrian, which must be one of
     its agents, in the closer and the further area and nowhere else: every
-    command that scores episodes exits 2 naming the file."""
+    command that scores episodes exits 2 naming the file. evaluate checks
+    the truth before the first frame, so its --out receives no trace."""
     trace_path, truth_path = _write_episode_files(tmp_path)
     doc = json.loads(truth_path.read_text(encoding="utf-8"))
     p000 = [entry for entry in doc["risk"] if entry["ped_id"] == "p000"]
@@ -607,10 +609,91 @@ def test_truth_that_does_not_label_both_areas_of_an_agent_is_input_error(
         stream = tmp_path / "stream.csv"
         stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
         code = _stream_command(command, stream, tmp_path, "--truth", str(truth_path))
+        assert not (tmp_path / "out" / "ppet_trace.csv").exists()
     else:
         code = _tune_or_metrics(command, trace_path, truth_path, tmp_path)
     assert code == EXIT_INPUT
     assert f"cannot read ground truth {truth_path}: {message}" in capsys.readouterr().err
+
+
+def _role_doc(pf, vf):
+    return {"pf": pf, "vf": vf}
+
+
+def test_default_threshold_file_text_is_pinned(tmp_path):
+    """The shipped defaults save as this exact text: categories in id order,
+    each role's pf then vf interval, then the counter limits."""
+    path = tmp_path / "thresholds.json"
+    RiskThresholdConfig.default().save(str(path))
+    expected = {"categories": {
+        "0": {"mode": "per_area",
+              "intervals": {"closer": _role_doc([-0.7, 0.1], [0.1, 1.1]),
+                            "further": _role_doc([-2.5, -1.5], [0.9, 2.4])},
+              "counters": {"closer": 3, "further": 3}},
+        "1": {"mode": "merged_area",
+              "intervals": {"merged": _role_doc([-3.3, -3.1], [1.0, 1.5])},
+              "counters": {"merged": 3}},
+        "2": {"mode": "per_area",
+              "intervals": {"closer": _role_doc([-3.0, -2.6], [1.4, 2.0]),
+                            "further": _role_doc([-0.6, 0.2], [0.6, 1.6])},
+              "counters": {"closer": 5, "further": 3}},
+    }}
+    assert path.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
+
+def test_tuned_threshold_file_text_is_pinned(tmp_path):
+    """tune --thresholds-out on configs/grid.json over a 48-pedestrian
+    scenario writes this exact text, which metrics --thresholds reads."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"seed": 5, "duration_s": 150.0, "n_adults": 16, "n_kids": 16, "n_cyclists": 16}),
+                    encoding="utf-8")
+    g, e = tmp_path / "g", tmp_path / "e"
+    assert main(["gen", "--spec", str(spec), "--out", str(g)]) == EXIT_OK
+    assert main(["evaluate", "--stream", str(g / "stream.csv"), "--area-map", str(g / "area_map.json"),
+                 "--out", str(e)]) == EXIT_OK
+    tuned = tmp_path / "tuned.json"
+    assert main(["tune", "--trace", str(e / "ppet_trace.csv"), "--truth", str(g / "ground_truth.json"),
+                 "--grid", str(Path(__file__).resolve().parent.parent / "configs" / "grid.json"),
+                 "--out", str(tmp_path / "calibration.json"), "--thresholds-out", str(tuned)]) == EXIT_OK
+    roles = {"closer": _role_doc([-2.5, 1.0], [-1.0, 1.0]), "further": _role_doc([-2.5, 1.0], [-1.0, 1.0])}
+    counters = {"closer": 3, "further": 3}
+    expected = {"categories": {
+        "0": {"mode": "per_area", "intervals": roles, "counters": counters},
+        "1": {"mode": "per_area",
+              "intervals": {**roles, "further": _role_doc([-2.5, 1.5], [-1.0, 1.0])}, "counters": counters},
+        "2": {"mode": "per_area", "intervals": roles, "counters": counters},
+    }}
+    assert tuned.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+    assert main(["metrics", "--trace", str(e / "ppet_trace.csv"), "--truth", str(g / "ground_truth.json"),
+                 "--thresholds", str(tuned)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["evaluate", "metrics"])
+@pytest.mark.parametrize("case", ["missing-role", "extra-role", "extra-counter"])
+def test_threshold_file_whose_roles_do_not_match_its_mode_is_input_error(command, case, tmp_path, capsys):
+    """A category must hold exactly the roles of its mode, each with its
+    intervals and its counter limit: a threshold file that lacks one or
+    names another exits 2 naming the file."""
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    doc = RiskThresholdConfig.default().to_dict()
+    adult = doc["categories"]["0"]
+    if case == "missing-role":
+        del adult["intervals"]["further"], adult["counters"]["further"]
+    elif case == "extra-role":
+        adult["intervals"]["merged"], adult["counters"]["merged"] = _role_doc([0.0, 1.0], [0.0, 1.0]), 3
+    else:
+        adult["counters"]["merged"] = 3
+    thresholds = tmp_path / "thresholds.json"
+    thresholds.write_text(json.dumps(doc), encoding="utf-8")
+    if command == "evaluate":
+        stream = tmp_path / "stream.csv"
+        stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
+        code = _stream_command(command, stream, tmp_path, "--thresholds", str(thresholds))
+    else:
+        code = main(["metrics", "--trace", str(trace_path), "--truth", str(truth_path),
+                     "--thresholds", str(thresholds)])
+    assert code == EXIT_INPUT
+    assert f"cannot read threshold config {thresholds}" in capsys.readouterr().err
 
 
 def test_evaluate_metrics_and_tune_score_the_same_episodes(gen_dir, tmp_path, capsys):
@@ -1012,47 +1095,77 @@ def test_non_integer_scenario_spec_field_is_input_error(field, value, tmp_path, 
     assert not (tmp_path / "out").exists()
 
 
+# Generator settings that are module constants of synthgen (LATERAL_NOISE_M
+# and the like) and no longer spec fields: a spec that still names one exits 2
+# through the unknown-field check, whatever the value.
+_REMOVED_SPEC_FIELDS = (
+    "adult_crossing_s", "kid_crossing_s", "cyclist_crossing_s", "crossing_jitter", "speed_noise",
+    "lateral_noise_m", "kid_lateral_sigma", "kid_lateral_sigma_further", "rtl_fraction",
+    "vehicle_speed_mps", "vehicle_speed_sd", "notice_probability", "decelerate_probability",
+    "reaction_delay_s",
+)
+
+
+def _gen_spec_error(field, value, tmp_path, capsys, **spec_fields):
+    """Run gen on a spec setting field to value; assert it exits 2 before
+    writing anything, and return its error text."""
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({**spec_fields, field: value}), encoding="utf-8")
+    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
+    assert not (tmp_path / "out").exists()
+    return capsys.readouterr().err
+
+
+def _spec_error(field, message, tmp_path):
+    """gen's error for a spec field breaking a rule, or naming a removed
+    field, whose message is the unknown-field one."""
+    if field in _REMOVED_SPEC_FIELDS:
+        return f"cannot read scenario spec {tmp_path / 'spec.json'}: unknown scenario spec fields: {[field]!r}"
+    return f"cannot read scenario spec {tmp_path / 'spec.json'}: {field} {message}"
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
+        # removed fields: the message is the unknown-field one
         ("rtl_fraction", "x"),
         ("notice_probability", None),
         ("vehicle_speed_sd", True),
         ("lateral_noise_m", float("nan")),
         ("kid_lateral_sigma", float("inf")),
         ("reaction_delay_s", [0.4, "1.0"]),
+        # spec fields
+        ("duration_s", "x"),
+        ("vehicle_rate_per_min", None),
+        ("conflict_probability", True),
+        ("risky_fraction", float("nan")),
     ],
 )
 def test_non_number_scenario_spec_field_is_input_error(field, value, tmp_path, capsys):
     """A float field of a scenario spec holding a string, null, a boolean
     or a non-finite value exits 2 naming the file and the field, before
-    writing anything."""
-    spec = tmp_path / "spec.json"
-    spec.write_text(
-        json.dumps({"duration_s": 5.0, "n_adults": 1, "n_kids": 0, "n_cyclists": 0, field: value}),
-        encoding="utf-8",
-    )
-    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    shown = value[1] if field == "reaction_delay_s" else value
-    assert str(spec) in err and f"{field} must be a finite number, got {shown!r}" in err
-    assert not (tmp_path / "out").exists()
+    writing anything; so does a removed field, whatever its value."""
+    err = _gen_spec_error(field, value, tmp_path, capsys, duration_s=5.0, n_adults=1, n_kids=0, n_cyclists=0)
+    assert _spec_error(field, f"must be a finite number, got {value!r}", tmp_path) in err
 
 
 _OUT_OF_RANGE_SPEC_FIELDS = [
-    ("vehicle_speed_sd", -1.0, "must be non-negative, got -1.0"),
-    ("crossing_jitter", -0.5, "must be non-negative, got -0.5"),
-    ("speed_noise", -0.01, "must be non-negative, got -0.01"),
-    ("lateral_noise_m", -0.01, "must be non-negative, got -0.01"),
-    ("kid_lateral_sigma", -1.0, "must be non-negative, got -1.0"),
-    ("kid_lateral_sigma_further", -1.0, "must be non-negative, got -1.0"),
-    ("notice_probability", 1.5, "must lie in [0, 1], got 1.5"),
-    ("rtl_fraction", -0.1, "must lie in [0, 1], got -0.1"),
-    ("decelerate_probability", 2, "must lie in [0, 1], got 2"),
+    ("duration_s", 0.0, "must be positive, got 0.0"),
+    ("vehicle_rate_per_min", -1.0, "must be non-negative, got -1.0"),
     ("conflict_probability", 1.01, "must lie in [0, 1], got 1.01"),
     ("risky_fraction", -1.0, "must lie in [0, 1], got -1.0"),
-    ("reaction_delay_s", [1.0, 0.4], "must be [low, high] with 0 <= low <= high, got [1.0, 0.4]"),
-    ("reaction_delay_s", [-0.2, 0.4], "must be [low, high] with 0 <= low <= high, got [-0.2, 0.4]"),
+    # removed fields: the message is the unknown-field one
+    ("vehicle_speed_sd", -1.0, None),
+    ("crossing_jitter", -0.5, None),
+    ("speed_noise", -0.01, None),
+    ("lateral_noise_m", -0.01, None),
+    ("kid_lateral_sigma", -1.0, None),
+    ("kid_lateral_sigma_further", -1.0, None),
+    ("notice_probability", 1.5, None),
+    ("rtl_fraction", -0.1, None),
+    ("decelerate_probability", 2, None),
+    ("reaction_delay_s", [1.0, 0.4], None),
+    ("reaction_delay_s", [-0.2, 0.4], None),
 ]
 
 
@@ -1060,20 +1173,14 @@ _OUT_OF_RANGE_SPEC_FIELDS = [
     "field, value, message", _OUT_OF_RANGE_SPEC_FIELDS, ids=[f"{f}={v}" for f, v, _ in _OUT_OF_RANGE_SPEC_FIELDS]
 )
 def test_out_of_range_scenario_spec_field_is_input_error(field, value, message, tmp_path, capsys):
-    """A noise or sigma below 0, a probability outside [0, 1] or a reaction
-    delay range that is not 0 <= low <= high exits 2 naming the file and
-    the field, before writing anything."""
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"duration_s": 10.0, "n_adults": 1, "n_kids": 1, field: value}), encoding="utf-8")
-    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
-    assert f"cannot read scenario spec {spec}: {field} {message}" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    """A duration not above 0, a rate below 0 or a probability outside
+    [0, 1] exits 2 naming the file and the field, before writing anything;
+    so does a removed field, whatever its value."""
+    err = _gen_spec_error(field, value, tmp_path, capsys, duration_s=10.0, n_adults=1, n_kids=1)
+    assert _spec_error(field, message, tmp_path) in err
 
 
 def test_reaction_delay_of_one_value_is_input_error(tmp_path, capsys):
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"duration_s": 5.0, "n_adults": 1, "reaction_delay_s": [0.4]}), encoding="utf-8")
-    assert main(["gen", "--spec", str(spec), "--out", str(tmp_path / "out")]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert str(spec) in err and "reaction_delay_s must hold two numbers, got [0.4]" in err
-    assert not (tmp_path / "out").exists()
+    err = _gen_spec_error("reaction_delay_s", [0.4], tmp_path, capsys, duration_s=5.0, n_adults=1)
+    assert _spec_error("reaction_delay_s", None, tmp_path) in err
+

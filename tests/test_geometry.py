@@ -296,7 +296,7 @@ def _slanted_area_map(area_map):
     }
     areas = dict(area_map.areas)
     areas.update({k: tuple(WorldPoint(x, y) for x, y in v) for k, v in extra.items()})
-    return AreaMap(areas, area_map.target_lines, area_map.center_line)
+    return AreaMap(areas, area_map.target_lines)
 
 
 class TestLocateAreas:
@@ -383,7 +383,7 @@ class TestLocateArea:
             WorldPoint(0, 0), WorldPoint(1, 1), WorldPoint(1, 0), WorldPoint(0, 1),
         )
         with pytest.raises(ValueError):
-            AreaMap({"1.1": bowtie}, {}, (WorldPoint(0, 0), WorldPoint(1, 0)))
+            AreaMap({"1.1": bowtie}, {})
 
 
 class TestSignedDistance:

@@ -5,7 +5,7 @@ import pytest
 
 from crossrisk.errors import MissingThreshold
 from crossrisk.geometry import WorldPoint
-from crossrisk.ppet import ConflictScenario, PPetVector
+from crossrisk.ppet import PPetVector
 from crossrisk.risk import (
     AREAS,
     MODE_ROLES,
@@ -14,6 +14,7 @@ from crossrisk.risk import (
     DecisionKind,
     RiskLevel,
     RiskThresholdConfig,
+    RoleThresholds,
     ThresholdInterval,
     ThresholdMode,
     classify_offline,
@@ -24,9 +25,6 @@ from crossrisk.risk import (
     step_evaluate,
 )
 from crossrisk.stream import AgentCategory, PedestrianState, PedestrianStatus
-
-PF = ConflictScenario.PEDESTRIAN_FIRST
-VF = ConflictScenario.VEHICLE_FIRST
 
 
 def ped_state(category=AgentCategory.ADULT, area="2.1"):
@@ -102,20 +100,19 @@ class TestDefaults:
         config = RiskThresholdConfig.default()
         adult = config.for_category(AgentCategory.ADULT)
         assert adult.mode is ThresholdMode.PER_AREA
-        assert adult.interval(AreaRole.CLOSER, PF) == ThresholdInterval(-0.7, 0.1)
-        assert adult.interval(AreaRole.CLOSER, VF) == ThresholdInterval(0.1, 1.1)
-        assert adult.interval(AreaRole.FURTHER, PF) == ThresholdInterval(-2.5, -1.5)
-        assert adult.interval(AreaRole.FURTHER, VF) == ThresholdInterval(0.9, 2.4)
-        assert adult.counter_limit(AreaRole.CLOSER) == 3
+        assert adult.roles == {
+            AreaRole.CLOSER: RoleThresholds(ThresholdInterval(-0.7, 0.1), ThresholdInterval(0.1, 1.1), 3),
+            AreaRole.FURTHER: RoleThresholds(ThresholdInterval(-2.5, -1.5), ThresholdInterval(0.9, 2.4), 3),
+        }
         cyclist = config.for_category(AgentCategory.CYCLIST)
-        assert cyclist.interval(AreaRole.CLOSER, PF) == ThresholdInterval(-3.0, -2.6)
-        assert cyclist.counter_limit(AreaRole.CLOSER) == 5
-        assert cyclist.counter_limit(AreaRole.FURTHER) == 3
+        assert cyclist.roles[AreaRole.CLOSER].pf == ThresholdInterval(-3.0, -2.6)
+        assert cyclist.roles[AreaRole.CLOSER].limit == 5
+        assert cyclist.roles[AreaRole.FURTHER].limit == 3
         kid = config.for_category(AgentCategory.KID)
         assert kid.mode is ThresholdMode.MERGED_AREA
-        assert kid.interval(AreaRole.MERGED, PF) == ThresholdInterval(-3.3, -3.1)
-        assert kid.interval(AreaRole.MERGED, VF) == ThresholdInterval(1.0, 1.5)
-        assert kid.counter_limit(AreaRole.MERGED) == 3
+        assert kid.roles == {
+            AreaRole.MERGED: RoleThresholds(ThresholdInterval(-3.3, -3.1), ThresholdInterval(1.0, 1.5), 3),
+        }
 
     def test_json_round_trip(self, tmp_path):
         config = RiskThresholdConfig.default()
@@ -146,14 +143,17 @@ class TestModeRoles:
 
     @pytest.mark.parametrize("mode", list(ThresholdMode))
     def test_thresholds_must_hold_every_role_of_their_mode(self, mode):
-        intervals = {(role, s): ThresholdInterval(0.0, 1.0) for role in AreaRole for s in (PF, VF)}
-        counters = {role: 2 for role in AreaRole}
-        assert CategoryThresholds(mode, intervals, counters).roles is MODE_ROLES[mode]
-        for role in MODE_ROLES[mode]:
-            with pytest.raises(ValueError, match=f"missing counter limit for {role.value}"):
-                CategoryThresholds(mode, intervals, {r: 2 for r in AreaRole if r is not role})
-            with pytest.raises(ValueError, match=f"missing interval for \\({role.value}, "):
-                CategoryThresholds(mode, {k: v for k, v in intervals.items() if k[0] is not role}, counters)
+        record = RoleThresholds(ThresholdInterval(0.0, 1.0), ThresholdInterval(0.0, 1.0), 2)
+        roles = dict.fromkeys(MODE_ROLES[mode], record)
+        assert CategoryThresholds(mode, roles).roles == roles
+        for role in AreaRole:
+            wrong = {r: record for r in roles if r is not role} if role in roles else {**roles, role: record}
+            with pytest.raises(ValueError, match=f"{mode.value} thresholds need roles"):
+                CategoryThresholds(mode, wrong)
+
+    def test_counter_limit_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="counter limits must be >= 1, got 0"):
+            RoleThresholds(ThresholdInterval(0.0, 1.0), ThresholdInterval(0.0, 1.0), 0)
 
 
 class TestStepEvaluate:
@@ -304,10 +304,7 @@ class TestClassifyOffline:
         for theta in (1, 2, 3, 5, 8):
             config = RiskThresholdConfig({
                 AgentCategory.ADULT: CategoryThresholds(
-                    ThresholdMode.PER_AREA,
-                    {(AreaRole.CLOSER, PF): pf, (AreaRole.CLOSER, VF): vf,
-                     (AreaRole.FURTHER, PF): pf, (AreaRole.FURTHER, VF): vf},
-                    {AreaRole.CLOSER: theta, AreaRole.FURTHER: theta},
+                    ThresholdMode.PER_AREA, dict.fromkeys(AREAS, RoleThresholds(pf, vf, theta))
                 )
             })
             flagged = {
@@ -329,10 +326,7 @@ class TestClassifyOffline:
             vf = ThresholdInterval(0.0 - width, 1.0 + width)
             return RiskThresholdConfig({
                 AgentCategory.ADULT: CategoryThresholds(
-                    ThresholdMode.PER_AREA,
-                    {(AreaRole.CLOSER, PF): pf, (AreaRole.CLOSER, VF): vf,
-                     (AreaRole.FURTHER, PF): pf, (AreaRole.FURTHER, VF): vf},
-                    {AreaRole.CLOSER: 3, AreaRole.FURTHER: 3},
+                    ThresholdMode.PER_AREA, dict.fromkeys(AREAS, RoleThresholds(pf, vf, 3))
                 )
             })
 

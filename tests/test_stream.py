@@ -220,7 +220,7 @@ class TestTargetLines:
         from crossrisk.geometry import AreaMap
 
         lines = {k: v for k, v in area_map.target_lines.items() if k != "ped_rtl_q2"}
-        partial = AreaMap(area_map.areas, lines, area_map.center_line)
+        partial = AreaMap(area_map.areas, lines)
         assert target_lines(partial, AgentCategory.ADULT, Direction.LEFT_TO_RIGHT)
         with pytest.raises(KeyError, match="ped_rtl_q2"):
             target_lines(partial, AgentCategory.ADULT, Direction.RIGHT_TO_LEFT)
