@@ -4,14 +4,14 @@ cross-validation, plus the four evaluation metrics."""
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import astuple, dataclass
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
-from .errors import BadFoldCount, EmptyGrid, ManifestError, TooFewEpisodes
+from .errors import BadFoldCount, EmptyGrid, TooFewEpisodes
+from .files import read_json
 from .ppet import ConflictScenario, PPetVector
 from .risk import (
     AREAS,
@@ -214,16 +214,9 @@ class GridSpec:
         """Read a grid spec file: its raw document, the grid and the threshold
         mode it sets ("mode", per_area when absent). A file that cannot be read
         or does not describe a grid raises ManifestError naming the file."""
-        try:
-            with open(path, encoding="utf-8") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise TypeError("expected a JSON object")
-            return doc, cls.from_dict(doc), ThresholdMode(doc.get("mode", ThresholdMode.PER_AREA.value))
-        except KeyError as exc:
-            raise ManifestError(f"bad grid spec {path}: missing key {exc}") from exc
-        except (OSError, AttributeError, TypeError, ValueError) as exc:
-            raise ManifestError(f"bad grid spec {path}: {exc}") from exc
+        return read_json(path, "grid spec", lambda doc: (
+            doc, cls.from_dict(doc), ThresholdMode(doc.get("mode", ThresholdMode.PER_AREA.value))
+        ))
 
     def role_axes(
         self, role: AreaRole

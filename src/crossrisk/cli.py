@@ -12,10 +12,12 @@ import csv
 import gc
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics, truth_episodes
 from .errors import BudgetExceeded, CrossRiskError, ManifestError
+from .files import open_output, read_json, write_json
 from .geometry import AreaMap, load_area_map, load_tile_grid, save_area_map, save_tile_grid
 from .pipeline import (
     RiskPipeline,
@@ -42,15 +44,9 @@ EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
 
 
-def _require(path: str | None, what: str) -> Path:
-    if not path or not Path(path).is_file():
-        raise ManifestError(f"{what} not found: {path}")
-    return Path(path)
-
-
 def _load_area_map(path: str) -> AreaMap:
     """The area map at path, checked to hold every target line an agent can need."""
-    area_map = load_area_map(str(_require(path, "area map")))
+    area_map = load_area_map(path)
     try:
         target_line_table(area_map)
     except KeyError as exc:
@@ -58,10 +54,7 @@ def _load_area_map(path: str) -> AreaMap:
     return area_map
 
 
-def _write_json(path: str, doc: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+_write_json = partial(write_json, indent=2, sort_keys=True)
 
 
 # --- gen ------------------------------------------------------------------------
@@ -69,13 +62,12 @@ def _write_json(path: str, doc: dict) -> None:
 
 def cmd_gen(args: argparse.Namespace) -> int:
     if args.spec:
-        spec = ScenarioSpec.load(str(_require(args.spec, "scenario spec")))
+        spec = ScenarioSpec.load(args.spec)
     else:
         spec = ScenarioSpec()
     if args.seed is not None:
         spec = ScenarioSpec.from_dict({**spec.to_dict(), "seed": args.seed})
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     frames, truth = generate(spec)
     ordered = [frames[k] for k in sorted(frames)]
     write_stream_csv(str(out / "stream.csv"), ordered)
@@ -90,7 +82,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_homography(args: argparse.Namespace) -> int:
-    grid = load_tile_grid(str(_require(args.anchors, "anchors file")))
+    grid = load_tile_grid(args.anchors)
     max_residual = max(
         tile.transform(p).distance_to(w)
         for tile in grid.tiles
@@ -125,7 +117,7 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     frames, _ = load_stream(args.stream, args.tile_grid)
     annotations = None
     if args.truth:
-        annotations = _annotations_from_truth(GroundTruth.load(str(_require(args.truth, "ground truth"))))
+        annotations = _annotations_from_truth(GroundTruth.load(args.truth))
     trajectories = agent_trajectories(frames)
     samples = build_labeled_dataset(trajectories, area_map, annotations=annotations)
     write_samples_jsonl(args.out, samples)
@@ -137,14 +129,10 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    samples = read_samples_jsonl(str(_require(args.dataset, "dataset")))
+    samples = read_samples_jsonl(args.dataset)
     config = TrainingConfig()
     if args.config:
-        with open(_require(args.config, "training config"), encoding="utf-8") as fh:
-            try:
-                config = TrainingConfig(**json.load(fh))
-            except (TypeError, ValueError, json.JSONDecodeError) as exc:
-                raise ManifestError(f"bad training config {args.config}: {exc}") from exc
+        config = read_json(args.config, "training config", lambda doc: TrainingConfig(**doc))
     if args.seed is not None:
         config = TrainingConfig(**{**config.__dict__, "seed": args.seed})
     bundle, report = train_bundle(samples, config)
@@ -160,13 +148,13 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 def _load_thresholds(args: argparse.Namespace) -> RiskThresholdConfig:
     if getattr(args, "thresholds", None):
-        return RiskThresholdConfig.load(str(_require(args.thresholds, "threshold config")))
+        return RiskThresholdConfig.load(args.thresholds)
     return RiskThresholdConfig.default()
 
 
 def _load_bundle(args: argparse.Namespace) -> TrainedModelBundle:
     if getattr(args, "models", None):
-        return TrainedModelBundle.load(str(_require(args.models, "model bundle")))
+        return TrainedModelBundle.load(args.models)
     return TrainedModelBundle.historical_average()
 
 
@@ -191,11 +179,10 @@ def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskP
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = GroundTruth.load(str(_require(args.truth, "ground truth"))) if args.truth else None
+    truth = GroundTruth.load(args.truth) if args.truth else None
     pipeline, frames, _ = _run_stream(args)
     result = pipeline.result
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     write_risk_scenarios(str(out / "risk_scenarios.jsonl"), result.risk_scenarios)
     write_trace_csv(str(out / "ppet_trace.csv"), result.trace)
 
@@ -219,14 +206,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def _episodes_from_files(trace_path: str, truth_path: str) -> list[Episode]:
-    vectors = read_trace_csv(str(_require(trace_path, "trace file")))
-    truth = GroundTruth.load(str(_require(truth_path, "ground truth")))
+    vectors = read_trace_csv(trace_path)
+    truth = GroundTruth.load(truth_path)
     return truth_episodes(truth, vectors)
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
     episodes = _episodes_from_files(args.trace, args.truth)
-    grid_doc, grid, mode = GridSpec.load(str(_require(args.grid, "grid spec")))
+    grid_doc, grid, mode = GridSpec.load(args.grid)
     seed = args.seed if args.seed is not None else 0
     result = grid_search(episodes, grid, k=args.k, seed=seed, mode=mode)
     report = {
@@ -245,7 +232,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     if args.thresholds_out:
         result.config.save(args.thresholds_out)
     if args.points_csv:
-        with open(args.points_csv, "w", encoding="utf-8", newline="\n") as fh:
+        with open_output(args.points_csv) as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
                 ["category", "area", "alpha_pf", "beta_pf", "alpha_vf", "beta_vf", "theta", "cv_accuracy"]
@@ -393,7 +380,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except CrossRiskError as exc:
+    except (CrossRiskError, OSError) as exc:  # inputs raise ManifestError, so an OSError is an output's
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:  # noqa: BLE001 - internal invariant breach

@@ -8,7 +8,6 @@ whole module is safe to share across threads.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -16,6 +15,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateAnchors, ManifestError, ProjectiveSingularity
+from .files import read_json, write_json
 
 # Homogeneous scale below this is treated as a projective singularity.
 W_TOLERANCE = 1e-12
@@ -500,13 +500,12 @@ def load_tile_grid(path: str) -> TileGrid:
     degenerate tile, an entry with neither a matrix nor world corners, or
     overlapping tiles raise ManifestError naming the file (and the tile).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ManifestError(f"cannot read tile grid {path}: {exc}") from exc
+    return read_json(path, "tile grid", lambda raw: _parse_tile_grid(path, raw))
+
+
+def _parse_tile_grid(path: str, raw: list) -> TileGrid:
     if not isinstance(raw, list) or not raw:
-        raise ManifestError(f"tile grid {path} must be a non-empty JSON array")
+        raise ValueError("expected a non-empty JSON array of tiles")
     tiles = []
     for idx, entry in enumerate(raw):
         try:
@@ -522,10 +521,7 @@ def load_tile_grid(path: str) -> TileGrid:
                 tiles.append(tile_from_anchors(pixel, world))
         except (KeyError, TypeError, ValueError, DegenerateAnchors) as exc:
             raise ManifestError(f"tile {idx} in {path} is malformed: {exc}") from exc
-    try:
-        return TileGrid(tuple(tiles))
-    except ValueError as exc:
-        raise ManifestError(f"tile grid {path}: {exc}") from exc
+    return TileGrid(tuple(tiles))
 
 
 def save_tile_grid(path: str, grid: TileGrid) -> None:
@@ -537,29 +533,26 @@ def save_tile_grid(path: str, grid: TileGrid) -> None:
         }
         for tile in grid.tiles
     ]
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(entries, fh, indent=2)
-        fh.write("\n")
+    write_json(path, entries, indent=2)
 
 
 def load_area_map(path: str) -> AreaMap:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        areas = {
-            name: tuple(WorldPoint(float(x), float(y)) for x, y in poly)
-            for name, poly in raw["areas"].items()
-        }
-        lines = {
-            name: TargetLine(
-                WorldPoint(*map(float, spec["p0"])),
-                WorldPoint(*map(float, spec["p1"])),
-                (float(spec["normal"][0]), float(spec["normal"][1])),
-            )
-            for name, spec in raw["target_lines"].items()
-        }
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        raise ManifestError(f"cannot read area map {path}: {exc}") from exc
+    return read_json(path, "area map", _parse_area_map)
+
+
+def _parse_area_map(raw: Mapping) -> AreaMap:
+    areas = {
+        name: tuple(WorldPoint(float(x), float(y)) for x, y in poly)
+        for name, poly in raw["areas"].items()
+    }
+    lines = {
+        name: TargetLine(
+            WorldPoint(*map(float, spec["p0"])),
+            WorldPoint(*map(float, spec["p1"])),
+            (float(spec["normal"][0]), float(spec["normal"][1])),
+        )
+        for name, spec in raw["target_lines"].items()
+    }
     return AreaMap(areas, lines)
 
 
@@ -571,6 +564,4 @@ def save_area_map(path: str, area_map: AreaMap) -> None:
             for name, ln in area_map.target_lines.items()
         },
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    write_json(path, doc, indent=2)

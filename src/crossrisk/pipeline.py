@@ -11,12 +11,14 @@ import csv
 import json
 import math
 import time
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ManifestError, PredictionError
+from .files import input_lines, open_output
 from .geometry import AreaMap, TargetLine, WorldPoint, signed_distance_to_line
 from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
 from .predictors import InferenceView, TrainedModelBundle
@@ -267,7 +269,7 @@ def _cell(value: float | None) -> str:
 def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
     """P-PET trace: one row per evaluated (frame, pedestrian, area); the
     columns of the other area stay empty."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for row in trace:
@@ -315,8 +317,8 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
     raises ManifestError naming path:line.
     """
     rows = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+    with closing(input_lines(path, "trace file")) as lines:
+        reader = csv.DictReader(lines)
         missing = [c for c in TRACE_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ManifestError(f"{path}:1: trace header lacks columns {missing}")
@@ -338,7 +340,7 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
 
 
 def write_risk_scenarios(path: str, scenarios: Sequence[RiskScenario]) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         for scenario in scenarios:
             fh.write(json.dumps(scenario.to_dict(), sort_keys=True))
             fh.write("\n")

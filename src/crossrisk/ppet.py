@@ -87,10 +87,6 @@ class PPetVector:
         key = ("c" if area_role == "closer" else "f") + "_" + scenario.value
         return getattr(self, key)
 
-    @property
-    def empty(self) -> bool:
-        return self.c_pf is None and self.c_vf is None and self.f_pf is None and self.f_vf is None
-
 
 def ppet(est: ArrivalEstimateSet) -> PPetVector:
     """Predicted post-encroachment times from one arrival-estimate set.

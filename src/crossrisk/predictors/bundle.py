@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..errors import ManifestError, MissingPredictor, PredictionError
+from ..files import read_json, write_json
 from ..geometry import TargetLine
 from ..stream import AgentCategory, SlidingWindowTrajectory
 from .historical import HistoricalAveragePredictor, stacked_arrival_times
@@ -121,17 +121,11 @@ class TrainedModelBundle:
         return cls(predictors, maes)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh)
-            fh.write("\n")
+        write_json(path, self.to_dict())
 
     @classmethod
     def load(cls, path: str) -> "TrainedModelBundle":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, ValueError, ManifestError) as exc:
-            raise ManifestError(f"cannot read model bundle {path}: {exc}") from exc
+        return read_json(path, "model bundle", cls.from_dict)
 
 
 class InferenceView:

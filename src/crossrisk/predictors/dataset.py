@@ -6,6 +6,7 @@ from __future__ import annotations
 import json
 import logging
 import math
+from contextlib import closing
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Mapping, Sequence
@@ -13,6 +14,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ManifestError, UnknownDirection
+from ..files import input_lines, open_output
 from ..geometry import AreaMap, TargetLine, WorldPoint
 from ..stream import (
     WINDOW_SIZE,
@@ -232,7 +234,7 @@ def write_samples_jsonl(path: str, samples: Sequence[LabeledSample]) -> None:
     lines.extend(
         json.dumps(_agent_doc(samples[start:end]), sort_keys=True) for start, end in _runs(agents, "agent")
     )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
@@ -339,19 +341,16 @@ def read_samples_jsonl(path: str) -> list[LabeledSample]:
     raises ManifestError naming path:line.
     """
     samples = []
-    try:
-        with open(path, encoding="utf-8") as fh:
-            _check_header(path, fh.readline())
-            for lineno, raw in enumerate(fh, start=2):
-                if not raw.strip():
-                    continue
-                try:
-                    samples.extend(_parse_agent(json.loads(raw)))
-                except KeyError as exc:
-                    raise ManifestError(f"{path}:{lineno}: agent lacks key {exc}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise ManifestError(f"{path}:{lineno}: bad agent: {exc}") from exc
-    except OSError as exc:
-        raise ManifestError(f"cannot read labeled samples {path}: {exc}") from exc
+    with closing(input_lines(path, "labeled samples")) as lines:
+        _check_header(path, next(lines, ""))
+        for lineno, raw in enumerate(lines, start=2):
+            if not raw.strip():
+                continue
+            try:
+                samples.extend(_parse_agent(json.loads(raw)))
+            except KeyError as exc:
+                raise ManifestError(f"{path}:{lineno}: agent lacks key {exc}") from exc
+            except (TypeError, ValueError) as exc:
+                raise ManifestError(f"{path}:{lineno}: bad agent: {exc}") from exc
     return samples
 

@@ -8,7 +8,6 @@ immutable config and can be evaluated concurrently within a frame.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -16,7 +15,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ManifestError, MissingThreshold
+from .errors import MissingThreshold
+from .files import read_json, write_json
 from .geometry import WorldPoint
 from .ppet import ConflictScenario, PPetVector
 from .stream import AgentCategory, PedestrianState
@@ -168,17 +168,11 @@ class RiskThresholdConfig:
         return cls(categories)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        write_json(path, self.to_dict(), indent=2)
 
     @classmethod
     def load(cls, path: str) -> "RiskThresholdConfig":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"cannot read threshold config {path}: {exc}") from exc
+        return read_json(path, "threshold config", cls.from_dict)
 
 
 @dataclass(frozen=True)

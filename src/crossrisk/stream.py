@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
@@ -27,6 +27,7 @@ from .errors import (
     OutOfOrderFrame,
     UnknownDirection,
 )
+from .files import input_lines, open_output
 from .geometry import AreaMap, PixelPoint, TargetLine, WorldPoint, first_crossing_time, load_tile_grid, locate_areas
 from .geometry import pedestrian_line_name, transform_point, vehicle_line_name
 
@@ -441,7 +442,7 @@ STREAM_HEADER_PIXEL = ["frame", "t", "id", "category", "u", "v"]
 
 def write_stream_csv(path: str, frames: Iterable[Sequence[Observation]]) -> None:
     """Write frames of observations as the world-coordinate stream format."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(STREAM_HEADER_WORLD)
         for frame_obs in frames:
@@ -461,19 +462,16 @@ def open_stream(path: str) -> Iterator[tuple[type, Iterator[tuple[int, StreamRow
     under the (x, y) header, untransformed PixelPoint under (u, v). A row that is
     short, does not parse or has a non-finite time or coordinate raises
     ManifestError naming path:line."""
-    try:
-        with open(path, encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header == STREAM_HEADER_WORLD:
-                point = WorldPoint
-            elif header == STREAM_HEADER_PIXEL:
-                point = PixelPoint
-            else:
-                raise ManifestError(f"{path}: unrecognized stream header {header}")
-            yield point, _parse_rows(path, reader, point)
-    except OSError as exc:
-        raise ManifestError(f"cannot read stream {path}: {exc}") from exc
+    with closing(input_lines(path, "stream")) as lines:
+        reader = csv.reader(lines)
+        header = next(reader, None)
+        if header == STREAM_HEADER_WORLD:
+            point = WorldPoint
+        elif header == STREAM_HEADER_PIXEL:
+            point = PixelPoint
+        else:
+            raise ManifestError(f"{path}: unrecognized stream header {header}")
+        yield point, _parse_rows(path, reader, point)
 
 
 def _parse_rows(path: str, reader, point: type) -> Iterator[tuple[int, StreamRow]]:

@@ -8,7 +8,6 @@ computed from the realized sampled kinematics, never from generator intent.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
@@ -16,6 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .errors import InfeasibleSpec, ManifestError, UnknownDirection
+from .files import read_json, write_json
 from .geometry import (
     AreaMap,
     PixelPoint,
@@ -200,11 +200,7 @@ class ScenarioSpec:
 
     @classmethod
     def load(cls, path: str) -> "ScenarioSpec":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, TypeError, ValueError, InfeasibleSpec, ManifestError) as exc:
-            raise ManifestError(f"cannot read scenario spec {path}: {exc}") from exc
+        return read_json(path, "scenario spec", cls.from_dict)
 
 
 # --- ground truth ---------------------------------------------------------------
@@ -277,17 +273,11 @@ class GroundTruth:
         return truth
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_dict(), fh, sort_keys=True)
-            fh.write("\n")
+        write_json(path, self.to_dict(), sort_keys=True)
 
     @classmethod
     def load(cls, path: str) -> "GroundTruth":
-        try:
-            with open(path, encoding="utf-8") as fh:
-                return cls.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-            raise ManifestError(f"cannot read ground truth {path}: {exc}") from exc
+        return read_json(path, "ground truth", cls.from_dict)
 
 
 # --- vehicle paths --------------------------------------------------------------

@@ -1184,3 +1184,100 @@ def test_reaction_delay_of_one_value_is_input_error(tmp_path, capsys):
     err = _gen_spec_error("reaction_delay_s", [0.4], tmp_path, capsys, duration_s=5.0, n_adults=1)
     assert _spec_error("reaction_delay_s", None, tmp_path) in err
 
+
+
+# --- the file boundary ------------------------------------------------------------------
+
+
+def _well_formed_inputs(tmp_path):
+    """Paths of small well-formed inputs, by name, for the commands below."""
+    from crossrisk.geometry import save_area_map, save_tile_grid
+    from crossrisk.synthgen import reference_tile_grid
+
+    trace, truth = _write_episode_files(tmp_path)
+    files = {name: tmp_path / name for name in (
+        "area_map.json", "stream.csv", "pixels.csv", "samples.jsonl", "grid.json", "tile_grid.json")}
+    save_area_map(str(files["area_map.json"]), reference_area_map())
+    save_tile_grid(str(files["tile_grid.json"]), reference_tile_grid())
+    files["stream.csv"].write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
+    files["pixels.csv"].write_text("frame,t,id,category,u,v\n0,0.0,a0,0,640.0,400.0\n", encoding="utf-8")
+    files["samples.jsonl"].write_text('{"format": "crossrisk-samples", "version": 2}\n', encoding="utf-8")
+    files["grid.json"].write_text(json.dumps(_SMALL_GRID), encoding="utf-8")
+    paths = {name.split(".")[0]: str(path) for name, path in files.items()}
+    return {**paths, "trace": str(trace), "truth": str(truth), "tmp": str(tmp_path)}
+
+
+_EVALUATE = ["evaluate", "--stream", "{stream}", "--area-map", "{area_map}", "--out", "{tmp}/out"]
+
+# One command line per input reader; {bad} is the file under test.
+_READERS = {
+    "scenario spec": ["gen", "--spec", "{bad}", "--out", "{tmp}/out"],
+    "ground truth": [*_EVALUATE, "--truth", "{bad}"],
+    "threshold config": [*_EVALUATE, "--thresholds", "{bad}"],
+    "model bundle": [*_EVALUATE, "--models", "{bad}"],
+    "area map": ["evaluate", "--stream", "{stream}", "--area-map", "{bad}", "--out", "{tmp}/out"],
+    "stream": ["evaluate", "--stream", "{bad}", "--area-map", "{area_map}", "--out", "{tmp}/out"],
+    "tile grid": [*_EVALUATE, "--stream", "{pixels}", "--tile-grid", "{bad}"],
+    "trace file": ["metrics", "--trace", "{bad}", "--truth", "{truth}"],
+    "grid spec": ["tune", "--trace", "{trace}", "--truth", "{truth}", "--grid", "{bad}", "--k", "5",
+                  "--out", "{tmp}/calibration.json"],
+    "labeled samples": ["train", "--dataset", "{bad}", "--out", "{tmp}/bundle.json"],
+    "training config": ["train", "--dataset", "{samples}", "--config", "{bad}", "--out", "{tmp}/bundle.json"],
+}
+
+# Valid JSON of the wrong shape, and text files holding a byte that is not UTF-8.
+_UNREADABLE = {
+    "spec-array": ("scenario spec", b"[1, 2]"),
+    "truth-agents-array": ("ground truth", b'{"fps": 30, "agents": [], "risk": []}'),
+    "thresholds-categories-array": ("threshold config", b'{"categories": []}'),
+    "bundle-category-null": (
+        "model bundle", b'{"version": 1, "models": [{"category": null, "q": 0, "kind": "historical_average"}]}'),
+    "bundle-entry-array": ("model bundle", b'{"version": 1, "models": [[0, 0]]}'),
+    "area-map-areas-array": ("area map", b'{"areas": [], "target_lines": {}}'),
+    "stream-0xff": ("stream", b"frame,t,id,category,x,y\n0,0.0,a\xff,0,3.0,1.0\n"),
+    "trace-0xff": ("trace file", b"frame,ped_id,veh_id,area,c_pf,c_vf,f_pf,f_vf\n0,p\xff,v0,closer,1.0,,,\n"),
+    "dataset-0xff": ("labeled samples", b'{"format": "crossrisk-samples", "version": 2}\n\xff\n'),
+    **{f"missing-{reader.replace(' ', '-')}": (reader, None) for reader in _READERS},
+}
+
+
+@pytest.mark.parametrize("reader, content", _UNREADABLE.values(), ids=_UNREADABLE.keys())
+def test_unreadable_input_file_is_input_error_naming_it(reader, content, tmp_path, capsys):
+    """Every input file is read through one boundary: a file that is missing,
+    not UTF-8 or not a document of the reader's shape exits 2 with
+    "cannot read <what> <path>"."""
+    bad = tmp_path / "bad"
+    if content is not None:
+        bad.write_bytes(content)
+    inputs = _well_formed_inputs(tmp_path)
+    assert main([arg.format(bad=bad, **inputs) for arg in _READERS[reader]]) == EXIT_INPUT
+    assert f"error: cannot read {reader} {bad}: " in capsys.readouterr().err
+
+
+_WRITERS = {
+    "replay": ["replay", "--stream", "{stream}", "--area-map", "{area_map}", "--out", "{new}/latency.json"],
+    "tune": ["tune", "--trace", "{trace}", "--truth", "{truth}", "--grid", "{grid}", "--k", "5",
+             "--out", "{new}/calibration.json", "--thresholds-out", "{new}/thresholds.json",
+             "--points-csv", "{new}/points.csv"],
+    "build-dataset": ["build-dataset", "--stream", "{stream}", "--area-map", "{area_map}",
+                      "--out", "{new}/samples.jsonl"],
+    "homography": ["homography", "--anchors", "{tile_grid}", "--out", "{new}/grid.json"],
+}
+
+
+@pytest.mark.parametrize("command", _WRITERS)
+def test_output_into_a_missing_directory_creates_it(command, tmp_path):
+    new = tmp_path / "new" / "dir"
+    inputs = _well_formed_inputs(tmp_path)
+    assert main([arg.format(new=new, **inputs) for arg in _WRITERS[command]]) == EXIT_OK
+    assert {p.name for p in new.iterdir()} == {
+        arg.rsplit("/", 1)[1] for arg in _WRITERS[command] if arg.startswith("{new}/")}
+
+
+def test_output_path_that_cannot_be_written_is_input_error_naming_it(tmp_path, capsys):
+    inputs = _well_formed_inputs(tmp_path)
+    argv = [arg.format(new=tmp_path, **inputs) for arg in _WRITERS["replay"]]
+    argv[-1] = str(tmp_path)  # a directory
+    capsys.readouterr()
+    assert main(argv) == EXIT_INPUT
+    assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from crossrisk.pipeline import (
     write_risk_scenarios,
     write_trace_csv,
 )
-from crossrisk.ppet import ppet
+from crossrisk.ppet import PPetVector, ppet
 from crossrisk.predictors import InferenceView, RecurrentRegressor, TrainedModelBundle
 from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode, classify_offline
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
@@ -123,7 +123,7 @@ class TestPipeline:
         result = pipeline.run(frames)
         assert result.risk_scenarios == []
         # with no conflict vehicles every component stays unavailable
-        assert all(v.empty for vectors in result.vectors_by_ped.values() for v in vectors)
+        assert all(v == PPetVector() for vectors in result.vectors_by_ped.values() for v in vectors)
 
     def test_deterministic_rerun(self, scenario):
         frames, _ = scenario

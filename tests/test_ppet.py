@@ -120,8 +120,6 @@ class TestPpet:
         assert vec.component("closer", ConflictScenario.PEDESTRIAN_FIRST) == 1.0
         assert vec.component("closer", ConflictScenario.VEHICLE_FIRST) is None
         assert vec.component("further", ConflictScenario.PEDESTRIAN_FIRST) == -2.0
-        assert not vec.empty
-        assert PPetVector().empty
 
 
 class TestEstimateSetInvariants:
