@@ -359,7 +359,8 @@ def grid_search(
 
     A seeded, label-independent shuffle reserves test_fraction of the
     episodes for final metrics; the grid only ever sees the remaining search
-    set. Every category found in the search set is calibrated independently.
+    set. Every category found in the search set is calibrated independently
+    and needs at least k search episodes.
     """
     if not episodes:
         raise TooFewEpisodes("no episodes to calibrate on")
@@ -376,6 +377,11 @@ def grid_search(
     categories: dict[AgentCategory, CategoryThresholds] = {}
     for category in sorted({e.category for e in search_set}, key=int):
         cat_episodes = [e for e in search_set if e.category == category]
+        if len(cat_episodes) < k:
+            raise TooFewEpisodes(
+                f"category {int(category)}: {len(cat_episodes)} search episodes after the "
+                f"{test_fraction:.0%} test hold-out, fewer than k = {k} folds"
+            )
         roles: dict[AreaRole, RoleThresholds] = {}
         for role, areas in MODE_ROLES[mode].items():
             best = _search_role(cat_episodes, grid, role, areas, k, seed, rows)

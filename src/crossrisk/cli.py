@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import gc
 import json
 import sys
@@ -26,13 +27,7 @@ from .pipeline import (
     write_risk_scenarios,
     write_trace_csv,
 )
-from .predictors import (
-    AgentAnnotation,
-    TrainedModelBundle,
-    TrainingConfig,
-    build_labeled_dataset,
-    train_bundle,
-)
+from .predictors import TrainedModelBundle, TrainingConfig, build_labeled_dataset, train_bundle
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
 from .risk import RiskThresholdConfig
 from .stream import StreamRow, agent_trajectories, load_stream, read_stream_rows, target_line_table, write_stream_csv
@@ -96,30 +91,13 @@ def cmd_homography(args: argparse.Namespace) -> int:
 # --- build-dataset ------------------------------------------------------------------
 
 
-def _annotations_from_truth(truth: GroundTruth) -> dict[str, AgentAnnotation]:
-    notes = {}
-    for agent_id, agent in truth.agents.items():
-        levels = [
-            int(level)
-            for (ped_id, _), level in truth.risk.items()
-            if ped_id == agent_id
-        ]
-        notes[agent_id] = AgentAnnotation(
-            awareness=agent.awareness,
-            reaction=agent.reaction,
-            risk_level=max(levels) if levels else 1,
-        )
-    return notes
-
-
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     area_map = _load_area_map(args.area_map)
     frames, _ = load_stream(args.stream, args.tile_grid)
-    annotations = None
-    if args.truth:
-        annotations = _annotations_from_truth(GroundTruth.load(args.truth))
+    truth = GroundTruth.load(args.truth) if args.truth else GroundTruth()
+    awareness = {agent_id: agent.awareness for agent_id, agent in truth.agents.items()}
     trajectories = agent_trajectories(frames)
-    samples = build_labeled_dataset(trajectories, area_map, annotations=annotations)
+    samples = build_labeled_dataset(trajectories, area_map, awareness=awareness)
     write_samples_jsonl(args.out, samples)
     print(f"build-dataset: {len(samples)} samples from {len(trajectories)} trajectories")
     return EXIT_OK
@@ -308,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("homography", help="Solve per-tile projective maps from anchors")
     p.add_argument("--anchors", required=True, help="Anchor tiles JSON")
     p.add_argument("--out", required=True, help="Tile-grid output JSON")
-    p.set_defaults(func=cmd_homography)
+    p.set_defaults(func=cmd_homography, file_outputs=("out",))
 
     p = sub.add_parser("build-dataset", help="Windows + arrival-time labels")
     p.add_argument("--stream", required=True)
@@ -316,14 +294,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="Ground-truth JSON with annotations")
     p.add_argument("--tile-grid", help="Tile grid for pixel streams")
     p.add_argument("--out", required=True, help="Labeled samples JSONL output")
-    p.set_defaults(func=cmd_build_dataset)
+    p.set_defaults(func=cmd_build_dataset, file_outputs=("out",))
 
     p = sub.add_parser("train", parents=[seeded], help="Train and select per-pair predictors")
     p.add_argument("--dataset", required=True)
     p.add_argument("--config", help="Training config JSON")
     p.add_argument("--out", required=True, help="Model bundle output JSON")
     p.add_argument("--report", help="Validation MAE report JSON")
-    p.set_defaults(func=cmd_train)
+    p.set_defaults(func=cmd_train, file_outputs=("out", "report"))
 
     p = sub.add_parser("evaluate", help="Streaming risk evaluation")
     p.add_argument("--stream", required=True)
@@ -343,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="Calibration report JSON")
     p.add_argument("--thresholds-out", help="Write the best config as a threshold file")
     p.add_argument("--points-csv", help="Per-grid-point accuracies CSV")
-    p.set_defaults(func=cmd_tune)
+    p.set_defaults(func=cmd_tune, file_outputs=("out", "thresholds_out", "points_csv"))
 
     p = sub.add_parser("replay", help="Timed replay of a stream")
     p.add_argument("--stream", required=True)
@@ -357,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--assert-p99", type=float, default=None, metavar="MS",
                    help="Fail (exit 3) when the per-frame safety evaluation p99 >= MS")
     p.add_argument("--out", help="Latency report JSON")
-    p.set_defaults(func=cmd_replay)
+    p.set_defaults(func=cmd_replay, file_outputs=("out",))
 
     p = sub.add_parser("metrics", help="Classification metrics")
     p.add_argument("--tp", type=int)
@@ -372,10 +350,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_file_outputs(args: argparse.Namespace) -> None:
+    """Raise IsADirectoryError for a file output of the command that names an
+    existing directory, before the command reads anything."""
+    for dest in getattr(args, "file_outputs", ()):
+        path = getattr(args, dest)
+        if path is not None and Path(path).is_dir():
+            raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_file_outputs(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,17 +1,9 @@
 """Arrival-time prediction: the constant-velocity baseline, the recurrent
 regressor, labeled-dataset construction, training and model selection."""
 
-from .base import ARRIVAL_TIME_CAP_S, ArrivalPrediction, TargetLocation
 from .bundle import ALL_PAIRS, InferenceView, TrainedModelBundle
-from .dataset import (
-    AgentAnnotation,
-    Awareness,
-    LabeledSample,
-    Reaction,
-    build_labeled_dataset,
-    targets_for_agent,
-)
-from .historical import HistoricalAveragePredictor, arrival_time, average_velocity, direction_vector
+from .dataset import Awareness, LabeledSample, build_labeled_dataset, targets_for_agent
+from .historical import ARRIVAL_TIME_CAP_S, HistoricalAveragePredictor, arrival_time, average_velocity, direction_vector
 from .recurrent import RecurrentRegressor, window_features
 from .training import (
     TrainingConfig,
@@ -26,15 +18,11 @@ from .training import (
 __all__ = [
     "ARRIVAL_TIME_CAP_S",
     "ALL_PAIRS",
-    "AgentAnnotation",
-    "ArrivalPrediction",
     "Awareness",
     "HistoricalAveragePredictor",
     "InferenceView",
     "LabeledSample",
-    "Reaction",
     "RecurrentRegressor",
-    "TargetLocation",
     "TrainedModelBundle",
     "TrainingConfig",
     "arrival_time",

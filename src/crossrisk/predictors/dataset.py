@@ -26,7 +26,6 @@ from ..stream import (
     infer_direction,
     target_lines,
 )
-from .base import TargetLocation
 
 log = logging.getLogger(__name__)
 
@@ -36,46 +35,32 @@ class Awareness(IntEnum):
     NOTICED = 1
 
 
-class Reaction(IntEnum):
-    NONE = 0
-    DECELERATE = 1
-    ACCELERATE = 2
-
-
-@dataclass(frozen=True)
-class AgentAnnotation:
-    """Reviewer-provided context attached to every sample of one agent."""
-
-    awareness: Awareness = Awareness.DID_NOT_NOTICE
-    reaction: Reaction = Reaction.NONE
-    risk_level: int = 1
-
-
 @dataclass(frozen=True)
 class LabeledSample:
-    """A sliding window with the true seconds-to-target at its end point."""
+    """A sliding window with the true seconds to its agent's target line q,
+    `line`, at its end point."""
 
     window: SlidingWindowTrajectory
     arrival_time: float
-    category: AgentCategory
-    q: TargetLocation
+    q: int
+    line: TargetLine
     awareness: Awareness = Awareness.DID_NOT_NOTICE
-    reaction: Reaction = Reaction.NONE
-    risk_level: int = 1
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.arrival_time) or self.arrival_time < 0.0:
             raise ValueError(f"arrival time must be finite and >= 0, got {self.arrival_time}")
-        if not 0 <= self.q.q < self.category.target_count:
-            raise ValueError(f"q={self.q.q} invalid for category {int(self.category)}")
-        if self.risk_level not in (0, 1, 2):
-            raise ValueError(f"risk level must be 0, 1 or 2, got {self.risk_level}")
+        if not 0 <= self.q < self.category.target_count:
+            raise ValueError(f"q={self.q} invalid for category {int(self.category)}")
+
+    @property
+    def category(self) -> AgentCategory:
+        return self.window.category
 
 
 def targets_for_agent(
     trajectory: Sequence[Observation], area_map: AreaMap
-) -> list[TargetLocation]:
-    """Standard target locations for one agent's complete trajectory: its
+) -> list[tuple[int, TargetLine]]:
+    """Standard (q, line) targets for one agent's complete trajectory: its
     target_lines, a pedestrian's in the crossing direction inferred from the
     full trajectory (none when that is unknown)."""
     category = trajectory[0].category
@@ -84,30 +69,31 @@ def targets_for_agent(
         lines = target_lines(area_map, category, direction)
     except UnknownDirection:
         return []
-    return [TargetLocation(q, line) for q, line in enumerate(lines)]
+    return list(enumerate(lines))
 
 
 def build_labeled_dataset(
     trajectories: Sequence[Sequence[Observation]],
     area_map: AreaMap,
-    targets: Sequence[TargetLocation] | None = None,
-    annotations: Mapping[str, AgentAnnotation] | None = None,
+    targets: Sequence[tuple[int, TargetLine]] | None = None,
+    awareness: Mapping[str, Awareness] | None = None,
 ) -> list[LabeledSample]:
     """Emit every pre-crossing sliding window paired with its arrival time.
 
     For each trajectory and each target q the label of window j is the
     crossing time minus the window-end time; windows ending after the agent
     passed q are excluded. Trajectories that never reach a target are skipped
-    for that target and logged. Each trajectory's time and position arrays
+    for that target and logged. An agent missing from `awareness` did not
+    notice the threat. Each trajectory's time and position arrays
     are built once; its windows are slices of them.
     """
-    annotations = annotations or {}
+    awareness = awareness or {}
     samples: list[LabeledSample] = []
     for trajectory in trajectories:
         if len(trajectory) < WINDOW_SIZE:
             continue
         agent_id, category = trajectory[0].agent_id, trajectory[0].category
-        note = annotations.get(agent_id, AgentAnnotation())
+        noticed = awareness.get(agent_id, Awareness.DID_NOT_NOTICE)
         agent_targets = list(targets) if targets is not None else targets_for_agent(trajectory, area_map)
         if not agent_targets:
             log.info("agent %s skipped: no resolvable targets", agent_id)
@@ -117,10 +103,10 @@ def build_labeled_dataset(
         positions = np.array([(o.position.x, o.position.y) for o in trajectory])
         # the windows are overlapping views of these arrays
         times.flags.writeable = positions.flags.writeable = False
-        crossings = crossing_times([target.line for target in agent_targets], times, positions)
-        for target, t_cross in zip(agent_targets, crossings):
+        crossings = crossing_times([line for _, line in agent_targets], times, positions)
+        for (q, line), t_cross in zip(agent_targets, crossings):
             if t_cross is None:
-                log.info("agent %s never crosses q=%d", agent_id, target.q)
+                log.info("agent %s never crosses q=%d", agent_id, q)
                 continue
             for j in range(len(trajectory) - WINDOW_SIZE + 1):
                 end = j + WINDOW_SIZE
@@ -135,11 +121,9 @@ def build_labeled_dataset(
                             agent_id, category, frames[j], times[j:end], positions[j:end]
                         ),
                         arrival_time=t_cross - t_end,
-                        category=category,
-                        q=target,
-                        awareness=note.awareness,
-                        reaction=note.reaction,
-                        risk_level=note.risk_level,
+                        q=q,
+                        line=line,
+                        awareness=noticed,
                     )
                 )
     return samples
@@ -148,7 +132,7 @@ def build_labeled_dataset(
 # --- labeled-samples file (JSON lines, one agent per line) -------------------
 
 SAMPLES_FORMAT = "crossrisk-samples"
-SAMPLES_VERSION = 2
+SAMPLES_VERSION = 3
 _HEADER = json.dumps({"format": SAMPLES_FORMAT, "version": SAMPLES_VERSION}, sort_keys=True)
 _WINDOW_ROWS = np.arange(WINDOW_SIZE)
 
@@ -176,9 +160,9 @@ def _agent_doc(samples: Sequence[LabeledSample]) -> dict:
     first frames and arrival times."""
     head = samples[0]
     agent_id = head.window.agent_id
-    context = (head.category, head.awareness, head.reaction, head.risk_level)
-    if any((s.category, s.awareness, s.reaction, s.risk_level) != context for s in samples):
-        raise ValueError(f"agent {agent_id}: samples carry different category or annotation")
+    context = (head.category, head.awareness)
+    if any((s.category, s.awareness) != context for s in samples):
+        raise ValueError(f"agent {agent_id}: samples carry different category or awareness")
     first_frames = np.array([s.window.first_frame for s in samples], dtype=np.int64)
     times = np.stack([s.window.times for s in samples]).astype(float, copy=False)
     positions = np.stack([s.window.positions for s in samples]).astype(float, copy=False)
@@ -196,12 +180,11 @@ def _agent_doc(samples: Sequence[LabeledSample]) -> dict:
         raise ValueError(f"agent {agent_id}: windows disagree at a shared frame")
     kind = _kind(head.category)
     targets = []
-    for start, end in _runs([s.q for s in samples], f"target of agent {agent_id}"):
-        q = samples[start].q
-        line = q.line
+    for start, end in _runs([(s.q, s.line) for s in samples], f"target of agent {agent_id}"):
+        q, line = samples[start].q, samples[start].line
         targets.append({
             "kind": kind,
-            "q": q.q,
+            "q": q,
             "line": {"p0": [line.p0.x, line.p0.y], "p1": [line.p1.x, line.p1.y], "normal": list(line.normal)},
             "first_frames": first_frames[start:end].tolist(),
             "arrival_time": [s.arrival_time for s in samples[start:end]],
@@ -210,8 +193,6 @@ def _agent_doc(samples: Sequence[LabeledSample]) -> dict:
         "agent_id": agent_id,
         "category": int(head.category),
         "awareness": int(head.awareness),
-        "reaction": int(head.reaction),
-        "risk_level": head.risk_level,
         "frames": frames.tolist(),
         "t": t.tolist(),
         "x": xy[:, 0].tolist(),
@@ -221,13 +202,13 @@ def _agent_doc(samples: Sequence[LabeledSample]) -> dict:
 
 
 def write_samples_jsonl(path: str, samples: Sequence[LabeledSample]) -> None:
-    """Write a version-2 labeled-samples file: a header line, then one line
+    """Write a version-3 labeled-samples file: a header line, then one line
     per agent holding its points once and its windows as first frames.
 
     Raises ValueError, before writing anything, unless each agent's samples
     and each target's samples within an agent are contiguous (as
     build_labeled_dataset emits them), and unless an agent's windows agree
-    bit for bit at every shared frame and carry one category and annotation.
+    bit for bit at every shared frame and carry one category and awareness.
     """
     agents = [s.window.agent_id for s in samples]
     lines = [_HEADER]
@@ -248,8 +229,7 @@ def _int_array(values: Sequence, what: str) -> np.ndarray:
 def _parse_agent(doc: Mapping) -> list[LabeledSample]:
     agent_id = doc["agent_id"]
     category = AgentCategory(int(doc["category"]))
-    awareness, reaction = Awareness(int(doc["awareness"])), Reaction(int(doc["reaction"]))
-    risk_level = int(doc["risk_level"])
+    awareness = Awareness(int(doc["awareness"]))
     points = [doc[key] for key in ("frames", "t", "x", "y")]
     n = len(points[0])
     if any(len(p) != n for p in points):
@@ -276,7 +256,7 @@ def _parse_agent(doc: Mapping) -> list[LabeledSample]:
             WorldPoint(*map(float, target["line"]["p1"])),
             (float(target["line"]["normal"][0]), float(target["line"]["normal"][1])),
         )
-        q = TargetLocation(int(target["q"]), line)
+        q = int(target["q"])
         first_frames, arrivals = _int_array(target["first_frames"], "first_frames"), target["arrival_time"]
         if len(first_frames) != len(arrivals):
             raise ValueError(f"{len(first_frames)} first_frames but {len(arrivals)} arrival times")
@@ -299,11 +279,9 @@ def _parse_agent(doc: Mapping) -> list[LabeledSample]:
                         agent_id, category, first_frame, times[i:end], positions[i:end]
                     ),
                     arrival_time=float(arrival),
-                    category=category,
                     q=q,
+                    line=line,
                     awareness=awareness,
-                    reaction=reaction,
-                    risk_level=risk_level,
                 )
             )
     return samples
@@ -326,11 +304,11 @@ def _check_header(path: str, raw: str) -> None:
 
 
 def read_samples_jsonl(path: str) -> list[LabeledSample]:
-    """Read a version-2 labeled-samples file back into the samples written,
+    """Read a version-3 labeled-samples file back into the samples written,
     in their order; each window is a read-only 30-row slice of its agent's
     arrays.
 
-    A first line other than the version-2 header, or an agent line that is
+    A first line other than the version-3 header, or an agent line that is
     not valid JSON, lacks a key, has frames/t/x/y of unequal length or fewer
     than WINDOW_SIZE points, a non-finite or non-increasing time, a
     non-finite coordinate, non-increasing frames, a target whose kind

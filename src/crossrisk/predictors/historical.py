@@ -16,9 +16,12 @@ import numpy as np
 from ..errors import NoApproach, NonPositiveVelocity, PredictionError, ZeroDisplacement
 from ..geometry import TargetLine, signed_distance_to_line
 from ..stream import SlidingWindowTrajectory
-from .base import ARRIVAL_TIME_CAP_S, ArrivalPrediction
 
 VELOCITY_FLOOR = 1e-6  # m/s; below this the agent is not approaching
+
+# Near-tangential approaches produce huge finite times; cap well beyond any
+# plausible conflict horizon so they cannot distort downstream differences.
+ARRIVAL_TIME_CAP_S = 60.0
 
 
 def direction_vector(window: SlidingWindowTrajectory) -> tuple[np.ndarray, float, float]:
@@ -144,5 +147,5 @@ class HistoricalAveragePredictor:
 
     name: ClassVar[str] = "historical_average"
 
-    def predict(self, window: SlidingWindowTrajectory, line: TargetLine) -> ArrivalPrediction:
-        return ArrivalPrediction(arrival_time(window, line), self.name)
+    def predict(self, window: SlidingWindowTrajectory, line: TargetLine) -> float:
+        return arrival_time(window, line)

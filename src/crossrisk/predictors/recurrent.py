@@ -15,7 +15,6 @@ import numpy as np
 from ..errors import NonFiniteGradient, NonFiniteParameters
 from ..geometry import TargetLine
 from ..stream import SlidingWindowTrajectory
-from .base import ArrivalPrediction
 
 INPUT_SIZE = 3
 
@@ -171,9 +170,8 @@ class GruStack:
         step's input products come from one call before the loop, still one
         (1, 3) @ (3, H) product per window, step and gate: a (T, 3) @ (3, H)
         product per window would run a matrix-matrix kernel and move bits.
-        So each output has the bits of a G = 1 pass. Raises ValueError, as
-        ArrivalPrediction does, when an output is not a finite, non-negative
-        number of seconds.
+        So each output has the bits of a G = 1 pass. Raises ValueError when
+        an output is not a finite, non-negative number of seconds.
         """
         w = {name: np.take(v, rows, axis=-3) for name, v in self.w.items()}
         x = (np.asarray(features, dtype=float) - self.mean[rows]) / self.std[rows]
@@ -330,10 +328,10 @@ class RecurrentRegressor:
         pass of this model alone."""
         return float(GruStack([self]).predict([0], features[None, :, :])[0])
 
-    def predict(self, window: SlidingWindowTrajectory, line: TargetLine | None = None) -> ArrivalPrediction:
-        """Arrival prediction for one window; the line argument is unused but
+    def predict(self, window: SlidingWindowTrajectory, line: TargetLine | None = None) -> float:
+        """Arrival seconds for one window; the line argument is unused but
         keeps the predictor call signature uniform with the baseline."""
-        return ArrivalPrediction(self.predict_features(window_features(window)), self.name)
+        return self.predict_features(window_features(window))
 
     # -- backward ---------------------------------------------------------------
 
@@ -395,8 +393,8 @@ class RecurrentRegressor:
         """Mean absolute error over a raw-feature batch.
 
         Runs the forward pass without the backpropagation cache. Raises
-        ValueError, as ArrivalPrediction does for one window, when a
-        prediction is not a finite, non-negative number of seconds.
+        ValueError, as the stacked pass does, when a prediction is not a
+        finite, non-negative number of seconds.
         """
         y = self._forward(features, None)[0]
         if not np.all(np.isfinite(y) & (y >= 0.0)):

@@ -10,10 +10,9 @@ import numpy as np
 
 from ..errors import DatasetTooSmall, DivergedLoss, PredictionError
 from ..stream import AgentCategory
-from .base import ARRIVAL_TIME_CAP_S
 from .bundle import ALL_PAIRS, SPLIT_RATIO, Predictor, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
-from .historical import HistoricalAveragePredictor, stacked_arrival_times
+from .historical import ARRIVAL_TIME_CAP_S, HistoricalAveragePredictor, stacked_arrival_times
 from .recurrent import RecurrentRegressor, stacked_features
 
 log = logging.getLogger(__name__)
@@ -171,7 +170,7 @@ def evaluate_mae(predictor: Predictor, samples: Sequence[LabeledSample]) -> floa
         raise ValueError("cannot evaluate on an empty sample list")
     if isinstance(predictor, RecurrentRegressor):
         return predictor.batch_mae(*_features_and_targets(samples))
-    seconds = stacked_arrival_times([(s.window, s.q.line) for s in samples])
+    seconds = stacked_arrival_times([(s.window, s.line) for s in samples])
     predicted = [ARRIVAL_TIME_CAP_S if isinstance(v, PredictionError) else v for v in seconds]
     return float(np.mean([abs(p - s.arrival_time) for p, s in zip(predicted, samples)]))
 
@@ -215,7 +214,7 @@ def train_bundle(
     """
     groups: dict[tuple[AgentCategory, int], list[LabeledSample]] = {}
     for s in samples:
-        groups.setdefault((s.category, s.q.q), []).append(s)
+        groups.setdefault((s.category, s.q), []).append(s)
 
     bundle = TrainedModelBundle(predictors={}, validation_mae={})
     report = {}

@@ -257,10 +257,10 @@ def step_evaluate(
 
     Each conflict area contributes at most one increment per frame, to the
     counter of the role that judges it, even when both of its scenario
-    components are in range. A counter strictly exceeding its limit flags
-    Risk 2 once per role and episode and emits the scenario snapshot of the
-    area whose increment crossed it, with that area's conflict vehicle
-    (id, position), or none.
+    components are in range. The increment that brings a role's counter to
+    limit + 1 (it grows by one and is cleared with the episode) flags Risk 2,
+    once per role and episode, and emits the scenario snapshot of its area,
+    with that area's conflict vehicle (id, position), or none.
     """
     thresholds = config.for_category(state.category)
     if not in_evaluation_zone(state.current_area):
@@ -275,8 +275,7 @@ def step_evaluate(
             count = state.risk_counters.get(role.value, 0) + 1
             state.risk_counters[role.value] = count
             decisions.append(Decision(DecisionKind.COUNTER_INCREMENTED, area))
-            if count > role_thresholds.limit and not state.flagged_risk2.get(role.value, False):
-                state.flagged_risk2[role.value] = True
+            if count == role_thresholds.limit + 1:
                 veh_id, veh_position = conflict_vehicles.get(area, ("", ped_position))
                 decisions.append(
                     Decision(

@@ -286,11 +286,6 @@ class PedestrianState:
     direction: Direction = Direction.UNKNOWN
     episode: int = 0
     risk_counters: dict[str, int] = field(default_factory=dict)
-    flagged_risk2: dict[str, bool] = field(default_factory=dict)
-
-    def reset_counters(self) -> None:
-        self.risk_counters.clear()
-        self.flagged_risk2.clear()
 
 
 def _check_continues(category: AgentCategory, last_t: float, obs: Observation) -> None:
@@ -420,7 +415,7 @@ class StreamEngine:
             )
             if left_conflict:
                 state.status = PedestrianStatus.EXITED
-                state.reset_counters()
+                state.risk_counters.clear()
                 buf.clear()
             return
 
@@ -431,7 +426,7 @@ class StreamEngine:
         if enters:
             state.status = PedestrianStatus.TARGET
             state.episode += 1
-            state.reset_counters()
+            state.risk_counters.clear()
 
 
 # --- stream files -------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from enum import IntEnum
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .geometry import (
     vehicle_line_name,
 )
 from .ppet import pet
-from .predictors.dataset import Awareness, Reaction
+from .predictors.dataset import Awareness
 from .risk import AREAS, RiskLevel, in_evaluation_zone
 from .stream import (
     FPS,
@@ -204,6 +205,12 @@ class ScenarioSpec:
 
 
 # --- ground truth ---------------------------------------------------------------
+
+
+class Reaction(IntEnum):
+    NONE = 0
+    DECELERATE = 1
+    ACCELERATE = 2
 
 
 @dataclass

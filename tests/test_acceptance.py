@@ -22,11 +22,7 @@ from crossrisk.cli import EXIT_OK, main
 from crossrisk.geometry import PixelPoint, WorldPoint, project_point, solve_homography
 from crossrisk.pipeline import RiskPipeline, latency_report
 from crossrisk.ppet import ArrivalEstimateSet, ppet
-from crossrisk.predictors import (
-    TargetLocation,
-    TrainingConfig,
-    build_labeled_dataset,
-)
+from crossrisk.predictors import TrainingConfig, build_labeled_dataset
 from crossrisk.predictors.historical import HistoricalAveragePredictor, arrival_time
 from crossrisk.predictors.recurrent import PARAM_NAMES, RecurrentRegressor
 from crossrisk.predictors.training import evaluate_mae, split_samples, train
@@ -119,7 +115,7 @@ def test_criterion_03_learned_beats_baseline_on_deceleration():
     baseline on decelerating pedestrians."""
     start = time.perf_counter()
     area_map = reference_area_map()
-    q2 = TargetLocation(2, area_map.line("ped_ltr_q2"))
+    q2 = (2, area_map.line("ped_ltr_q2"))
     rng = np.random.default_rng(3003)
     trajectories = [
         _decelerating_trajectory(f"d{k}", float(rng.uniform(0.03, 0.10))) for k in range(24)

@@ -107,7 +107,9 @@ class TestBuildDatasetAndTrain:
         ])
         assert code == EXIT_OK
         header, *agents = [json.loads(line) for line in out.read_text().splitlines()]
-        assert header == {"format": "crossrisk-samples", "version": 2}
+        assert header == {"format": "crossrisk-samples", "version": 3}
+        assert {tuple(sorted(agent)) for agent in agents} == {
+            ("agent_id", "awareness", "category", "frames", "t", "targets", "x", "y")}
         samples = [f for agent in agents for target in agent["targets"] for f in target["first_frames"]]
         assert samples
 
@@ -127,17 +129,17 @@ class TestBuildDatasetAndTrain:
         for agent_id, traj in by_agent.items():
             if len(traj) < WINDOW_SIZE:
                 continue
-            for target in targets_for_agent(traj, area_map):
+            for _, line in targets_for_agent(traj, area_map):
                 xs = [(o.position.x, o.position.y) for o in traj]
                 ts = [o.t for o in traj]
                 t_cross = None
                 for i in range(1, len(traj)):
-                    d_prev = (target.line.p0.x - xs[i - 1][0]) * target.line.normal[0] + (
-                        target.line.p0.y - xs[i - 1][1]
-                    ) * target.line.normal[1]
-                    d_cur = (target.line.p0.x - xs[i][0]) * target.line.normal[0] + (
-                        target.line.p0.y - xs[i][1]
-                    ) * target.line.normal[1]
+                    d_prev = (line.p0.x - xs[i - 1][0]) * line.normal[0] + (
+                        line.p0.y - xs[i - 1][1]
+                    ) * line.normal[1]
+                    d_cur = (line.p0.x - xs[i][0]) * line.normal[0] + (
+                        line.p0.y - xs[i][1]
+                    ) * line.normal[1]
                     if d_prev > 0 >= d_cur:
                         t_cross = ts[i - 1] + (ts[i] - ts[i - 1]) * d_prev / (d_prev - d_cur)
                         break
@@ -160,7 +162,7 @@ class TestBuildDatasetAndTrain:
             "--area-map", str(gen_dir / "area_map.json"), "--out", str(out),
         ])
         assert code == EXIT_OK
-        assert out.read_text() == '{"format": "crossrisk-samples", "version": 2}\n'
+        assert out.read_text() == '{"format": "crossrisk-samples", "version": 3}\n'
         from crossrisk.predictors.dataset import read_samples_jsonl
 
         assert read_samples_jsonl(str(out)) == []
@@ -836,6 +838,17 @@ def test_fewer_than_one_fold_is_input_error(k, tmp_path, capsys):
     assert f"k = {k} folds" in capsys.readouterr().err
 
 
+def test_too_few_search_episodes_names_the_category(tmp_path, capsys):
+    """40 planted adult episodes leave 32 to search after the 20% test
+    hold-out, fewer than 40 folds."""
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    assert _tune_or_metrics("tune", trace_path, truth_path, tmp_path, k="40") == EXIT_INPUT
+    assert (
+        "error: category 0: 32 search episodes after the 20% test hold-out, fewer than k = 40 folds"
+        in capsys.readouterr().err
+    )
+
+
 @pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
 @pytest.mark.parametrize("t", ["0.0333", "0.02"], ids=["repeated", "backward"])
 def test_non_increasing_time_is_input_error(command, t, tmp_path, capsys):
@@ -854,7 +867,7 @@ def test_non_increasing_time_is_input_error(command, t, tmp_path, capsys):
 def _samples_file(tmp_path):
     """A labeled-samples file of one adult's windows before it crosses q0."""
     from crossrisk.geometry import WorldPoint
-    from crossrisk.predictors import TargetLocation, build_labeled_dataset
+    from crossrisk.predictors import build_labeled_dataset
     from crossrisk.predictors.dataset import write_samples_jsonl
     from crossrisk.stream import AgentCategory, Observation
 
@@ -863,7 +876,7 @@ def _samples_file(tmp_path):
         Observation(i, i / 30.0, "a0", AgentCategory.ADULT, WorldPoint(-2.0 + 0.05 * i, 1.0))
         for i in range(45)
     ]
-    target = TargetLocation(0, area_map.line("ped_ltr_q0"))
+    target = (0, area_map.line("ped_ltr_q0"))
     samples = build_labeled_dataset([traj], area_map, targets=[target])
     path = tmp_path / "samples.jsonl"
     write_samples_jsonl(str(path), samples)
@@ -952,8 +965,12 @@ def test_malformed_sample_is_input_error(case, tmp_path, capsys):
     assert message in err
 
 
-@pytest.mark.parametrize("first_line", ["", "{}", '{"format": "crossrisk-samples", "version": 1}', "not json"])
-def test_samples_file_without_version_2_header_is_input_error(first_line, tmp_path, capsys):
+@pytest.mark.parametrize(
+    "first_line",
+    ["", "{}", '{"format": "crossrisk-samples", "version": 1}', '{"format": "crossrisk-samples", "version": 2}',
+     "not json"],
+)
+def test_samples_file_without_version_3_header_is_input_error(first_line, tmp_path, capsys):
     path, _ = _samples_file(tmp_path)
     lines = path.read_text(encoding="utf-8").splitlines()
     path.write_text("\n".join([first_line, *lines[1:]]) + "\n", encoding="utf-8")
@@ -965,14 +982,15 @@ def test_samples_file_without_version_2_header_is_input_error(first_line, tmp_pa
 
 def test_one_window_per_line_samples_file_is_input_error(tmp_path, capsys):
     """A file in the format before version 2 (one window per line, no
-    header) is rejected at its first line."""
+    header, a reaction and a risk level on each window) is rejected at its
+    first line."""
     path, _ = _samples_file(tmp_path)
     agent = json.loads(path.read_text(encoding="utf-8").splitlines()[1])
     target = agent["targets"][0]
     window = {
         "agent_id": agent["agent_id"], "category": agent["category"], "kind": target["kind"],
         "q": target["q"], "arrival_time": target["arrival_time"][0], "awareness": agent["awareness"],
-        "reaction": agent["reaction"], "risk_level": agent["risk_level"],
+        "reaction": 0, "risk_level": 1,
         "first_frame": target["first_frames"][0], "t": agent["t"][:30], "x": agent["x"][:30],
         "y": agent["y"][:30], "line": target["line"],
     }
@@ -1201,7 +1219,7 @@ def _well_formed_inputs(tmp_path):
     save_tile_grid(str(files["tile_grid.json"]), reference_tile_grid())
     files["stream.csv"].write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
     files["pixels.csv"].write_text("frame,t,id,category,u,v\n0,0.0,a0,0,640.0,400.0\n", encoding="utf-8")
-    files["samples.jsonl"].write_text('{"format": "crossrisk-samples", "version": 2}\n', encoding="utf-8")
+    files["samples.jsonl"].write_text('{"format": "crossrisk-samples", "version": 3}\n', encoding="utf-8")
     files["grid.json"].write_text(json.dumps(_SMALL_GRID), encoding="utf-8")
     paths = {name.split(".")[0]: str(path) for name, path in files.items()}
     return {**paths, "trace": str(trace), "truth": str(truth), "tmp": str(tmp_path)}
@@ -1236,7 +1254,7 @@ _UNREADABLE = {
     "area-map-areas-array": ("area map", b'{"areas": [], "target_lines": {}}'),
     "stream-0xff": ("stream", b"frame,t,id,category,x,y\n0,0.0,a\xff,0,3.0,1.0\n"),
     "trace-0xff": ("trace file", b"frame,ped_id,veh_id,area,c_pf,c_vf,f_pf,f_vf\n0,p\xff,v0,closer,1.0,,,\n"),
-    "dataset-0xff": ("labeled samples", b'{"format": "crossrisk-samples", "version": 2}\n\xff\n'),
+    "dataset-0xff": ("labeled samples", b'{"format": "crossrisk-samples", "version": 3}\n\xff\n'),
     **{f"missing-{reader.replace(' ', '-')}": (reader, None) for reader in _READERS},
 }
 
@@ -1274,10 +1292,22 @@ def test_output_into_a_missing_directory_creates_it(command, tmp_path):
         arg.rsplit("/", 1)[1] for arg in _WRITERS[command] if arg.startswith("{new}/")}
 
 
-def test_output_path_that_cannot_be_written_is_input_error_naming_it(tmp_path, capsys):
+def test_output_path_that_cannot_be_written_is_input_error_naming_it(tmp_path, capsys, monkeypatch):
+    """Each file output of _WRITERS that names an existing directory exits 2
+    before the command's work: replay runs no frame, tune searches no grid.
+    An output the process may not write is not tested: root writes any file."""
+    from crossrisk import cli
+    from crossrisk.pipeline import RiskPipeline
+
+    work = []
+    monkeypatch.setattr(RiskPipeline, "process_frame", lambda *args: work.append("frame"))
+    monkeypatch.setattr(cli, "grid_search", lambda *args, **kwargs: work.append("grid"))
     inputs = _well_formed_inputs(tmp_path)
-    argv = [arg.format(new=tmp_path, **inputs) for arg in _WRITERS["replay"]]
-    argv[-1] = str(tmp_path)  # a directory
-    capsys.readouterr()
-    assert main(argv) == EXIT_INPUT
-    assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    for command, template in _WRITERS.items():
+        argv = [arg.format(new=tmp_path / "new", **inputs) for arg in template]
+        for i in [i for i, arg in enumerate(template) if arg.startswith("{new}/")]:
+            capsys.readouterr()
+            assert main([*argv[:i], str(tmp_path), *argv[i + 1:]]) == EXIT_INPUT, (command, template[i - 1])
+            assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
+    assert work == []
+    assert not (tmp_path / "new").exists()

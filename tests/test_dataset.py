@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from crossrisk.geometry import TargetLine, WorldPoint, pedestrian_line_name, vehicle_line_name
-from crossrisk.predictors import TargetLocation
 from crossrisk.predictors.dataset import (
-    AgentAnnotation,
     Awareness,
     LabeledSample,
-    Reaction,
     build_labeled_dataset,
     read_samples_jsonl,
     targets_for_agent,
@@ -54,7 +51,7 @@ class TestBuildLabeledDataset:
         # window 0 ends at x = 29/30; line 5 m further; 1 m/s -> label 5.0 s
         traj = straight_trajectory("a0", 0.0, 1.0, 220)
         end_x = 29 / FPS
-        target = TargetLocation(1, vline(end_x + 5.0))
+        target = (1, vline(end_x + 5.0))
         samples = build_labeled_dataset([traj], None, targets=[target])
         assert samples[0].arrival_time == pytest.approx(5.0, rel=1e-12)
 
@@ -62,7 +59,7 @@ class TestBuildLabeledDataset:
         # 45-point trajectory crossing exactly at its last sample: every
         # window is pre-crossing, so 45 - 30 + 1 = 16 samples
         traj = straight_trajectory("a0", 0.0, 1.0, 45)
-        target = TargetLocation(1, vline(44 / FPS))
+        target = (1, vline(44 / FPS))
         samples = build_labeled_dataset([traj], None, targets=[target])
         assert len(samples) == 16
 
@@ -73,7 +70,7 @@ class TestBuildLabeledDataset:
             for k in range(5)
         ]
         line_x = 6.0
-        target = TargetLocation(1, vline(line_x))
+        target = (1, vline(line_x))
         samples = build_labeled_dataset(trajs, None, targets=[target])
         assert samples
         by_agent = {t[0].agent_id: t for t in trajs}
@@ -84,7 +81,7 @@ class TestBuildLabeledDataset:
     def test_windows_after_crossing_excluded(self):
         traj = straight_trajectory("a0", 0.0, 1.0, 150)
         line_x = 2.0
-        target = TargetLocation(1, vline(line_x))
+        target = (1, vline(line_x))
         samples = build_labeled_dataset([traj], None, targets=[target])
         t_cross = crossing_oracle(traj, line_x)
         assert all(s.window.times[-1] <= t_cross for s in samples)
@@ -92,7 +89,7 @@ class TestBuildLabeledDataset:
 
     def test_never_reaching_trajectory_skipped_and_logged(self, caplog):
         traj = straight_trajectory("a0", 0.0, 1.0, 60)
-        target = TargetLocation(1, vline(1000.0))
+        target = (1, vline(1000.0))
         with caplog.at_level(logging.INFO, logger="crossrisk.predictors.dataset"):
             samples = build_labeled_dataset([traj], None, targets=[target])
         assert samples == []
@@ -100,27 +97,24 @@ class TestBuildLabeledDataset:
 
     def test_annotations_attached(self):
         traj = straight_trajectory("a0", 0.0, 1.0, 120)
-        target = TargetLocation(1, vline(3.0))
-        notes = {"a0": AgentAnnotation(Awareness.NOTICED, Reaction.DECELERATE, 2)}
-        samples = build_labeled_dataset([traj], None, targets=[target], annotations=notes)
+        target = (1, vline(3.0))
+        samples = build_labeled_dataset([traj], None, targets=[target], awareness={"a0": Awareness.NOTICED})
         assert samples[0].awareness is Awareness.NOTICED
-        assert samples[0].reaction is Reaction.DECELERATE
-        assert samples[0].risk_level == 2
 
 
 class TestTargetsForAgent:
     def test_pedestrian_ltr(self, area_map):
         traj = straight_trajectory("a0", -5.0, 2.0, 60)
         targets = targets_for_agent(traj, area_map)
-        assert [t.q for t in targets] == [0, 1, 2]
-        assert targets[0].line is area_map.line(pedestrian_line_name("ltr", 0))
-        assert targets[0].line.normal == (1.0, 0.0)
+        assert [q for q, _ in targets] == [0, 1, 2]
+        assert targets[0][1] is area_map.line(pedestrian_line_name("ltr", 0))
+        assert targets[0][1].normal == (1.0, 0.0)
 
     def test_pedestrian_rtl(self, area_map):
         traj = straight_trajectory("a0", 16.0, -2.0, 60)
         targets = targets_for_agent(traj, area_map)
-        assert targets[1].line is area_map.line(pedestrian_line_name("rtl", 1))
-        assert targets[1].line.normal == (-1.0, 0.0)
+        assert targets[1][1] is area_map.line(pedestrian_line_name("rtl", 1))
+        assert targets[1][1].normal == (-1.0, 0.0)
 
     def test_vehicle_targets(self, area_map):
         traj = [
@@ -128,9 +122,9 @@ class TestTargetsForAgent:
             for i in range(40)
         ]
         targets = targets_for_agent(traj, area_map)
-        assert [t.q for t in targets] == [0, 1]
-        assert targets[0].line is area_map.line(vehicle_line_name("3.1", True))
-        assert targets[1].line is area_map.line(vehicle_line_name("3.1", False))
+        assert [q for q, _ in targets] == [0, 1]
+        assert targets[0][1] is area_map.line(vehicle_line_name("3.1", True))
+        assert targets[1][1] is area_map.line(vehicle_line_name("3.1", False))
 
 
 class TestLabeledSample:
@@ -142,7 +136,7 @@ class TestLabeledSample:
         """A sample's q must index one of its category's target lines."""
         w = constant_velocity_window((0.0, 1.0), (1.0, 0.0), category=category)
         with pytest.raises(ValueError, match=f"q={q} invalid for category {int(category)}"):
-            LabeledSample(w, 1.0, category, TargetLocation(q, vline(3.0)))
+            LabeledSample(w, 1.0, q, vline(3.0))
 
 
 class TestLabelsAgreeWithGroundTruth:
@@ -164,11 +158,11 @@ class TestLabelsAgreeWithGroundTruth:
         trajectories, truth = generated
         samples = build_labeled_dataset(trajectories, area_map)
         for s in samples:
-            name = self.TRUTH_NAMES[s.category.is_pedestrian][s.q.q]
+            name = self.TRUTH_NAMES[s.category.is_pedestrian][s.q]
             t_cross = truth.agents[s.window.agent_id].crossing_times[name]
             assert float(s.arrival_time).hex() == float(t_cross - s.window.times[-1]).hex()
         assert {s.category.is_pedestrian for s in samples} == {True, False}
-        assert {s.q.q for s in samples} == {0, 1, 2}
+        assert {s.q for s in samples} == {0, 1, 2}
 
     def test_truth_crossing_times_name_the_agents_target_lines(self, generated, area_map):
         from crossrisk.errors import UnknownDirection
@@ -195,11 +189,8 @@ class TestLabelsAgreeWithGroundTruth:
 class TestSamplesFile:
     def test_jsonl_round_trip(self, tmp_path):
         traj = straight_trajectory("a0", 0.0, 1.2, 120, category=AgentCategory.KID)
-        target = TargetLocation(2, vline(3.0))
-        samples = build_labeled_dataset(
-            [traj], None, targets=[target],
-            annotations={"a0": AgentAnnotation(Awareness.NOTICED, Reaction.ACCELERATE, 2)},
-        )
+        target = (2, vline(3.0))
+        samples = build_labeled_dataset([traj], None, targets=[target], awareness={"a0": Awareness.NOTICED})
         path = tmp_path / "samples.jsonl"
         write_samples_jsonl(str(path), samples)
         back = read_samples_jsonl(str(path))
@@ -207,10 +198,9 @@ class TestSamplesFile:
         for a, b in zip(samples, back):
             assert a.arrival_time == b.arrival_time
             assert a.category == b.category
-            assert a.q.q == b.q.q
+            assert a.q == b.q
+            assert a.line == b.line
             assert a.awareness == b.awareness
-            assert a.reaction == b.reaction
-            assert a.risk_level == b.risk_level
             wa, wb = a.window, b.window
             assert (wa.agent_id, wa.category, wa.first_frame) == (wb.agent_id, wb.category, wb.first_frame)
             assert wb.times.dtype == wb.positions.dtype == np.float64
@@ -234,13 +224,13 @@ class TestSamplesFile:
             buf.append(o)
         live = window(buf)
         path = tmp_path / "samples.jsonl"
-        target = TargetLocation(1, line)
+        target = (1, line)
         write_samples_jsonl(str(path), build_labeled_dataset([traj], None, targets=[target]))
         stored = [s.window for s in read_samples_jsonl(str(path)) if s.window.first_frame == live.first_frame]
         assert len(stored) == 1
         gru = RecurrentRegressor.initialize(8, np.random.default_rng(3))
         for predictor in (HistoricalAveragePredictor(), gru):
-            assert predictor.predict(stored[0], line).seconds == predictor.predict(live, line).seconds
+            assert predictor.predict(stored[0], line) == predictor.predict(live, line)
 
 
 def _mixed_samples(area_map):
@@ -255,22 +245,20 @@ def _mixed_samples(area_map):
         Observation(i, i / FPS, "v0", AgentCategory.VEHICLE_AREA_41, WorldPoint(2.75, 20.0 - i * 0.3))
         for i in range(90)
     ]
-    notes = {"p2": AgentAnnotation(Awareness.NOTICED, Reaction.DECELERATE, 2)}
-    samples = build_labeled_dataset([ltr, gappy, rtl, vehicle], area_map, annotations=notes)
+    samples = build_labeled_dataset([ltr, gappy, rtl, vehicle], area_map, awareness={"p2": Awareness.NOTICED})
     edge = straight_trajectory("e0", 0.0, 1.0, 45, category=AgentCategory.CYCLIST)
-    target = TargetLocation(1, vline(44 / FPS))
+    target = (1, vline(44 / FPS))
     return samples + build_labeled_dataset([edge], None, targets=[target])
 
 
 def _bits(s):
     """Every field of a sample, floats as their bit patterns."""
-    w, line = s.window, s.q.line
+    w, line = s.window, s.line
     floats = (s.arrival_time, line.p0.x, line.p0.y, line.p1.x, line.p1.y, *line.normal)
     return (
         w.agent_id, w.category, w.first_frame, w.times.dtype.str, w.positions.dtype.str,
         w.times.shape, w.positions.shape, w.times.tobytes(), w.positions.tobytes(),
-        s.category, s.q.q, tuple(float(v).hex() for v in floats),
-        s.awareness, s.reaction, s.risk_level,
+        s.category, s.q, tuple(float(v).hex() for v in floats), s.awareness,
     )
 
 
@@ -279,7 +267,7 @@ class TestAgentSamplesFile:
         samples = _mixed_samples(area_map)
         kinds = {(s.window.agent_id, s.category.is_pedestrian) for s in samples}
         assert {("p0", True), ("p2", True), ("v0", False)} <= kinds
-        assert {s.q.q for s in samples if s.window.agent_id == "p0"} == {0, 1, 2}
+        assert {s.q for s in samples if s.window.agent_id == "p0"} == {0, 1, 2}
         # the window ending at the last pre-crossing frame is stored
         assert max(s.window.first_frame for s in samples if s.window.agent_id == "e0") == 15
         # windows spanning p1's gap are skipped
@@ -292,7 +280,7 @@ class TestAgentSamplesFile:
         assert [_bits(s) for s in back] == [_bits(s) for s in samples]
         assert not any(s.window.times.flags.writeable or s.window.positions.flags.writeable for s in back)
         lines = path.read_text(encoding="utf-8").splitlines()
-        assert lines[0] == '{"format": "crossrisk-samples", "version": 2}'
+        assert lines[0] == '{"format": "crossrisk-samples", "version": 3}'
         assert len(lines) == 1 + 5  # one line per agent
 
     def test_same_bytes_on_rewrite(self, area_map, tmp_path):
@@ -315,8 +303,8 @@ class TestAgentSamplesFile:
         train_bundle(back, config)[0].save(str(read_back))
         assert in_memory.read_bytes() == read_back.read_bytes()
         # the GRU candidates the bundle did not keep train to the same bits as well
-        pair = [s for s in samples if (s.category, s.q.q) == (AgentCategory.ADULT, 2)]
-        pair_back = [s for s in back if (s.category, s.q.q) == (AgentCategory.ADULT, 2)]
+        pair = [s for s in samples if (s.category, s.q) == (AgentCategory.ADULT, 2)]
+        pair_back = [s for s in back if (s.category, s.q) == (AgentCategory.ADULT, 2)]
         fits = [
             train(RecurrentRegressor.initialize(8, np.random.default_rng(4)), p, config) for p in (pair, pair_back)
         ]
@@ -331,36 +319,34 @@ class TestAgentSamplesFile:
             bad = p0[:5] + [s for s in samples if s.window.agent_id == "v0"] + p0[5:]
         else:
             v0 = [s for s in samples if s.window.agent_id == "v0"]
-            enter, leave = [s for s in v0 if s.q.q == 0], [s for s in v0 if s.q.q == 1]
+            enter, leave = [s for s in v0 if s.q == 0], [s for s in v0 if s.q == 1]
             bad = enter[:3] + leave + enter[3:]
         path = tmp_path / "samples.jsonl"
         with pytest.raises(ValueError, match="contiguous"):
             write_samples_jsonl(str(path), bad)
         assert not path.exists()
 
-    @pytest.mark.parametrize("case", ["shifted-time", "moved-point", "category", "awareness", "risk-level"])
+    @pytest.mark.parametrize("case", ["shifted-time", "moved-point", "category", "awareness"])
     def test_conflicting_samples_are_rejected(self, case, area_map, tmp_path):
         samples = [s for s in _mixed_samples(area_map) if s.window.agent_id == "p0"]
         s = samples[7]
         w = s.window
-        if case in ("shifted-time", "moved-point"):
-            times, positions = w.times.copy(), w.positions.copy()
-            if case == "shifted-time":
-                times[3] = np.nextafter(times[3], np.inf)
-            else:
-                positions[-1, 1] += 1e-9
-            s = dataclasses.replace(
-                s, window=SlidingWindowTrajectory(w.agent_id, w.category, w.first_frame, times, positions)
-            )
-        elif case == "category":
-            s = dataclasses.replace(s, category=AgentCategory.KID)
-        elif case == "awareness":
+        if case == "awareness":
             s = dataclasses.replace(s, awareness=Awareness.NOTICED)
         else:
-            s = dataclasses.replace(s, risk_level=2)
+            category, times, positions = w.category, w.times.copy(), w.positions.copy()
+            if case == "shifted-time":
+                times[3] = np.nextafter(times[3], np.inf)
+            elif case == "moved-point":
+                positions[-1, 1] += 1e-9
+            else:
+                category = AgentCategory.KID
+            s = dataclasses.replace(
+                s, window=SlidingWindowTrajectory(w.agent_id, category, w.first_frame, times, positions)
+            )
         samples[7] = s
         path = tmp_path / "samples.jsonl"
-        message = "disagree at a shared frame" if case.endswith(("time", "point")) else "category or annotation"
+        message = "disagree at a shared frame" if case.endswith(("time", "point")) else "category or awareness"
         with pytest.raises(ValueError, match=message):
             write_samples_jsonl(str(path), samples)
         assert not path.exists()

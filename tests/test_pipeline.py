@@ -314,7 +314,7 @@ def one_window_estimates(pipeline, window, direction, vehicles):
         if signed_distance_to_line(w.end_position, line) < 0.0:
             return None
         try:
-            return pipeline.bundle.predictor_for(w.category, q).predict(w, line).seconds
+            return pipeline.bundle.predictor_for(w.category, q).predict(w, line)
         except PredictionError:
             return None
 

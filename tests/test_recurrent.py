@@ -84,16 +84,14 @@ class TestForward:
     def test_zero_weights_give_log_two(self):
         model = RecurrentRegressor.zeros(8)
         w = constant_velocity_window((0.0, 0.0), (1.2, -0.4))
-        out = model.predict(w)
-        assert out.seconds == pytest.approx(math.log(2.0), rel=1e-12)
-        assert out.produced_by == "gru8"
+        assert model.predict(w) == pytest.approx(math.log(2.0), rel=1e-12)
 
     def test_deterministic_across_runs(self):
         w = constant_velocity_window((1.0, 2.0), (0.8, 0.1))
         outs = set()
         for _ in range(3):
             model = RecurrentRegressor.initialize(16, np.random.default_rng(42))
-            outs.add(model.predict(w).seconds)
+            outs.add(model.predict(w))
         assert len(outs) == 1
 
     def test_matches_scalar_cell_oracle(self):
@@ -119,7 +117,7 @@ class TestForward:
         assert np.allclose(window_features(w1), window_features(w2))
         model = RecurrentRegressor.initialize(8, np.random.default_rng(1))
         # identical up to float rounding of the coordinate differences
-        assert model.predict(w1).seconds == pytest.approx(model.predict(w2).seconds, rel=1e-9)
+        assert model.predict(w1) == pytest.approx(model.predict(w2), rel=1e-9)
 
 
 class TestStackedPass:

@@ -44,19 +44,16 @@ def ctx(frame=0):
 
 
 def replay_streaming(trace, category, config):
-    """Frame-ordered step_evaluate replay; returns per-area levels."""
+    """Frame-ordered step_evaluate replay; returns per-area levels read from
+    the Risk 2 flags it emits."""
     state = ped_state(category)
+    flagged = set()
     for frame, vector in enumerate(trace):
-        step_evaluate(state, vector, config, *ctx(frame))
-    thresholds = config.for_category(category)
-    if thresholds.mode is ThresholdMode.MERGED_AREA:
-        flagged = state.flagged_risk2.get(AreaRole.MERGED.value, False)
-        level = RiskLevel.RISK2 if flagged else RiskLevel.RISK1
-        return {AreaRole.CLOSER: level, AreaRole.FURTHER: level}
-    return {
-        role: RiskLevel.RISK2 if state.flagged_risk2.get(role.value, False) else RiskLevel.RISK1
-        for role in (AreaRole.CLOSER, AreaRole.FURTHER)
-    }
+        decisions = step_evaluate(state, vector, config, *ctx(frame))
+        flagged.update(d.area for d in decisions if d.kind is DecisionKind.RISK2_FLAGGED)
+    if flagged and config.for_category(category).mode is ThresholdMode.MERGED_AREA:
+        flagged = set(AREAS)
+    return {role: RiskLevel.RISK2 if role in flagged else RiskLevel.RISK1 for role in AREAS}
 
 
 def random_trace(rng, n, none_rate=0.2):
@@ -182,13 +179,20 @@ class TestStepEvaluate:
         assert scenario.area is AreaRole.CLOSER
 
     def test_flagging_is_idempotent(self):
+        """One flag per role and episode, also for the kid merged role, whose
+        counter takes two increments per frame."""
         config = RiskThresholdConfig.default()
-        state = ped_state()
-        flags = 0
-        for frame in range(40):
-            decisions = step_evaluate(state, PPetVector(c_pf=-0.3), config, *ctx(frame))
-            flags += sum(d.kind is DecisionKind.RISK2_FLAGGED for d in decisions)
-        assert flags == 1
+        inputs = [
+            (AgentCategory.ADULT, PPetVector(c_pf=-0.3)),
+            (AgentCategory.KID, PPetVector(c_pf=-3.2, f_pf=-3.2)),
+        ]
+        for category, vector in inputs:
+            state = ped_state(category)
+            flags = 0
+            for frame in range(40):
+                decisions = step_evaluate(state, vector, config, *ctx(frame))
+                flags += sum(d.kind is DecisionKind.RISK2_FLAGGED for d in decisions)
+            assert flags == 1
 
     def test_kid_merged_out_of_range_is_no_change(self):
         config = RiskThresholdConfig.default()

@@ -5,12 +5,13 @@ import pytest
 
 from crossrisk.errors import InfeasibleSpec, ManifestError
 from crossrisk.geometry import locate_area
-from crossrisk.predictors.dataset import Awareness, Reaction
+from crossrisk.predictors.dataset import Awareness
 from crossrisk.risk import RiskLevel
 from crossrisk.stream import AgentCategory, write_stream_csv
 from crossrisk.synthgen import (
     LABEL_PET_SEVERE_S,
     GroundTruth,
+    Reaction,
     ScenarioSpec,
     generate,
     label_risk,

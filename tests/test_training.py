@@ -3,14 +3,9 @@ import pytest
 
 from crossrisk.errors import DatasetTooSmall, DivergedLoss, PredictionError
 from crossrisk.geometry import TargetLine, WorldPoint
-from crossrisk.predictors import (
-    LabeledSample,
-    TargetLocation,
-    TrainingConfig,
-)
+from crossrisk.predictors import ARRIVAL_TIME_CAP_S, LabeledSample, TrainingConfig
 from crossrisk.predictors.dataset import Awareness
 from crossrisk.predictors.historical import HistoricalAveragePredictor
-from crossrisk.predictors.base import ARRIVAL_TIME_CAP_S
 from crossrisk.predictors.recurrent import RecurrentRegressor, window_features
 from crossrisk.predictors.training import (
     _features_and_targets,
@@ -25,7 +20,6 @@ from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
 FPS = 30.0
 LINE_X = 20.0
 LINE = TargetLine(WorldPoint(LINE_X, -50.0), WorldPoint(LINE_X, 50.0), (1.0, 0.0))
-TARGET = TargetLocation(1, LINE)
 
 
 def window_ending_at_distance(v: float, distance: float, agent_id: str) -> SlidingWindowTrajectory:
@@ -46,8 +40,8 @@ def constant_velocity_samples(n: int, seed: int = 0, awareness=Awareness.DID_NOT
             LabeledSample(
                 window=window_ending_at_distance(v, 5.0, f"a{k}"),
                 arrival_time=5.0 / v,
-                category=AgentCategory.ADULT,
-                q=TARGET,
+                q=1,
+                line=LINE,
                 awareness=awareness,
             )
         )
@@ -195,8 +189,8 @@ def jittered_samples(n: int, seed: int) -> list[LabeledSample]:
             LabeledSample(
                 window=window,
                 arrival_time=float(rng.uniform(0.0, 8.0)),
-                category=AgentCategory.ADULT,
-                q=TARGET,
+                q=1,
+                line=LINE,
             )
         )
     return out
@@ -207,7 +201,7 @@ def per_window_mae(predictor, samples) -> float:
     errors = []
     for s in samples:
         try:
-            predicted = predictor.predict(s.window, s.q.line).seconds
+            predicted = predictor.predict(s.window, s.line)
         except PredictionError:
             predicted = ARRIVAL_TIME_CAP_S
         errors.append(abs(predicted - s.arrival_time))
