@@ -20,7 +20,7 @@ from .geometry import (
     transform_point,
 )
 from .pipeline import RiskPipeline
-from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, pet, ppet as ppet_vector
+from .ppet import ConflictScenario, PPetVector, pet, ppet as ppet_vector
 from .predictors import (
     HistoricalAveragePredictor,
     LabeledSample,

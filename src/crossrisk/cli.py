@@ -281,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", parents=[seeded], help="Generate a synthetic scenario")
     p.add_argument("--spec", help="Scenario spec JSON (defaults when omitted)")
     p.add_argument("--out", default=".", help="Output directory")
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, dir_outputs=("out",))
 
     p = sub.add_parser("homography", help="Solve per-tile projective maps from anchors")
     p.add_argument("--anchors", required=True, help="Anchor tiles JSON")
@@ -311,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="Ground truth for metrics")
     p.add_argument("--tile-grid", help="Tile grid for pixel streams")
     p.add_argument("--out", default=".", help="Output directory")
-    p.set_defaults(func=cmd_evaluate)
+    p.set_defaults(func=cmd_evaluate, dir_outputs=("out",))
 
     p = sub.add_parser("tune", parents=[seeded], help="Grid-search thresholds with k-fold CV")
     p.add_argument("--trace", required=True, help="P-PET trace CSV from evaluate")
@@ -350,20 +350,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_file_outputs(args: argparse.Namespace) -> None:
+def _check_outputs(args: argparse.Namespace) -> None:
     """Raise IsADirectoryError for a file output of the command that names an
-    existing directory, before the command reads anything."""
+    existing directory, and NotADirectoryError for a directory output that
+    names an existing file, before the command reads anything."""
     for dest in getattr(args, "file_outputs", ()):
         path = getattr(args, dest)
         if path is not None and Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
+    for dest in getattr(args, "dir_outputs", ()):
+        path = getattr(args, dest)
+        if Path(path).exists() and not Path(path).is_dir():
+            raise NotADirectoryError(errno.ENOTDIR, "Not a directory", path)
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _check_file_outputs(args)
+        _check_outputs(args)
         return args.func(args)
     except BudgetExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

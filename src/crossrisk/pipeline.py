@@ -20,7 +20,7 @@ import numpy as np
 from .errors import ManifestError, PredictionError
 from .files import input_lines, open_output
 from .geometry import AreaMap, TargetLine, WorldPoint, signed_distance_to_line
-from .ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, ppet
+from .ppet import AREA_LINES, PPetVector, ppet
 from .predictors import InferenceView, TrainedModelBundle
 from .risk import (
     AREAS,
@@ -48,10 +48,8 @@ from .stream import (
 # Vehicle class that serves each conflict area (approach-zone association).
 CONFLICT_AREA_VEHICLE = {c.conflict_area: c for c in AgentCategory if c.conflict_area is not None}
 
-# Per area role: the pedestrian lines (q) its components read, and how many a frame asks.
-_VEHICLE_READS = ((AreaRole.CLOSER, (0, 1), 2), (AreaRole.FURTHER, (1, 2), 3))
-_PF = ConflictScenario.PEDESTRIAN_FIRST
-_VF = ConflictScenario.VEHICLE_FIRST
+# PPetVector's field names as a vector: its area(i) names area i's trace columns.
+_COLUMNS = PPetVector._make(PPetVector._fields)
 
 
 def _ordered(estimates: list[float | None]) -> list[float | None]:
@@ -92,7 +90,7 @@ class EvaluationResult:
         """Each evaluated pedestrian's P-PET vectors in frame order, grouped
         from the trace as read_trace_csv groups a trace file."""
         return _vectors_by_ped(
-            (r.ped_id, r.frame, zip(_TRACE_AREA_COLUMNS[r.area.value], (r.pf, r.vf))) for r in self.trace
+            (r.ped_id, r.frame, zip(_COLUMNS.area(AREAS.index(r.area)), (r.pf, r.vf))) for r in self.trace
         )
 
 
@@ -124,19 +122,20 @@ class RiskPipeline:
 
     def _frame_estimates(
         self, targets: Sequence[tuple[SlidingWindowTrajectory, Direction, Mapping[AreaRole, tuple]]]
-    ) -> list[ArrivalEstimateSet]:
+    ) -> list[tuple[list[float | None], list[tuple[float | None, float | None]]]]:
         """Arrival estimates of one frame's target pedestrians, each given as
         its window, its direction and its conflict vehicles: (id, position)
-        per area role that has one.
+        per area role that has one. Each target's estimates are ppet's
+        arguments.
 
         The frame's requests form one table keyed by (agent id, q), so a
         vehicle serving several pedestrians is asked, and its window built,
         once; a line behind the agent is not asked and gives None. Only what
         a P-PET component reads is asked: a conflict vehicle only while a
-        pedestrian line that its area reads is ahead (_VEHICLE_READS), and a
-        pedestrian's lines none unless one of its vehicles has a request, q0
-        and q1 when only the closer one has, all three when the further one
-        has (_ordered lifts q1 to q0 and q2 to both); the others give None.
+        pedestrian line that bounds its area (AREA_LINES) is ahead, and a
+        pedestrian's lines up to the leave line of the furthest area whose
+        vehicle has a request, none without one (_ordered lifts each line
+        to the earlier ones); the others give None.
         The bundle's view answers the whole table in one call, and a request
         that fails gives None.
         """
@@ -156,13 +155,13 @@ class RiskPipeline:
             ped_lines = self._lines[window.category, direction]
             ahead = [signed_distance_to_line(window.end_position, line) >= 0.0 for line in ped_lines]
             veh_ids, ped_read = [], 0
-            for role, (a, b), lines_read in _VEHICLE_READS:
-                veh_id = vehicles[role][0] if role in vehicles and (ahead[a] or ahead[b]) else None
+            for role, (enter, leave) in zip(AREAS, AREA_LINES):
+                veh_id = vehicles[role][0] if role in vehicles and (ahead[enter] or ahead[leave]) else None
                 if veh_id is not None and veh_id not in asked and self.engine.window_ready(veh_id):
                     veh_window = self.engine.window(veh_id)
                     ask(veh_window, self._lines[veh_window.category, direction])
                 if (veh_id, 0) in index or (veh_id, 1) in index:
-                    ped_read = lines_read
+                    ped_read = leave + 1
                 veh_ids.append(veh_id)
             ask(window, ped_lines[:ped_read])
             rows.append((window.agent_id, veh_ids))
@@ -174,9 +173,9 @@ class RiskPipeline:
             return None if isinstance(value, PredictionError) else value
 
         return [
-            ArrivalEstimateSet(
-                *_ordered([seconds(ped_id, q) for q in (0, 1, 2)]),
-                *(seconds(veh_id, q) for veh_id in veh_ids for q in (0, 1)),
+            (
+                _ordered([seconds(ped_id, q) for q in range(3)]),
+                [(seconds(veh_id, 0), seconds(veh_id, 1)) for veh_id in veh_ids],
             )
             for ped_id, veh_ids in rows
         ]
@@ -221,17 +220,16 @@ class RiskPipeline:
         prediction_ms = (time.perf_counter() - t0) * 1000.0
 
         t1 = time.perf_counter()
-        for (state, window, vehicles), est in zip(evaluated, estimates):
-            vector = ppet(est)
+        for (state, window, vehicles), (ped_times, vehicle_times) in zip(evaluated, estimates):
+            vector = ppet(ped_times, vehicle_times)
             decisions = step_evaluate(state, vector, self.thresholds, t, window.end_position, vehicles)
             decisions_out.extend(decisions)
             for decision in decisions:
                 if decision.kind is DecisionKind.RISK2_FLAGGED and decision.scenario is not None:
                     self.result.risk_scenarios.append(decision.scenario)
-            for role in AREAS:
+            for i, role in enumerate(AREAS):
                 veh_id = vehicles.get(role, ("", None))[0]
-                pf, vf = vector.component(role.value, _PF), vector.component(role.value, _VF)
-                self.result.trace.append(TraceRow(frame, state.agent_id, veh_id, role, pf, vf))
+                self.result.trace.append(TraceRow(frame, state.agent_id, veh_id, role, *vector.area(i)))
         ppet_risk_ms = (time.perf_counter() - t1) * 1000.0
 
         self.result.ingest_ms.append((t0 - t_ingest) * 1000.0)
@@ -259,7 +257,7 @@ class RiskPipeline:
 
 # --- output files ---------------------------------------------------------------
 
-TRACE_HEADER = ["frame", "ped_id", "veh_id", "area", "c_pf", "c_vf", "f_pf", "f_vf"]
+TRACE_HEADER = ["frame", "ped_id", "veh_id", "area", *PPetVector._fields]
 
 
 def _cell(value: float | None) -> str:
@@ -273,16 +271,9 @@ def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for row in trace:
-            if row.area is AreaRole.CLOSER:
-                cells = [_cell(row.pf), _cell(row.vf), "", ""]
-            else:
-                cells = ["", "", _cell(row.pf), _cell(row.vf)]
-            writer.writerow([row.frame, row.ped_id, row.veh_id, row.area.value] + cells)
-
-
-_TRACE_COMPONENTS = TRACE_HEADER[4:]
-# The component columns each trace area fills; the other area's stay empty.
-_TRACE_AREA_COLUMNS = {AreaRole.CLOSER.value: _TRACE_COMPONENTS[:2], AreaRole.FURTHER.value: _TRACE_COMPONENTS[2:]}
+            own = dict(zip(_COLUMNS.area(AREAS.index(row.area)), (row.pf, row.vf)))
+            cells = [_cell(own.get(c)) for c in _COLUMNS]
+            writer.writerow([row.frame, row.ped_id, row.veh_id, row.area.value, *cells])
 
 
 def _trace_component(cell: str) -> float | None:
@@ -301,7 +292,7 @@ def _vectors_by_ped(rows: Iterable[tuple[str, int, Iterable]]) -> dict[str, list
     first appearance."""
     per_key: dict[tuple[str, int], dict[str, float | None]] = {}
     for ped_id, frame, values in rows:
-        per_key.setdefault((ped_id, frame), dict.fromkeys(_TRACE_COMPONENTS)).update(values)
+        per_key.setdefault((ped_id, frame), dict.fromkeys(_COLUMNS)).update(values)
     vectors: dict[str, list[PPetVector]] = {}
     for (ped_id, _), parts in per_key.items():
         vectors.setdefault(ped_id, []).append(PPetVector(**parts))
@@ -316,6 +307,7 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
     neither empty nor a finite float, or a value in the other area's columns
     raises ManifestError naming path:line.
     """
+    own_columns = {area.value: _COLUMNS.area(i) for i, area in enumerate(AREAS)}
     rows = []
     with closing(input_lines(path, "trace file")) as lines:
         reader = csv.DictReader(lines)
@@ -327,10 +319,10 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
                 if None in row or None in row.values():
                     raise ValueError(f"expected {len(reader.fieldnames)} cells")
                 key = (row["ped_id"], int(row["frame"]))
-                own = _TRACE_AREA_COLUMNS.get(row["area"])
+                own = own_columns.get(row["area"])
                 if own is None:
-                    raise ValueError(f"area must be closer or further, got {row['area']!r}")
-                if any(row[c] for c in _TRACE_COMPONENTS if c not in own):
+                    raise ValueError(f"area must be one of {list(own_columns)}, got {row['area']!r}")
+                if any(row[c] for c in _COLUMNS if c not in own):
                     raise ValueError("a value in the other area's columns")
                 values = {c: _trace_component(row[c]) for c in own}
             except ValueError as exc:

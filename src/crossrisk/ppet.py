@@ -1,17 +1,18 @@
 """Post-encroachment time, observed and predicted.
 
 The observed measure is the elapsed time between the first road user leaving
-a conflict area and the second entering it. The predicted variant replaces
-event times with per-agent arrival-time predictions, which yields four
-components per pedestrian: pedestrian-first and vehicle-first for both the
-closer and the further conflict area.
+a conflict area and the second entering it. P-PET is the same measure of
+predicted arrival times: per conflict area, `pet` of the pedestrian's times
+to the two lines that bound the area and its vehicle's enter and leave
+times, which yields four components per pedestrian: pedestrian-first and
+vehicle-first for both the closer and the further conflict area.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple, Sequence
 
 
 class ConflictScenario(Enum):
@@ -19,59 +20,29 @@ class ConflictScenario(Enum):
     VEHICLE_FIRST = "vf"
 
 
+# For each conflict area in crossing order (closer, further): the pedestrian
+# target lines (q) at which the pedestrian enters and leaves it.
+AREA_LINES = ((0, 1), (1, 2))
+
+
 def pet(
-    t_p_enter: float, t_p_leave: float, t_v_enter: float, t_v_leave: float
-) -> tuple[float, float]:
-    """Observed PET for both orderings of one conflict area.
+    t_p_enter: float | None, t_p_leave: float | None, t_v_enter: float | None, t_v_leave: float | None
+) -> tuple[float | None, float | None]:
+    """PET of one conflict area for both orderings.
 
     Pedestrian-first is vehicle entry minus pedestrian exit; vehicle-first is
-    pedestrian entry minus vehicle exit.
+    pedestrian entry minus vehicle exit. A component with either of its two
+    times None is None; a known time must be finite.
     """
     for v in (t_p_enter, t_p_leave, t_v_enter, t_v_leave):
-        if not math.isfinite(v):
+        if v is not None and not math.isfinite(v):
             raise ValueError(f"event times must be finite, got {v}")
-    return (t_v_enter - t_p_leave, t_p_enter - t_v_leave)
+    pf = None if t_v_enter is None or t_p_leave is None else t_v_enter - t_p_leave
+    vf = None if t_p_enter is None or t_v_leave is None else t_p_enter - t_v_leave
+    return pf, vf
 
 
-@dataclass(frozen=True)
-class ArrivalEstimateSet:
-    """Predicted seconds-to-target for one pedestrian and its conflict vehicles.
-
-    Pedestrian fields are indexed by target location (enter closer area,
-    cross center line, leave further area). Vehicle fields are enter/leave
-    estimates for the vehicles serving the closer and further areas. A None
-    field means that estimate is unavailable this frame (no vehicle, not
-    enough history, or the line is already behind the agent).
-    """
-
-    ped_q0: float | None = None
-    ped_q1: float | None = None
-    ped_q2: float | None = None
-    veh_closer_enter: float | None = None
-    veh_closer_leave: float | None = None
-    veh_further_enter: float | None = None
-    veh_further_leave: float | None = None
-
-    def __post_init__(self) -> None:
-        for name in self.__dataclass_fields__:
-            value = getattr(self, name)
-            if value is None:
-                continue
-            if not math.isfinite(value) or value < 0.0:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
-        q = [self.ped_q0, self.ped_q1, self.ped_q2]
-        if all(v is not None for v in q) and not (q[0] <= q[1] <= q[2]):
-            raise ValueError(f"pedestrian estimates must be ordered, got {q}")
-
-
-def _diff(a: float | None, b: float | None) -> float | None:
-    if a is None or b is None:
-        return None
-    return a - b
-
-
-@dataclass(frozen=True)
-class PPetVector:
+class PPetVector(NamedTuple):
     """The four predicted post-encroachment times of one pedestrian frame.
 
     Components with missing inputs stay None; they must never be treated as
@@ -83,21 +54,28 @@ class PPetVector:
     f_pf: float | None = None
     f_vf: float | None = None
 
-    def component(self, area_role: str, scenario: ConflictScenario) -> float | None:
-        key = ("c" if area_role == "closer" else "f") + "_" + scenario.value
-        return getattr(self, key)
+    def area(self, i: int) -> tuple[float | None, float | None]:
+        """The (pedestrian-first, vehicle-first) components of conflict area i."""
+        return self[2 * i], self[2 * i + 1]
 
 
-def ppet(est: ArrivalEstimateSet) -> PPetVector:
-    """Predicted post-encroachment times from one arrival-estimate set.
-
-    Closer-area pedestrian exit is the center-line estimate (ped_q1); the
-    further-area exit is ped_q2. Each component is the plain difference of
-    the corresponding predicted arrival times.
+def ppet(
+    ped_times: Sequence[float | None], vehicle_times: Sequence[tuple[float | None, float | None]]
+) -> PPetVector:
+    """P-PET of one pedestrian: per conflict area, `pet` of the pedestrian's
+    seconds to that area's AREA_LINES (ped_times holds q0-q2) and its
+    vehicle's (enter, leave) seconds (vehicle_times holds one pair per area).
+    None marks an unavailable estimate. A known time that is not finite or
+    is negative, or known pedestrian times out of order, raise ValueError.
     """
-    return PPetVector(
-        c_pf=_diff(est.veh_closer_enter, est.ped_q1),
-        c_vf=_diff(est.ped_q0, est.veh_closer_leave),
-        f_pf=_diff(est.veh_further_enter, est.ped_q2),
-        f_vf=_diff(est.ped_q1, est.veh_further_leave),
+    for value in (*ped_times, *(t for pair in vehicle_times for t in pair)):
+        if value is not None and not (math.isfinite(value) and value >= 0.0):
+            raise ValueError(f"arrival estimates must be finite and >= 0, got {value}")
+    known = [t for t in ped_times if t is not None]
+    if known != sorted(known):
+        raise ValueError(f"pedestrian estimates must be ordered, got {list(ped_times)}")
+    return PPetVector._make(
+        component
+        for (enter, leave), (v_enter, v_leave) in zip(AREA_LINES, vehicle_times)
+        for component in pet(ped_times[enter], ped_times[leave], v_enter, v_leave)
     )

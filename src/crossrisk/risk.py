@@ -238,10 +238,9 @@ def in_evaluation_zone(area: str | None) -> bool:
 
 def _role_hit(vector: PPetVector, area: AreaRole, thresholds: RoleThresholds) -> bool:
     """True when either available component of the area falls in the role's interval."""
-    pf = vector.component(area.value, ConflictScenario.PEDESTRIAN_FIRST)
+    pf, vf = vector.area(AREAS.index(area))
     if pf is not None and thresholds.pf.contains(pf):
         return True
-    vf = vector.component(area.value, ConflictScenario.VEHICLE_FIRST)
     return vf is not None and thresholds.vf.contains(vf)
 
 
@@ -298,16 +297,10 @@ def component_values(
     trace: Sequence[PPetVector], role: AreaRole
 ) -> tuple[np.ndarray, np.ndarray]:
     """One area's pedestrian-first and vehicle-first components per frame of
-    a trace; NaN marks an unavailable component and never hits an interval."""
-    pf = np.full(len(trace), np.nan)
-    vf = np.full(len(trace), np.nan)
-    for i, vec in enumerate(trace):
-        value = vec.component(role.value, ConflictScenario.PEDESTRIAN_FIRST)
-        if value is not None:
-            pf[i] = value
-        value = vec.component(role.value, ConflictScenario.VEHICLE_FIRST)
-        if value is not None:
-            vf[i] = value
+    a trace; NaN marks an unavailable component and never hits an interval
+    (a float array holds None as NaN)."""
+    area = AREAS.index(role)
+    pf, vf = np.array([vec.area(area) for vec in trace], dtype=float).reshape(len(trace), 2).T
     return pf, vf
 
 

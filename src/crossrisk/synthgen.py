@@ -29,7 +29,7 @@ from .geometry import (
     tile_from_anchors,
     vehicle_line_name,
 )
-from .ppet import pet
+from .ppet import AREA_LINES, pet
 from .predictors.dataset import Awareness
 from .risk import AREAS, RiskLevel, in_evaluation_zone
 from .stream import (
@@ -409,11 +409,11 @@ def _plan_pedestrians(spec: ScenarioSpec, rng: np.random.Generator) -> list[_Ped
 
 def _planned_occupancy(plan: _PedPlan, area: str, area_map: AreaMap) -> tuple[float, float]:
     """When the no-reaction plan enters and leaves a conflict area: reaches
-    the pair of its target lines that bounds the area."""
-    q = closer_further_assignment(plan.direction).index(area)
+    the target lines that bound the area (AREA_LINES)."""
+    i = closer_further_assignment(plan.direction).index(area)
     start = WorldPoint(plan.start_x, plan.lane_y)
-    lines = target_lines(area_map, plan.category, plan.direction)[q:q + 2]
-    enter, leave = (plan.start_t + signed_distance_to_line(start, line) / plan.speed for line in lines)
+    lines = target_lines(area_map, plan.category, plan.direction)
+    enter, leave = (plan.start_t + signed_distance_to_line(start, lines[q]) / plan.speed for q in AREA_LINES[i])
     return enter, leave
 
 
@@ -626,37 +626,30 @@ def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap) -> dict[tuple
     for agent_id, track in tracks.items():
         if track.category.is_vehicle or not track.crossings or None in track.crossings:
             continue
-        q0, q1, q2 = track.crossings
-        closer, further = closer_further_assignment(track.direction)
-        occupancy = {"closer": (q0, q1), "further": (q1, q2)}
-        area_of_role = {"closer": closer, "further": further}
-
-        evasive = _took_evasive_action(track, area_map)
-        min_pet: dict[str, float | None] = {}
-        for role in ("closer", "further"):
-            ped_window = occupancy[role]
+        min_pet = {}
+        for role, lines, area_id in zip(AREAS, AREA_LINES, closer_further_assignment(track.direction)):
+            p_enter, p_leave = (track.crossings[q] for q in lines)
             # realized PET: the pedestrian-first gap, else the vehicle-first
             # one, else 0 when the occupancies overlap
             pets = [
-                next((gap for gap in pet(*ped_window, enter, leave) if gap >= 0.0), 0.0)
-                for _, enter, leave in vehicle_windows[area_of_role[role]]
-                if enter <= ped_window[1] + INTERACTION_HORIZON_S
-                and leave >= ped_window[0] - INTERACTION_HORIZON_S
+                next((gap for gap in pet(p_enter, p_leave, enter, leave) if gap >= 0.0), 0.0)
+                for _, enter, leave in vehicle_windows[area_id]
+                if enter <= p_leave + INTERACTION_HORIZON_S and leave >= p_enter - INTERACTION_HORIZON_S
             ]
             min_pet[role] = min(pets, default=None)
 
+        # an evasive action is charged to the area of the smallest PET, the
+        # earlier area on a tie
         evasive_role = None
-        if evasive:
-            candidates = [r for r in ("closer", "further") if min_pet[r] is not None]
-            if candidates:
-                evasive_role = min(candidates, key=lambda r: (min_pet[r], r != "closer"))
-        for role in ("closer", "further"):
+        if _took_evasive_action(track, area_map):
+            evasive_role = min((r for r in AREAS if min_pet[r] is not None), key=min_pet.get, default=None)
+        for role in AREAS:
             if min_pet[role] is None:
-                labels[(agent_id, role)] = RiskLevel.RISK0
-            elif min_pet[role] < LABEL_PET_SEVERE_S or role == evasive_role:
-                labels[(agent_id, role)] = RiskLevel.RISK2
+                labels[(agent_id, role.value)] = RiskLevel.RISK0
+            elif min_pet[role] < LABEL_PET_SEVERE_S or role is evasive_role:
+                labels[(agent_id, role.value)] = RiskLevel.RISK2
             else:
-                labels[(agent_id, role)] = RiskLevel.RISK1
+                labels[(agent_id, role.value)] = RiskLevel.RISK1
     return labels
 
 

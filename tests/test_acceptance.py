@@ -21,7 +21,7 @@ from crossrisk.calibration import (
 from crossrisk.cli import EXIT_OK, main
 from crossrisk.geometry import PixelPoint, WorldPoint, project_point, solve_homography
 from crossrisk.pipeline import RiskPipeline, latency_report
-from crossrisk.ppet import ArrivalEstimateSet, ppet
+from crossrisk.ppet import ppet
 from crossrisk.predictors import TrainingConfig, build_labeled_dataset
 from crossrisk.predictors.historical import HistoricalAveragePredictor, arrival_time
 from crossrisk.predictors.recurrent import PARAM_NAMES, RecurrentRegressor
@@ -32,7 +32,7 @@ from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map, refer
 
 from conftest import FPS, constant_velocity_window, vertical_line
 from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid
-from test_ppet import eq10_oracle, random_estimate_set
+from test_ppet import eq10_oracle, random_estimate_set, shifted
 from test_risk import random_trace, replay_streaming
 
 
@@ -141,23 +141,12 @@ def test_criterion_04_ppet_arithmetic():
     worst_shift = 0.0
     for _ in range(10_000):
         est = random_estimate_set(rng)
-        vec = ppet(est)
+        vec = ppet(*est)
         assert (vec.c_pf, vec.c_vf, vec.f_pf, vec.f_vf) == eq10_oracle(est)
         shift = float(rng.uniform(0.0, 50.0))
-        shifted = ppet(
-            ArrivalEstimateSet(
-                **{
-                    name: getattr(est, name) + shift
-                    for name in (
-                        "ped_q0", "ped_q1", "ped_q2",
-                        "veh_closer_enter", "veh_closer_leave",
-                        "veh_further_enter", "veh_further_leave",
-                    )
-                }
-            )
-        )
+        moved = ppet(*shifted(est, shift))
         for name in ("c_pf", "c_vf", "f_pf", "f_vf"):
-            worst_shift = max(worst_shift, abs(getattr(shifted, name) - getattr(vec, name)))
+            worst_shift = max(worst_shift, abs(getattr(moved, name) - getattr(vec, name)))
     assert worst_shift < 1e-12
     report(4, f"10000 estimate sets exact, shift deviation {worst_shift:.2e}")
 

@@ -799,9 +799,11 @@ def test_well_formed_trace_and_grid_are_accepted(command, tmp_path):
         (None, "0,p000,v0,closer,abc,-3.0,,", 2),
         (None, "0,p000,v0,closer,-0.5,inf,,", 2),
         (None, "0,p000,v0,closer,-0.5,-3.0,0.5,", 2),
+        (None, "0,p000,v0,further,,-1.0,0.5,-3.0", 2),
         (None, "0,p000,v0,closer,-0.5", 2),
     ],
-    ids=["missing-column", "frame", "area", "component", "non-finite", "other-area", "short-row"],
+    ids=["missing-column", "frame", "area", "component", "non-finite", "other-area", "other-area-further",
+         "short-row"],
 )
 def test_malformed_trace_row_is_input_error(command, header, row, line, tmp_path, capsys):
     trace_path, truth_path = _write_episode_files(tmp_path)
@@ -1311,3 +1313,32 @@ def test_output_path_that_cannot_be_written_is_input_error_naming_it(tmp_path, c
             assert f"Is a directory: '{tmp_path}'" in capsys.readouterr().err
     assert work == []
     assert not (tmp_path / "new").exists()
+
+
+_DIRECTORY_WRITERS = {
+    "gen": ["gen", "--spec", "{spec}", "--out", "{taken}"],
+    "evaluate": ["evaluate", "--stream", "{stream}", "--area-map", "{area_map}", "--out", "{taken}"],
+}
+
+
+@pytest.mark.parametrize("command", _DIRECTORY_WRITERS)
+def test_directory_output_naming_a_file_is_input_error_before_the_work(command, tmp_path, capsys, monkeypatch):
+    """gen --out and evaluate --out name a directory: an existing file there
+    exits 2, naming it, before the command reads an input (a missing one is
+    not reported) or works: gen generates nothing, evaluate runs no frame.
+    The file is left as it was."""
+    from crossrisk import cli
+
+    work = []
+    monkeypatch.setattr(RiskPipeline, "process_frame", lambda *args: work.append("frame"))
+    monkeypatch.setattr(cli, "generate", lambda *args: work.append("generate"))
+    (tmp_path / "spec.json").write_text("{}", encoding="utf-8")
+    inputs = {**_well_formed_inputs(tmp_path), "spec": str(tmp_path / "spec.json")}
+    taken = tmp_path / "taken.csv"
+    taken.write_text("kept\n", encoding="utf-8")
+    for names in (inputs, dict.fromkeys(inputs, str(tmp_path / "missing"))):
+        argv = [arg.format(taken=taken, **names) for arg in _DIRECTORY_WRITERS[command]]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{taken}'\n"
+    assert work == []
+    assert taken.read_text(encoding="utf-8") == "kept\n"

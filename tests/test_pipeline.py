@@ -56,10 +56,18 @@ def _further_vehicle(pipeline):
     return {AreaRole.FURTHER: vehicle}
 
 
+def flat(est):
+    """A frame estimate's seven times: pedestrian q0-q2, then each area's
+    vehicle (enter, leave)."""
+    ped, vehicles = est
+    return [*ped, *(t for pair in vehicles for t in pair)]
+
+
 def _ordered_frame_estimate(predictor_for_q):
-    """The frame estimate of one pedestrian walking at 2 m/s, 5.57 m before
-    the q1 line, whose pairs' predictors are predictor_for_q(q); a further
-    conflict vehicle makes its components read all three of its lines."""
+    """The pedestrian times of the frame estimate of one pedestrian walking
+    at 2 m/s, 5.57 m before the q1 line, whose pairs' predictors are
+    predictor_for_q(q); a further conflict vehicle makes its components read
+    all three of its lines."""
     from crossrisk.predictors.bundle import ALL_PAIRS
     from crossrisk.stream import Direction
     from conftest import constant_velocity_window
@@ -67,8 +75,8 @@ def _ordered_frame_estimate(predictor_for_q):
     bundle = TrainedModelBundle(predictors={pair: predictor_for_q(pair[1]) for pair in ALL_PAIRS})
     pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
     window = constant_velocity_window((-2.0, 1.0), (2.0, 0.0))
-    (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, _further_vehicle(pipeline))])
-    return est
+    ((ped, _),) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, _further_vehicle(pipeline))])
+    return ped
 
 
 @pytest.fixture(scope="module")
@@ -203,18 +211,18 @@ class TestPipeline:
         must still produce a physically ordered estimate set."""
         from crossrisk.predictors import HistoricalAveragePredictor
 
-        est = _ordered_frame_estimate(
+        ped = _ordered_frame_estimate(
             lambda q: HistoricalAveragePredictor() if q == 1 else constant_gru(5.0 if q == 0 else 4.0)
         )
-        assert est.ped_q0 == pytest.approx(5.0, rel=1e-12)
-        assert [est.ped_q0, est.ped_q1, est.ped_q2] == [est.ped_q0] * 3
+        assert ped[0] == pytest.approx(5.0, rel=1e-12)
+        assert ped == [ped[0]] * 3
 
     def test_non_monotone_stacked_predictions_are_ordered(self):
         """The same for GRU estimates alone, 5, 3 and 4 s for q0, q1 and q2,
         which arrive after the frame's stacked pass."""
-        est = _ordered_frame_estimate(lambda q: constant_gru({0: 5.0, 1: 3.0, 2: 4.0}[q]))
-        assert est.ped_q0 == pytest.approx(5.0, rel=1e-12)
-        assert [est.ped_q0, est.ped_q1, est.ped_q2] == [est.ped_q0] * 3
+        ped = _ordered_frame_estimate(lambda q: constant_gru({0: 5.0, 1: 3.0, 2: 4.0}[q]))
+        assert ped[0] == pytest.approx(5.0, rel=1e-12)
+        assert ped == [ped[0]] * 3
 
     def test_run_fills_frame_gaps(self):
         """run processes the contiguous frame range, empty frames included."""
@@ -295,8 +303,8 @@ def _gru_bundle(hidden_for, seed=0):
 
 
 def one_window_estimates(pipeline, window, direction, vehicles):
-    """The estimate set of one pedestrian with every line asked, one predict
-    call per (window, line), in the order of ArrivalEstimateSet's fields;
+    """The estimates of one pedestrian with every line asked, one predict
+    call per (window, line), in the order of flat's seven times;
     which of its conflict vehicles a frame asks; and how many of its
     pedestrian lines the P-PET components read: two with an asked closer
     vehicle only, three with an asked further one, else none. A vehicle is
@@ -359,7 +367,6 @@ class AllLinesPipeline(RiskPipeline):
         from crossrisk.errors import PredictionError
         from crossrisk.geometry import pedestrian_line_name, signed_distance_to_line, vehicle_line_name
         from crossrisk.pipeline import _ordered
-        from crossrisk.ppet import ArrivalEstimateSet
         from crossrisk.stream import closer_further_assignment
 
         table, requests = {}, []
@@ -393,7 +400,7 @@ class AllLinesPipeline(RiskPipeline):
             return None if isinstance(value, PredictionError) else value
 
         return [
-            ArrivalEstimateSet(*_ordered([seconds(k) for k in row[:3]]), *map(seconds, row[3:]))
+            (_ordered([seconds(k) for k in row[:3]]), [tuple(map(seconds, row[i:i + 2])) for i in (3, 5)])
             for row in rows
         ]
 
@@ -420,8 +427,6 @@ class TestBatchedFrame:
         the lines of a conflict vehicle whose area reads no pedestrian line
         ahead are None, and each P-PET vector has the bits of the all-lines
         one."""
-        from crossrisk.ppet import ArrivalEstimateSet
-
         pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), _gru_bundle(_mixed_hidden))
         seen = {"frames": 0, "values": 0, "shared": 0, "unread": 0, "dropped": 0}
 
@@ -435,13 +440,14 @@ class TestBatchedFrame:
                     expect += values if role in asked else [None, None]
                     seen["dropped"] += role not in asked and any(v is not None for v in values)
                 seen["unread"] += read < 3 and any(v is not None for v in every_line[read:3])
-                got = list(astuple(est))
+                got = flat(est)
                 assert [v is None for v in got] == [v is None for v in expect]
                 for g, e in zip(got, expect):
                     if e is not None:
                         seen["values"] += 1
                         assert g == e
-                assert _bits(astuple(ppet(est))) == _bits(astuple(ppet(ArrivalEstimateSet(*every_line))))
+                all_lines = (every_line[:3], [tuple(every_line[3:5]), tuple(every_line[5:])])
+                assert _bits(ppet(*est)) == _bits(ppet(*all_lines))
 
         _spy_frames(pipeline, check)
         frame = min(busy_scenario)
@@ -509,10 +515,10 @@ class TestBatchedFrame:
         (failure,) = pipeline.view.arrival_times([(1, window, line)])
         assert isinstance(failure, ZeroDisplacement)
         vehicles = _further_vehicle(pipeline)
-        (est,) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, vehicles)])
-        assert est.ped_q1 is None
-        assert est.ped_q0 == pytest.approx(2.0, rel=1e-12)
-        assert est.ped_q2 == pytest.approx(4.0, rel=1e-12)
+        ((ped, _),) = pipeline._frame_estimates([(window, Direction.LEFT_TO_RIGHT, vehicles)])
+        assert ped[1] is None
+        assert ped[0] == pytest.approx(2.0, rel=1e-12)
+        assert ped[2] == pytest.approx(4.0, rel=1e-12)
 
     def test_gru_only_frame_makes_one_stacked_pass_per_hidden_size(self, busy_scenario, monkeypatch):
         """Pedestrian pairs hidden 5, vehicle pairs hidden 9: a frame makes at
@@ -675,13 +681,14 @@ class TestRequestRule:
     def test_no_asked_conflict_vehicle_asks_no_pedestrian_line(self, roles):
         asked, (est, other) = _asked_lines(lambda v: [{role: v[veh] for role, veh in roles.items()}])
         assert not asked
-        assert astuple(est) == (None,) * 7 and astuple(other) == (None,) * 7
+        assert flat(est) == [None] * 7 and flat(other) == [None] * 7
 
     def test_closer_vehicle_only_asks_q0_and_q1(self):
         asked, (est, _) = _asked_lines(lambda v: [{AreaRole.CLOSER: v["v_closer"]}])
         assert asked == Counter(ped_lines()[:2] + VEH_LINES["v_closer"])
-        assert est.ped_q0 is not None and est.ped_q1 is not None and est.ped_q2 is None
-        assert ppet(est).c_pf is not None and ppet(est).c_vf is not None
+        ped, _ = est
+        assert ped[0] is not None and ped[1] is not None and ped[2] is None
+        assert ppet(*est).c_pf is not None and ppet(*est).c_vf is not None
 
     @pytest.mark.parametrize("closer", [None, "v_closer", "v_past"])
     def test_further_vehicle_asks_all_three(self, closer):
@@ -694,7 +701,8 @@ class TestRequestRule:
         asked, (est, _) = _asked_lines(targets_for)
         expect = ped_lines() + VEH_LINES["v_further"] + VEH_LINES.get(closer, [])
         assert asked == Counter(expect)
-        assert None not in (est.ped_q0, est.ped_q1, est.ped_q2)
+        ped, _ = est
+        assert None not in ped
 
     @pytest.mark.parametrize("start_x, roles, expect", [
         (6.0, {AreaRole.CLOSER: "v_closer"}, []),
@@ -708,7 +716,7 @@ class TestRequestRule:
         request of that area's vehicle, and its components stay None."""
         asked, (est, _) = _asked_lines(lambda v: [{role: v[veh] for role, veh in roles.items()}], start_x)
         assert asked == Counter(expect)
-        vector = ppet(est)
+        vector = ppet(*est)
         assert (vector.c_pf, vector.c_vf, vector.f_vf) == (None, None, None)
         assert (vector.f_pf is None) == (not expect)
 
@@ -718,4 +726,5 @@ class TestRequestRule:
         nothing else."""
         asked, estimates = _asked_lines(lambda v: [{AreaRole.CLOSER: v["v_closer"]}] * 2)
         assert asked == Counter(VEH_LINES["v_closer"] + ped_lines("a0")[:2] + ped_lines("a1")[:2])
-        assert estimates[0].veh_closer_enter == estimates[1].veh_closer_enter is not None
+        (_, vehicles_a0), (_, vehicles_a1), _ = estimates
+        assert vehicles_a0[0][0] == vehicles_a1[0][0] is not None

@@ -1,35 +1,41 @@
 import numpy as np
 import pytest
 
-from crossrisk.ppet import ArrivalEstimateSet, ConflictScenario, PPetVector, pet, ppet
+from crossrisk.ppet import AREA_LINES, PPetVector, pet, ppet
+
+NO_VEHICLE = (None, None)
 
 
-def eq10_oracle(est: ArrivalEstimateSet):
-    """Independent re-evaluation of the four-component definition."""
+def eq10_oracle(est):
+    """Independent re-evaluation of the four-component definition of
+    ppet's arguments (pedestrian q0-q2, closer and further vehicle
+    (enter, leave))."""
     def diff(a, b):
         return None if a is None or b is None else a - b
 
+    (ped_q0, ped_q1, ped_q2), ((closer_enter, closer_leave), (further_enter, further_leave)) = est
     return (
-        diff(est.veh_closer_enter, est.ped_q1),
-        diff(est.ped_q0, est.veh_closer_leave),
-        diff(est.veh_further_enter, est.ped_q2),
-        diff(est.ped_q1, est.veh_further_leave),
+        diff(closer_enter, ped_q1),
+        diff(ped_q0, closer_leave),
+        diff(further_enter, ped_q2),
+        diff(ped_q1, further_leave),
     )
 
 
-def random_estimate_set(rng) -> ArrivalEstimateSet:
+def random_estimate_set(rng):
+    """Random ppet arguments with every time known."""
     q0 = float(rng.uniform(0, 10))
     q1 = q0 + float(rng.uniform(0, 5))
     q2 = q1 + float(rng.uniform(0, 5))
-    return ArrivalEstimateSet(
-        ped_q0=q0,
-        ped_q1=q1,
-        ped_q2=q2,
-        veh_closer_enter=float(rng.uniform(0, 20)),
-        veh_closer_leave=float(rng.uniform(0, 20)),
-        veh_further_enter=float(rng.uniform(0, 20)),
-        veh_further_leave=float(rng.uniform(0, 20)),
-    )
+    closer = (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)))
+    further = (float(rng.uniform(0, 20)), float(rng.uniform(0, 20)))
+    return [q0, q1, q2], [closer, further]
+
+
+def shifted(est, shift):
+    """ppet arguments with every time moved by shift seconds."""
+    ped, vehicles = est
+    return [t + shift for t in ped], [(enter + shift, leave + shift) for enter, leave in vehicles]
 
 
 class TestPet:
@@ -52,17 +58,22 @@ class TestPet:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             pet(0.0, 1.0, float("nan"), 2.0)
+        with pytest.raises(ValueError):
+            pet(0.0, None, 1.0, float("inf"))
+
+    def test_unknown_time_leaves_its_components_unavailable(self):
+        assert pet(None, 8.5, 10.0, 10.6) == (1.5, None)
+        assert pet(7.0, 8.5, None, 10.6) == (None, 7.0 - 10.6)
+        assert pet(None, None, None, None) == (None, None)
 
 
 class TestPpet:
     def test_closer_pedestrian_first_example(self):
-        est = ArrivalEstimateSet(ped_q0=3.5, ped_q1=4.2, ped_q2=5.0, veh_closer_enter=3.0, veh_closer_leave=3.4)
-        vec = ppet(est)
+        vec = ppet([3.5, 4.2, 5.0], [(3.0, 3.4), NO_VEHICLE])
         assert vec.c_pf == pytest.approx(-1.2)
 
     def test_missing_further_vehicle_leaves_components_unavailable(self):
-        est = ArrivalEstimateSet(ped_q0=1.0, ped_q1=2.0, ped_q2=3.0, veh_closer_enter=2.5, veh_closer_leave=3.0)
-        vec = ppet(est)
+        vec = ppet([1.0, 2.0, 3.0], [(2.5, 3.0), NO_VEHICLE])
         assert vec.f_pf is None
         assert vec.f_vf is None
         assert vec.c_pf is not None
@@ -71,25 +82,16 @@ class TestPpet:
         rng = np.random.default_rng(31)
         for _ in range(1000):
             est = random_estimate_set(rng)
-            vec = ppet(est)
+            vec = ppet(*est)
             assert (vec.c_pf, vec.c_vf, vec.f_pf, vec.f_vf) == eq10_oracle(est)
 
     def test_time_shift_invariance(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             est = random_estimate_set(rng)
-            base = ppet(est)
+            base = ppet(*est)
             shift = float(rng.uniform(0, 50))
-            shifted = ArrivalEstimateSet(
-                ped_q0=est.ped_q0 + shift,
-                ped_q1=est.ped_q1 + shift,
-                ped_q2=est.ped_q2 + shift,
-                veh_closer_enter=est.veh_closer_enter + shift,
-                veh_closer_leave=est.veh_closer_leave + shift,
-                veh_further_enter=est.veh_further_enter + shift,
-                veh_further_leave=est.veh_further_leave + shift,
-            )
-            out = ppet(shifted)
+            out = ppet(*shifted(est, shift))
             for name in ("c_pf", "c_vf", "f_pf", "f_vf"):
                 assert abs(getattr(out, name) - getattr(base, name)) < 1e-12
 
@@ -105,32 +107,52 @@ class TestPpet:
             t_q2 = t_q1 + float(rng.uniform(0.5, 3))
             t_ve = float(rng.uniform(0, 15))
             t_vl = t_ve + float(rng.uniform(0.2, 1.0))
-            vec = ppet(
-                ArrivalEstimateSet(
-                    ped_q0=t_q0, ped_q1=t_q1, ped_q2=t_q2,
-                    veh_closer_enter=t_ve, veh_closer_leave=t_vl,
-                )
-            )
+            vec = ppet([t_q0, t_q1, t_q2], [(t_ve, t_vl), NO_VEHICLE])
             pet_pf, pet_vf = pet(t_p_enter=t_q0, t_p_leave=t_q1, t_v_enter=t_ve, t_v_leave=t_vl)
             assert vec.c_pf == pet_pf
             assert vec.c_vf == pet_vf
 
     def test_component_lookup(self):
         vec = PPetVector(c_pf=1.0, c_vf=None, f_pf=-2.0, f_vf=0.5)
-        assert vec.component("closer", ConflictScenario.PEDESTRIAN_FIRST) == 1.0
-        assert vec.component("closer", ConflictScenario.VEHICLE_FIRST) is None
-        assert vec.component("further", ConflictScenario.PEDESTRIAN_FIRST) == -2.0
+        assert vec.area(0)[0] == 1.0
+        assert vec.area(0)[1] is None
+        assert vec.area(1)[0] == -2.0
+        assert vec.area(1) == (-2.0, 0.5)
+
+    def test_each_area_is_pet_of_the_lines_that_bound_it(self):
+        """Area i's components are pet of the pedestrian's times at
+        AREA_LINES[i] and area i's vehicle times, bit for bit."""
+        rng = np.random.default_rng(43)
+        for _ in range(200):
+            ped, vehicles = random_estimate_set(rng)
+            vec = ppet(ped, vehicles)
+            for i, (enter, leave) in enumerate(AREA_LINES):
+                assert vec.area(i) == pet(ped[enter], ped[leave], *vehicles[i])
 
 
 class TestEstimateSetInvariants:
+    """ppet's checks of its arguments: each raises ValueError."""
+
     def test_negative_estimate_rejected(self):
         with pytest.raises(ValueError):
-            ArrivalEstimateSet(ped_q0=-1.0)
+            ppet([-1.0, None, None], [NO_VEHICLE, NO_VEHICLE])
+        with pytest.raises(ValueError):
+            ppet([1.0, 2.0, 3.0], [NO_VEHICLE, (None, -0.5)])
+
+    def test_non_finite_estimate_rejected(self):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ppet([1.0, bad, None], [NO_VEHICLE, NO_VEHICLE])
+            with pytest.raises(ValueError):
+                ppet([1.0, 2.0, 3.0], [(bad, 4.0), NO_VEHICLE])
 
     def test_unordered_pedestrian_estimates_rejected(self):
         with pytest.raises(ValueError):
-            ArrivalEstimateSet(ped_q0=5.0, ped_q1=4.0, ped_q2=6.0)
+            ppet([5.0, 4.0, 6.0], [NO_VEHICLE, NO_VEHICLE])
+        # known times must be ordered across an unknown one too
+        with pytest.raises(ValueError):
+            ppet([5.0, None, 4.0], [NO_VEHICLE, NO_VEHICLE])
 
     def test_partial_estimates_allowed(self):
-        est = ArrivalEstimateSet(ped_q1=4.0)
-        assert est.ped_q0 is None and est.ped_q1 == 4.0
+        vec = ppet([None, 4.0, None], [(5.0, None), NO_VEHICLE])
+        assert vec == PPetVector(c_pf=5.0 - 4.0)

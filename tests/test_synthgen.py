@@ -5,9 +5,10 @@ import pytest
 
 from crossrisk.errors import InfeasibleSpec, ManifestError
 from crossrisk.geometry import locate_area
+from crossrisk.ppet import pet, ppet
 from crossrisk.predictors.dataset import Awareness
 from crossrisk.risk import RiskLevel
-from crossrisk.stream import AgentCategory, write_stream_csv
+from crossrisk.stream import AgentCategory, Direction, closer_further_assignment, write_stream_csv
 from crossrisk.synthgen import (
     LABEL_PET_SEVERE_S,
     GroundTruth,
@@ -127,6 +128,36 @@ class TestLabels:
         assert set(got) == set(expect)
         mismatches = {k: (int(got[k]), int(expect[k])) for k in got if got[k] != expect[k]}
         assert not mismatches
+
+    def test_realized_ppet_equals_label_pet(self):
+        """P-PET of realized times is the PET the labels read: for every
+        labeled pedestrian and each vehicle that crossed one of its areas,
+        ppet of their ground-truth crossing times gives, for that area, the
+        pet of the pedestrian's occupancy (q0 to q1 for the closer area, q1
+        to q2 for the further one) and the vehicle's, bit for bit."""
+        spec = ScenarioSpec(seed=17, duration_s=90, n_adults=8, n_kids=3, n_cyclists=3)
+        _, truth = generate(spec)
+        vehicles = {"3.1": [], "3.2": []}
+        for agent in truth.agents.values():
+            if agent.category.is_vehicle and {"enter", "leave"} <= set(agent.crossing_times):
+                vehicles[agent.conflict_area].append((agent.crossing_times["enter"], agent.crossing_times["leave"]))
+
+        compared = 0
+        for ped_id in sorted({ped_id for ped_id, _ in truth.risk}):
+            agent = truth.agents[ped_id]
+            ped = [agent.crossing_times[q] for q in ("q0", "q1", "q2")]
+            occupancies = ((ped[0], ped[1]), (ped[1], ped[2]))
+            areas = closer_further_assignment(Direction(agent.direction))
+            for i, (area_id, occupancy) in enumerate(zip(areas, occupancies)):
+                for times in vehicles[area_id]:
+                    vehicle_times = [(None, None), (None, None)]
+                    vehicle_times[i] = times
+                    realized = ppet(ped, vehicle_times)
+                    expect = pet(*occupancy, *times)
+                    assert [v.hex() for v in realized.area(i)] == [v.hex() for v in expect]
+                    assert realized.area(1 - i) == (None, None)
+                    compared += 1
+        assert compared >= 50
 
 
 def rule_oracle(by_agent, truth: GroundTruth, area_map):
