@@ -46,9 +46,10 @@ from .stream import (
     Observation,
     SlidingWindowTrajectory,
     StreamEngine,
+    Track,
     TrajectoryBuffer,
+    agent_tracks,
     closer_further_assignment,
-    infer_direction,
     window,
 )
 from .synthgen import ScenarioSpec, generate, label_risk, reference_area_map, reference_tile_grid

@@ -30,7 +30,7 @@ from .pipeline import (
 from .predictors import TrainedModelBundle, TrainingConfig, build_labeled_dataset, train_bundle
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
 from .risk import RiskThresholdConfig
-from .stream import StreamRow, agent_trajectories, load_stream, read_stream_rows, target_line_table, write_stream_csv
+from .stream import StreamRow, agent_tracks, load_stream, read_stream_rows, target_line_table, write_stream_csv
 from .synthgen import GroundTruth, ScenarioSpec, generate, reference_area_map
 
 EXIT_OK = 0
@@ -96,10 +96,10 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
     frames, _ = load_stream(args.stream, args.tile_grid)
     truth = GroundTruth.load(args.truth) if args.truth else GroundTruth()
     awareness = {agent_id: agent.awareness for agent_id, agent in truth.agents.items()}
-    trajectories = agent_trajectories(frames)
-    samples = build_labeled_dataset(trajectories, area_map, awareness=awareness)
+    tracks = agent_tracks(frames, area_map)
+    samples = build_labeled_dataset(tracks, awareness)
     write_samples_jsonl(args.out, samples)
-    print(f"build-dataset: {len(samples)} samples from {len(trajectories)} trajectories")
+    print(f"build-dataset: {len(samples)} samples from {len(tracks)} trajectories")
     return EXIT_OK
 
 
@@ -352,15 +352,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _check_outputs(args: argparse.Namespace) -> None:
     """Raise IsADirectoryError for a file output of the command that names an
-    existing directory, and NotADirectoryError for a directory output that
-    names an existing file, before the command reads anything."""
-    for dest in getattr(args, "file_outputs", ()):
-        path = getattr(args, dest)
-        if path is not None and Path(path).is_dir():
+    existing directory, and NotADirectoryError for an output whose nearest
+    existing ancestor (for a directory output, the path itself when it
+    exists) is not a directory, before the command reads anything."""
+    outputs = [(getattr(args, dest), True) for dest in getattr(args, "file_outputs", ())]
+    outputs += [(getattr(args, dest), False) for dest in getattr(args, "dir_outputs", ())]
+    for path, is_file in outputs:
+        if path is None:
+            continue
+        if is_file and Path(path).is_dir():
             raise IsADirectoryError(errno.EISDIR, "Is a directory", path)
-    for dest in getattr(args, "dir_outputs", ()):
-        path = getattr(args, dest)
-        if Path(path).exists() and not Path(path).is_dir():
+        start = Path(path).parent if is_file else Path(path)
+        if not next(p for p in (start, *start.parents) if p.exists()).is_dir():
             raise NotADirectoryError(errno.ENOTDIR, "Not a directory", path)
 
 

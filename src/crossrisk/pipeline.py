@@ -25,7 +25,6 @@ from .predictors import InferenceView, TrainedModelBundle
 from .risk import (
     AREAS,
     AreaRole,
-    Decision,
     DecisionKind,
     RiskScenario,
     RiskThresholdConfig,
@@ -182,10 +181,9 @@ class RiskPipeline:
 
     # -- frame loop ----------------------------------------------------------------
 
-    def process_frame(self, frame: int, observations: Sequence[Observation]) -> list[Decision]:
+    def process_frame(self, frame: int, observations: Sequence[Observation]) -> None:
         """Ingest one frame and evaluate every ready target pedestrian."""
         t = frame / FPS
-        decisions_out: list[Decision] = []
 
         t_ingest = time.perf_counter()
         self.engine.ingest_frame(frame, observations)
@@ -223,7 +221,6 @@ class RiskPipeline:
         for (state, window, vehicles), (ped_times, vehicle_times) in zip(evaluated, estimates):
             vector = ppet(ped_times, vehicle_times)
             decisions = step_evaluate(state, vector, self.thresholds, t, window.end_position, vehicles)
-            decisions_out.extend(decisions)
             for decision in decisions:
                 if decision.kind is DecisionKind.RISK2_FLAGGED and decision.scenario is not None:
                     self.result.risk_scenarios.append(decision.scenario)
@@ -235,7 +232,6 @@ class RiskPipeline:
         self.result.ingest_ms.append((t0 - t_ingest) * 1000.0)
         self.result.prediction_ms.append(prediction_ms)
         self.result.ppet_risk_ms.append(ppet_risk_ms)
-        return decisions_out
 
     def run(self, frames: Mapping[int, Sequence[Observation]], realtime: bool = False) -> EvaluationResult:
         """Process a whole stream (contiguous frame range, empty frames included).
@@ -260,6 +256,10 @@ class RiskPipeline:
 TRACE_HEADER = ["frame", "ped_id", "veh_id", "area", *PPetVector._fields]
 
 
+# the positions of each area's (pf, vf) cells among the four components
+_CELLS = {area: PPetVector(*range(4)).area(i) for i, area in enumerate(AREAS)}
+
+
 def _cell(value: float | None) -> str:
     return "" if value is None else repr(value)
 
@@ -271,8 +271,9 @@ def write_trace_csv(path: str, trace: Sequence[TraceRow]) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(TRACE_HEADER)
         for row in trace:
-            own = dict(zip(_COLUMNS.area(AREAS.index(row.area)), (row.pf, row.vf)))
-            cells = [_cell(own.get(c)) for c in _COLUMNS]
+            cells = ["", "", "", ""]
+            pf, vf = _CELLS[row.area]
+            cells[pf], cells[vf] = _cell(row.pf), _cell(row.vf)
             writer.writerow([row.frame, row.ped_id, row.veh_id, row.area.value, *cells])
 
 

@@ -2,7 +2,7 @@
 regressor, labeled-dataset construction, training and model selection."""
 
 from .bundle import ALL_PAIRS, InferenceView, TrainedModelBundle
-from .dataset import Awareness, LabeledSample, build_labeled_dataset, targets_for_agent
+from .dataset import Awareness, LabeledSample, build_labeled_dataset
 from .historical import ARRIVAL_TIME_CAP_S, HistoricalAveragePredictor, arrival_time, average_velocity, direction_vector
 from .recurrent import RecurrentRegressor, window_features
 from .training import (
@@ -31,7 +31,6 @@ __all__ = [
     "direction_vector",
     "evaluate_mae",
     "split_samples",
-    "targets_for_agent",
     "train",
     "train_and_select",
     "train_bundle",

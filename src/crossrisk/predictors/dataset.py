@@ -13,19 +13,10 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..errors import ManifestError, UnknownDirection
+from ..errors import ManifestError
 from ..files import input_lines, open_output
-from ..geometry import AreaMap, TargetLine, WorldPoint
-from ..stream import (
-    WINDOW_SIZE,
-    AgentCategory,
-    Direction,
-    Observation,
-    SlidingWindowTrajectory,
-    crossing_times,
-    infer_direction,
-    target_lines,
-)
+from ..geometry import TargetLine, WorldPoint
+from ..stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory, Track
 
 log = logging.getLogger(__name__)
 
@@ -57,68 +48,44 @@ class LabeledSample:
         return self.window.category
 
 
-def targets_for_agent(
-    trajectory: Sequence[Observation], area_map: AreaMap
-) -> list[tuple[int, TargetLine]]:
-    """Standard (q, line) targets for one agent's complete trajectory: its
-    target_lines, a pedestrian's in the crossing direction inferred from the
-    full trajectory (none when that is unknown)."""
-    category = trajectory[0].category
-    direction = infer_direction(trajectory) if category.is_pedestrian else Direction.UNKNOWN
-    try:
-        lines = target_lines(area_map, category, direction)
-    except UnknownDirection:
-        return []
-    return list(enumerate(lines))
-
-
 def build_labeled_dataset(
-    trajectories: Sequence[Sequence[Observation]],
-    area_map: AreaMap,
-    targets: Sequence[tuple[int, TargetLine]] | None = None,
-    awareness: Mapping[str, Awareness] | None = None,
+    tracks: Sequence[Track], awareness: Mapping[str, Awareness] | None = None
 ) -> list[LabeledSample]:
     """Emit every pre-crossing sliding window paired with its arrival time.
 
-    For each trajectory and each target q the label of window j is the
+    For each track and each of its targets q the label of window j is the
     crossing time minus the window-end time; windows ending after the agent
-    passed q are excluded. Trajectories that never reach a target are skipped
-    for that target and logged. An agent missing from `awareness` did not
-    notice the threat. Each trajectory's time and position arrays
-    are built once; its windows are slices of them.
+    passed q are excluded. Tracks without targets, and targets a track never
+    reaches, are skipped and logged. An agent missing from `awareness` did not
+    notice the threat. The windows are slices of each track's arrays.
     """
     awareness = awareness or {}
     samples: list[LabeledSample] = []
-    for trajectory in trajectories:
-        if len(trajectory) < WINDOW_SIZE:
+    for track in tracks:
+        n = len(track.times)
+        if n < WINDOW_SIZE:
             continue
-        agent_id, category = trajectory[0].agent_id, trajectory[0].category
+        agent_id, category = track.agent_id, track.category
         noticed = awareness.get(agent_id, Awareness.DID_NOT_NOTICE)
-        agent_targets = list(targets) if targets is not None else targets_for_agent(trajectory, area_map)
-        if not agent_targets:
+        if not track.targets:
             log.info("agent %s skipped: no resolvable targets", agent_id)
             continue
-        frames = [o.frame for o in trajectory]
-        times = np.array([o.t for o in trajectory])
-        positions = np.array([(o.position.x, o.position.y) for o in trajectory])
-        # the windows are overlapping views of these arrays
-        times.flags.writeable = positions.flags.writeable = False
-        crossings = crossing_times([line for _, line in agent_targets], times, positions)
-        for (q, line), t_cross in zip(agent_targets, crossings):
+        frames, times = track.frames.tolist(), track.times.tolist()
+        for (q, line), t_cross in zip(track.targets, track.crossings):
             if t_cross is None:
                 log.info("agent %s never crosses q=%d", agent_id, q)
                 continue
-            for j in range(len(trajectory) - WINDOW_SIZE + 1):
+            for j in range(n - WINDOW_SIZE + 1):
                 end = j + WINDOW_SIZE
                 if frames[end - 1] - frames[j] != WINDOW_SIZE - 1:
                     continue  # gap in the stored trajectory
-                t_end = trajectory[end - 1].t
+                t_end = times[end - 1]
                 if t_end > t_cross:
                     break
                 samples.append(
                     LabeledSample(
                         window=SlidingWindowTrajectory(
-                            agent_id, category, frames[j], times[j:end], positions[j:end]
+                            agent_id, category, frames[j], track.times[j:end], track.positions[j:end]
                         ),
                         arrival_time=t_cross - t_end,
                         q=q,

@@ -1,5 +1,5 @@
 """Per-frame observation ingestion, trajectory buffering, sliding windows,
-and the target-pedestrian lifecycle.
+the target-pedestrian lifecycle, and whole-path agent tracks.
 
 The engine is a single-writer state machine: ingest_frame calls must arrive
 serialized in frame order. Snapshot queries are read-only.
@@ -218,14 +218,8 @@ class Direction(Enum):
     UNKNOWN = "unknown"
 
 
-def infer_direction(observations: Sequence[Observation]) -> Direction:
-    """Crossing direction from net x displacement, with a jitter dead band."""
-    if len(observations) < 2:
-        return Direction.UNKNOWN
-    return _direction_of(observations[-1].position.x - observations[0].position.x)
-
-
 def _direction_of(dx: float) -> Direction:
+    """Crossing direction from a net x displacement, with a jitter dead band."""
     if dx > DIRECTION_DEAD_BAND_M:
         return Direction.LEFT_TO_RIGHT
     if dx < -DIRECTION_DEAD_BAND_M:
@@ -263,12 +257,6 @@ def target_line_table(area_map: AreaMap) -> dict[tuple[AgentCategory, Direction]
     return {(c, d): target_lines(area_map, c, d) for c in AgentCategory for d in known}
 
 
-def crossing_times(lines: Iterable[TargetLine], times: np.ndarray, positions: np.ndarray) -> list[float | None]:
-    """Each line's first crossing time along an agent's path, given as its
-    times (N,) and positions (N, 2); None where the path never reaches it."""
-    return [first_crossing_time(positions, times, line) for line in lines]
-
-
 class PedestrianStatus(Enum):
     NON_TARGET = "non_target"
     TARGET = "target"
@@ -303,8 +291,48 @@ def _check_continues(category: AgentCategory, last_t: float, obs: Observation) -
         )
 
 
-def agent_trajectories(frames: Mapping[int, Sequence[Observation]]) -> list[list[Observation]]:
-    """Each agent's observations in frame order, agents sorted by id.
+@dataclass(frozen=True, eq=False)
+class Track:
+    """One agent's whole path: frames (N,), times (N,) and positions (N, 2),
+    all read-only; its crossing direction (a pedestrian's from its net x
+    displacement, UNKNOWN for a vehicle); and its (q, line) targets, the
+    target_lines of that direction (none when it is unknown)."""
+
+    agent_id: str
+    category: AgentCategory
+    frames: np.ndarray
+    times: np.ndarray
+    positions: np.ndarray
+    direction: Direction
+    targets: tuple[tuple[int, TargetLine], ...]
+
+    @classmethod
+    def from_observations(cls, observations: Sequence[Observation], area_map: AreaMap) -> Track:
+        """The track of one agent's observations, in frame order."""
+        first = observations[0]
+        frames = np.array([o.frame for o in observations])
+        times = np.array([o.t for o in observations])
+        positions = np.array([(o.position.x, o.position.y) for o in observations])
+        # windows are overlapping views of these arrays
+        frames.flags.writeable = times.flags.writeable = positions.flags.writeable = False
+        direction = Direction.UNKNOWN
+        if first.category.is_pedestrian:
+            direction = _direction_of(positions[-1, 0] - positions[0, 0])
+        try:
+            targets = tuple(enumerate(target_lines(area_map, first.category, direction)))
+        except UnknownDirection:
+            targets = ()
+        return cls(first.agent_id, first.category, frames, times, positions, direction, targets)
+
+    @cached_property
+    def crossings(self) -> list[float | None]:
+        """The first crossing time of each target line, in targets' order;
+        None where the path never reaches it."""
+        return [first_crossing_time(self.positions, self.times, line) for _, line in self.targets]
+
+
+def agent_tracks(frames: Mapping[int, Sequence[Observation]], area_map: AreaMap) -> list[Track]:
+    """Each agent's Track of its observations in frame order, agents sorted by id.
 
     An agent whose category changes or whose time does not strictly increase
     raises, as StreamEngine.ingest_frame does.
@@ -312,11 +340,11 @@ def agent_trajectories(frames: Mapping[int, Sequence[Observation]]) -> list[list
     by_agent: dict[str, list[Observation]] = {}
     for frame in sorted(frames):
         for obs in frames[frame]:
-            track = by_agent.setdefault(obs.agent_id, [])
-            if track:
-                _check_continues(track[-1].category, track[-1].t, obs)
-            track.append(obs)
-    return [by_agent[k] for k in sorted(by_agent)]
+            observations = by_agent.setdefault(obs.agent_id, [])
+            if observations:
+                _check_continues(observations[-1].category, observations[-1].t, obs)
+            observations.append(obs)
+    return [Track.from_observations(by_agent[k], area_map) for k in sorted(by_agent)]
 
 
 # Areas that promote a pedestrian to Target.

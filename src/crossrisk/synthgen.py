@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import InfeasibleSpec, ManifestError, UnknownDirection
+from .errors import InfeasibleSpec, ManifestError
 from .files import read_json, write_json
 from .geometry import (
     AreaMap,
@@ -37,9 +37,8 @@ from .stream import (
     AgentCategory,
     Direction,
     Observation,
+    Track,
     closer_further_assignment,
-    crossing_times,
-    infer_direction,
     target_lines,
 )
 
@@ -568,62 +567,30 @@ def _simulate_pedestrian(
     return out
 
 
-@dataclass(frozen=True)
-class _Track:
-    """One agent's category, time (N,) and position (N, 2) arrays, crossing
-    direction (UNKNOWN for vehicles) and the first crossing time of each of
-    its target lines, in q order (none when the direction is unknown)."""
-
-    category: AgentCategory
-    times: np.ndarray
-    positions: np.ndarray
-    direction: Direction
-    crossings: list[float | None]
-
-
-def _track(trajectory: Sequence[Observation], area_map: AreaMap) -> _Track:
-    category = trajectory[0].category
-    times = np.array([o.t for o in trajectory])
-    positions = np.array([[o.position.x, o.position.y] for o in trajectory])
-    direction = infer_direction(trajectory) if category.is_pedestrian else Direction.UNKNOWN
-    try:
-        lines = target_lines(area_map, category, direction)
-    except UnknownDirection:
-        lines = ()
-    return _Track(category, times, positions, direction, crossing_times(lines, times, positions))
-
-
-def _crossing_dict(track: _Track) -> dict[str, float]:
+def _crossing_dict(track: Track) -> dict[str, float]:
     """AgentTruth.crossing_times: the crossing time of each target line
     reached, by its ground-truth name (in target_lines' q order)."""
     keys = ("q0", "q1", "q2") if track.category.is_pedestrian else ("enter", "leave")
     return {key: t for key, t in zip(keys, track.crossings) if t is not None}
 
 
-def label_risk(
-    trajectories: Mapping[str, Sequence[Observation]], area_map: AreaMap
-) -> dict[tuple[str, str], RiskLevel]:
-    """Ground-truth risk per (pedestrian, closer/further area) from realized
-    kinematics.
+def label_risk(tracks: Sequence[Track], area_map: AreaMap) -> dict[tuple[str, str], RiskLevel]:
+    """Ground-truth risk per (pedestrian, closer/further area) from the
+    realized kinematics of the agents' tracks, in their order.
 
     Risk 0 when no vehicle crosses the area within the interaction horizon;
     Risk 2 when the realized |PET| is under the severe cutoff or the
     pedestrian took an evasive speed change with a vehicle around; else
     Risk 1.
     """
-    return _label_tracks({k: _track(v, area_map) for k, v in trajectories.items()}, area_map)
-
-
-def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap) -> dict[tuple[str, str], RiskLevel]:
-    """label_risk of the agents' tracks."""
     vehicle_windows: dict[str, list[tuple[str, float, float]]] = {c.conflict_area: [] for c in _LANES}
-    for agent_id, track in tracks.items():
+    for track in tracks:
         if track.category.is_vehicle and None not in track.crossings:
             enter, leave = track.crossings
-            vehicle_windows[track.category.conflict_area].append((agent_id, enter, leave))
+            vehicle_windows[track.category.conflict_area].append((track.agent_id, enter, leave))
 
     labels: dict[tuple[str, str], RiskLevel] = {}
-    for agent_id, track in tracks.items():
+    for track in tracks:
         if track.category.is_vehicle or not track.crossings or None in track.crossings:
             continue
         min_pet = {}
@@ -645,15 +612,15 @@ def _label_tracks(tracks: Mapping[str, _Track], area_map: AreaMap) -> dict[tuple
             evasive_role = min((r for r in AREAS if min_pet[r] is not None), key=min_pet.get, default=None)
         for role in AREAS:
             if min_pet[role] is None:
-                labels[(agent_id, role.value)] = RiskLevel.RISK0
+                labels[(track.agent_id, role.value)] = RiskLevel.RISK0
             elif min_pet[role] < LABEL_PET_SEVERE_S or role is evasive_role:
-                labels[(agent_id, role.value)] = RiskLevel.RISK2
+                labels[(track.agent_id, role.value)] = RiskLevel.RISK2
             else:
-                labels[(agent_id, role.value)] = RiskLevel.RISK1
+                labels[(track.agent_id, role.value)] = RiskLevel.RISK1
     return labels
 
 
-def _took_evasive_action(track: _Track, area_map: AreaMap) -> bool:
+def _took_evasive_action(track: Track, area_map: AreaMap) -> bool:
     """Detect a sustained >= 30% smoothed speed change against the approach
     baseline while the pedestrian was in the react or conflict zones."""
     positions, times = track.positions, track.times
@@ -703,31 +670,22 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
         if trajectory:
             trajectories[plan.agent_id] = trajectory
 
-    # each agent's arrays, direction and crossing times, built once for the
-    # truth and the risk labels
-    tracks = {agent_id: _track(trajectory, area_map) for agent_id, trajectory in trajectories.items()}
+    # each agent's track, built once for the truth and the risk labels:
+    # pedestrians in plan order, then vehicles
+    tracks = [Track.from_observations(trajectory, area_map) for trajectory in trajectories.values()]
+    pedestrians = {plan.agent_id: plan for plan in ped_plans}
     truth = GroundTruth()
-    for plan in ped_plans:
-        track = tracks.get(plan.agent_id)
-        if track is None:
-            continue
-        truth.agents[plan.agent_id] = AgentTruth(
-            category=plan.category,
-            direction=track.direction.value if track.direction is not Direction.UNKNOWN else None,
-            awareness=plan.awareness,
-            reaction=plan.reaction,
+    for track in tracks:
+        agent = truth.agents[track.agent_id] = AgentTruth(
+            category=track.category,
+            direction=None if track.direction is Direction.UNKNOWN else track.direction.value,
             crossing_times=_crossing_dict(track),
+            conflict_area=track.category.conflict_area,
         )
-    for plan in veh_plans:
-        track = tracks.get(plan.agent_id)
-        if track is None:
-            continue
-        truth.agents[plan.agent_id] = AgentTruth(
-            category=plan.category,
-            crossing_times=_crossing_dict(track),
-            conflict_area=plan.category.conflict_area,
-        )
-    truth.risk = _label_tracks(tracks, area_map)
+        plan = pedestrians.get(track.agent_id)
+        if plan is not None:
+            agent.awareness, agent.reaction = plan.awareness, plan.reaction
+    truth.risk = label_risk(tracks, area_map)
 
     frames: dict[int, list[Observation]] = {}
     for agent_id in sorted(trajectories):

@@ -1,13 +1,24 @@
-"""Builders for synthetic calibration episodes with planted threshold rules."""
+"""Builders for synthetic calibration episodes with planted threshold rules,
+and for agent tracks with explicit targets."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 
 from crossrisk.calibration import Episode, GridSpec, IntervalGrid, RoleGrid
 from crossrisk.ppet import PPetVector
 from crossrisk.risk import AreaRole, RiskLevel
-from crossrisk.stream import AgentCategory
+from crossrisk.stream import AgentCategory, Track
+from crossrisk.synthgen import reference_area_map
+
+
+def track_with_targets(observations, targets) -> Track:
+    """The Track of one agent's observations, with the given (q, line)
+    targets in place of its own."""
+    track = Track.from_observations(observations, reference_area_map())
+    return dataclasses.replace(track, targets=tuple(targets))
 
 # The planted rule: an episode is severe exactly when at least three frames
 # carry a closer-area pedestrian-first value inside [-1.0, 0.0].

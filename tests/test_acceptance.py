@@ -31,7 +31,7 @@ from crossrisk.stream import AgentCategory, Observation
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map, reference_tile_grid
 
 from conftest import FPS, constant_velocity_window, vertical_line
-from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid
+from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid, track_with_targets
 from test_ppet import eq10_oracle, random_estimate_set, shifted
 from test_risk import random_trace, replay_streaming
 
@@ -120,7 +120,7 @@ def test_criterion_03_learned_beats_baseline_on_deceleration():
     trajectories = [
         _decelerating_trajectory(f"d{k}", float(rng.uniform(0.03, 0.10))) for k in range(24)
     ]
-    samples = build_labeled_dataset(trajectories, area_map, targets=[q2])[::3]
+    samples = build_labeled_dataset([track_with_targets(t, [q2]) for t in trajectories])[::3]
 
     config = TrainingConfig(seed=2, hidden_size=32, learning_rate=0.01, epochs=120, patience=20, batch_size=64)
     model = RecurrentRegressor.initialize(32, np.random.default_rng(config.seed))

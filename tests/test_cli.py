@@ -10,7 +10,7 @@ from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig
 from crossrisk.stream import AgentCategory, read_stream_csv
 from crossrisk.synthgen import AgentTruth, GroundTruth, reference_area_map
 
-from helpers import planted_episodes
+from helpers import planted_episodes, track_with_targets
 
 
 @pytest.fixture(scope="module")
@@ -116,8 +116,7 @@ class TestBuildDatasetAndTrain:
         # oracle: per agent and target line, windows whose end precedes the
         # first line crossing of the raw trajectory
         from crossrisk.geometry import load_area_map
-        from crossrisk.predictors.dataset import targets_for_agent
-        from crossrisk.stream import WINDOW_SIZE
+        from crossrisk.stream import WINDOW_SIZE, Track
 
         frames = read_stream_csv(str(gen_dir / "stream.csv"))
         area_map = load_area_map(str(gen_dir / "area_map.json"))
@@ -129,7 +128,7 @@ class TestBuildDatasetAndTrain:
         for agent_id, traj in by_agent.items():
             if len(traj) < WINDOW_SIZE:
                 continue
-            for _, line in targets_for_agent(traj, area_map):
+            for _, line in Track.from_observations(traj, area_map).targets:
                 xs = [(o.position.x, o.position.y) for o in traj]
                 ts = [o.t for o in traj]
                 t_cross = None
@@ -879,7 +878,7 @@ def _samples_file(tmp_path):
         for i in range(45)
     ]
     target = (0, area_map.line("ped_ltr_q0"))
-    samples = build_labeled_dataset([traj], area_map, targets=[target])
+    samples = build_labeled_dataset([track_with_targets(traj, [target])])
     path = tmp_path / "samples.jsonl"
     write_samples_jsonl(str(path), samples)
     return path, len(samples)
@@ -1340,5 +1339,35 @@ def test_directory_output_naming_a_file_is_input_error_before_the_work(command, 
         argv = [arg.format(taken=taken, **names) for arg in _DIRECTORY_WRITERS[command]]
         assert main(argv) == EXIT_INPUT
         assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{taken}'\n"
+    assert work == []
+    assert taken.read_text(encoding="utf-8") == "kept\n"
+
+
+_BELOW_A_FILE = {
+    "gen": ["gen", "--spec", "{spec}", "--out", "{taken}/sub"],
+    "build-dataset": ["build-dataset", "--stream", "{stream}", "--area-map", "{area_map}",
+                      "--out", "{taken}/s.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", _BELOW_A_FILE)
+def test_output_below_a_file_is_input_error_before_the_work(command, tmp_path, capsys, monkeypatch):
+    """An output whose nearest existing ancestor is a file exits 2, naming
+    the output, before the command reads an input (a missing one is not
+    reported) or works: gen generates nothing, build-dataset builds no
+    sample. The file is left as it was."""
+    from crossrisk import cli
+
+    work = []
+    monkeypatch.setattr(cli, "generate", lambda *args: work.append("generate"))
+    monkeypatch.setattr(cli, "build_labeled_dataset", lambda *args, **kwargs: work.append("build"))
+    (tmp_path / "spec.json").write_text("{}", encoding="utf-8")
+    inputs = {**_well_formed_inputs(tmp_path), "spec": str(tmp_path / "spec.json")}
+    taken = tmp_path / "taken.csv"
+    taken.write_text("kept\n", encoding="utf-8")
+    for names in (inputs, dict.fromkeys(inputs, str(tmp_path / "missing"))):
+        argv = [arg.format(taken=taken, **names) for arg in _BELOW_A_FILE[command]]
+        assert main(argv) == EXIT_INPUT
+        assert capsys.readouterr().err == f"error: [Errno 20] Not a directory: '{argv[-1]}'\n"
     assert work == []
     assert taken.read_text(encoding="utf-8") == "kept\n"

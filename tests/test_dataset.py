@@ -11,15 +11,15 @@ from crossrisk.predictors.dataset import (
     LabeledSample,
     build_labeled_dataset,
     read_samples_jsonl,
-    targets_for_agent,
     write_samples_jsonl,
 )
 from crossrisk.predictors.historical import HistoricalAveragePredictor
 from crossrisk.predictors.recurrent import RecurrentRegressor
 from crossrisk.predictors.training import TrainingConfig, train, train_bundle
-from crossrisk.stream import AgentCategory, Observation, SlidingWindowTrajectory, TrajectoryBuffer, window
+from crossrisk.stream import AgentCategory, Direction, Observation, SlidingWindowTrajectory, Track, TrajectoryBuffer, window
 
 from conftest import constant_velocity_window
+from helpers import track_with_targets
 
 FPS = 30.0
 
@@ -52,7 +52,7 @@ class TestBuildLabeledDataset:
         traj = straight_trajectory("a0", 0.0, 1.0, 220)
         end_x = 29 / FPS
         target = (1, vline(end_x + 5.0))
-        samples = build_labeled_dataset([traj], None, targets=[target])
+        samples = build_labeled_dataset([track_with_targets(traj, [target])])
         assert samples[0].arrival_time == pytest.approx(5.0, rel=1e-12)
 
     def test_window_count_for_45_points_pre_crossing(self):
@@ -60,7 +60,7 @@ class TestBuildLabeledDataset:
         # window is pre-crossing, so 45 - 30 + 1 = 16 samples
         traj = straight_trajectory("a0", 0.0, 1.0, 45)
         target = (1, vline(44 / FPS))
-        samples = build_labeled_dataset([traj], None, targets=[target])
+        samples = build_labeled_dataset([track_with_targets(traj, [target])])
         assert len(samples) == 16
 
     def test_labels_match_crossing_oracle(self):
@@ -71,7 +71,7 @@ class TestBuildLabeledDataset:
         ]
         line_x = 6.0
         target = (1, vline(line_x))
-        samples = build_labeled_dataset(trajs, None, targets=[target])
+        samples = build_labeled_dataset([track_with_targets(traj, [target]) for traj in trajs])
         assert samples
         by_agent = {t[0].agent_id: t for t in trajs}
         for s in samples:
@@ -82,7 +82,7 @@ class TestBuildLabeledDataset:
         traj = straight_trajectory("a0", 0.0, 1.0, 150)
         line_x = 2.0
         target = (1, vline(line_x))
-        samples = build_labeled_dataset([traj], None, targets=[target])
+        samples = build_labeled_dataset([track_with_targets(traj, [target])])
         t_cross = crossing_oracle(traj, line_x)
         assert all(s.window.times[-1] <= t_cross for s in samples)
         assert all(s.arrival_time >= 0.0 for s in samples)
@@ -91,40 +91,51 @@ class TestBuildLabeledDataset:
         traj = straight_trajectory("a0", 0.0, 1.0, 60)
         target = (1, vline(1000.0))
         with caplog.at_level(logging.INFO, logger="crossrisk.predictors.dataset"):
-            samples = build_labeled_dataset([traj], None, targets=[target])
+            samples = build_labeled_dataset([track_with_targets(traj, [target])])
         assert samples == []
         assert any("never crosses" in r.message for r in caplog.records)
 
     def test_annotations_attached(self):
         traj = straight_trajectory("a0", 0.0, 1.0, 120)
         target = (1, vline(3.0))
-        samples = build_labeled_dataset([traj], None, targets=[target], awareness={"a0": Awareness.NOTICED})
+        samples = build_labeled_dataset([track_with_targets(traj, [target])], {"a0": Awareness.NOTICED})
         assert samples[0].awareness is Awareness.NOTICED
 
 
 class TestTargetsForAgent:
+    """An agent's (q, line) targets, as its Track holds them."""
+
     def test_pedestrian_ltr(self, area_map):
-        traj = straight_trajectory("a0", -5.0, 2.0, 60)
-        targets = targets_for_agent(traj, area_map)
-        assert [q for q, _ in targets] == [0, 1, 2]
-        assert targets[0][1] is area_map.line(pedestrian_line_name("ltr", 0))
-        assert targets[0][1].normal == (1.0, 0.0)
+        track = Track.from_observations(straight_trajectory("a0", -5.0, 2.0, 60), area_map)
+        assert track.direction is Direction.LEFT_TO_RIGHT
+        assert [q for q, _ in track.targets] == [0, 1, 2]
+        assert track.targets[0][1] is area_map.line(pedestrian_line_name("ltr", 0))
+        assert track.targets[0][1].normal == (1.0, 0.0)
 
     def test_pedestrian_rtl(self, area_map):
-        traj = straight_trajectory("a0", 16.0, -2.0, 60)
-        targets = targets_for_agent(traj, area_map)
-        assert targets[1][1] is area_map.line(pedestrian_line_name("rtl", 1))
-        assert targets[1][1].normal == (-1.0, 0.0)
+        track = Track.from_observations(straight_trajectory("a0", 16.0, -2.0, 60), area_map)
+        assert track.direction is Direction.RIGHT_TO_LEFT
+        assert track.targets[1][1] is area_map.line(pedestrian_line_name("rtl", 1))
+        assert track.targets[1][1].normal == (-1.0, 0.0)
 
     def test_vehicle_targets(self, area_map):
         traj = [
             Observation(i, i / FPS, "v0", AgentCategory.VEHICLE_AREA_41, WorldPoint(2.75, 20.0 - i * 0.3))
             for i in range(40)
         ]
-        targets = targets_for_agent(traj, area_map)
-        assert [q for q, _ in targets] == [0, 1]
-        assert targets[0][1] is area_map.line(vehicle_line_name("3.1", True))
-        assert targets[1][1] is area_map.line(vehicle_line_name("3.1", False))
+        track = Track.from_observations(traj, area_map)
+        assert track.direction is Direction.UNKNOWN
+        assert [q for q, _ in track.targets] == [0, 1]
+        assert track.targets[0][1] is area_map.line(vehicle_line_name("3.1", True))
+        assert track.targets[1][1] is area_map.line(vehicle_line_name("3.1", False))
+
+    def test_pedestrian_of_unknown_direction_has_no_targets(self, area_map, caplog):
+        track = Track.from_observations(straight_trajectory("a0", 3.0, 0.1, 60), area_map)
+        assert track.direction is Direction.UNKNOWN
+        assert track.targets == () and track.crossings == []
+        with caplog.at_level(logging.INFO, logger="crossrisk.predictors.dataset"):
+            assert build_labeled_dataset([track]) == []
+        assert any("no resolvable targets" in r.message for r in caplog.records)
 
 
 class TestLabeledSample:
@@ -147,16 +158,16 @@ class TestLabelsAgreeWithGroundTruth:
     TRUTH_NAMES = {True: ("q0", "q1", "q2"), False: ("enter", "leave")}
 
     @pytest.fixture(scope="class")
-    def generated(self):
-        from crossrisk.stream import agent_trajectories
+    def generated(self, area_map):
+        from crossrisk.stream import agent_tracks
         from crossrisk.synthgen import ScenarioSpec, generate
 
         frames, truth = generate(ScenarioSpec(seed=4, duration_s=60, n_adults=4, n_kids=2, n_cyclists=2))
-        return agent_trajectories(frames), truth
+        return agent_tracks(frames, area_map), truth
 
-    def test_label_is_truth_crossing_minus_window_end(self, generated, area_map):
-        trajectories, truth = generated
-        samples = build_labeled_dataset(trajectories, area_map)
+    def test_label_is_truth_crossing_minus_window_end(self, generated):
+        tracks, truth = generated
+        samples = build_labeled_dataset(tracks)
         for s in samples:
             name = self.TRUTH_NAMES[s.category.is_pedestrian][s.q]
             t_cross = truth.agents[s.window.agent_id].crossing_times[name]
@@ -166,22 +177,24 @@ class TestLabelsAgreeWithGroundTruth:
 
     def test_truth_crossing_times_name_the_agents_target_lines(self, generated, area_map):
         from crossrisk.errors import UnknownDirection
-        from crossrisk.stream import Direction, crossing_times, target_lines
+        from crossrisk.geometry import first_crossing_time
+        from crossrisk.stream import target_lines
 
-        trajectories, truth = generated
-        for trajectory in trajectories:
-            agent = truth.agents[trajectory[0].agent_id]
+        tracks, truth = generated
+        for track in tracks:
+            agent = truth.agents[track.agent_id]
+            assert track.direction is Direction(agent.direction or "unknown")
             try:
                 lines = target_lines(area_map, agent.category, Direction(agent.direction or "unknown"))
             except UnknownDirection:
                 lines = ()
-            times = np.array([o.t for o in trajectory])
-            positions = np.array([(o.position.x, o.position.y) for o in trajectory])
+            crossings = [first_crossing_time(track.positions, track.times, line) for line in lines]
             expect = {
-                name: t for name, t in zip(self.TRUTH_NAMES[agent.category.is_pedestrian], crossing_times(lines, times, positions))
+                name: t for name, t in zip(self.TRUTH_NAMES[agent.category.is_pedestrian], crossings)
                 if t is not None
             }
             assert agent.crossing_times == expect
+        assert any(t.category.is_pedestrian and t.direction is not Direction.UNKNOWN for t in tracks)
         assert any(len(a.crossing_times) == 3 for a in truth.agents.values())
         assert any(set(a.crossing_times) == {"enter", "leave"} for a in truth.agents.values())
 
@@ -190,7 +203,7 @@ class TestSamplesFile:
     def test_jsonl_round_trip(self, tmp_path):
         traj = straight_trajectory("a0", 0.0, 1.2, 120, category=AgentCategory.KID)
         target = (2, vline(3.0))
-        samples = build_labeled_dataset([traj], None, targets=[target], awareness={"a0": Awareness.NOTICED})
+        samples = build_labeled_dataset([track_with_targets(traj, [target])], {"a0": Awareness.NOTICED})
         path = tmp_path / "samples.jsonl"
         write_samples_jsonl(str(path), samples)
         back = read_samples_jsonl(str(path))
@@ -225,7 +238,7 @@ class TestSamplesFile:
         live = window(buf)
         path = tmp_path / "samples.jsonl"
         target = (1, line)
-        write_samples_jsonl(str(path), build_labeled_dataset([traj], None, targets=[target]))
+        write_samples_jsonl(str(path), build_labeled_dataset([track_with_targets(traj, [target])]))
         stored = [s.window for s in read_samples_jsonl(str(path)) if s.window.first_frame == live.first_frame]
         assert len(stored) == 1
         gru = RecurrentRegressor.initialize(8, np.random.default_rng(3))
@@ -245,10 +258,11 @@ def _mixed_samples(area_map):
         Observation(i, i / FPS, "v0", AgentCategory.VEHICLE_AREA_41, WorldPoint(2.75, 20.0 - i * 0.3))
         for i in range(90)
     ]
-    samples = build_labeled_dataset([ltr, gappy, rtl, vehicle], area_map, awareness={"p2": Awareness.NOTICED})
+    tracks = [Track.from_observations(traj, area_map) for traj in (ltr, gappy, rtl, vehicle)]
+    samples = build_labeled_dataset(tracks, {"p2": Awareness.NOTICED})
     edge = straight_trajectory("e0", 0.0, 1.0, 45, category=AgentCategory.CYCLIST)
     target = (1, vline(44 / FPS))
-    return samples + build_labeled_dataset([edge], None, targets=[target])
+    return samples + build_labeled_dataset([track_with_targets(edge, [target])])
 
 
 def _bits(s):

@@ -20,17 +20,19 @@ from crossrisk.stream import (
     Observation,
     PedestrianStatus,
     StreamEngine,
+    Track,
     TrajectoryBuffer,
-    agent_trajectories,
+    _direction_of,
+    agent_tracks,
     closer_further_assignment,
-    crossing_times,
-    infer_direction,
     load_stream,
     read_stream_csv,
     target_lines,
     window,
     write_stream_csv,
 )
+
+from helpers import track_with_targets
 
 FPS = 30.0
 
@@ -173,22 +175,33 @@ class TestRingAgainstDeque:
         assert min(seen.values()) > 10
 
     def test_direction_reads_the_ring(self, area_map):
-        """The engine's direction is infer_direction of the buffered points."""
+        """The engine's direction is _direction_of the net x displacement of
+        the buffered points: the window's positions once it is full."""
         engine = StreamEngine(area_map)
         for i, o in enumerate(walk("a0", -5.0, 0.05, 80)):
             engine.ingest_frame(i, [o])
-            assert engine.pedestrians["a0"].direction is infer_direction(engine.buffer("a0").observations())
+            if engine.window_ready("a0"):
+                xs = engine.window("a0").positions[:, 0]
+            else:
+                xs = [p.position.x for p in engine.buffer("a0").observations()]
+            assert engine.pedestrians["a0"].direction is _direction_of(xs[-1] - xs[0])
 
 
 class TestDirection:
-    def test_positive_net_displacement(self):
-        assert infer_direction(walk("a0", 0.0, 0.1, 31)) is Direction.LEFT_TO_RIGHT
+    """A track's direction: a pedestrian's net x displacement, with a dead band."""
 
-    def test_negative_net_displacement(self):
-        assert infer_direction(walk("a0", 0.0, -0.1, 31)) is Direction.RIGHT_TO_LEFT
+    def test_positive_net_displacement(self, area_map):
+        assert Track.from_observations(walk("a0", 0.0, 0.1, 31), area_map).direction is Direction.LEFT_TO_RIGHT
 
-    def test_dead_band(self):
-        assert infer_direction(walk("a0", 0.0, 0.001, 31)) is Direction.UNKNOWN
+    def test_negative_net_displacement(self, area_map):
+        assert Track.from_observations(walk("a0", 0.0, -0.1, 31), area_map).direction is Direction.RIGHT_TO_LEFT
+
+    def test_dead_band(self, area_map):
+        assert Track.from_observations(walk("a0", 0.0, 0.001, 31), area_map).direction is Direction.UNKNOWN
+
+    def test_vehicle_direction_is_unknown(self, area_map):
+        moving = walk("v0", 0.0, 0.1, 31, category=AgentCategory.VEHICLE_AREA_41)
+        assert Track.from_observations(moving, area_map).direction is Direction.UNKNOWN
 
     def test_assignment(self):
         assert closer_further_assignment(Direction.LEFT_TO_RIGHT) == ("3.1", "3.2")
@@ -229,13 +242,14 @@ class TestTargetLines:
         """Walking right from x = -1 at 3 m/s: q0 (x = 0), q1 (5.5) and q2
         (11) are first crossed between samples, interpolated; walking back
         never reaches the right-to-left lines from their approach side."""
-        track = walk("a0", -1.0, 0.1, 150)
-        times = np.array([o.t for o in track])
-        positions = np.array([(o.position.x, o.position.y) for o in track])
-        got = crossing_times(target_lines(area_map, AgentCategory.ADULT, Direction.LEFT_TO_RIGHT), times, positions)
-        assert got == pytest.approx([1.0 / 3.0, 6.5 / 3.0, 12.0 / 3.0], abs=1e-12)
-        rtl = target_lines(area_map, AgentCategory.ADULT, Direction.RIGHT_TO_LEFT)
-        assert crossing_times(rtl, times, positions) == [None, None, None]
+        observations = walk("a0", -1.0, 0.1, 150)
+        track = Track.from_observations(observations, area_map)
+        assert [line for _, line in track.targets] == list(
+            target_lines(area_map, AgentCategory.ADULT, Direction.LEFT_TO_RIGHT)
+        )
+        assert track.crossings == pytest.approx([1.0 / 3.0, 6.5 / 3.0, 12.0 / 3.0], abs=1e-12)
+        rtl = enumerate(target_lines(area_map, AgentCategory.ADULT, Direction.RIGHT_TO_LEFT))
+        assert track_with_targets(observations, rtl).crossings == [None, None, None]
 
 
 class TestLifecycle:
@@ -406,10 +420,19 @@ class TestZoneLookup:
 
 
 class TestAgentTrajectories:
-    def test_groups_by_agent_in_frame_order(self):
+    """agent_tracks: each agent's trajectory of a stream as its Track."""
+
+    def test_groups_by_agent_in_frame_order(self, area_map):
         a, b = walk("a0", 0.0, 0.1, 3), walk("b0", 5.0, -0.1, 2, first_frame=1)
         frames = {2: [a[2], b[1]], 0: [a[0]], 1: [b[0], a[1]]}
-        assert agent_trajectories(frames) == [a, b]
+        tracks = agent_tracks(frames, area_map)
+        assert [t.agent_id for t in tracks] == ["a0", "b0"]
+        for track, observations in zip(tracks, (a, b)):
+            assert track.category is AgentCategory.ADULT
+            assert track.frames.tolist() == [o.frame for o in observations]
+            assert track.times.tolist() == [o.t for o in observations]
+            assert track.positions.tolist() == [[o.position.x, o.position.y] for o in observations]
+            assert not (track.frames.flags.writeable or track.times.flags.writeable or track.positions.flags.writeable)
 
     @pytest.mark.parametrize(
         "late, error",
@@ -419,10 +442,10 @@ class TestAgentTrajectories:
         ],
         ids=["category", "time"],
     )
-    def test_rejects_what_the_engine_rejects(self, late, error):
+    def test_rejects_what_the_engine_rejects(self, late, error, area_map):
         first = walk("a0", 0.0, 0.1, 2)
         with pytest.raises(error):
-            agent_trajectories({0: [first[0]], 1: [first[1]], 2: [late]})
+            agent_tracks({0: [first[0]], 1: [first[1]], 2: [late]}, area_map)
 
 
 class TestStreamCsv(object):

@@ -8,7 +8,7 @@ from crossrisk.geometry import locate_area
 from crossrisk.ppet import pet, ppet
 from crossrisk.predictors.dataset import Awareness
 from crossrisk.risk import RiskLevel
-from crossrisk.stream import AgentCategory, Direction, closer_further_assignment, write_stream_csv
+from crossrisk.stream import AgentCategory, Direction, agent_tracks, closer_further_assignment, write_stream_csv
 from crossrisk.synthgen import (
     LABEL_PET_SEVERE_S,
     GroundTruth,
@@ -123,7 +123,7 @@ class TestLabels:
             for o in frames[frame]:
                 by_agent.setdefault(o.agent_id, []).append(o)
 
-        got = label_risk(by_agent, area_map)
+        got = label_risk(agent_tracks(frames, area_map), area_map)
         expect = rule_oracle(by_agent, truth, area_map)
         assert set(got) == set(expect)
         mismatches = {k: (int(got[k]), int(expect[k])) for k in got if got[k] != expect[k]}
