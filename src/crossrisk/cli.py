@@ -12,6 +12,7 @@ import csv
 import errno
 import gc
 import json
+import math
 import sys
 from functools import partial
 from pathlib import Path
@@ -30,7 +31,7 @@ from .pipeline import (
 from .predictors import TrainedModelBundle, TrainingConfig, build_labeled_dataset, train_bundle
 from .predictors.dataset import read_samples_jsonl, write_samples_jsonl
 from .risk import RiskThresholdConfig
-from .stream import StreamRow, agent_tracks, load_stream, read_stream_rows, target_line_table, write_stream_csv
+from .stream import StreamRow, agent_tracks, open_stream, read_frames, target_line_table, write_stream_csv
 from .synthgen import GroundTruth, ScenarioSpec, generate, reference_area_map
 
 EXIT_OK = 0
@@ -64,11 +65,10 @@ def cmd_gen(args: argparse.Namespace) -> int:
         spec = ScenarioSpec.from_dict({**spec.to_dict(), "seed": args.seed})
     out = Path(args.out)
     frames, truth = generate(spec)
-    ordered = [frames[k] for k in sorted(frames)]
-    write_stream_csv(str(out / "stream.csv"), ordered)
+    write_stream_csv(str(out / "stream.csv"), frames.values())
     truth.save(str(out / "ground_truth.json"))
     save_area_map(str(out / "area_map.json"), reference_area_map())
-    print(f"gen: {sum(len(v) for v in ordered)} observations, "
+    print(f"gen: {sum(map(len, frames.values()))} observations, "
           f"{len(truth.agents)} agents -> {out}")
     return EXIT_OK
 
@@ -93,10 +93,9 @@ def cmd_homography(args: argparse.Namespace) -> int:
 
 def cmd_build_dataset(args: argparse.Namespace) -> int:
     area_map = _load_area_map(args.area_map)
-    frames, _ = load_stream(args.stream, args.tile_grid)
     truth = GroundTruth.load(args.truth) if args.truth else GroundTruth()
     awareness = {agent_id: agent.awareness for agent_id, agent in truth.agents.items()}
-    tracks = agent_tracks(frames, area_map)
+    tracks = agent_tracks(read_frames(args.stream, args.tile_grid)[0], area_map)
     samples = build_labeled_dataset(tracks, awareness)
     write_samples_jsonl(args.out, samples)
     print(f"build-dataset: {len(samples)} samples from {len(tracks)} trajectories")
@@ -136,29 +135,27 @@ def _load_bundle(args: argparse.Namespace) -> TrainedModelBundle:
     return TrainedModelBundle.historical_average()
 
 
-def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskPipeline, int, list[float]]:
-    """Load the area map, thresholds, bundle and stream of evaluate or replay,
-    and run the stream through one pipeline. The run holds every object built
-    so far (stream, bundle, area map, pipeline) out of the collector's reach
-    by gc.freeze(), so no full collection walks them inside a frame. Returns
-    the pipeline, the number of frames with rows and the per-frame transform
-    times."""
+def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskPipeline, list[float]]:
+    """Load the area map, thresholds and bundle of evaluate or replay, and run
+    the stream through one pipeline as its frames are read, under gc.freeze():
+    no full collection walks the bundle, area map or pipeline inside a frame.
+    Returns the pipeline and the transform times, one per frame with rows."""
     area_map = _load_area_map(args.area_map)
     thresholds = _load_thresholds(args)
     bundle = _load_bundle(args)
-    frames, transform_ms = load_stream(args.stream, args.tile_grid)
+    frames, transform_ms = read_frames(args.stream, args.tile_grid)
     pipeline = RiskPipeline(area_map, thresholds, bundle)
     gc.freeze()
     try:
         pipeline.run(frames, realtime)
     finally:
         gc.unfreeze()
-    return pipeline, len(frames), transform_ms
+    return pipeline, transform_ms
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     truth = GroundTruth.load(args.truth) if args.truth else None
-    pipeline, frames, _ = _run_stream(args)
+    pipeline, transform_ms = _run_stream(args)
     result = pipeline.result
     out = Path(args.out)
     write_risk_scenarios(str(out / "risk_scenarios.jsonl"), result.risk_scenarios)
@@ -166,7 +163,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     vectors = result.vectors_by_ped
     summary = {
-        "frames": frames,
+        "frames": len(transform_ms),
         "risk_scenarios": len(result.risk_scenarios),
         "evaluated_pedestrians": len(vectors),
     }
@@ -229,11 +226,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 # perfbench/workloads.py reads its pixel recordings, untransformed, through this name.
 def _read_pixel_rows(path: str) -> dict[int, list[StreamRow]]:
-    return read_stream_rows(path)[1]
+    with open_stream(path) as (_, frames):
+        return dict(frames)
 
 
 def cmd_replay(args: argparse.Namespace) -> int:
-    pipeline, _, transform_ms = _run_stream(args, args.realtime)
+    pipeline, transform_ms = _run_stream(args, args.realtime)
     result = pipeline.result
     doc = latency_report(result.prediction_ms, result.ppet_risk_ms, transform_ms, result.ingest_ms)
     doc["risk_scenarios"] = len(result.risk_scenarios)
@@ -265,6 +263,23 @@ def cmd_metrics(args: argparse.Namespace) -> int:
 
 
 # --- parser ---------------------------------------------------------------------------
+
+
+def _checked(convert, ok, what: str):
+    """An argparse type: the text converted, rejected unless ok(value)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    return parse
+
+
+_count = _checked(int, lambda n: n >= 0, "a whole number of 0 or more")
+_budget_ms = _checked(float, lambda ms: math.isfinite(ms) and ms > 0, "a finite number of milliseconds above 0")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -330,18 +345,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--models")
     p.add_argument("--tile-grid")
     p.add_argument("--realtime", action="store_true", help="Pace frames to the frame rate")
-    p.add_argument("--assert-budget", type=float, default=None, metavar="MS",
+    p.add_argument("--assert-budget", type=_budget_ms, default=None, metavar="MS",
                    help="Fail (exit 3) when mean safety evaluation >= MS")
-    p.add_argument("--assert-p99", type=float, default=None, metavar="MS",
+    p.add_argument("--assert-p99", type=_budget_ms, default=None, metavar="MS",
                    help="Fail (exit 3) when the per-frame safety evaluation p99 >= MS")
     p.add_argument("--out", help="Latency report JSON")
     p.set_defaults(func=cmd_replay, file_outputs=("out",))
 
     p = sub.add_parser("metrics", help="Classification metrics")
-    p.add_argument("--tp", type=int)
-    p.add_argument("--tn", type=int)
-    p.add_argument("--fp", type=int)
-    p.add_argument("--fn", type=int)
+    for count in ("--tp", "--tn", "--fp", "--fn"):
+        p.add_argument(count, type=_count)
     p.add_argument("--trace", help="P-PET trace CSV")
     p.add_argument("--truth", help="Ground truth JSON")
     p.add_argument("--thresholds", help="Threshold config JSON")

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ManifestError, PredictionError
+from .errors import ManifestError, OutOfOrderFrame, PredictionError
 from .files import input_lines, open_output
 from .geometry import AreaMap, TargetLine, WorldPoint, signed_distance_to_line
 from .ppet import AREA_LINES, PPetVector, ppet
@@ -233,21 +233,26 @@ class RiskPipeline:
         self.result.prediction_ms.append(prediction_ms)
         self.result.ppet_risk_ms.append(ppet_risk_ms)
 
-    def run(self, frames: Mapping[int, Sequence[Observation]], realtime: bool = False) -> EvaluationResult:
-        """Process a whole stream (contiguous frame range, empty frames included).
+    def run(self, frames: Iterable[tuple[int, Sequence[Observation]]], realtime: bool = False) -> EvaluationResult:
+        """Process (frame, observations) pairs in increasing frame order, the
+        frames between two pairs as empty frames; going back raises OutOfOrderFrame.
 
         With realtime, frames arrive as from a camera at FPS: the n-th frame
         after the first is not handed over before n / FPS seconds.
         """
-        if frames:
-            period = 1.0 / FPS
-            start = time.perf_counter()
-            for index, frame in enumerate(range(min(frames), max(frames) + 1)):
+        last = None
+        for frame, observations in frames:
+            if last is None:
+                start, first, last = time.perf_counter(), frame, frame - 1
+            elif frame <= last:
+                raise OutOfOrderFrame(f"frame {frame} after frame {last}")
+            for f in range(last + 1, frame + 1):
                 if realtime:
-                    delay = start + index * period - time.perf_counter()
+                    delay = start + (f - first) / FPS - time.perf_counter()
                     if delay > 0:
                         time.sleep(delay)
-                self.process_frame(frame, frames.get(frame, []))
+                self.process_frame(f, observations if f == frame else [])
+            last = frame
         return self.result
 
 

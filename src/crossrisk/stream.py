@@ -14,7 +14,7 @@ from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,7 +69,7 @@ class AgentCategory(IntEnum):
         return 3 if self.is_pedestrian else 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Observation:
     """One time-stamped world-coordinate point of one agent."""
 
@@ -331,15 +331,15 @@ class Track:
         return [first_crossing_time(self.positions, self.times, line) for _, line in self.targets]
 
 
-def agent_tracks(frames: Mapping[int, Sequence[Observation]], area_map: AreaMap) -> list[Track]:
-    """Each agent's Track of its observations in frame order, agents sorted by id.
+def agent_tracks(frames: Iterable[tuple[int, Sequence[Observation]]], area_map: AreaMap) -> list[Track]:
+    """Each agent's Track, agents sorted by id, from (frame, observations) pairs in frame order.
 
     An agent whose category changes or whose time does not strictly increase
     raises, as StreamEngine.ingest_frame does.
     """
     by_agent: dict[str, list[Observation]] = {}
-    for frame in sorted(frames):
-        for obs in frames[frame]:
+    for _, frame_obs in frames:
+        for obs in frame_obs:
             observations = by_agent.setdefault(obs.agent_id, [])
             if observations:
                 _check_continues(observations[-1].category, observations[-1].t, obs)
@@ -480,11 +480,11 @@ StreamRow = tuple[float, str, AgentCategory, WorldPoint | PixelPoint]
 
 
 @contextmanager
-def open_stream(path: str) -> Iterator[tuple[type, Iterator[tuple[int, StreamRow]]]]:
-    """Open a stream CSV as (point class, (frame, row) in file order): WorldPoint
-    under the (x, y) header, untransformed PixelPoint under (u, v). A row that is
-    short, does not parse or has a non-finite time or coordinate raises
-    ManifestError naming path:line."""
+def open_stream(path: str) -> Iterator[tuple[type, Iterator[tuple[int, list[StreamRow]]]]]:
+    """Open a stream CSV as (point class, (frame, rows) per frame with rows, in
+    file order): WorldPoint under the (x, y) header, untransformed PixelPoint
+    under (u, v). A row that is short, does not parse, has a non-finite time or
+    coordinate, or is from an earlier frame raises ManifestError naming path:line."""
     with closing(input_lines(path, "stream")) as lines:
         reader = csv.reader(lines)
         header = next(reader, None)
@@ -494,10 +494,12 @@ def open_stream(path: str) -> Iterator[tuple[type, Iterator[tuple[int, StreamRow
             point = PixelPoint
         else:
             raise ManifestError(f"{path}: unrecognized stream header {header}")
-        yield point, _parse_rows(path, reader, point)
+        yield point, _frame_rows(path, reader, point)
 
 
-def _parse_rows(path: str, reader, point: type) -> Iterator[tuple[int, StreamRow]]:
+def _frame_rows(path: str, reader, point: type) -> Iterator[tuple[int, list[StreamRow]]]:
+    """The rows grouped by frame, each frame yielded once the next one starts."""
+    current, rows = None, []
     for row in reader:
         if not row:
             continue
@@ -507,50 +509,44 @@ def _parse_rows(path: str, reader, point: type) -> Iterator[tuple[int, StreamRow
             if not math.isfinite(t):
                 raise ValueError(f"time must be finite, got {t}")
             parsed = (t, row[2], AgentCategory(int(row[3])), point(float(row[4]), float(row[5])))
+            if current is not None and frame < current:
+                raise ValueError(f"frame {frame} comes after frame {current}")
         except (IndexError, ValueError) as exc:
             raise ManifestError(f"{path}:{reader.line_num}: bad stream row {row}: {exc}") from exc
-        yield frame, parsed
+        if frame != current:
+            if rows:
+                yield current, rows
+            current, rows = frame, []
+        rows.append(parsed)
+    if rows:
+        yield current, rows
 
 
-def read_stream_rows(path: str) -> tuple[type, dict[int, list[StreamRow]]]:
-    """Read a stream CSV into its point class and frame -> rows, pixel points untransformed."""
-    frames: dict[int, list[StreamRow]] = {}
-    with open_stream(path) as (point, rows):
-        for frame, row in rows:
-            frames.setdefault(frame, []).append(row)
-    return point, frames
-
-
-def load_stream(path: str, tile_grid: str | None = None) -> tuple[dict[int, list[Observation]], list[float]]:
-    """Read a stream CSV into frame -> world observations, and the time (ms)
-    spent turning each frame's rows into observations.
-
-    A world header (x, y) ignores tile_grid and times nothing. A pixel header
-    (u, v) requires tile_grid, the path of a tile-grid file, which is read
-    only then: each frame's rows are transformed through it once, and every
-    frame from the first to the last, empty ones included, gets one time.
-    """
-    point, rows = read_stream_rows(path)
-    pixel = point is PixelPoint
-    if pixel:
-        if tile_grid is None:
-            raise ManifestError(f"{path} is a pixel stream; a tile grid is required")
-        grid = load_tile_grid(tile_grid)
-    frames: dict[int, list[Observation]] = {}
+def read_frames(path: str, tile_grid: str | None = None) -> tuple[Iterator[tuple[int, list[Observation]]], list[float]]:
+    """A stream CSV as (frame, world observations) per frame with rows, each
+    read from the file only when asked for, and the time (ms) spent building
+    each frame's observations, appended as it is read. A world header (x, y)
+    ignores tile_grid; a pixel header (u, v) requires it, and each frame's rows
+    go through that tile-grid file, read on the first frame asked for."""
     transform_ms: list[float] = []
-    for frame in range(min(rows), max(rows) + 1) if rows else ():
-        t0 = time.perf_counter()
-        observations = [
-            Observation(frame, t, agent_id, category, transform_point(grid, p) if pixel else p)
-            for t, agent_id, category, p in rows.pop(frame, ())
-        ]
-        if pixel:
-            transform_ms.append((time.perf_counter() - t0) * 1000.0)
-        if observations:
-            frames[frame] = observations
-    return frames, transform_ms
+
+    def frames() -> Iterator[tuple[int, list[Observation]]]:
+        with open_stream(path) as (point, rows):
+            if point is PixelPoint and tile_grid is None:
+                raise ManifestError(f"{path} is a pixel stream; a tile grid is required")
+            grid = load_tile_grid(tile_grid) if point is PixelPoint else None
+            for frame, frame_rows in rows:
+                t0 = time.perf_counter()
+                observations = [
+                    Observation(frame, t, agent_id, category, p if grid is None else transform_point(grid, p))
+                    for t, agent_id, category, p in frame_rows
+                ]
+                transform_ms.append((time.perf_counter() - t0) * 1000.0)
+                yield frame, observations
+
+    return frames(), transform_ms
 
 
 def read_stream_csv(path: str) -> dict[int, list[Observation]]:
     """Read a world-coordinate stream CSV into frame -> observations."""
-    return load_stream(path)[0]
+    return dict(read_frames(path)[0])

@@ -691,4 +691,4 @@ def generate(spec: ScenarioSpec) -> tuple[dict[int, list[Observation]], GroundTr
     for agent_id in sorted(trajectories):
         for obs in trajectories[agent_id]:
             frames.setdefault(obs.frame, []).append(obs)
-    return frames, truth
+    return dict(sorted(frames.items())), truth

@@ -174,7 +174,7 @@ def _corpus_episodes(seed: int):
     )
     frames, truth = generate(spec)
     pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
-    result = pipeline.run(frames)
+    result = pipeline.run(frames.items())
     episodes = []
     for ped_id, vectors in result.vectors_by_ped.items():
         labels = {
@@ -292,7 +292,7 @@ def test_criterion_09_real_time_budget(tmp_path):
     assert mean_concurrency >= 20, f"stream averages {mean_concurrency:.1f} concurrent agents"
 
     pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
-    result = pipeline.run(frames)
+    result = pipeline.run(frames.items())
     rep = latency_report(result.prediction_ms, result.ppet_risk_ms)
     elapsed = time.perf_counter() - start
     assert rep["safety_evaluation_mean_ms"] < 33.0

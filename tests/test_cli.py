@@ -209,7 +209,7 @@ class TestEvaluate:
 
         frames = read_stream_csv(str(gen_dir / "stream.csv"))
         pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
-        result = pipeline.run(frames)
+        result = pipeline.run(frames.items())
         direct = tmp_path / "direct.jsonl"
         write_risk_scenarios(str(direct), result.risk_scenarios)
         assert direct.read_bytes() == (out / "risk_scenarios.jsonl").read_bytes()
@@ -430,6 +430,28 @@ class TestReplayAndMetrics:
         assert doc["recall"] == pytest.approx(0.75)
         assert doc["f1"] == pytest.approx(2 / 3)
 
+    @pytest.mark.parametrize("option", ["--tp", "--tn", "--fp", "--fn"])
+    def test_metrics_negative_count_is_exit_2(self, option, capsys):
+        argv = ["metrics", "--tp", "3", "--tn", "4", "--fp", "2", "--fn", "1"]
+        argv[argv.index(option) + 1] = "-1"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument {option}: must be a whole number of 0 or more, got '-1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option", ["--assert-budget", "--assert-p99"])
+    @pytest.mark.parametrize("budget", ["nan", "inf", "0"])
+    def test_replay_budget_not_finite_and_positive_is_exit_2(self, option, budget, gen_dir, capsys):
+        """A NaN budget could never fail and an infinite one turns the gate
+        off, so neither (nor a budget of 0) is taken."""
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "replay", "--stream", str(gen_dir / "stream.csv"),
+                "--area-map", str(gen_dir / "area_map.json"), option, budget,
+            ])
+        assert exc.value.code == EXIT_INPUT
+        assert f"argument {option}: must be a finite number of milliseconds above 0" in capsys.readouterr().err
+
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         code = main([
             "evaluate", "--stream", str(tmp_path / "nope.csv"),
@@ -467,8 +489,11 @@ def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
         ("x,y", "2,0.0667,a0,0,3.0"),
         ("u,v", "2,0.0667,a0,0,nan,400.0"),
         ("u,v", "2,0.0667,a0,0,640.0"),
+        ("x,y", "0,0.0667,b0,0,3.0,1.0"),
+        ("u,v", "0,0.0667,b0,0,640.0,400.0"),
     ],
-    ids=["world-nan", "world-nan-time", "world-inf", "world-short", "pixel-nan", "pixel-short"],
+    ids=["world-nan", "world-nan-time", "world-inf", "world-short", "pixel-nan", "pixel-short",
+         "world-earlier-frame", "pixel-earlier-frame"],
 )
 def test_malformed_stream_row_is_input_error(command, header, bad_row, tmp_path, capsys):
     from crossrisk.geometry import WorldPoint, save_area_map, save_tile_grid
@@ -499,6 +524,26 @@ def test_malformed_stream_row_is_input_error(command, header, bad_row, tmp_path,
     ])
     assert code == EXIT_INPUT
     assert f"{stream}:4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["evaluate", "replay"])
+def test_frames_before_a_bad_row_are_processed_before_it_is_read(command, tmp_path, monkeypatch):
+    """The stream is read one frame at a time: the frames before a malformed
+    last row reach process_frame before the command exits 2 on that row."""
+    rows = "".join(f"{frame},{frame / 30!r},a0,0,3.0,1.0\n" for frame in range(3))
+    stream = tmp_path / "stream.csv"
+    stream.write_text(f"frame,t,id,category,x,y\n{rows}3,0.1,a0,0,nan,1.0\n", encoding="utf-8")
+    processed = []
+    process_frame = RiskPipeline.process_frame
+
+    def spy(self, frame, observations):
+        processed.append(frame)
+        return process_frame(self, frame, observations)
+
+    monkeypatch.setattr(RiskPipeline, "process_frame", spy)
+    assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
+    # frame 2 is complete only once the next row is read
+    assert processed == [0, 1]
 
 
 def _stream_command(command, stream, tmp_path, *extra):

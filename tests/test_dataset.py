@@ -163,7 +163,7 @@ class TestLabelsAgreeWithGroundTruth:
         from crossrisk.synthgen import ScenarioSpec, generate
 
         frames, truth = generate(ScenarioSpec(seed=4, duration_s=60, n_adults=4, n_kids=2, n_cyclists=2))
-        return agent_tracks(frames, area_map), truth
+        return agent_tracks(frames.items(), area_map), truth
 
     def test_label_is_truth_crossing_minus_window_end(self, generated):
         tracks, truth = generated

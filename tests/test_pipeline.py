@@ -5,7 +5,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from crossrisk.errors import MissingPredictor, NonFiniteParameters
+from crossrisk.errors import MissingPredictor, NonFiniteParameters, OutOfOrderFrame
 from crossrisk.pipeline import (
     RiskPipeline,
     latency_report,
@@ -89,7 +89,7 @@ def scenario():
 def run(scenario):
     frames, truth = scenario
     pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
-    result = pipeline.run(frames)
+    result = pipeline.run(frames.items())
     return pipeline, result, truth
 
 
@@ -128,7 +128,7 @@ class TestPipeline:
         )
         frames, _ = generate(spec)
         pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
-        result = pipeline.run(frames)
+        result = pipeline.run(frames.items())
         assert result.risk_scenarios == []
         # with no conflict vehicles every component stays unavailable
         assert all(v == PPetVector() for vectors in result.vectors_by_ped.values() for v in vectors)
@@ -138,7 +138,7 @@ class TestPipeline:
         outputs = []
         for _ in range(2):
             pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
-            result = pipeline.run(frames)
+            result = pipeline.run(frames.items())
             outputs.append(
                 (
                     [s.to_dict() for s in result.risk_scenarios],
@@ -190,7 +190,7 @@ class TestPipeline:
         empty_bundle = TrainedModelBundle(predictors={})
         with pytest.raises(MissingPredictor):
             pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), empty_bundle)
-            pipeline.run(frames)
+            pipeline.run(frames.items())
 
     def test_bundle_is_checked_for_every_pair_at_construction(self):
         """A pair that no frame may ever ask for (a kid's q2) still fails
@@ -240,10 +240,25 @@ class TestPipeline:
             return [Observation(frame, frame / 30.0, "a0", AgentCategory.ADULT, WorldPoint(-3.0, 1.0))]
 
         pipeline = Recording(reference_area_map(), RiskThresholdConfig.default())
-        pipeline.run({3: seen(3), 6: seen(6)})
+        pipeline.run({3: seen(3), 6: seen(6)}.items())
         assert [f for f, _ in processed] == [3, 4, 5, 6]
         assert processed[1][1] == [] and processed[2][1] == []
         assert len(pipeline.result.prediction_ms) == 4
+
+    @pytest.mark.parametrize("second", [3, 2], ids=["same", "earlier"])
+    def test_run_rejects_a_frame_that_does_not_come_after(self, second):
+        """A pair whose frame is not after the previous pair's raises, rather
+        than being skipped by the gap filling."""
+        from crossrisk.geometry import WorldPoint
+        from crossrisk.stream import AgentCategory, Observation
+
+        def seen(frame, agent_id):
+            return [Observation(frame, frame / 30.0, agent_id, AgentCategory.ADULT, WorldPoint(-3.0, 1.0))]
+
+        pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default())
+        with pytest.raises(OutOfOrderFrame, match=f"frame {second} after frame 3"):
+            pipeline.run([(3, seen(3, "a0")), (second, seen(second, "b0"))])
+        assert len(pipeline.result.prediction_ms) == 1
 
 
 class TestTraceFiles:
@@ -461,7 +476,7 @@ class TestBatchedFrame:
         trace and flags of a pipeline that asks every pedestrian line."""
         bundle = _gru_bundle(_mixed_hidden)
         results = [
-            cls(reference_area_map(), RiskThresholdConfig.default(), bundle).run(busy_scenario)
+            cls(reference_area_map(), RiskThresholdConfig.default(), bundle).run(busy_scenario.items())
             for cls in (RiskPipeline, AllLinesPipeline)
         ]
         traces = [[(*astuple(r)[:4], *_bits((r.pf, r.vf))) for r in result.trace] for result in results]

@@ -25,7 +25,7 @@ from crossrisk.stream import (
     _direction_of,
     agent_tracks,
     closer_further_assignment,
-    load_stream,
+    read_frames,
     read_stream_csv,
     target_lines,
     window,
@@ -424,8 +424,8 @@ class TestAgentTrajectories:
 
     def test_groups_by_agent_in_frame_order(self, area_map):
         a, b = walk("a0", 0.0, 0.1, 3), walk("b0", 5.0, -0.1, 2, first_frame=1)
-        frames = {2: [a[2], b[1]], 0: [a[0]], 1: [b[0], a[1]]}
-        tracks = agent_tracks(frames, area_map)
+        frames = {0: [a[0]], 1: [b[0], a[1]], 2: [a[2], b[1]]}
+        tracks = agent_tracks(frames.items(), area_map)
         assert [t.agent_id for t in tracks] == ["a0", "b0"]
         for track, observations in zip(tracks, (a, b)):
             assert track.category is AgentCategory.ADULT
@@ -445,7 +445,7 @@ class TestAgentTrajectories:
     def test_rejects_what_the_engine_rejects(self, late, error, area_map):
         first = walk("a0", 0.0, 0.1, 2)
         with pytest.raises(error):
-            agent_tracks({0: [first[0]], 1: [first[1]], 2: [late]}, area_map)
+            agent_tracks({0: [first[0]], 1: [first[1]], 2: [late]}.items(), area_map)
 
 
 class TestStreamCsv(object):
@@ -477,10 +477,11 @@ class TestStreamCsv(object):
         )
         grid_path = tmp_path / "grid.json"
         save_tile_grid(str(grid_path), tile_grid)
-        back, transform_ms = load_stream(str(path), str(grid_path))
+        frames, transform_ms = read_frames(str(path), str(grid_path))
+        back = dict(frames)
         assert sorted(back) == [0, 3]
         got = back[0][0].position
         assert abs(got.x - world.x) < 1e-6
         assert abs(got.y - world.y) < 1e-6
-        # one time per frame from the first to the last, empty frames included
-        assert len(transform_ms) == 4
+        # one time per frame read, none for the empty frames between
+        assert len(transform_ms) == 2

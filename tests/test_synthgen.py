@@ -123,7 +123,7 @@ class TestLabels:
             for o in frames[frame]:
                 by_agent.setdefault(o.agent_id, []).append(o)
 
-        got = label_risk(agent_tracks(frames, area_map), area_map)
+        got = label_risk(agent_tracks(frames.items(), area_map), area_map)
         expect = rule_oracle(by_agent, truth, area_map)
         assert set(got) == set(expect)
         mismatches = {k: (int(got[k]), int(expect[k])) for k in got if got[k] != expect[k]}
