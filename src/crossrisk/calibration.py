@@ -176,6 +176,8 @@ class RoleGrid:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "theta", tuple(self.theta))
+        if any(isinstance(theta, bool) or not isinstance(theta, int) for theta in self.theta):
+            raise TypeError(f"counter limits must be integers: {list(self.theta)}")
         if any(theta < 1 for theta in self.theta):
             raise ValueError(f"counter limits must be >= 1: {list(self.theta)}")
 
@@ -206,7 +208,7 @@ class GridSpec:
         roles = {}
         for name, scenarios in axes.items():
             pf, vf = (_interval_grid(scenarios[s.value]) for s in ConflictScenario)
-            roles[AreaRole(name)] = RoleGrid(pf, vf, tuple(int(v) for v in theta[name]))
+            roles[AreaRole(name)] = RoleGrid(pf, vf, theta[name])
         return cls(roles)
 
     @classmethod

@@ -106,12 +106,12 @@ def cmd_build_dataset(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    samples = read_samples_jsonl(args.dataset)
     config = TrainingConfig()
     if args.config:
         config = read_json(args.config, "training config", lambda doc: TrainingConfig(**doc))
     if args.seed is not None:
         config = TrainingConfig(**{**config.__dict__, "seed": args.seed})
+    samples = read_samples_jsonl(args.dataset)
     bundle, report = train_bundle(samples, config)
     bundle.save(args.out)
     if args.report:

@@ -69,10 +69,6 @@ class NonFiniteGradient(CrossRiskError):
     """Backpropagation produced NaN or infinite gradients."""
 
 
-class DatasetTooSmall(CrossRiskError):
-    """Not enough labeled samples to train."""
-
-
 class DivergedLoss(CrossRiskError):
     """Validation loss exploded during training."""
 

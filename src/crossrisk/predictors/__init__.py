@@ -7,6 +7,7 @@ from .historical import ARRIVAL_TIME_CAP_S, HistoricalAveragePredictor, arrival_
 from .recurrent import RecurrentRegressor, window_features
 from .training import (
     TrainingConfig,
+    TrainingSplit,
     evaluate_mae,
     split_samples,
     train,
@@ -25,6 +26,7 @@ __all__ = [
     "RecurrentRegressor",
     "TrainedModelBundle",
     "TrainingConfig",
+    "TrainingSplit",
     "arrival_time",
     "average_velocity",
     "build_labeled_dataset",

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from ..errors import DatasetTooSmall, DivergedLoss, PredictionError
+from ..errors import DivergedLoss, PredictionError
 from ..stream import AgentCategory
 from .bundle import ALL_PAIRS, SPLIT_RATIO, Predictor, TrainedModelBundle
 from .dataset import Awareness, LabeledSample
@@ -18,6 +19,7 @@ from .recurrent import RecurrentRegressor, stacked_features
 log = logging.getLogger(__name__)
 
 MIN_TRAINING_SAMPLES = 50
+HIDDEN_SIZES = (16, 32)  # the GRU candidates; of equal MAEs, the baseline and then the earlier size wins
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
@@ -39,8 +41,9 @@ class TrainingConfig:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 1 or self.patience < 0 or self.batch_size < 1:
             raise ValueError("epochs, patience and batch_size must be positive")
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+        rate = self.learning_rate
+        if isinstance(rate, bool) or not isinstance(rate, (int, float)) or not math.isfinite(rate) or rate <= 0:
+            raise ValueError(f"learning_rate must be a finite number above 0, got {rate!r}")
 
 
 def usable_samples(samples: Sequence[LabeledSample]) -> list[LabeledSample]:
@@ -71,43 +74,30 @@ def _features_and_targets(samples: Sequence[LabeledSample]) -> tuple[np.ndarray,
 
 @dataclass(frozen=True)
 class TrainingSplit:
-    """One pool's 8:2 split of its unaware samples: the validation samples,
-    and the stacked features and targets of both sides."""
+    """The stacked features and targets of both sides of one split."""
 
-    val_set: list[LabeledSample]
     x_train: np.ndarray
     y_train: np.ndarray
     x_val: np.ndarray
     y_val: np.ndarray
 
-
-def prepare_split(samples: Sequence[LabeledSample], seed: int) -> TrainingSplit:
-    """The unaware pool of `samples`, split with `seed` and featurized once,
-    for every candidate trained on it."""
-    pool = usable_samples(samples)
-    if len(pool) < MIN_TRAINING_SAMPLES:
-        raise DatasetTooSmall(
-            f"{len(pool)} unaware samples available, need {MIN_TRAINING_SAMPLES}"
-        )
-    train_set, val_set = split_samples(pool, seed)
-    return TrainingSplit(val_set, *_features_and_targets(train_set), *_features_and_targets(val_set))
+    @classmethod
+    def featurize(
+        cls, train_set: Sequence[LabeledSample], val_set: Sequence[LabeledSample]
+    ) -> "TrainingSplit":
+        return cls(*_features_and_targets(train_set), *_features_and_targets(val_set))
 
 
 def train(
-    model: RecurrentRegressor,
-    samples: Sequence[LabeledSample] | TrainingSplit,
-    config: TrainingConfig,
+    model: RecurrentRegressor, split: TrainingSplit, config: TrainingConfig
 ) -> tuple[RecurrentRegressor, float]:
-    """Fit the regressor with Adam on MAE loss; returns best-epoch weights
-    and their validation MAE.
+    """Fit the regressor on a featurized split with Adam on MAE loss;
+    returns best-epoch weights and their validation MAE.
 
-    `samples` is a sample list, split here with the config seed, or a
-    split already prepared with it. Deterministic given the config seed:
-    the 8:2 split, batch order and weight updates all draw from seeded
-    generators. Stops early when the validation MAE has not improved for
-    `patience` epochs.
+    Deterministic given the config seed: batch order and weight updates
+    draw from seeded generators. Stops early when the validation MAE has
+    not improved for `patience` epochs.
     """
-    split = samples if isinstance(samples, TrainingSplit) else prepare_split(samples, config.seed)
     x_train, y_train, x_val, y_val = split.x_train, split.y_train, split.x_val, split.y_val
 
     mean = x_train.reshape(-1, x_train.shape[-1]).mean(axis=0)
@@ -175,42 +165,37 @@ def evaluate_mae(predictor: Predictor, samples: Sequence[LabeledSample]) -> floa
     return float(np.mean([abs(p - s.arrival_time) for p, s in zip(predicted, samples)]))
 
 
-def _lowest_mae(candidates: Sequence[Predictor], maes: Sequence[float]) -> tuple[Predictor, float]:
-    best = int(np.argmin(maes))  # first of equal minima: the earliest candidate
-    return candidates[best], maes[best]
-
-
 def train_and_select(
-    samples: Sequence[LabeledSample],
-    config: TrainingConfig,
-    hidden_sizes: Sequence[int] = (16, 32),
-) -> tuple[Predictor, float]:
-    """Train the recurrent candidates and pick among {baseline, trained GRUs}
-    by validation MAE on one shared split, featurized once. A trained GRU's
-    MAE is the best validation MAE that `train` reports for the weights it
-    returns."""
-    split = prepare_split(samples, config.seed)
-    baseline = HistoricalAveragePredictor()
-    candidates: list[Predictor] = [baseline]
-    maes = [evaluate_mae(baseline, split.val_set)]
-    for size in hidden_sizes:
-        model = RecurrentRegressor.initialize(size, np.random.default_rng(config.seed))
-        trained, mae = train(model, split, config)
-        candidates.append(trained)
-        maes.append(mae)
-    return _lowest_mae(candidates, maes)
+    samples: Sequence[LabeledSample], config: TrainingConfig
+) -> tuple[Predictor, float | None]:
+    """The predictor of one (category, q) pair and its validation MAE.
+
+    The pair's unaware samples are split once, with the config seed, and
+    the baseline is scored on the validation side (None when it is empty).
+    With MIN_TRAINING_SAMPLES unaware samples, both sides are featurized
+    once and a GRU of each size in HIDDEN_SIZES trains on them; the lowest
+    validation MAE wins, the earliest of equal ones. A trained GRU's MAE is
+    the best validation MAE that `train` reports for the weights it returns.
+    """
+    train_set, val_set = split_samples(usable_samples(samples), config.seed)
+    best: Predictor = HistoricalAveragePredictor()
+    best_mae = evaluate_mae(best, val_set) if val_set else None
+    if len(train_set) + len(val_set) >= MIN_TRAINING_SAMPLES:
+        split = TrainingSplit.featurize(train_set, val_set)
+        for size in HIDDEN_SIZES:
+            model = RecurrentRegressor.initialize(size, np.random.default_rng(config.seed))
+            trained, mae = train(model, split, config)
+            if mae < best_mae:
+                best, best_mae = trained, mae
+    return best, best_mae
 
 
 def train_bundle(
     samples: Sequence[LabeledSample], config: TrainingConfig
 ) -> tuple[TrainedModelBundle, dict[str, dict]]:
-    """One predictor per (category, q) pair, and a report of the choices.
-
-    A pair with enough unaware samples gets the best of the baseline and
-    the trained recurrent candidates; any other pair falls back to the
-    baseline, scored on its validation split when it has unaware samples.
-    The report maps "i=<category>,q=<q>" to the chosen predictor's name,
-    its validation MAE and the pair's sample count.
+    """One predictor per (category, q) pair, chosen by train_and_select, and
+    a report of the choices. The report maps "i=<category>,q=<q>" to the
+    chosen predictor's name, its validation MAE and the pair's sample count.
     """
     groups: dict[tuple[AgentCategory, int], list[LabeledSample]] = {}
     for s in samples:
@@ -220,13 +205,7 @@ def train_bundle(
     report = {}
     for pair in ALL_PAIRS:
         group = groups.get(pair, [])
-        usable = usable_samples(group)
-        if len(usable) >= MIN_TRAINING_SAMPLES:
-            predictor, mae = train_and_select(group, config)
-        else:
-            predictor = HistoricalAveragePredictor()
-            _, val = split_samples(usable, config.seed)
-            mae = evaluate_mae(predictor, val) if val else None
+        predictor, mae = train_and_select(group, config)
         bundle.predictors[pair] = predictor
         bundle.validation_mae[pair] = mae
         report[f"i={int(pair[0])},q={pair[1]}"] = {

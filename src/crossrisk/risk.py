@@ -78,6 +78,8 @@ class RoleThresholds:
     limit: int
 
     def __post_init__(self) -> None:
+        if isinstance(self.limit, bool) or not isinstance(self.limit, int):
+            raise TypeError(f"counter limits must be integers, got {self.limit!r}")
         if self.limit < 1:
             raise ValueError(f"counter limits must be >= 1, got {self.limit}")
 
@@ -163,7 +165,7 @@ class RiskThresholdConfig:
             for name, bounds in intervals.items():
                 pf, vf = (ThresholdInterval(float(bounds[s.value][0]), float(bounds[s.value][1]))
                           for s in ConflictScenario)
-                roles[AreaRole(name)] = RoleThresholds(pf, vf, int(counters[name]))
+                roles[AreaRole(name)] = RoleThresholds(pf, vf, counters[name])
             categories[AgentCategory(int(key))] = CategoryThresholds(ThresholdMode(raw["mode"]), roles)
         return cls(categories)
 

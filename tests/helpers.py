@@ -1,5 +1,5 @@
 """Builders for synthetic calibration episodes with planted threshold rules,
-and for agent tracks with explicit targets."""
+for agent tracks with explicit targets, and for training on a sample list."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import numpy as np
 
 from crossrisk.calibration import Episode, GridSpec, IntervalGrid, RoleGrid
 from crossrisk.ppet import PPetVector
+from crossrisk.predictors.training import TrainingSplit, split_samples, train, usable_samples
 from crossrisk.risk import AreaRole, RiskLevel
 from crossrisk.stream import AgentCategory, Track
 from crossrisk.synthgen import reference_area_map
@@ -19,6 +20,13 @@ def track_with_targets(observations, targets) -> Track:
     targets in place of its own."""
     track = Track.from_observations(observations, reference_area_map())
     return dataclasses.replace(track, targets=tuple(targets))
+
+
+def fit(model, samples, config):
+    """train on the featurized split of the unaware samples, split as
+    train_and_select splits them."""
+    split = TrainingSplit.featurize(*split_samples(usable_samples(samples), config.seed))
+    return train(model, split, config)
 
 # The planted rule: an episode is severe exactly when at least three frames
 # carry a closer-area pedestrian-first value inside [-1.0, 0.0].

@@ -25,13 +25,13 @@ from crossrisk.ppet import ppet
 from crossrisk.predictors import TrainingConfig, build_labeled_dataset
 from crossrisk.predictors.historical import HistoricalAveragePredictor, arrival_time
 from crossrisk.predictors.recurrent import PARAM_NAMES, RecurrentRegressor
-from crossrisk.predictors.training import evaluate_mae, split_samples, train
+from crossrisk.predictors.training import evaluate_mae, split_samples
 from crossrisk.risk import AreaRole, RiskThresholdConfig, classify_offline
 from crossrisk.stream import AgentCategory, Observation
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map, reference_tile_grid
 
 from conftest import FPS, constant_velocity_window, vertical_line
-from helpers import PLANTED_ALPHA, PLANTED_BETA, planted_episodes, planted_grid, track_with_targets
+from helpers import PLANTED_ALPHA, PLANTED_BETA, fit, planted_episodes, planted_grid, track_with_targets
 from test_ppet import eq10_oracle, random_estimate_set, shifted
 from test_risk import random_trace, replay_streaming
 
@@ -124,7 +124,7 @@ def test_criterion_03_learned_beats_baseline_on_deceleration():
 
     config = TrainingConfig(seed=2, hidden_size=32, learning_rate=0.01, epochs=120, patience=20, batch_size=64)
     model = RecurrentRegressor.initialize(32, np.random.default_rng(config.seed))
-    model, _ = train(model, samples, config)
+    model, _ = fit(model, samples, config)
     _, held_out = split_samples(samples, config.seed)
     gru_mae = evaluate_mae(model, held_out)
     ha_mae = evaluate_mae(HistoricalAveragePredictor(), held_out)

@@ -877,6 +877,28 @@ def test_malformed_grid_spec_is_input_error(text, tmp_path, capsys):
     assert str(tmp_path / "grid.json") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [3.9, True, "3"], ids=["float", "bool", "string"])
+@pytest.mark.parametrize("command", ["metrics", "tune"])
+def test_non_integer_counter_limit_is_input_error(command, value, tmp_path, capsys):
+    """A counter limit in a threshold file (metrics) or a grid spec (tune)
+    must be a JSON integer: a float, boolean or string is not read as some
+    integer near it, but exits 2 naming the file."""
+    trace_path, truth_path = _write_episode_files(tmp_path)
+    if command == "metrics":
+        doc = RiskThresholdConfig.default().to_dict()
+        doc["categories"]["0"]["counters"]["closer"] = value
+        path = tmp_path / "thresholds.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["metrics", "--trace", str(trace_path), "--truth", str(truth_path), "--thresholds", str(path)])
+    else:
+        path = tmp_path / "grid.json"
+        grid_text = json.dumps({**_SMALL_GRID, "theta": {"closer": [2, value], "further": [2]}})
+        code = _tune_or_metrics("tune", trace_path, truth_path, tmp_path, grid_text)
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert str(path) in err and "counter limits must be integers" in err
+
+
 @pytest.mark.parametrize("k", ["0", "-2"])
 def test_fewer_than_one_fold_is_input_error(k, tmp_path, capsys):
     trace_path, truth_path = _write_episode_files(tmp_path)
@@ -1139,6 +1161,20 @@ def test_non_integer_training_config_field_is_input_error(field, value, tmp_path
     err = capsys.readouterr().err
     assert str(config) in err and f"{field} must be an integer, got {value!r}" in err
     assert not (tmp_path / "b.json").exists()
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_learning_rate_is_input_error_before_the_dataset_is_read(value, tmp_path, capsys):
+    """A training config is read before the dataset: a learning rate JSON
+    loads as NaN or infinity exits 2 naming the config file and the field,
+    though the dataset does not exist."""
+    config = tmp_path / "train.json"
+    config.write_text(f'{{"epochs": 1, "learning_rate": {value}}}', encoding="utf-8")
+    code = main(["train", "--dataset", str(tmp_path / "missing.jsonl"), "--config", str(config),
+                 "--out", str(tmp_path / "b.json")])
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert f"cannot read training config {config}" in err and "learning_rate must be a finite number above 0" in err
 
 
 @pytest.mark.parametrize(

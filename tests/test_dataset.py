@@ -15,11 +15,11 @@ from crossrisk.predictors.dataset import (
 )
 from crossrisk.predictors.historical import HistoricalAveragePredictor
 from crossrisk.predictors.recurrent import RecurrentRegressor
-from crossrisk.predictors.training import TrainingConfig, train, train_bundle
+from crossrisk.predictors.training import TrainingConfig, train_bundle
 from crossrisk.stream import AgentCategory, Direction, Observation, SlidingWindowTrajectory, Track, TrajectoryBuffer, window
 
 from conftest import constant_velocity_window
-from helpers import track_with_targets
+from helpers import fit, track_with_targets
 
 FPS = 30.0
 
@@ -320,7 +320,7 @@ class TestAgentSamplesFile:
         pair = [s for s in samples if (s.category, s.q) == (AgentCategory.ADULT, 2)]
         pair_back = [s for s in back if (s.category, s.q) == (AgentCategory.ADULT, 2)]
         fits = [
-            train(RecurrentRegressor.initialize(8, np.random.default_rng(4)), p, config) for p in (pair, pair_back)
+            fit(RecurrentRegressor.initialize(8, np.random.default_rng(4)), p, config) for p in (pair, pair_back)
         ]
         assert fits[0][1] == fits[1][1]
         assert all(fits[0][0].params[k].tobytes() == fits[1][0].params[k].tobytes() for k in fits[0][0].params)

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from crossrisk.errors import DatasetTooSmall, DivergedLoss, PredictionError
+from crossrisk.errors import DivergedLoss, PredictionError
 from crossrisk.geometry import TargetLine, WorldPoint
-from crossrisk.predictors import ARRIVAL_TIME_CAP_S, LabeledSample, TrainingConfig
+from crossrisk.predictors import ALL_PAIRS, ARRIVAL_TIME_CAP_S, LabeledSample, TrainingConfig, training
 from crossrisk.predictors.dataset import Awareness
 from crossrisk.predictors.historical import HistoricalAveragePredictor
 from crossrisk.predictors.recurrent import RecurrentRegressor, window_features
@@ -11,11 +13,12 @@ from crossrisk.predictors.training import (
     _features_and_targets,
     evaluate_mae,
     split_samples,
-    train,
     train_and_select,
+    train_bundle,
     usable_samples,
 )
 from crossrisk.stream import WINDOW_SIZE, AgentCategory, SlidingWindowTrajectory
+from helpers import fit
 
 FPS = 30.0
 LINE_X = 20.0
@@ -53,7 +56,7 @@ class TestTrain:
         samples = constant_velocity_samples(400)
         config = TrainingConfig(seed=1, hidden_size=16, epochs=150, patience=25)
         model = RecurrentRegressor.initialize(16, np.random.default_rng(config.seed))
-        _, val_mae = train(model, samples, config)
+        _, val_mae = fit(model, samples, config)
         assert val_mae < 0.1
 
     def test_same_seed_bit_identical(self):
@@ -62,40 +65,53 @@ class TestTrain:
         results = []
         for _ in range(2):
             model = RecurrentRegressor.initialize(8, np.random.default_rng(config.seed))
-            trained, mae = train(model, samples, config)
+            trained, mae = fit(model, samples, config)
             results.append((trained.copy_params(), mae))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
             assert np.array_equal(results[0][0][name], results[1][0][name])
 
-    def test_dataset_too_small(self):
-        samples = constant_velocity_samples(49)
+    def test_49_unaware_samples_get_the_baseline(self, monkeypatch):
+        """Below MIN_TRAINING_SAMPLES no GRU trains; the pair keeps the
+        baseline and the MAE it scores on its split's validation side."""
+        unaware = constant_velocity_samples(49)
+        noticed = constant_velocity_samples(30, seed=1, awareness=Awareness.NOTICED)
         config = TrainingConfig(seed=0, epochs=5)
-        model = RecurrentRegressor.initialize(8, np.random.default_rng(0))
-        with pytest.raises(DatasetTooSmall):
-            train(model, samples, config)
+        monkeypatch.setattr(training, "train", lambda *args: pytest.fail("a GRU was trained"))
+        bundle, report = train_bundle(unaware + noticed, config)
+        pair = (AgentCategory.ADULT, 1)
+        _, val = split_samples(unaware, config.seed)
+        assert len(val) == 10
+        assert isinstance(bundle.predictors[pair], HistoricalAveragePredictor)
+        assert bundle.validation_mae[pair] == evaluate_mae(HistoricalAveragePredictor(), val)
+        assert report["i=0,q=1"] == {"chosen": "historical_average", "validation_mae": bundle.validation_mae[pair],
+                                     "samples": 79}
 
     def test_noticed_samples_excluded_from_training_pool(self):
         unaware = constant_velocity_samples(60, seed=1)
         noticed = constant_velocity_samples(60, seed=2, awareness=Awareness.NOTICED)
         assert len(usable_samples(unaware + noticed)) == 60
 
+    @pytest.mark.parametrize("rate", [float("nan"), float("inf"), -float("inf"), True, "0.01", 0, -0.01])
+    def test_learning_rate_must_be_a_finite_number_above_0(self, rate):
+        with pytest.raises(ValueError, match="learning_rate must be a finite number above 0"):
+            TrainingConfig(learning_rate=rate)
+
     def test_diverged_loss_detected(self):
         samples = constant_velocity_samples(100)
         config = TrainingConfig(seed=1, hidden_size=8, learning_rate=1e5, epochs=10, patience=5)
         model = RecurrentRegressor.initialize(8, np.random.default_rng(1))
         with pytest.raises(DivergedLoss):
-            train(model, samples, config)
+            fit(model, samples, config)
 
 
 def select_by_maes(monkeypatch, baseline_mae, gru_maes, hidden_sizes):
     """train_and_select where the baseline scores baseline_mae and the GRU of
     hidden size h trains to gru_maes[h]: its selection arithmetic alone."""
-    from crossrisk.predictors import training
-
+    monkeypatch.setattr(training, "HIDDEN_SIZES", hidden_sizes)
     monkeypatch.setattr(training, "evaluate_mae", lambda predictor, samples: baseline_mae)
     monkeypatch.setattr(training, "train", lambda model, split, config: (model, gru_maes[model.hidden_size]))
-    return train_and_select(constant_velocity_samples(60), TrainingConfig(seed=0), hidden_sizes)
+    return train_and_select(constant_velocity_samples(60), TrainingConfig(seed=0))
 
 
 class TestSelectModel:
@@ -104,9 +120,10 @@ class TestSelectModel:
         assert chosen.name == "gru4"
         assert mae == 2.5
 
-    def test_single_candidate(self):
+    def test_single_candidate(self, monkeypatch):
         samples = constant_velocity_samples(60)
-        chosen, mae = train_and_select(samples, TrainingConfig(seed=0), hidden_sizes=())
+        monkeypatch.setattr(training, "HIDDEN_SIZES", ())
+        chosen, mae = train_and_select(samples, TrainingConfig(seed=0))
         assert isinstance(chosen, HistoricalAveragePredictor)
         _, val = split_samples(samples, 0)
         assert mae == evaluate_mae(chosen, val)
@@ -125,44 +142,61 @@ class TestSelectModel:
             chosen, mae = select_by_maes(monkeypatch, 2.2, maes, sizes)
             assert (chosen.name, mae) == ("gru4", 1.4)
 
-    def test_ha_wins_on_constant_velocity_data(self):
+    def test_ha_wins_on_constant_velocity_data(self, monkeypatch):
         """On exactly constant-velocity windows the closed-form baseline is
         exact, so selection must prefer it over a briefly trained model."""
         samples = constant_velocity_samples(120, seed=9)
         config = TrainingConfig(seed=3, hidden_size=8, epochs=3, patience=2)
-        chosen, _ = train_and_select(samples, config, hidden_sizes=(8,))
+        monkeypatch.setattr(training, "HIDDEN_SIZES", (8,))
+        chosen, _ = train_and_select(samples, config)
         assert isinstance(chosen, HistoricalAveragePredictor)
 
 
 def test_train_and_select_featurizes_the_split_once(monkeypatch):
     """Every hidden size trains on one split whose train and validation
     sides are stacked into features once each."""
-    from crossrisk.predictors import training
-
     stacked = []
     features = training._features_and_targets
     monkeypatch.setattr(training, "_features_and_targets", lambda s: stacked.append(len(s)) or features(s))
+    monkeypatch.setattr(training, "HIDDEN_SIZES", (4, 6))
     config = TrainingConfig(seed=1, hidden_size=8, epochs=1, patience=0)
-    training.train_and_select(jittered_samples(120, seed=12), config, hidden_sizes=(4, 6))
+    training.train_and_select(jittered_samples(120, seed=12), config)
     assert stacked == [96, 24]
+
+
+def test_train_bundle_splits_each_pair_once(monkeypatch):
+    """Every pair's unaware samples are split once; only a pair with
+    MIN_TRAINING_SAMPLES of them is featurized, once per side."""
+    splits, stacked = [], []
+    split, features = training.split_samples, training._features_and_targets
+    monkeypatch.setattr(training, "split_samples", lambda s, seed: splits.append(len(s)) or split(s, seed))
+    monkeypatch.setattr(training, "_features_and_targets", lambda s: stacked.append(len(s)) or features(s))
+    monkeypatch.setattr(training, "HIDDEN_SIZES", (4,))
+    enough = constant_velocity_samples(50)
+    short = [dataclasses.replace(s, q=2) for s in constant_velocity_samples(49, seed=1)]
+    noticed = [dataclasses.replace(s, q=2) for s in constant_velocity_samples(20, seed=2, awareness=Awareness.NOTICED)]
+    train_bundle(enough + short + noticed, TrainingConfig(seed=1, epochs=1, patience=0))
+    pool_sizes = {(AgentCategory.ADULT, 1): 50, (AgentCategory.ADULT, 2): 49}
+    assert splits == [pool_sizes.get(pair, 0) for pair in ALL_PAIRS]
+    assert stacked == [40, 10]
+
 
 def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
     """Only the baseline is scored again; each GRU's MAE is the one train
     returned. The choice and its MAE are the lowest evaluate_mae over the
     same candidates, bit for bit."""
-    from crossrisk.predictors import training
-
     samples = jittered_samples(120, seed=12)
     config = TrainingConfig(seed=1, hidden_size=8, epochs=2, patience=1)
     scored = []
     evaluate = training.evaluate_mae
     monkeypatch.setattr(training, "evaluate_mae", lambda p, s: scored.append(p) or evaluate(p, s))
-    chosen, mae = training.train_and_select(samples, config, hidden_sizes=(4, 6))
+    monkeypatch.setattr(training, "HIDDEN_SIZES", (4, 6))
+    chosen, mae = training.train_and_select(samples, config)
     assert [type(p) for p in scored] == [HistoricalAveragePredictor]
 
     _, val = split_samples(usable_samples(samples), config.seed)
     candidates = [HistoricalAveragePredictor()] + [
-        train(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
+        fit(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
         for h in (4, 6)
     ]
     maes = [evaluate(c, val) for c in candidates]
@@ -213,7 +247,7 @@ class TestBatchedScoring:
     def candidates(self):
         samples = constant_velocity_samples(120, seed=4)
         config = TrainingConfig(seed=2, hidden_size=8, epochs=3, patience=2)
-        trained, _ = train(RecurrentRegressor.initialize(8, np.random.default_rng(2)), samples, config)
+        trained, _ = fit(RecurrentRegressor.initialize(8, np.random.default_rng(2)), samples, config)
         untrained = RecurrentRegressor.initialize(16, np.random.default_rng(5))
         return [HistoricalAveragePredictor(), trained, untrained]
 
@@ -238,16 +272,17 @@ class TestBatchedScoring:
                 per_window_mae(candidate, samples), rel=1e-12
             )
 
-    def test_selection_matches_per_window_selection(self):
+    def test_selection_matches_per_window_selection(self, monkeypatch):
         """train_and_select picks the candidate that one predict call per
         validation window would pick, with that candidate's MAE."""
+        monkeypatch.setattr(training, "HIDDEN_SIZES", (4, 6))
         for seed in range(3):
             samples = jittered_samples(120, seed=10 + seed)
             config = TrainingConfig(seed=seed, epochs=2, patience=1)
-            chosen, mae = train_and_select(samples, config, hidden_sizes=(4, 6))
+            chosen, mae = train_and_select(samples, config)
             _, val = split_samples(usable_samples(samples), config.seed)
             candidates = [HistoricalAveragePredictor()] + [
-                train(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
+                fit(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
                 for h in (4, 6)
             ]
             reference = [per_window_mae(c, val) for c in candidates]
