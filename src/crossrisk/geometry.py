@@ -21,7 +21,7 @@ from .files import read_json, write_json
 W_TOLERANCE = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PixelPoint:
     """Image-plane point in pixels (u right, v down)."""
 
@@ -33,7 +33,7 @@ class PixelPoint:
             raise ValueError(f"pixel point must be finite, got ({self.u}, {self.v})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldPoint:
     """Ground-plane point in meters."""
 

@@ -11,9 +11,10 @@ import csv
 import json
 import math
 import time
+from array import array
 from contextlib import closing
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -64,7 +65,7 @@ def _ordered(estimates: list[float | None]) -> list[float | None]:
     return estimates
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceRow:
     """One evaluated (frame, pedestrian, area) with that area's components."""
 
@@ -80,17 +81,16 @@ class TraceRow:
 class EvaluationResult:
     risk_scenarios: list[RiskScenario] = field(default_factory=list)
     trace: list[TraceRow] = field(default_factory=list)
-    ingest_ms: list[float] = field(default_factory=list)
-    prediction_ms: list[float] = field(default_factory=list)
-    ppet_risk_ms: list[float] = field(default_factory=list)
+    # per-frame stage times, one unboxed double per frame
+    ingest_ms: array = field(default_factory=lambda: array("d"))
+    prediction_ms: array = field(default_factory=lambda: array("d"))
+    ppet_risk_ms: array = field(default_factory=lambda: array("d"))
 
     @property
     def vectors_by_ped(self) -> dict[str, list[PPetVector]]:
         """Each evaluated pedestrian's P-PET vectors in frame order, grouped
         from the trace as read_trace_csv groups a trace file."""
-        return _vectors_by_ped(
-            (r.ped_id, r.frame, zip(_COLUMNS.area(AREAS.index(r.area)), (r.pf, r.vf))) for r in self.trace
-        )
+        return _vectors_by_ped((r.ped_id, r.frame, AREAS.index(r.area), r.pf, r.vf) for r in self.trace)
 
 
 class RiskPipeline:
@@ -291,17 +291,29 @@ def _trace_component(cell: str) -> float | None:
     return value
 
 
-def _vectors_by_ped(rows: Iterable[tuple[str, int, Iterable]]) -> dict[str, list[PPetVector]]:
+def _vectors_by_ped(
+    rows: Iterable[tuple[str, int, int, float | None, float | None]]
+) -> dict[str, list[PPetVector]]:
     """Per-pedestrian P-PET vectors from trace rows, each given as its
-    pedestrian, frame and component values (a mapping or (column, value)
-    pairs): the rows of one (pedestrian, frame) make one vector, in order of
-    first appearance."""
-    per_key: dict[tuple[str, int], dict[str, float | None]] = {}
-    for ped_id, frame, values in rows:
-        per_key.setdefault((ped_id, frame), dict.fromkeys(_COLUMNS)).update(values)
+    pedestrian, frame, area index and that area's (pf, vf): the rows of one
+    (pedestrian, frame) make one vector, in order of first appearance.
+
+    Each (pedestrian, frame) gets the next index and four cells of one flat
+    list, so a row costs no container of its own."""
+    index: dict[tuple[str, int], int] = {}
+    owners: list[str] = []  # the pedestrian of each index
+    cells: list[float | None] = []  # the four components of each index
+    for ped_id, frame, area, pf, vf in rows:
+        i = index.setdefault((ped_id, frame), len(owners))
+        if i == len(owners):
+            owners.append(ped_id)
+            cells += (None, None, None, None)
+        cells[4 * i + 2 * area] = pf
+        cells[4 * i + 2 * area + 1] = vf
+    del index  # the keys go before the vectors are built
     vectors: dict[str, list[PPetVector]] = {}
-    for (ped_id, _), parts in per_key.items():
-        vectors.setdefault(ped_id, []).append(PPetVector(**parts))
+    for i, ped_id in enumerate(owners):
+        vectors.setdefault(ped_id, []).append(PPetVector._make(cells[4 * i:4 * i + 4]))
     return vectors
 
 
@@ -313,28 +325,30 @@ def read_trace_csv(path: str) -> dict[str, list[PPetVector]]:
     neither empty nor a finite float, or a value in the other area's columns
     raises ManifestError naming path:line.
     """
-    own_columns = {area.value: _COLUMNS.area(i) for i, area in enumerate(AREAS)}
-    rows = []
+    area_index = {area.value: i for i, area in enumerate(AREAS)}
+
+    def rows(reader: csv.DictReader) -> Iterator[tuple[str, int, int, float | None, float | None]]:
+        for row in reader:
+            try:
+                if None in row or None in row.values():
+                    raise ValueError(f"expected {len(reader.fieldnames)} cells")
+                frame = int(row["frame"])
+                area = area_index.get(row["area"])
+                if area is None:
+                    raise ValueError(f"area must be one of {list(area_index)}, got {row['area']!r}")
+                pf, vf = _COLUMNS.area(area)
+                if any(row[c] for c in _COLUMNS if c not in (pf, vf)):
+                    raise ValueError("a value in the other area's columns")
+                yield row["ped_id"], frame, area, _trace_component(row[pf]), _trace_component(row[vf])
+            except ValueError as exc:
+                raise ManifestError(f"{path}:{reader.line_num}: bad trace row: {exc}") from exc
+
     with closing(input_lines(path, "trace file")) as lines:
         reader = csv.DictReader(lines)
         missing = [c for c in TRACE_HEADER if c not in (reader.fieldnames or ())]
         if missing:
             raise ManifestError(f"{path}:1: trace header lacks columns {missing}")
-        for row in reader:
-            try:
-                if None in row or None in row.values():
-                    raise ValueError(f"expected {len(reader.fieldnames)} cells")
-                key = (row["ped_id"], int(row["frame"]))
-                own = own_columns.get(row["area"])
-                if own is None:
-                    raise ValueError(f"area must be one of {list(own_columns)}, got {row['area']!r}")
-                if any(row[c] for c in _COLUMNS if c not in own):
-                    raise ValueError("a value in the other area's columns")
-                values = {c: _trace_component(row[c]) for c in own}
-            except ValueError as exc:
-                raise ManifestError(f"{path}:{reader.line_num}: bad trace row: {exc}") from exc
-            rows.append((*key, values))
-    return _vectors_by_ped(rows)
+        return _vectors_by_ped(rows(reader))
 
 
 def write_risk_scenarios(path: str, scenarios: Sequence[RiskScenario]) -> None:

@@ -26,7 +26,7 @@ class Awareness(IntEnum):
     NOTICED = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledSample:
     """A sliding window with the true seconds to its agent's target line q,
     `line`, at its end point."""

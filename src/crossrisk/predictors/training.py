@@ -167,8 +167,9 @@ def evaluate_mae(predictor: Predictor, samples: Sequence[LabeledSample]) -> floa
 
 def train_and_select(
     samples: Sequence[LabeledSample], config: TrainingConfig
-) -> tuple[Predictor, float | None]:
-    """The predictor of one (category, q) pair and its validation MAE.
+) -> tuple[Predictor, float | None, list[int]]:
+    """The predictor of one (category, q) pair, its validation MAE and the
+    hidden sizes whose GRU diverged.
 
     The pair's unaware samples are split once, with the config seed, and
     the baseline is scored on the validation side (None when it is empty).
@@ -176,18 +177,27 @@ def train_and_select(
     once and a GRU of each size in HIDDEN_SIZES trains on them; the lowest
     validation MAE wins, the earliest of equal ones. A trained GRU's MAE is
     the best validation MAE that `train` reports for the weights it returns.
+    A GRU whose training diverges is dropped with a warning, so the pair
+    keeps the best of the others, the baseline at worst.
     """
     train_set, val_set = split_samples(usable_samples(samples), config.seed)
     best: Predictor = HistoricalAveragePredictor()
     best_mae = evaluate_mae(best, val_set) if val_set else None
+    diverged = []
     if len(train_set) + len(val_set) >= MIN_TRAINING_SAMPLES:
         split = TrainingSplit.featurize(train_set, val_set)
         for size in HIDDEN_SIZES:
             model = RecurrentRegressor.initialize(size, np.random.default_rng(config.seed))
-            trained, mae = train(model, split, config)
+            try:
+                trained, mae = train(model, split, config)
+            except DivergedLoss as exc:
+                head = train_set[0]
+                log.warning("i=%d,q=%d: GRU of hidden size %d dropped: %s", head.category, head.q, size, exc)
+                diverged.append(size)
+                continue
             if mae < best_mae:
                 best, best_mae = trained, mae
-    return best, best_mae
+    return best, best_mae, diverged
 
 
 def train_bundle(
@@ -195,7 +205,8 @@ def train_bundle(
 ) -> tuple[TrainedModelBundle, dict[str, dict]]:
     """One predictor per (category, q) pair, chosen by train_and_select, and
     a report of the choices. The report maps "i=<category>,q=<q>" to the
-    chosen predictor's name, its validation MAE and the pair's sample count.
+    chosen predictor's name, its validation MAE and the pair's sample count,
+    and, for a pair where a GRU diverged, "diverged": its hidden sizes.
     """
     groups: dict[tuple[AgentCategory, int], list[LabeledSample]] = {}
     for s in samples:
@@ -205,12 +216,14 @@ def train_bundle(
     report = {}
     for pair in ALL_PAIRS:
         group = groups.get(pair, [])
-        predictor, mae = train_and_select(group, config)
+        predictor, mae, diverged = train_and_select(group, config)
         bundle.predictors[pair] = predictor
         bundle.validation_mae[pair] = mae
-        report[f"i={int(pair[0])},q={pair[1]}"] = {
+        entry = report[f"i={int(pair[0])},q={pair[1]}"] = {
             "chosen": predictor.name,
             "validation_mae": mae,
             "samples": len(group),
         }
+        if diverged:
+            entry["diverged"] = diverged
     return bundle, report

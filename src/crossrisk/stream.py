@@ -80,7 +80,7 @@ class Observation:
     position: WorldPoint
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class SlidingWindowTrajectory:
     """WINDOW_SIZE consecutive points of one agent, as arrays.
 
@@ -94,6 +94,7 @@ class SlidingWindowTrajectory:
     first_frame: int
     times: np.ndarray
     positions: np.ndarray
+    _end: WorldPoint | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.times.shape != (WINDOW_SIZE,) or self.positions.shape != (WINDOW_SIZE, 2):
@@ -102,10 +103,12 @@ class SlidingWindowTrajectory:
                 f"got {self.times.shape} and {self.positions.shape}"
             )
 
-    @cached_property
+    @property
     def end_position(self) -> WorldPoint:
-        x, y = self.positions[-1].tolist()
-        return WorldPoint(x, y)
+        """The last point, built on the first read and kept."""
+        if self._end is None:
+            object.__setattr__(self, "_end", WorldPoint(*self.positions[-1].tolist()))
+        return self._end
 
 
 class TrajectoryBuffer:
@@ -498,17 +501,28 @@ def open_stream(path: str) -> Iterator[tuple[type, Iterator[tuple[int, list[Stre
 
 
 def _frame_rows(path: str, reader, point: type) -> Iterator[tuple[int, list[StreamRow]]]:
-    """The rows grouped by frame, each frame yielded once the next one starts."""
+    """The rows grouped by frame, each frame yielded once the next one starts.
+
+    Values that repeat are parsed once and shared: a frame number while its
+    text repeats, an agent's id in every row of the stream, and a row's time
+    where its text is the previous row's (text, not value, so that -0.0
+    keeps its sign)."""
     current, rows = None, []
+    ids: dict[str, str] = {}
+    frame_text = t_text = None
     for row in reader:
         if not row:
             continue
         try:
-            frame = int(row[0])
-            t = float(row[1])
-            if not math.isfinite(t):
-                raise ValueError(f"time must be finite, got {t}")
-            parsed = (t, row[2], AgentCategory(int(row[3])), point(float(row[4]), float(row[5])))
+            if row[0] != frame_text:
+                frame, frame_text = int(row[0]), row[0]
+            if row[1] != t_text:
+                t = float(row[1])
+                if not math.isfinite(t):
+                    raise ValueError(f"time must be finite, got {t}")
+                t_text = row[1]
+            agent_id = ids.setdefault(row[2], row[2])
+            parsed = (t, agent_id, AgentCategory(int(row[3])), point(float(row[4]), float(row[5])))
             if current is not None and frame < current:
                 raise ValueError(f"frame {frame} comes after frame {current}")
         except (IndexError, ValueError) as exc:

@@ -1,4 +1,6 @@
+import csv
 import math
+import random
 from collections import Counter
 from dataclasses import astuple
 
@@ -8,6 +10,7 @@ import pytest
 from crossrisk.errors import MissingPredictor, NonFiniteParameters, OutOfOrderFrame
 from crossrisk.pipeline import (
     RiskPipeline,
+    _vectors_by_ped,
     latency_report,
     read_trace_csv,
     write_risk_scenarios,
@@ -15,7 +18,7 @@ from crossrisk.pipeline import (
 )
 from crossrisk.ppet import PPetVector, ppet
 from crossrisk.predictors import InferenceView, RecurrentRegressor, TrainedModelBundle
-from crossrisk.risk import AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode, classify_offline
+from crossrisk.risk import AREAS, AreaRole, RiskLevel, RiskThresholdConfig, ThresholdMode, classify_offline
 from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
 
 
@@ -283,6 +286,79 @@ class TestTraceFiles:
             doc = json.loads(line)
             assert doc == scenario_obj.to_dict()
 
+
+
+def _columns_oracle(rows):
+    """The grouping _vectors_by_ped replaced: one dict of the four columns
+    per (pedestrian, frame), updated by each of its rows in turn."""
+    per_key = {}
+    for ped_id, frame, area, pf, vf in rows:
+        parts = per_key.setdefault((ped_id, frame), dict.fromkeys(PPetVector._fields))
+        parts.update(zip(PPetVector._fields[2 * area:2 * area + 2], (pf, vf)))
+    vectors = {}
+    for (ped_id, _), parts in per_key.items():
+        vectors.setdefault(ped_id, []).append(PPetVector(**parts))
+    return vectors
+
+
+def _trace_rows(trace):
+    return [(r.ped_id, r.frame, AREAS.index(r.area), r.pf, r.vf) for r in trace]
+
+
+def _interleaved(rows):
+    """Whether some (pedestrian, frame) has rows apart, and each area comes
+    first for some (pedestrian, frame)."""
+    first_area, last_at = {}, {}
+    apart = False
+    for at, (ped_id, frame, area, _, _) in enumerate(rows):
+        first_area.setdefault((ped_id, frame), area)
+        apart |= last_at.get((ped_id, frame), at - 1) != at - 1
+        last_at[ped_id, frame] = at
+    return apart and set(first_area.values()) == {0, 1}
+
+
+class TestTraceGrouping:
+    """_vectors_by_ped against the dict-of-columns grouping it replaced, on
+    the trace in order and with its rows shuffled."""
+
+    def test_trace_order(self, run):
+        _, result, _ = run
+        expected = _columns_oracle(_trace_rows(result.trace))
+        assert list(result.vectors_by_ped.items()) == list(expected.items())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_rows(self, run, seed):
+        _, result, _ = run
+        rows = _trace_rows(result.trace)
+        random.Random(seed).shuffle(rows)
+        assert _interleaved(rows)
+        assert list(_vectors_by_ped(rows).items()) == list(_columns_oracle(rows).items())
+
+    def test_a_repeated_row_overrides_the_earlier_one(self):
+        rows = [
+            ("p1", 7, 1, 0.5, 2.5), ("p0", 7, 0, 1.0, 2.0), ("p1", 7, 1, None, 3.0), ("p1", 6, 0, 4.0, 4.5),
+            ("p0", 7, 0, 1.5, None),
+        ]
+        assert _vectors_by_ped(rows) == _columns_oracle(rows) == {
+            "p1": [PPetVector(None, None, None, 3.0), PPetVector(4.0, 4.5)],
+            "p0": [PPetVector(1.5, None)],
+        }
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_shuffled_trace_file(self, run, tmp_path, seed):
+        _, result, _ = run
+        path = tmp_path / "trace.csv"
+        write_trace_csv(str(path), result.trace)
+        header, *body = path.read_text(encoding="utf-8").splitlines()
+        random.Random(seed).shuffle(body)
+        path.write_text("\n".join([header, *body]) + "\n", encoding="utf-8")
+        rows = []
+        for frame, ped_id, _, area, *cells in csv.reader(body):
+            i = [a.value for a in AREAS].index(area)
+            pf, vf = (float(c) if c else None for c in cells[2 * i:2 * i + 2])
+            rows.append((ped_id, int(frame), i, pf, vf))
+        assert _interleaved(rows)
+        assert list(read_trace_csv(str(path)).items()) == list(_columns_oracle(rows).items())
 
 # --- one frame's predictions answered together ------------------------------------
 

@@ -1,12 +1,15 @@
 import dataclasses
+import json
+import logging
 
 import numpy as np
 import pytest
 
+from crossrisk.cli import EXIT_OK, main
 from crossrisk.errors import DivergedLoss, PredictionError
 from crossrisk.geometry import TargetLine, WorldPoint
 from crossrisk.predictors import ALL_PAIRS, ARRIVAL_TIME_CAP_S, LabeledSample, TrainingConfig, training
-from crossrisk.predictors.dataset import Awareness
+from crossrisk.predictors.dataset import Awareness, read_samples_jsonl, write_samples_jsonl
 from crossrisk.predictors.historical import HistoricalAveragePredictor
 from crossrisk.predictors.recurrent import RecurrentRegressor, window_features
 from crossrisk.predictors.training import (
@@ -111,7 +114,7 @@ def select_by_maes(monkeypatch, baseline_mae, gru_maes, hidden_sizes):
     monkeypatch.setattr(training, "HIDDEN_SIZES", hidden_sizes)
     monkeypatch.setattr(training, "evaluate_mae", lambda predictor, samples: baseline_mae)
     monkeypatch.setattr(training, "train", lambda model, split, config: (model, gru_maes[model.hidden_size]))
-    return train_and_select(constant_velocity_samples(60), TrainingConfig(seed=0))
+    return train_and_select(constant_velocity_samples(60), TrainingConfig(seed=0))[:2]
 
 
 class TestSelectModel:
@@ -123,7 +126,7 @@ class TestSelectModel:
     def test_single_candidate(self, monkeypatch):
         samples = constant_velocity_samples(60)
         monkeypatch.setattr(training, "HIDDEN_SIZES", ())
-        chosen, mae = train_and_select(samples, TrainingConfig(seed=0))
+        chosen, mae, _ = train_and_select(samples, TrainingConfig(seed=0))
         assert isinstance(chosen, HistoricalAveragePredictor)
         _, val = split_samples(samples, 0)
         assert mae == evaluate_mae(chosen, val)
@@ -148,7 +151,7 @@ class TestSelectModel:
         samples = constant_velocity_samples(120, seed=9)
         config = TrainingConfig(seed=3, hidden_size=8, epochs=3, patience=2)
         monkeypatch.setattr(training, "HIDDEN_SIZES", (8,))
-        chosen, _ = train_and_select(samples, config)
+        chosen, _, _ = train_and_select(samples, config)
         assert isinstance(chosen, HistoricalAveragePredictor)
 
 
@@ -191,7 +194,7 @@ def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
     evaluate = training.evaluate_mae
     monkeypatch.setattr(training, "evaluate_mae", lambda p, s: scored.append(p) or evaluate(p, s))
     monkeypatch.setattr(training, "HIDDEN_SIZES", (4, 6))
-    chosen, mae = training.train_and_select(samples, config)
+    chosen, mae, _ = training.train_and_select(samples, config)
     assert [type(p) for p in scored] == [HistoricalAveragePredictor]
 
     _, val = split_samples(usable_samples(samples), config.seed)
@@ -279,7 +282,7 @@ class TestBatchedScoring:
         for seed in range(3):
             samples = jittered_samples(120, seed=10 + seed)
             config = TrainingConfig(seed=seed, epochs=2, patience=1)
-            chosen, mae = train_and_select(samples, config)
+            chosen, mae, _ = train_and_select(samples, config)
             _, val = split_samples(usable_samples(samples), config.seed)
             candidates = [HistoricalAveragePredictor()] + [
                 fit(RecurrentRegressor.initialize(h, np.random.default_rng(config.seed)), samples, config)[0]
@@ -300,3 +303,35 @@ class TestBatchedScoring:
             model.predict(samples[0].window)
         with pytest.raises(ValueError, match="finite and >= 0"):
             evaluate_mae(model, samples)
+
+
+def test_a_diverging_candidate_is_dropped_and_named(monkeypatch, tmp_path, caplog):
+    """A GRU candidate whose training diverges is dropped with a warning
+    naming the pair, its hidden size and both MAEs: train exits 0, the pair
+    keeps the best of the other candidates, and only that pair's report
+    entry lists the diverged size."""
+    samples = tmp_path / "samples.jsonl"
+    write_samples_jsonl(str(samples), constant_velocity_samples(60))
+    config = tmp_path / "train.json"
+    config.write_text(json.dumps({"epochs": 1, "patience": 0}), encoding="utf-8")
+    fitted = training.train
+
+    def train(model, split, config):
+        if model.hidden_size == 32:
+            raise DivergedLoss("validation MAE 37.6628 exceeded 10x initial 1.3052")
+        return fitted(model, split, config)
+
+    monkeypatch.setattr(training, "train", train)
+    report = tmp_path / "report.json"
+    with caplog.at_level(logging.WARNING, logger=training.__name__):
+        code = main(["train", "--dataset", str(samples), "--config", str(config),
+                     "--out", str(tmp_path / "bundle.json"), "--report", str(report)])
+    assert code == EXIT_OK
+    assert "i=0,q=1: GRU of hidden size 32 dropped: validation MAE 37.6628 exceeded 10x initial 1.3052" in caplog.text
+    doc = json.loads(report.read_text(encoding="utf-8"))
+    assert doc["i=0,q=1"]["diverged"] == [32]
+    assert [key for key, entry in doc.items() if "diverged" in entry] == ["i=0,q=1"]
+
+    monkeypatch.setattr(training, "HIDDEN_SIZES", (16,))
+    chosen, mae, diverged = train_and_select(read_samples_jsonl(str(samples)), TrainingConfig(epochs=1, patience=0))
+    assert (doc["i=0,q=1"]["chosen"], doc["i=0,q=1"]["validation_mae"], diverged) == (chosen.name, mae, [])
