@@ -146,6 +146,9 @@ class IntervalGrid:
             raise ValueError(f"grid bounds and steps must be finite: {astuple(self)}")
         if self.alpha_step <= 0 or self.beta_step <= 0:
             raise ValueError("grid steps must be positive")
+        for lo, hi, step in astuple(self)[:3], astuple(self)[3:]:
+            if not math.isfinite((hi - lo) / step):
+                raise ValueError(f"grid range [{lo}, {hi}] in steps of {step} has no finite count of values")
 
     @staticmethod
     def _values(lo: float, hi: float, step: float) -> list[float]:

@@ -291,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     # each command takes only the shared flags it reads
     seeded = argparse.ArgumentParser(add_help=False)
-    seeded.add_argument("--seed", type=int, default=None, help="Override the seed")
+    seeded.add_argument("--seed", type=_count, default=None, help="Override the seed")
 
     p = sub.add_parser("gen", parents=[seeded], help="Generate a synthetic scenario")
     p.add_argument("--spec", help="Scenario spec JSON (defaults when omitted)")

@@ -12,9 +12,18 @@ from ..files import read_json, write_json
 from ..geometry import TargetLine
 from ..stream import AgentCategory, SlidingWindowTrajectory
 from .historical import HistoricalAveragePredictor, stacked_arrival_times
-from .recurrent import PARAM_NAMES, GruStack, RecurrentRegressor, stacked_features
+from .recurrent import GruStack, RecurrentRegressor, stacked_features, weight_shapes
 
 BUNDLE_VERSION = 1
+
+# A recurrent entry stores each gate's weights under a name of its own:
+# file name -> (RecurrentRegressor.w array, index of the gate's slice in it).
+FILE_WEIGHTS: dict[str, tuple[str, tuple[int, ...]]] = {
+    "w_xz": ("w_x", (0,)), "w_hz": ("w_hzr", (0,)), "b_z": ("b_zr", (0, 0)),
+    "w_xr": ("w_x", (1,)), "w_hr": ("w_hzr", (1,)), "b_r": ("b_zr", (1, 0)),
+    "w_xc": ("w_x", (2,)), "w_hc": ("w_hc", ()), "b_c": ("b_c", (0,)),
+    "w_out": ("w_out", ()), "b_out": ("b_out", ()),
+}
 
 # Train and validation shares of training.split_samples, recorded in every bundle.
 SPLIT_RATIO = (0.8, 0.2)
@@ -67,13 +76,10 @@ class TrainedModelBundle:
                 entry["hidden_size"] = predictor.hidden_size
                 entry["feat_mean"] = predictor.feat_mean.tolist()
                 entry["feat_std"] = predictor.feat_std.tolist()
-                entry["weights"] = {
-                    name: {
-                        "shape": list(predictor.params[name].shape),
-                        "data": predictor.params[name].ravel().tolist(),
-                    }
-                    for name in PARAM_NAMES
-                }
+                entry["weights"] = {}
+                for name, (array, index) in FILE_WEIGHTS.items():
+                    part = predictor.w[array][index]
+                    entry["weights"][name] = {"shape": list(part.shape), "data": part.ravel().tolist()}
             else:
                 entry["kind"] = "historical_average"
             models.append(entry)
@@ -99,22 +105,29 @@ class TrainedModelBundle:
             if kind == "historical_average":
                 predictors[key] = HistoricalAveragePredictor()
             elif kind == "recurrent":
-                params = {}
-                for name in PARAM_NAMES:
+                where = f"model entry (i={int(key[0])}, q={key[1]})"
+                hidden = int(entry["hidden_size"])
+                shapes = weight_shapes(hidden)
+                parts = {}
+                # every shape is checked before w is allocated: no hidden_size the data do not back
+                for name, (array, index) in FILE_WEIGHTS.items():
                     spec = entry["weights"][name]
-                    params[name] = np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
+                    part = parts[name] = np.asarray(spec["data"], dtype=float).reshape(spec["shape"])
+                    if part.shape != shapes[array][len(index):]:
+                        raise ManifestError(
+                            f"{where}: weight {name} has shape {part.shape}, expected {shapes[array][len(index):]}")
+                w = {array: np.empty(shape) for array, shape in shapes.items()}
+                for name, (array, index) in FILE_WEIGHTS.items():
+                    w[array][index] = parts[name]
                 feat_mean = np.asarray(entry["feat_mean"], dtype=float)
                 feat_std = np.asarray(entry["feat_std"], dtype=float)
-                where = f"model entry (i={int(key[0])}, q={key[1]})"
-                if not all(np.all(np.isfinite(v)) for v in params.values()):
+                if not all(np.all(np.isfinite(v)) for v in w.values()):
                     raise ManifestError(f"{where}: weights must be finite")
                 if not np.all(np.isfinite(feat_mean)):
                     raise ManifestError(f"{where}: feat_mean must be finite")
                 if not np.all(np.isfinite(feat_std) & (feat_std > 0.0)):
                     raise ManifestError(f"{where}: feat_std must be finite and positive")
-                predictors[key] = RecurrentRegressor(
-                    int(entry["hidden_size"]), params, feat_mean, feat_std
-                )
+                predictors[key] = RecurrentRegressor(hidden, w, feat_mean, feat_std)
             else:
                 raise ManifestError(f"unknown predictor kind {kind!r}")
             maes[key] = entry.get("validation_mae")

@@ -18,12 +18,23 @@ from ..stream import SlidingWindowTrajectory
 
 INPUT_SIZE = 3
 
-PARAM_NAMES = (
-    "w_xz", "w_hz", "b_z",
-    "w_xr", "w_hr", "b_r",
-    "w_xc", "w_hc", "b_c",
-    "w_out", "b_out",
-)
+
+def weight_shapes(hidden_size: int) -> dict[str, tuple[int, ...]]:
+    """The shape of each of a model's weight arrays, as _cell reads them:
+    the gates on a leading axis of their own. w_x holds the input weights of
+    z, r and the candidate, w_hzr the state weights of z and r, b_zr the
+    biases of z and r; w_hc and b_c are the candidate's, w_out and b_out
+    the head's."""
+    h = hidden_size
+    return {
+        "w_x": (3, INPUT_SIZE, h),
+        "w_hzr": (2, h, h),
+        "b_zr": (2, 1, h),
+        "w_hc": (h, h),
+        "b_c": (1, h),
+        "w_out": (h,),
+        "b_out": (1,),
+    }
 
 
 # The constants of the cell's in-place steps as 0-d arrays: a ufunc takes
@@ -65,21 +76,6 @@ def window_features(window: SlidingWindowTrajectory) -> np.ndarray:
     return stacked_features(window.times[None], window.positions[None])[0]
 
 
-def _fused(p: Mapping[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """The cell's weights laid out for _cell, with the gates on a leading
-    axis of their own: w_x (3, ..., 3, H) holds w_xz, w_xr and w_xc, w_hzr
-    (2, ..., H, H) w_hz and w_hr, b_zr (2, ..., 1, H) b_z and b_r. Works on
-    one model's parameters and on a stack of G models alike; the model
-    axis, if any, is the third from the last of every array."""
-    return {
-        "w_x": np.stack([p["w_xz"], p["w_xr"], p["w_xc"]]),
-        "w_hzr": np.stack([p["w_hz"], p["w_hr"]]),
-        "b_zr": np.stack([p["b_z"], p["b_r"]])[..., None, :],
-        "w_hc": p["w_hc"],
-        "b_c": p["b_c"][..., None, :],
-    }
-
-
 class _Buffers:
     """What the cell's steps write on states h of shape (rows, H) or
     (G, rows, H), with every view that a step reads or writes made once per
@@ -112,9 +108,9 @@ class _Buffers:
 def _cell(w: Mapping[str, np.ndarray], a_zr: np.ndarray, a_c: np.ndarray, b: _Buffers) -> None:
     """One step of the gated cell on the state that b is bound to, given the
     step's input products x @ w_x of the gates, a_zr (2, *h.shape), and of
-    the candidate, a_c (h.shape), and the weights of _fused. The same
-    equations serve an (N, H) batch of one model's windows and a (G, 1, H)
-    stack of G models' windows.
+    the candidate, a_c (h.shape), and the weights: one model's, laid out
+    as weight_shapes gives, for an (N, H) batch of its windows, or a
+    GruStack's rows for a (G, 1, H) stack of G models' windows.
 
     Both gates come from one matmul call and one sigmoid. Each matmul still
     multiplies the (rows, K) @ (K, H) matrices a per-gate product would, and
@@ -138,15 +134,17 @@ def _cell(w: Mapping[str, np.ndarray], a_zr: np.ndarray, a_c: np.ndarray, b: _Bu
     np.add(b.prod_h, b.prod_c, b.out)
 
 
-def _check_finite(params: Mapping[str, np.ndarray]) -> None:
-    if not all(np.isfinite(v).all() for v in params.values()):
+def _check_finite(w: Mapping[str, np.ndarray]) -> None:
+    if not all(np.isfinite(v).all() for v in w.values()):
         raise NonFiniteParameters("model weights contain non-finite values")
 
 
 class GruStack:
-    """The weights of GRU models of one hidden size, stacked once along a
-    leading model axis, fused for _cell and checked: NonFiniteParameters is
-    raised here, not by a pass. A pass runs any rows of the stack together.
+    """The weights of GRU models of one hidden size, each array stacked once
+    along a model axis third from last, and checked: NonFiniteParameters is
+    raised here, not by a pass. The head's w_out and b_out are stacked as
+    (G, H, 1) and (G, 1, 1) columns. A pass runs any rows of the stack
+    together.
 
     The stack copies the weights, so it reads a model as it was when the
     stack was built.
@@ -154,13 +152,11 @@ class GruStack:
 
     def __init__(self, models: Sequence["RecurrentRegressor"]):
         self.hidden_size = models[0].hidden_size
-        p = {name: np.array([m.params[name] for m in models]) for name in PARAM_NAMES}
-        _check_finite(p)
-        self.w = _fused(p)
+        columns = [{k: v if v.ndim > 1 else v[:, None] for k, v in m.w.items()} for m in models]
+        self.w = {name: np.stack([c[name] for c in columns], axis=-3) for name in columns[0]}
+        _check_finite(self.w)
         self.mean = np.array([m.feat_mean for m in models])[:, None, :]
         self.std = np.array([m.feat_std for m in models])[:, None, :]
-        self.w_out = p["w_out"][:, :, None]
-        self.b_out = p["b_out"][:, None, :]
 
     def predict(self, rows: Sequence[int], features: np.ndarray) -> np.ndarray:
         """Arrival seconds (G,) of the stack's models rows[g], each run on its
@@ -182,7 +178,7 @@ class GruStack:
         b.bind(hc, np.empty((3, *shape)), hc)
         for a_zr, a_c in zip(a[:, :2], a[:, 2]):
             _cell(w, a_zr, a_c, b)
-        y = _softplus(b.h @ self.w_out[rows] + self.b_out[rows]).reshape(-1)
+        y = _softplus(b.h @ w["w_out"] + w["b_out"]).reshape(-1)
         if not np.all(np.isfinite(y) & (y >= 0.0)):
             raise ValueError("arrival time must be finite and >= 0 for every window")
         return y
@@ -196,72 +192,46 @@ class RecurrentRegressor:
     input features are stored with the weights so inference is self-contained.
     """
 
-    def __init__(self, hidden_size: int, params: Mapping[str, np.ndarray],
+    def __init__(self, hidden_size: int, w: Mapping[str, np.ndarray],
                  feat_mean: np.ndarray, feat_std: np.ndarray):
+        shapes = weight_shapes(hidden_size)
+        if w.keys() != shapes.keys():
+            raise ValueError(f"weights must be {', '.join(shapes)}, got {', '.join(w)}")
         self.hidden_size = hidden_size
-        self.params = {k: np.asarray(v, dtype=float) for k, v in params.items()}
+        self.w = {name: np.asarray(w[name], dtype=float) for name in shapes}
         self.feat_mean = np.asarray(feat_mean, dtype=float)
         self.feat_std = np.asarray(feat_std, dtype=float)
-        self._check_shapes()
+        for name, shape in shapes.items():
+            if self.w[name].shape != shape:
+                raise ValueError(f"weight {name} has shape {self.w[name].shape}, expected {shape}")
+        if self.feat_mean.shape != (INPUT_SIZE,) or self.feat_std.shape != (INPUT_SIZE,):
+            raise ValueError("normalization constants must have shape (3,)")
 
     # -- construction ---------------------------------------------------------
 
     @classmethod
-    def initialize(cls, hidden_size: int, rng: np.random.Generator) -> "RecurrentRegressor":
-        h = hidden_size
-        sx = 1.0 / math.sqrt(INPUT_SIZE)
-        sh = 1.0 / math.sqrt(h)
-        params = {
-            "w_xz": rng.uniform(-sx, sx, (INPUT_SIZE, h)),
-            "w_hz": rng.uniform(-sh, sh, (h, h)),
-            "b_z": np.zeros(h),
-            "w_xr": rng.uniform(-sx, sx, (INPUT_SIZE, h)),
-            "w_hr": rng.uniform(-sh, sh, (h, h)),
-            "b_r": np.zeros(h),
-            "w_xc": rng.uniform(-sx, sx, (INPUT_SIZE, h)),
-            "w_hc": rng.uniform(-sh, sh, (h, h)),
-            "b_c": np.zeros(h),
-            "w_out": rng.uniform(-sh, sh, h),
-            "b_out": np.zeros(1),
-        }
-        return cls(hidden_size, params, np.zeros(INPUT_SIZE), np.ones(INPUT_SIZE))
+    def zeros(cls, hidden_size: int) -> "RecurrentRegressor":
+        w = {name: np.zeros(shape) for name, shape in weight_shapes(hidden_size).items()}
+        return cls(hidden_size, w, np.zeros(INPUT_SIZE), np.ones(INPUT_SIZE))
 
     @classmethod
-    def zeros(cls, hidden_size: int) -> "RecurrentRegressor":
-        rng = np.random.default_rng(0)
-        model = cls.initialize(hidden_size, rng)
-        for key in model.params:
-            model.params[key] = np.zeros_like(model.params[key])
+    def initialize(cls, hidden_size: int, rng: np.random.Generator) -> "RecurrentRegressor":
+        """Uniform weights and zero biases. The draws go gate by gate, z, r
+        and then the candidate, each its input and then its state weights,
+        and the head last."""
+        model = cls.zeros(hidden_size)
+        w = model.w
+        sx = 1.0 / math.sqrt(INPUT_SIZE)
+        sh = 1.0 / math.sqrt(hidden_size)
+        for w_x, w_h in zip(w["w_x"], [*w["w_hzr"], w["w_hc"]]):
+            w_x[...] = rng.uniform(-sx, sx, w_x.shape)
+            w_h[...] = rng.uniform(-sh, sh, w_h.shape)
+        w["w_out"][...] = rng.uniform(-sh, sh, hidden_size)
         return model
-
-    def _check_shapes(self) -> None:
-        h = self.hidden_size
-        expected = {
-            "w_xz": (INPUT_SIZE, h), "w_hz": (h, h), "b_z": (h,),
-            "w_xr": (INPUT_SIZE, h), "w_hr": (h, h), "b_r": (h,),
-            "w_xc": (INPUT_SIZE, h), "w_hc": (h, h), "b_c": (h,),
-            "w_out": (h,), "b_out": (1,),
-        }
-        for name, shape in expected.items():
-            if name not in self.params:
-                raise ValueError(f"missing parameter {name}")
-            if self.params[name].shape != shape:
-                raise ValueError(
-                    f"parameter {name} has shape {self.params[name].shape}, expected {shape}"
-                )
-        if self.feat_mean.shape != (INPUT_SIZE,) or self.feat_std.shape != (INPUT_SIZE,):
-            raise ValueError("normalization constants must have shape (3,)")
 
     @property
     def name(self) -> str:
         return f"gru{self.hidden_size}"
-
-    def copy_params(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.params.items()}
-
-    def set_params(self, params: Mapping[str, np.ndarray]) -> None:
-        self.params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
-        self._check_shapes()
 
     def set_normalization(self, mean: np.ndarray, std: np.ndarray) -> None:
         std = np.asarray(std, dtype=float)
@@ -288,9 +258,8 @@ class RecurrentRegressor:
         and nothing of a step is kept; the products and their bits are the
         same either way.
         """
-        p = self.params
-        _check_finite(p)
-        w = _fused(p)
+        w = self.w
+        _check_finite(w)
         x = self._standardize(np.asarray(features, dtype=float))
         n, t, _ = x.shape
         shape = (n, self.hidden_size)
@@ -309,7 +278,7 @@ class RecurrentRegressor:
                 steps.append((xk, b.h, z, r, b.c))
             hc = nxt
         h = hc[0]
-        s = h @ p["w_out"] + p["b_out"][0]
+        s = h @ w["w_out"] + w["b_out"][0]
         return _softplus(s), h, s
 
     def forward_batch(self, features: np.ndarray) -> tuple[np.ndarray, dict]:
@@ -341,7 +310,8 @@ class RecurrentRegressor:
         """Mean-absolute-error loss and its gradients over a raw-feature batch.
 
         The subgradient at the |.| kink is taken as zero. Batch gradients are
-        the mean of per-sample gradients.
+        the mean of per-sample gradients, keyed like w; each gate's gradient
+        is summed into its own slice.
         """
         targets = np.asarray(targets, dtype=float)
         if features.shape[0] == 0:
@@ -351,12 +321,12 @@ class RecurrentRegressor:
         residual = y - targets
         loss = float(np.mean(np.abs(residual)))
 
-        p = self.params
-        grads = {k: np.zeros_like(v) for k, v in p.items()}
+        w = self.w
+        grads = {k: np.zeros_like(v) for k, v in w.items()}
         ds = np.sign(residual) / n * _sigmoid(cache["s"])
         grads["w_out"] = cache["h_last"].T @ ds
         grads["b_out"] = np.array([np.sum(ds)])
-        g_h = np.outer(ds, p["w_out"])
+        g_h = np.outer(ds, w["w_out"])
 
         for xk, h_prev, z, r, c in reversed(cache["steps"]):
             dz = g_h * (c - h_prev)
@@ -364,24 +334,24 @@ class RecurrentRegressor:
             dh_prev = g_h * (1.0 - z)
 
             da_c = dc * (1.0 - c * c)
-            grads["w_xc"] += xk.T @ da_c
+            grads["w_x"][2] += xk.T @ da_c
             grads["w_hc"] += (r * h_prev).T @ da_c
-            grads["b_c"] += da_c.sum(axis=0)
-            d_rh = da_c @ p["w_hc"].T
+            grads["b_c"][0] += da_c.sum(axis=0)
+            d_rh = da_c @ w["w_hc"].T
             dh_prev += d_rh * r
             dr = d_rh * h_prev
 
             da_r = dr * r * (1.0 - r)
-            grads["w_xr"] += xk.T @ da_r
-            grads["w_hr"] += h_prev.T @ da_r
-            grads["b_r"] += da_r.sum(axis=0)
+            grads["w_x"][1] += xk.T @ da_r
+            grads["w_hzr"][1] += h_prev.T @ da_r
+            grads["b_zr"][1, 0] += da_r.sum(axis=0)
 
             da_z = dz * z * (1.0 - z)
-            grads["w_xz"] += xk.T @ da_z
-            grads["w_hz"] += h_prev.T @ da_z
-            grads["b_z"] += da_z.sum(axis=0)
+            grads["w_x"][0] += xk.T @ da_z
+            grads["w_hzr"][0] += h_prev.T @ da_z
+            grads["b_zr"][0, 0] += da_z.sum(axis=0)
 
-            dh_prev += da_z @ p["w_hz"].T + da_r @ p["w_hr"].T
+            dh_prev += da_z @ w["w_hzr"][0].T + da_r @ w["w_hzr"][1].T
             g_h = dh_prev
 
         for name, grad in grads.items():

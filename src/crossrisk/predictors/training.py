@@ -39,6 +39,8 @@ class TrainingConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be 0 or more, got {self.seed}")
         if self.epochs < 1 or self.patience < 0 or self.batch_size < 1:
             raise ValueError("epochs, patience and batch_size must be positive")
         rate = self.learning_rate
@@ -106,13 +108,13 @@ def train(
     model.set_normalization(mean, std)
 
     rng = np.random.default_rng(config.seed + 1)
-    m_state = {k: np.zeros_like(v) for k, v in model.params.items()}
-    v_state = {k: np.zeros_like(v) for k, v in model.params.items()}
+    m_state = {k: np.zeros_like(v) for k, v in model.w.items()}
+    v_state = {k: np.zeros_like(v) for k, v in model.w.items()}
     step = 0
 
     initial_mae = model.batch_mae(x_val, y_val)
     best_mae = initial_mae
-    best_params = model.copy_params()
+    best_w = {k: v.copy() for k, v in model.w.items()}
     stale = 0
 
     for epoch in range(config.epochs):
@@ -126,7 +128,7 @@ def train(
                 v_state[name] = ADAM_BETA2 * v_state[name] + (1 - ADAM_BETA2) * grad * grad
                 m_hat = m_state[name] / (1 - ADAM_BETA1**step)
                 v_hat = v_state[name] / (1 - ADAM_BETA2**step)
-                model.params[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+                model.w[name] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
         val_mae = model.batch_mae(x_val, y_val)
         if val_mae > 10.0 * max(initial_mae, 1e-6):
@@ -135,7 +137,7 @@ def train(
             )
         if val_mae < best_mae - 1e-12:
             best_mae = val_mae
-            best_params = model.copy_params()
+            best_w = {k: v.copy() for k, v in model.w.items()}
             stale = 0
         else:
             stale += 1
@@ -143,7 +145,7 @@ def train(
                 log.debug("early stop at epoch %d (best val MAE %.4f)", epoch, best_mae)
                 break
 
-    model.set_params(best_params)
+    model.w = best_w
     return model, best_mae
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from array import array
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
@@ -536,13 +537,14 @@ def _frame_rows(path: str, reader, point: type) -> Iterator[tuple[int, list[Stre
         yield current, rows
 
 
-def read_frames(path: str, tile_grid: str | None = None) -> tuple[Iterator[tuple[int, list[Observation]]], list[float]]:
-    """A stream CSV as (frame, world observations) per frame with rows, each
-    read from the file only when asked for, and the time (ms) spent building
-    each frame's observations, appended as it is read. A world header (x, y)
-    ignores tile_grid; a pixel header (u, v) requires it, and each frame's rows
-    go through that tile-grid file, read on the first frame asked for."""
-    transform_ms: list[float] = []
+def read_frames(path: str, tile_grid: str | None = None) -> tuple[Iterator[tuple[int, list[Observation]]], array]:
+    """A stream CSV as (frame, world observations) per frame with rows, each read
+    from the file only when asked for, and the time (ms) spent building each
+    frame's observations, in an array('d') appended to as each frame is read. A
+    world header (x, y) ignores tile_grid; a pixel header (u, v) requires it,
+    and each frame's rows go through that tile-grid file, read on the first
+    frame asked for."""
+    transform_ms = array("d")
 
     def frames() -> Iterator[tuple[int, list[Observation]]]:
         with open_stream(path) as (point, rows):

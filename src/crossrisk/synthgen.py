@@ -75,6 +75,10 @@ NOTICE_PROBABILITY = 0.36           # pedestrians that notice a threat
 DECELERATE_PROBABILITY = 0.8        # of those, the ones that slow down
 REACTION_DELAY_S = (0.4, 1.0)       # uniform human latency before reacting
 
+# The largest spec a run accepts, so that generation is bounded.
+MAX_AGENTS_PER_CATEGORY = 100_000
+MAX_DURATION_S = 86_400.0
+
 
 def _rect(x0: float, x1: float, y0: float, y1: float) -> tuple[WorldPoint, ...]:
     return (
@@ -175,9 +179,13 @@ class ScenarioSpec:
                 raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.fps != FPS:
             raise InfeasibleSpec(f"frame rate is fixed at {FPS} FPS")
-        if min(self.n_adults, self.n_kids, self.n_cyclists) < 0:
-            raise InfeasibleSpec("agent counts must be non-negative")
+        if self.seed < 0:
+            raise InfeasibleSpec(f"seed must be 0 or more, got {self.seed}")
+        for name in ("n_adults", "n_kids", "n_cyclists"):
+            if not 0 <= getattr(self, name) <= MAX_AGENTS_PER_CATEGORY:
+                raise InfeasibleSpec(f"{name} must lie in [0, {MAX_AGENTS_PER_CATEGORY}], got {getattr(self, name)}")
         for name, in_range, rule in (("duration_s", lambda v: v > 0, "be positive"),
+                                     ("duration_s", lambda v: v <= MAX_DURATION_S, f"be at most {MAX_DURATION_S}"),
                                      ("vehicle_rate_per_min", lambda v: v >= 0, "be non-negative"),
                                      ("conflict_probability", lambda v: 0 <= v <= 1, "lie in [0, 1]"),
                                      ("risky_fraction", lambda v: 0 <= v <= 1, "lie in [0, 1]")):

@@ -24,7 +24,7 @@ from crossrisk.pipeline import RiskPipeline, latency_report
 from crossrisk.ppet import ppet
 from crossrisk.predictors import TrainingConfig, build_labeled_dataset
 from crossrisk.predictors.historical import HistoricalAveragePredictor, arrival_time
-from crossrisk.predictors.recurrent import PARAM_NAMES, RecurrentRegressor
+from crossrisk.predictors.recurrent import RecurrentRegressor
 from crossrisk.predictors.training import evaluate_mae, split_samples
 from crossrisk.risk import AreaRole, RiskThresholdConfig, classify_offline
 from crossrisk.stream import AgentCategory, Observation
@@ -79,8 +79,8 @@ def test_criterion_02_gradient_check():
     eps = 1e-5
     worst = 0.0
     n_params = 0
-    for name in PARAM_NAMES:
-        flat = model.params[name].reshape(-1)
+    for name in model.w:
+        flat = model.w[name].reshape(-1)
         grad_flat = grads[name].reshape(-1)
         for idx in range(flat.size):
             orig = flat[idx]

@@ -868,8 +868,10 @@ def test_malformed_trace_row_is_input_error(command, header, row, line, tmp_path
         json.dumps({**_SMALL_GRID, "theta": {"closer": [2], "further": [0, 2]}}),
         json.dumps(_SMALL_GRID).replace("-1.0", "NaN", 1),
         json.dumps(_SMALL_GRID).replace("-1.0", "-Infinity", 1),
+        json.dumps(_SMALL_GRID).replace("[-1.0, -1.0, 1.0]", "[-1.0, 1e308, 0.5]", 1),
     ],
-    ids=["invalid-json", "missing-axes", "bogus-mode", "theta-below-1", "nan-bound", "infinite-bound"],
+    ids=["invalid-json", "missing-axes", "bogus-mode", "theta-below-1", "nan-bound", "infinite-bound",
+         "overflowing-count"],
 )
 def test_malformed_grid_spec_is_input_error(text, tmp_path, capsys):
     trace_path, truth_path = _write_episode_files(tmp_path)
@@ -1251,6 +1253,8 @@ def test_non_number_scenario_spec_field_is_input_error(field, value, tmp_path, c
 
 _OUT_OF_RANGE_SPEC_FIELDS = [
     ("duration_s", 0.0, "must be positive, got 0.0"),
+    ("n_adults", 10**30, f"must lie in [0, 100000], got {10**30}"),
+    ("n_cyclists", -1, "must lie in [0, 100000], got -1"),
     ("vehicle_rate_per_min", -1.0, "must be non-negative, got -1.0"),
     ("conflict_probability", 1.01, "must lie in [0, 1], got 1.01"),
     ("risky_fraction", -1.0, "must lie in [0, 1], got -1.0"),
@@ -1273,9 +1277,10 @@ _OUT_OF_RANGE_SPEC_FIELDS = [
     "field, value, message", _OUT_OF_RANGE_SPEC_FIELDS, ids=[f"{f}={v}" for f, v, _ in _OUT_OF_RANGE_SPEC_FIELDS]
 )
 def test_out_of_range_scenario_spec_field_is_input_error(field, value, message, tmp_path, capsys):
-    """A duration not above 0, a rate below 0 or a probability outside
-    [0, 1] exits 2 naming the file and the field, before writing anything;
-    so does a removed field, whatever its value."""
+    """A duration not above 0, an agent count outside [0, 100 000], a rate
+    below 0 or a probability outside [0, 1] exits 2 naming the file and the
+    field, before writing anything; so does a removed field, whatever its
+    value."""
     err = _gen_spec_error(field, value, tmp_path, capsys, duration_s=10.0, n_adults=1, n_kids=1)
     assert _spec_error(field, message, tmp_path) in err
 
@@ -1283,6 +1288,56 @@ def test_out_of_range_scenario_spec_field_is_input_error(field, value, message, 
 def test_reaction_delay_of_one_value_is_input_error(tmp_path, capsys):
     err = _gen_spec_error("reaction_delay_s", [0.4], tmp_path, capsys, duration_s=5.0, n_adults=1)
     assert _spec_error("reaction_delay_s", None, tmp_path) in err
+
+
+# A negative seed given by flag or in a file; {bad} is a file holding it.
+_NEGATIVE_SEEDS = {
+    "gen-flag": (["gen", "--seed", "-1", "--out", "{tmp}/out"], None),
+    "spec-seed": (["gen", "--spec", "{bad}", "--out", "{tmp}/out"],
+                  {"seed": -1, "duration_s": 5.0, "n_adults": 1, "n_kids": 0, "n_cyclists": 0}),
+    "train-flag": (["train", "--dataset", "{samples}", "--seed", "-1", "--out", "{tmp}/bundle.json"], None),
+    "config-seed": (["train", "--dataset", "{samples}", "--config", "{bad}", "--out", "{tmp}/bundle.json"],
+                    {"seed": -1, "epochs": 1}),
+    "tune-flag": (["tune", "--trace", "{trace}", "--truth", "{truth}", "--grid", "{grid}", "--k", "5",
+                   "--seed", "-1", "--out", "{tmp}/calibration.json"], None),
+}
+
+
+@pytest.mark.parametrize("argv, doc", _NEGATIVE_SEEDS.values(), ids=_NEGATIVE_SEEDS.keys())
+def test_negative_seed_is_input_error_naming_its_flag_or_file(argv, doc, tmp_path, capsys):
+    """A seed below 0 exits 2: a --seed flag is rejected when it is parsed,
+    and a scenario spec or training config naming one is unreadable."""
+    bad = tmp_path / "bad.json"
+    if doc is not None:
+        bad.write_text(json.dumps(doc), encoding="utf-8")
+    inputs = _well_formed_inputs(tmp_path)
+    try:
+        code = main([arg.format(bad=bad, **inputs) for arg in argv])
+    except SystemExit as exc:
+        code = exc.code
+    assert code == EXIT_INPUT
+    err = capsys.readouterr().err
+    if doc is None:
+        assert "argument --seed: must be a whole number of 0 or more, got '-1'" in err
+    else:
+        assert str(bad) in err and "seed must be 0 or more, got -1" in err
+
+
+def test_duration_beyond_the_limit_is_rejected_before_generation(tmp_path):
+    """A spec lasting 1e308 s never finished generating; it is rejected by the
+    constructor and by ScenarioSpec.load, which names the file. The test does
+    not run gen, so it cannot hang where the limit is missing."""
+    from crossrisk.errors import InfeasibleSpec, ManifestError
+    from crossrisk.synthgen import MAX_AGENTS_PER_CATEGORY, MAX_DURATION_S, ScenarioSpec
+
+    with pytest.raises(InfeasibleSpec, match="duration_s must be at most 86400.0, got 1e"):
+        ScenarioSpec(duration_s=1e308)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"duration_s": MAX_DURATION_S * 1.000001}), encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"cannot read scenario spec {spec}: duration_s must be at most"):
+        ScenarioSpec.load(str(spec))
+    at_limits = ScenarioSpec(duration_s=MAX_DURATION_S, n_adults=MAX_AGENTS_PER_CATEGORY)
+    assert (at_limits.duration_s, at_limits.n_adults) == (86_400.0, 100_000)
 
 
 

@@ -323,7 +323,7 @@ class TestAgentSamplesFile:
             fit(RecurrentRegressor.initialize(8, np.random.default_rng(4)), p, config) for p in (pair, pair_back)
         ]
         assert fits[0][1] == fits[1][1]
-        assert all(fits[0][0].params[k].tobytes() == fits[1][0].params[k].tobytes() for k in fits[0][0].params)
+        assert all(fits[0][0].w[k].tobytes() == fits[1][0].w[k].tobytes() for k in fits[0][0].w)
 
     @pytest.mark.parametrize("case", ["agents", "targets"])
     def test_interleaved_samples_are_rejected(self, case, area_map, tmp_path):

@@ -6,18 +6,31 @@ than in the benchmark."""
 from __future__ import annotations
 
 import importlib
+import json
 from pathlib import Path
 
 import pytest
 
-from crossrisk.calibration import GridSpec
+from crossrisk.calibration import GridSpec, grid_search
 from crossrisk.cli import build_parser
 from crossrisk.files import read_json
-from crossrisk.predictors import TrainingConfig
-from crossrisk.synthgen import ScenarioSpec
+from crossrisk.pipeline import RiskPipeline
+from crossrisk.predictors import RecurrentRegressor, TrainedModelBundle, TrainingConfig
+from crossrisk.risk import DecisionKind, RiskThresholdConfig
+from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
+
+from helpers import planted_episodes, planted_grid
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 CONFIG_FILES = sorted((PERFBENCH / "config").glob("*.json"))
+
+
+def test_recorded_output_digests_name_every_workload(monkeypatch):
+    """CI compares each workload's seed-7 output digest with this file."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    recorded = json.loads((Path(__file__).parent / "perfbench_digests.json").read_text(encoding="utf-8"))
+    assert sorted(recorded) == sorted(importlib.import_module("common").WORKLOADS)
+    assert all(len(digest) == 64 for digest in recorded.values())
 
 
 def test_benchmark_names_resolve(monkeypatch):
@@ -58,3 +71,24 @@ def test_benchmark_argv_parses(monkeypatch):
     parsed = [parser.parse_args(argv) for argv in forms]
     assert [args.command for args in parsed] == ["gen", "build-dataset", "train", "tune"]
     assert (parsed[0].seed, parsed[1].truth, parsed[2].config, parsed[3].k) == (7, "truth.json", "train.json", folds)
+
+
+def test_benchmark_bundle_loads_and_the_run_state_it_reads_exists(monkeypatch, tmp_path):
+    """The random GRU bundle perfbench/inputs.py writes loads through
+    TrainedModelBundle.load, and a run with it has every attribute that the
+    tracing hooks and the output checks read after the run."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    importlib.import_module("inputs").write_gru_bundle(tmp_path / "bundle.json", 7)
+    bundle = TrainedModelBundle.load(str(tmp_path / "bundle.json"))
+    assert all(isinstance(p, RecurrentRegressor) for p in bundle.predictors.values())
+
+    frames, _ = generate(ScenarioSpec(seed=3, duration_s=20.0, n_adults=2, n_kids=1, n_cyclists=1))
+    pipeline = RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
+    for frame in range(max(frames) + 1):
+        pipeline.process_frame(frame, frames.get(frame, []))
+    assert len(pipeline.engine.buffers) > 0  # the stream.agents_in_areas hook and Rep.outputs
+    vectors = pipeline.result.vectors_by_ped  # Rep.outputs and flag_mismatches
+    assert vectors and len(pipeline.engine.pedestrians) >= len(vectors)
+    assert {pipeline.engine.pedestrians[ped_id].category for ped_id in vectors}
+    assert DecisionKind.RISK2_FLAGGED  # the risk.step_evaluate hook
+    assert grid_search(planted_episodes(20), planted_grid(0.5), k=2, seed=0).rows  # the grid_search hook

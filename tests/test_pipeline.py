@@ -25,7 +25,7 @@ from crossrisk.synthgen import ScenarioSpec, generate, reference_area_map
 def constant_gru(value, hidden=4):
     """A zero-weight GRU: its state stays 0, so it outputs softplus(b_out) = value."""
     model = RecurrentRegressor.zeros(hidden)
-    model.params["b_out"][0] = math.log(math.expm1(value))
+    model.w["b_out"][0] = math.log(math.expm1(value))
     return model
 
 
@@ -676,9 +676,9 @@ class TestBatchedFrame:
                 stacks.append(models[0].hidden_size)
                 super().__init__(models)
 
-        def counting_check(params):
-            checks.append(params["w_hz"].shape[-1])
-            check_finite(params)
+        def counting_check(w):
+            checks.append(w["w_hzr"].shape[-1])
+            check_finite(w)
 
         monkeypatch.setattr(bundle_module, "GruStack", CountingStack)
         monkeypatch.setattr(recurrent, "_check_finite", counting_check)
@@ -706,7 +706,7 @@ class TestBatchedFrame:
         from crossrisk.stream import AgentCategory
 
         bundle = _gru_bundle(lambda pair: 6)
-        bundle.predictors[(AgentCategory.KID, 2)].params["w_hc"][1, 2] = np.nan
+        bundle.predictors[(AgentCategory.KID, 2)].w["w_hc"][1, 2] = np.nan
         with pytest.raises(NonFiniteParameters):
             RiskPipeline(reference_area_map(), RiskThresholdConfig.default(), bundle)
 

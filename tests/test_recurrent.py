@@ -5,8 +5,8 @@ import pytest
 
 from crossrisk.errors import NonFiniteGradient, NonFiniteParameters
 from crossrisk.predictors import recurrent
+from crossrisk.predictors.bundle import FILE_WEIGHTS
 from crossrisk.predictors.recurrent import (
-    PARAM_NAMES,
     RecurrentRegressor,
     window_features,
 )
@@ -18,9 +18,15 @@ def _sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
 
 
+def per_gate(w):
+    """Each gate's own weight arrays, by their bundle-file names, as views
+    of the gate-stacked arrays w."""
+    return {name: w[array][index] for name, (array, index) in FILE_WEIGHTS.items()}
+
+
 def cell_oracle(model: RecurrentRegressor, features: np.ndarray) -> float:
     """Hand-rolled scalar evaluation of the gate equations, one unit at a time."""
-    p = model.params
+    p = per_gate(model.w)
     h_size = model.hidden_size
     x = (features - model.feat_mean) / model.feat_std
     h = [0.0] * h_size
@@ -106,7 +112,7 @@ class TestForward:
 
     def test_non_finite_parameters_rejected(self):
         model = RecurrentRegressor.zeros(4)
-        model.params["w_out"][0] = np.nan
+        model.w["w_out"][0] = np.nan
         w = constant_velocity_window((0.0, 0.0), (1.0, 0.0))
         with pytest.raises(NonFiniteParameters):
             model.predict(w)
@@ -145,7 +151,7 @@ class TestStackedPass:
         """The stack checks its weights when it is built, before any pass."""
         rng = np.random.default_rng(2)
         models = self._models(rng, 4, 3)
-        models[1].params["w_hc"][0, 0] = np.inf
+        models[1].w["w_hc"][0, 0] = np.inf
         with pytest.raises(NonFiniteParameters):
             recurrent.GruStack(models)
 
@@ -170,7 +176,7 @@ def per_gate_cell(p, xk, h):
 
 def per_gate_stacked(models, features):
     """GruStack.predict on per_gate_cell, one step's inputs at a time."""
-    p = {name: np.stack([m.params[name] for m in models]) for name in PARAM_NAMES}
+    p = {name: np.stack([per_gate(m.w)[name] for m in models]) for name in FILE_WEIGHTS}
     for name in ("b_z", "b_r", "b_c", "b_out"):
         p[name] = p[name][:, None, :]
     mean = np.stack([m.feat_mean for m in models])[:, None, :]
@@ -184,7 +190,7 @@ def per_gate_stacked(models, features):
 
 def per_gate_forward_batch(model, features):
     """RecurrentRegressor.forward_batch on per_gate_cell."""
-    p = model.params
+    p = per_gate(model.w)
     x = (features - model.feat_mean) / model.feat_std
     h = np.zeros((x.shape[0], model.hidden_size))
     steps = []
@@ -195,6 +201,40 @@ def per_gate_forward_batch(model, features):
         h = h_new
     s = h @ p["w_out"] + p["b_out"][0]
     return recurrent._softplus(s), {"steps": steps, "h_last": h, "s": s}
+
+
+def per_gate_loss_and_gradients(model, features, targets):
+    """RecurrentRegressor.loss_and_gradients on per_gate_forward_batch, each
+    gate's gradient summed into an array of its own."""
+    y, cache = per_gate_forward_batch(model, features)
+    p = per_gate(model.w)
+    n = y.shape[0]
+    residual = y - targets
+    grads = {k: np.zeros_like(v) for k, v in p.items()}
+    ds = np.sign(residual) / n * recurrent._sigmoid(cache["s"])
+    grads["w_out"] = cache["h_last"].T @ ds
+    grads["b_out"] = np.array([np.sum(ds)])
+    g_h = np.outer(ds, p["w_out"])
+    for xk, h_prev, z, r, c in reversed(cache["steps"]):
+        dz = g_h * (c - h_prev)
+        dh_prev = g_h * (1.0 - z)
+        da_c = g_h * z * (1.0 - c * c)
+        grads["w_xc"] += xk.T @ da_c
+        grads["w_hc"] += (r * h_prev).T @ da_c
+        grads["b_c"] += da_c.sum(axis=0)
+        d_rh = da_c @ p["w_hc"].T
+        dh_prev += d_rh * r
+        da_r = d_rh * h_prev * r * (1.0 - r)
+        grads["w_xr"] += xk.T @ da_r
+        grads["w_hr"] += h_prev.T @ da_r
+        grads["b_r"] += da_r.sum(axis=0)
+        da_z = dz * z * (1.0 - z)
+        grads["w_xz"] += xk.T @ da_z
+        grads["w_hz"] += h_prev.T @ da_z
+        grads["b_z"] += da_z.sum(axis=0)
+        dh_prev += da_z @ p["w_hz"].T + da_r @ p["w_hr"].T
+        g_h = dh_prev
+    return float(np.mean(np.abs(residual))), grads
 
 
 def _bits(a):
@@ -210,8 +250,8 @@ class TestPerGateOracle:
         models = [RecurrentRegressor.initialize(hidden, rng) for _ in range(count)]
         for m in models:
             m.set_normalization(rng.normal(0.0, 0.1, 3), rng.uniform(0.2, 2.0, 3))
-            for name in ("b_z", "b_r", "b_c", "b_out"):
-                m.params[name] = rng.normal(0.0, 0.3, m.params[name].shape)
+            for name in ("b_zr", "b_c", "b_out"):
+                m.w[name] = rng.normal(0.0, 0.3, m.w[name].shape)
         return models
 
     @pytest.mark.parametrize("hidden", [3, 8, 16, 32])
@@ -226,7 +266,7 @@ class TestPerGateOracle:
             assert _bits(stack.predict(rows, features)) == _bits(expected)
 
     @pytest.mark.parametrize("hidden", [3, 8, 16, 32])
-    def test_forward_batch_and_gradients(self, hidden, monkeypatch):
+    def test_forward_batch_and_gradients(self, hidden):
         rng = np.random.default_rng(200 + hidden)
         (model,) = self._models(rng, hidden, 1)
         for n in (1, 2, 5, 64):
@@ -238,11 +278,9 @@ class TestPerGateOracle:
             for step, step_ref in zip(cache["steps"], cache_ref["steps"], strict=True):
                 assert [_bits(a) for a in step] == [_bits(a) for a in step_ref]
             loss, grads = model.loss_and_gradients(features, targets)
-            with monkeypatch.context() as m:
-                m.setattr(RecurrentRegressor, "forward_batch", per_gate_forward_batch)
-                loss_ref, grads_ref = model.loss_and_gradients(features, targets)
+            loss_ref, grads_ref = per_gate_loss_and_gradients(model, features, targets)
             assert loss == loss_ref
-            assert {k: _bits(v) for k, v in grads.items()} == {k: _bits(v) for k, v in grads_ref.items()}
+            assert {k: _bits(v) for k, v in per_gate(grads).items()} == {k: _bits(v) for k, v in grads_ref.items()}
 
 
 def relative_error(a: float, b: float) -> float:
@@ -263,8 +301,8 @@ class TestBackward:
         _, grads = model.loss_and_gradients(features, targets)
         eps = 1e-5
         worst = 0.0
-        for name in PARAM_NAMES:
-            flat = model.params[name].reshape(-1)
+        for name in model.w:
+            flat = model.w[name].reshape(-1)
             grad_flat = grads[name].reshape(-1)
             for idx in range(flat.size):
                 orig = flat[idx]

@@ -5,6 +5,7 @@ import copy
 import dataclasses
 import math
 import pickle
+from array import array
 
 import numpy as np
 import pytest
@@ -106,3 +107,11 @@ def test_a_frame_of_signed_zero_times_keeps_each_sign(tmp_path, texts):
     frames, _ = read_frames(_stream(tmp_path, body))
     [(frame, observations)] = list(frames)
     assert [math.copysign(1.0, o.t) for o in observations] == [math.copysign(1.0, float(t)) for t in texts]
+
+
+def test_read_frames_keeps_transform_times_in_a_double_array(tmp_path):
+    """One 8-byte double per frame with rows, not a list of float objects."""
+    frames, transform_ms = read_frames(_stream(tmp_path, "0,0.0,a0,0,1.0,1.0\n2,0.0667,a0,0,1.1,1.0\n"))
+    assert [frame for frame, _ in frames] == [0, 2]
+    assert type(transform_ms) is array and transform_ms.typecode == "d"
+    assert len(transform_ms) == 2

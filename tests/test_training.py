@@ -69,7 +69,7 @@ class TestTrain:
         for _ in range(2):
             model = RecurrentRegressor.initialize(8, np.random.default_rng(config.seed))
             trained, mae = fit(model, samples, config)
-            results.append((trained.copy_params(), mae))
+            results.append(({k: v.copy() for k, v in trained.w.items()}, mae))
         assert results[0][1] == results[1][1]
         for name in results[0][0]:
             assert np.array_equal(results[0][0][name], results[1][0][name])
@@ -206,7 +206,7 @@ def test_train_and_select_reuses_the_mae_train_returns(monkeypatch):
     expected, expected_mae = candidates[int(np.argmin(maes))], min(maes)
     assert isinstance(chosen, RecurrentRegressor) and chosen.name == expected.name
     assert mae == expected_mae
-    assert all(np.array_equal(chosen.params[k], expected.params[k]) for k in chosen.params)
+    assert all(np.array_equal(chosen.w[k], expected.w[k]) for k in chosen.w)
 
 
 def jittered_samples(n: int, seed: int) -> list[LabeledSample]:
@@ -295,9 +295,9 @@ class TestBatchedScoring:
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_non_finite_recurrent_output_raises(self):
         model = RecurrentRegressor.zeros(4)
-        model.params["b_z"][:] = 50.0
-        model.params["b_c"][:] = 50.0
-        model.params["w_out"][:] = 1e308
+        model.w["b_zr"][0] = 50.0
+        model.w["b_c"][:] = 50.0
+        model.w["w_out"][:] = 1e308
         samples = jittered_samples(5, seed=3)
         with pytest.raises(ValueError, match="finite and >= 0"):
             model.predict(samples[0].window)
