@@ -130,6 +130,11 @@ def kfold_split(episodes: Sequence[T], k: int = 10, seed: int = 0) -> list[list[
     return [[episodes[j] for j in fold] for fold in np.array_split(order, k)]
 
 
+# The most values one stepped range may hold: the shipped grids hold at most 5,
+# and the search holds every combination in memory.
+MAX_GRID_VALUES = 1_000
+
+
 @dataclass(frozen=True)
 class IntervalGrid:
     """Candidate [alpha, beta] pairs from two stepped ranges (alpha <= beta)."""
@@ -149,11 +154,18 @@ class IntervalGrid:
         for lo, hi, step in astuple(self)[:3], astuple(self)[3:]:
             if not math.isfinite((hi - lo) / step):
                 raise ValueError(f"grid range [{lo}, {hi}] in steps of {step} has no finite count of values")
+            count = self._count(lo, hi, step)
+            if count > MAX_GRID_VALUES:
+                raise ValueError(f"grid range [{lo}, {hi}] in steps of {step} has {count} values, "
+                                 f"more than {MAX_GRID_VALUES}")
 
     @staticmethod
-    def _values(lo: float, hi: float, step: float) -> list[float]:
-        n = int(math.floor((hi - lo) / step + 1e-9))
-        return [round(lo + i * step, 9) for i in range(n + 1)]
+    def _count(lo: float, hi: float, step: float) -> int:
+        return max(0, math.floor((hi - lo) / step + 1e-9) + 1)
+
+    @classmethod
+    def _values(cls, lo: float, hi: float, step: float) -> list[float]:
+        return [round(lo + i * step, 9) for i in range(cls._count(lo, hi, step))]
 
     def pairs(self) -> list[ThresholdInterval]:
         alphas = self._values(self.alpha_lo, self.alpha_hi, self.alpha_step)
@@ -193,15 +205,6 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "roles", dict(self.roles))
-
-    @classmethod
-    def default(cls) -> "GridSpec":
-        """Covers every shipped interval: alpha, beta in [-4, 3] step 0.1 and
-        counter limits 1..6. Exhaustive search over this full joint grid is
-        enormous; narrow it for practical runs."""
-        grid = IntervalGrid(-4.0, 3.0, 0.1, -4.0, 3.0, 0.1)
-        role_grid = RoleGrid(grid, grid, tuple(range(1, 7)))
-        return cls({role: role_grid for mode_roles in MODE_ROLES.values() for role in mode_roles})
 
     @classmethod
     def from_dict(cls, doc: Mapping) -> "GridSpec":

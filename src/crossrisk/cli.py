@@ -1,5 +1,5 @@
 """Command-line surface: scenario generation, homography calibration, dataset
-building, training, streaming evaluation, threshold tuning and timed replay.
+building, training, streaming evaluation and threshold tuning.
 
 Exit codes: 0 success, 2 input error, 3 latency budget violation, 4 internal
 invariant breach.
@@ -17,7 +17,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from .calibration import ConfusionCounts, Episode, GridSpec, confusion, grid_search, metrics, truth_episodes
+from .calibration import Episode, GridSpec, confusion, grid_search, metrics, truth_episodes
 from .errors import BudgetExceeded, CrossRiskError, ManifestError
 from .files import open_output, read_json, write_json
 from .geometry import AreaMap, load_area_map, load_tile_grid, save_area_map, save_tile_grid
@@ -124,38 +124,27 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def _load_thresholds(args: argparse.Namespace) -> RiskThresholdConfig:
-    if getattr(args, "thresholds", None):
+    if args.thresholds:
         return RiskThresholdConfig.load(args.thresholds)
     return RiskThresholdConfig.default()
 
 
-def _load_bundle(args: argparse.Namespace) -> TrainedModelBundle:
-    if getattr(args, "models", None):
-        return TrainedModelBundle.load(args.models)
-    return TrainedModelBundle.historical_average()
-
-
-def _run_stream(args: argparse.Namespace, realtime: bool = False) -> tuple[RiskPipeline, list[float]]:
-    """Load the area map, thresholds and bundle of evaluate or replay, and run
-    the stream through one pipeline as its frames are read, under gc.freeze():
-    no full collection walks the bundle, area map or pipeline inside a frame.
-    Returns the pipeline and the transform times, one per frame with rows."""
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    """Run the stream through one pipeline as its frames are read, under
+    gc.freeze(): no full collection walks the bundle, area map or pipeline
+    inside a frame. Write the outputs, then the latency report when asked,
+    and only then check the latency budgets."""
+    truth = GroundTruth.load(args.truth) if args.truth else None
     area_map = _load_area_map(args.area_map)
     thresholds = _load_thresholds(args)
-    bundle = _load_bundle(args)
+    bundle = TrainedModelBundle.load(args.models) if args.models else TrainedModelBundle.historical_average()
     frames, transform_ms = read_frames(args.stream, args.tile_grid)
     pipeline = RiskPipeline(area_map, thresholds, bundle)
     gc.freeze()
     try:
-        pipeline.run(frames, realtime)
+        pipeline.run(frames, args.realtime)
     finally:
         gc.unfreeze()
-    return pipeline, transform_ms
-
-
-def cmd_evaluate(args: argparse.Namespace) -> int:
-    truth = GroundTruth.load(args.truth) if args.truth else None
-    pipeline, transform_ms = _run_stream(args)
     result = pipeline.result
     out = Path(args.out)
     write_risk_scenarios(str(out / "risk_scenarios.jsonl"), result.risk_scenarios)
@@ -168,12 +157,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         "evaluated_pedestrians": len(vectors),
     }
     if truth is not None:
-        counts = confusion(truth_episodes(truth, vectors), pipeline.thresholds)
+        counts = confusion(truth_episodes(truth, vectors), thresholds)
         summary["metrics"] = metrics(counts).to_dict()
         _write_json(str(out / "metrics.json"), summary["metrics"])
     _write_json(str(out / "summary.json"), summary)
     print(f"evaluate: {summary['risk_scenarios']} risk scenarios "
           f"over {summary['evaluated_pedestrians']} pedestrians -> {out}")
+
+    latency = latency_report(result.prediction_ms, result.ppet_risk_ms, transform_ms, result.ingest_ms)
+    latency["risk_scenarios"] = len(result.risk_scenarios)
+    if args.latency_out:
+        _write_json(args.latency_out, latency)
+    for gate, budget in (("mean", args.assert_budget), ("p99", args.assert_p99)):
+        value = latency[f"safety_evaluation_{gate}_ms"]
+        if budget is not None and value >= budget:
+            raise BudgetExceeded(f"safety evaluation {gate} {value:.3f} ms >= budget {budget} ms")
     return EXIT_OK
 
 
@@ -221,41 +219,17 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-# --- replay ---------------------------------------------------------------------------
-
-
 # perfbench/workloads.py reads its pixel recordings, untransformed, through this name.
 def _read_pixel_rows(path: str) -> dict[int, list[StreamRow]]:
     with open_stream(path) as (_, frames):
         return dict(frames)
 
 
-def cmd_replay(args: argparse.Namespace) -> int:
-    pipeline, transform_ms = _run_stream(args, args.realtime)
-    result = pipeline.result
-    doc = latency_report(result.prediction_ms, result.ppet_risk_ms, transform_ms, result.ingest_ms)
-    doc["risk_scenarios"] = len(result.risk_scenarios)
-    if args.out:
-        _write_json(args.out, doc)
-    print(json.dumps(doc, indent=2, sort_keys=True))
-    for gate, budget in (("mean", args.assert_budget), ("p99", args.assert_p99)):
-        value = doc[f"safety_evaluation_{gate}_ms"]
-        if budget is not None and value >= budget:
-            raise BudgetExceeded(f"safety evaluation {gate} {value:.3f} ms >= budget {budget} ms")
-    return EXIT_OK
-
-
 # --- metrics --------------------------------------------------------------------------
 
 
 def cmd_metrics(args: argparse.Namespace) -> int:
-    if args.trace and args.truth:
-        thresholds = _load_thresholds(args)
-        counts = confusion(_episodes_from_files(args.trace, args.truth), thresholds)
-    elif None not in (args.tp, args.tn, args.fp, args.fn):
-        counts = ConfusionCounts(args.tp, args.tn, args.fp, args.fn)
-    else:
-        raise ManifestError("metrics needs either --tp/--tn/--fp/--fn or --trace with --truth")
+    counts = confusion(_episodes_from_files(args.trace, args.truth), _load_thresholds(args))
     doc = metrics(counts).to_dict()
     doc["counts"] = {"tp": counts.tp, "tn": counts.tn, "fp": counts.fp, "fn": counts.fn}
     print(json.dumps(doc, indent=2, sort_keys=True))
@@ -326,9 +300,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--truth", help="Ground truth for metrics")
     p.add_argument("--tile-grid", help="Tile grid for pixel streams")
     p.add_argument("--out", default=".", help="Output directory")
-    p.set_defaults(func=cmd_evaluate, dir_outputs=("out",))
+    p.add_argument("--latency-out", metavar="PATH", help="Latency report JSON")
+    p.add_argument("--realtime", action="store_true", help="Pace frames to the frame rate")
+    p.add_argument("--assert-budget", type=_budget_ms, default=None, metavar="MS",
+                   help="Fail (exit 3) when mean safety evaluation >= MS, after writing the outputs")
+    p.add_argument("--assert-p99", type=_budget_ms, default=None, metavar="MS",
+                   help="Fail (exit 3) when the per-frame safety evaluation p99 >= MS, after writing the outputs")
+    p.set_defaults(func=cmd_evaluate, dir_outputs=("out",), file_outputs=("latency_out",))
 
-    p = sub.add_parser("tune", parents=[seeded], help="Grid-search thresholds with k-fold CV")
+    p = sub.add_parser("tune", parents=[seeded],
+                       help="Grid-search thresholds by mean accuracy over k folds (nothing is fitted per fold)")
     p.add_argument("--trace", required=True, help="P-PET trace CSV from evaluate")
     p.add_argument("--truth", required=True)
     p.add_argument("--grid", required=True, help="Grid spec JSON; its mode (default per_area) sets the threshold mode")
@@ -338,25 +319,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points-csv", help="Per-grid-point accuracies CSV")
     p.set_defaults(func=cmd_tune, file_outputs=("out", "thresholds_out", "points_csv"))
 
-    p = sub.add_parser("replay", help="Timed replay of a stream")
-    p.add_argument("--stream", required=True)
-    p.add_argument("--area-map", required=True)
-    p.add_argument("--thresholds")
-    p.add_argument("--models")
-    p.add_argument("--tile-grid")
-    p.add_argument("--realtime", action="store_true", help="Pace frames to the frame rate")
-    p.add_argument("--assert-budget", type=_budget_ms, default=None, metavar="MS",
-                   help="Fail (exit 3) when mean safety evaluation >= MS")
-    p.add_argument("--assert-p99", type=_budget_ms, default=None, metavar="MS",
-                   help="Fail (exit 3) when the per-frame safety evaluation p99 >= MS")
-    p.add_argument("--out", help="Latency report JSON")
-    p.set_defaults(func=cmd_replay, file_outputs=("out",))
-
-    p = sub.add_parser("metrics", help="Classification metrics")
-    for count in ("--tp", "--tn", "--fp", "--fn"):
-        p.add_argument(count, type=_count)
-    p.add_argument("--trace", help="P-PET trace CSV")
-    p.add_argument("--truth", help="Ground truth JSON")
+    p = sub.add_parser("metrics", help="Classification metrics of a trace against the ground truth")
+    p.add_argument("--trace", required=True, help="P-PET trace CSV")
+    p.add_argument("--truth", required=True, help="Ground truth JSON")
     p.add_argument("--thresholds", help="Threshold config JSON")
     p.set_defaults(func=cmd_metrics)
 

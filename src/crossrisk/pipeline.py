@@ -1,7 +1,7 @@
 """End-to-end streaming risk evaluation: ingestion, arrival-time prediction,
 predicted post-encroachment times, and the per-pedestrian risk state machine.
 
-The CLI evaluate/replay commands are thin wrappers over this module, so a
+The CLI evaluate command is a thin wrapper over this module, so a
 file-driven run is exactly the composition of library calls.
 """
 

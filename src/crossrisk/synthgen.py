@@ -78,6 +78,9 @@ REACTION_DELAY_S = (0.4, 1.0)       # uniform human latency before reacting
 # The largest spec a run accepts, so that generation is bounded.
 MAX_AGENTS_PER_CATEGORY = 100_000
 MAX_DURATION_S = 86_400.0
+# Four times a lane's saturation flow (~30 per minute): one exponential gap is
+# drawn per vehicle, so an unbounded rate never finishes scheduling.
+MAX_VEHICLE_RATE_PER_MIN = 120.0
 
 
 def _rect(x0: float, x1: float, y0: float, y1: float) -> tuple[WorldPoint, ...]:
@@ -187,6 +190,8 @@ class ScenarioSpec:
         for name, in_range, rule in (("duration_s", lambda v: v > 0, "be positive"),
                                      ("duration_s", lambda v: v <= MAX_DURATION_S, f"be at most {MAX_DURATION_S}"),
                                      ("vehicle_rate_per_min", lambda v: v >= 0, "be non-negative"),
+                                     ("vehicle_rate_per_min", lambda v: v <= MAX_VEHICLE_RATE_PER_MIN,
+                                      f"be at most {MAX_VEHICLE_RATE_PER_MIN}"),
                                      ("conflict_probability", lambda v: 0 <= v <= 1, "lie in [0, 1]"),
                                      ("risky_fraction", lambda v: 0 <= v <= 1, "lie in [0, 1]")):
             value = getattr(self, name)

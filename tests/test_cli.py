@@ -290,20 +290,58 @@ class TestTune:
         assert header.startswith("category,area,alpha_pf")
 
 
-class TestReplayAndMetrics:
-    def test_replay_reports_latency(self, gen_dir, tmp_path, capsys):
+_EVAL_FILES = ("ppet_trace.csv", "risk_scenarios.jsonl", "summary.json", "metrics.json")
+_LATENCY_KEYS = {
+    "unit", "frames", "transform_ms", "ingest_ms", "prediction_ms", "ppet_risk_ms",
+    "safety_evaluation_mean_ms", "safety_evaluation_p50_ms", "safety_evaluation_p99_ms",
+    "safety_evaluation_max_ms", "risk_scenarios",
+}
+
+
+def _evaluate_gen(gen_dir, out, *extra):
+    return main([
+        "evaluate", "--stream", str(gen_dir / "stream.csv"),
+        "--area-map", str(gen_dir / "area_map.json"), "--out", str(out), *extra,
+    ])
+
+
+class TestLatencyAndMetrics:
+    def test_latency_out_reports_latency(self, gen_dir, tmp_path):
         out = tmp_path / "latency.json"
-        code = main([
-            "replay", "--stream", str(gen_dir / "stream.csv"),
-            "--area-map", str(gen_dir / "area_map.json"),
-            "--assert-budget", "33", "--out", str(out),
-        ])
+        code = _evaluate_gen(gen_dir, tmp_path / "eval", "--assert-budget", "33", "--latency-out", str(out))
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["unit"] == "frame"
         assert report["safety_evaluation_mean_ms"] < 33.0
 
-    def test_replay_pixel_stream_times_transform(self, tmp_path):
+    def test_latency_flags_leave_the_outputs_byte_identical(self, gen_dir, tmp_path, capsys):
+        """evaluate with the latency report and both budgets writes the same
+        four files as a plain evaluate, prints the same line, and its latency
+        report has exactly the report's keys."""
+        truth = ("--truth", str(gen_dir / "ground_truth.json"))
+        assert _evaluate_gen(gen_dir, tmp_path / "plain", *truth) == EXIT_OK
+        plain_line = capsys.readouterr().out.replace(str(tmp_path / "plain"), "<out>")
+        latency = tmp_path / "latency.json"
+        assert _evaluate_gen(gen_dir, tmp_path / "timed", *truth, "--latency-out", str(latency),
+                             "--assert-budget", "1000", "--assert-p99", "1000") == EXIT_OK
+        assert capsys.readouterr().out.replace(str(tmp_path / "timed"), "<out>") == plain_line
+        for name in _EVAL_FILES:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "timed" / name).read_bytes(), name
+        report = json.loads(latency.read_text())
+        assert set(report) == _LATENCY_KEYS
+        summary = json.loads((tmp_path / "timed" / "summary.json").read_text())
+        assert report["risk_scenarios"] == summary["risk_scenarios"]
+
+    def test_over_budget_exits_3_after_writing_every_output(self, gen_dir, tmp_path, capsys):
+        latency = tmp_path / "latency.json"
+        code = _evaluate_gen(gen_dir, tmp_path / "eval", "--truth", str(gen_dir / "ground_truth.json"),
+                             "--latency-out", str(latency), "--assert-p99", "0.0000001")
+        assert code == EXIT_BUDGET
+        assert "p99" in capsys.readouterr().err
+        for path in (*(tmp_path / "eval" / name for name in _EVAL_FILES), latency):
+            assert path.is_file() and path.stat().st_size > 0, path
+
+    def test_pixel_stream_latency_times_transform(self, tmp_path):
         """Pixel-variant streams are transformed per frame through the tile
         grid, and the transform stage shows up in the latency report."""
         import csv as csv_mod
@@ -331,54 +369,36 @@ class TestReplayAndMetrics:
         save_area_map(str(map_path), ref_map())
         out = tmp_path / "latency.json"
         code = main([
-            "replay", "--stream", str(pixel_path), "--area-map", str(map_path),
-            "--tile-grid", str(grid_path), "--out", str(out),
+            "evaluate", "--stream", str(pixel_path), "--area-map", str(map_path),
+            "--tile-grid", str(grid_path), "--out", str(tmp_path / "eval"), "--latency-out", str(out),
         ])
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         assert report["transform_ms"]["mean"] > 0.0
         assert report["ingest_ms"]["mean"] > 0.0
         assert report["frames"] > 0
-        # evaluate runs the same frames and reports the same flags
-        code = main([
-            "evaluate", "--stream", str(pixel_path), "--area-map", str(map_path),
-            "--tile-grid", str(grid_path), "--out", str(tmp_path / "eval"),
-        ])
-        assert code == EXIT_OK
+        # the report and the summary count the same flags of the one run
         summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
         assert summary["risk_scenarios"] == report["risk_scenarios"] > 0
 
-    def test_replay_budget_violation_exits_3(self, gen_dir, tmp_path):
-        code = main([
-            "replay", "--stream", str(gen_dir / "stream.csv"),
-            "--area-map", str(gen_dir / "area_map.json"),
-            "--assert-budget", "0.0000001",
-        ])
+    def test_budget_violation_exits_3(self, gen_dir, tmp_path):
+        code = _evaluate_gen(gen_dir, tmp_path / "eval", "--assert-budget", "0.0000001")
         assert code == EXIT_BUDGET
 
-    def test_replay_p99_over_budget_exits_3(self, gen_dir, capsys):
-        code = main([
-            "replay", "--stream", str(gen_dir / "stream.csv"),
-            "--area-map", str(gen_dir / "area_map.json"),
-            "--assert-p99", "0.0000001",
-        ])
+    def test_p99_over_budget_exits_3(self, gen_dir, tmp_path, capsys):
+        code = _evaluate_gen(gen_dir, tmp_path / "eval", "--assert-p99", "0.0000001")
         assert code == EXIT_BUDGET
         assert "p99" in capsys.readouterr().err
 
-    def test_replay_p99_in_budget_exits_0_and_reports_the_tail(self, gen_dir, tmp_path):
+    def test_p99_in_budget_exits_0_and_reports_the_tail(self, gen_dir, tmp_path):
         out = tmp_path / "latency.json"
-        code = main([
-            "replay", "--stream", str(gen_dir / "stream.csv"),
-            "--area-map", str(gen_dir / "area_map.json"),
-            "--assert-p99", "1000000", "--out", str(out),
-        ])
+        code = _evaluate_gen(gen_dir, tmp_path / "eval", "--assert-p99", "1000000", "--latency-out", str(out))
         assert code == EXIT_OK
         report = json.loads(out.read_text())
         p50, p99 = report["safety_evaluation_p50_ms"], report["safety_evaluation_p99_ms"]
         assert 0.0 < p50 <= p99 <= report["safety_evaluation_max_ms"]
 
-    @pytest.mark.parametrize("command", ["replay", "evaluate"])
-    def test_frame_loop_runs_with_gc_frozen(self, command, gen_dir, tmp_path, monkeypatch):
+    def test_frame_loop_runs_with_gc_frozen(self, gen_dir, tmp_path, monkeypatch):
         """Every frame runs with the setup's objects frozen out of the
         collector, and the freeze is lifted once the command returns."""
         import gc
@@ -392,11 +412,7 @@ class TestReplayAndMetrics:
 
         monkeypatch.setattr(RiskPipeline, "process_frame", spy)
         before = gc.get_freeze_count()
-        extra = ["--out", str(tmp_path / ("latency.json" if command == "replay" else "eval"))]
-        assert main([
-            command, "--stream", str(gen_dir / "stream.csv"),
-            "--area-map", str(gen_dir / "area_map.json"), *extra,
-        ]) == EXIT_OK
+        assert _evaluate_gen(gen_dir, tmp_path / "eval") == EXIT_OK
         assert counts and min(counts) > 0
         assert gc.get_freeze_count() == before
 
@@ -411,46 +427,40 @@ class TestReplayAndMetrics:
         )
         gen_out = tmp_path / "g"
         assert main(["gen", "--spec", str(spec), "--out", str(gen_out)]) == EXIT_OK
-        reports = []
-        for extra in ([], ["--realtime"]):
-            out = tmp_path / f"latency{len(extra)}.json"
-            assert main([
-                "replay", "--stream", str(gen_out / "stream.csv"),
-                "--area-map", str(gen_out / "area_map.json"), "--out", str(out), *extra,
-            ]) == EXIT_OK
-            reports.append(json.loads(out.read_text()))
-        assert reports[0]["risk_scenarios"] == reports[1]["risk_scenarios"]
-        assert reports[0]["frames"] == reports[1]["frames"]
-
-    def test_metrics_counts_form(self, capsys):
-        assert main(["metrics", "--tp", "3", "--tn", "4", "--fp", "2", "--fn", "1"]) == EXIT_OK
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["accuracy"] == pytest.approx(0.7)
-        assert doc["precision"] == pytest.approx(0.6)
-        assert doc["recall"] == pytest.approx(0.75)
-        assert doc["f1"] == pytest.approx(2 / 3)
-
-    @pytest.mark.parametrize("option", ["--tp", "--tn", "--fp", "--fn"])
-    def test_metrics_negative_count_is_exit_2(self, option, capsys):
-        argv = ["metrics", "--tp", "3", "--tn", "4", "--fp", "2", "--fn", "1"]
-        argv[argv.index(option) + 1] = "-1"
-        with pytest.raises(SystemExit) as exc:
-            main(argv)
-        assert exc.value.code == EXIT_INPUT
-        assert f"argument {option}: must be a whole number of 0 or more, got '-1'" in capsys.readouterr().err
+        for name, extra in (("plain", []), ("paced", ["--realtime"])):
+            assert _evaluate_gen(gen_out, tmp_path / name, "--truth", str(gen_out / "ground_truth.json"),
+                                 *extra) == EXIT_OK
+        for name in _EVAL_FILES:
+            assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "paced" / name).read_bytes(), name
 
     @pytest.mark.parametrize("option", ["--assert-budget", "--assert-p99"])
     @pytest.mark.parametrize("budget", ["nan", "inf", "0"])
-    def test_replay_budget_not_finite_and_positive_is_exit_2(self, option, budget, gen_dir, capsys):
+    def test_budget_not_finite_and_positive_is_exit_2(self, option, budget, gen_dir, tmp_path, capsys):
         """A NaN budget could never fail and an infinite one turns the gate
-        off, so neither (nor a budget of 0) is taken."""
+        off, so neither (nor a budget of 0) is taken: evaluate exits 2 before
+        it runs a frame or writes an output."""
         with pytest.raises(SystemExit) as exc:
-            main([
-                "replay", "--stream", str(gen_dir / "stream.csv"),
-                "--area-map", str(gen_dir / "area_map.json"), option, budget,
-            ])
+            _evaluate_gen(gen_dir, tmp_path / "eval", option, budget)
         assert exc.value.code == EXIT_INPUT
         assert f"argument {option}: must be a finite number of milliseconds above 0" in capsys.readouterr().err
+        assert not (tmp_path / "eval").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["replay", "--stream", "s.csv", "--area-map", "a.json"],
+            ["metrics", "--trace", "t.csv", "--truth", "g.json", "--tp", "3", "--tn", "4", "--fp", "2", "--fn", "1"],
+            ["metrics", "--truth", "g.json"],
+            ["metrics", "--trace", "t.csv"],
+        ],
+        ids=["replay", "metrics-counts", "metrics-without-trace", "metrics-without-truth"],
+    )
+    def test_removed_command_or_options_are_usage_errors(self, argv):
+        """evaluate writes the latency report, so there is no replay command;
+        metrics reads a trace against the ground truth, never typed counts."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_missing_input_is_exit_2(self, tmp_path, capsys):
         code = main([
@@ -466,9 +476,8 @@ class TestReplayAndMetrics:
         ["build-dataset", "--stream", "s.csv", "--area-map", "a.json", "--out", "o.jsonl", "--fps", "25"],
         ["evaluate", "--stream", "s.csv", "--area-map", "a.json", "--seed", "1"],
         ["evaluate", "--stream", "s.csv", "--area-map", "a.json", "--fps", "30"],
-        ["replay", "--stream", "s.csv", "--area-map", "a.json", "--fps", "30"],
     ],
-    ids=["build-dataset-fps", "evaluate-seed", "evaluate-fps", "replay-fps"],
+    ids=["build-dataset-fps", "evaluate-seed", "evaluate-fps"],
 )
 def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
     """Each command takes only the shared flags it reads: --seed for gen,
@@ -479,7 +488,7 @@ def test_flag_the_command_does_not_read_is_rejected(argv, capsys):
     assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 @pytest.mark.parametrize(
     "header, bad_row",
     [
@@ -526,8 +535,7 @@ def test_malformed_stream_row_is_input_error(command, header, bad_row, tmp_path,
     assert f"{stream}:4" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "replay"])
-def test_frames_before_a_bad_row_are_processed_before_it_is_read(command, tmp_path, monkeypatch):
+def test_frames_before_a_bad_row_are_processed_before_it_is_read(tmp_path, monkeypatch):
     """The stream is read one frame at a time: the frames before a malformed
     last row reach process_frame before the command exits 2 on that row."""
     rows = "".join(f"{frame},{frame / 30!r},a0,0,3.0,1.0\n" for frame in range(3))
@@ -541,7 +549,7 @@ def test_frames_before_a_bad_row_are_processed_before_it_is_read(command, tmp_pa
         return process_frame(self, frame, observations)
 
     monkeypatch.setattr(RiskPipeline, "process_frame", spy)
-    assert _stream_command(command, stream, tmp_path) == EXIT_INPUT
+    assert _stream_command("evaluate", stream, tmp_path) == EXIT_INPUT
     # frame 2 is complete only once the next row is read
     assert processed == [0, 1]
 
@@ -555,7 +563,7 @@ def _stream_command(command, stream, tmp_path, *extra):
     return main([command, "--stream", str(stream), "--area-map", str(area_map), "--out", str(out), *extra])
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 @pytest.mark.parametrize("rows", ["", "0,0.0,a0,0,640.0,400.0\n"], ids=["header-only", "one-row"])
 def test_pixel_stream_without_tile_grid_is_exit_2(command, rows, tmp_path, capsys):
     stream = tmp_path / "pixels.csv"
@@ -565,7 +573,7 @@ def test_pixel_stream_without_tile_grid_is_exit_2(command, rows, tmp_path, capsy
     assert err == f"error: {stream} is a pixel stream; a tile grid is required\n"
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 def test_world_stream_does_not_read_the_tile_grid(command, tmp_path):
     stream = tmp_path / "stream.csv"
     stream.write_text("frame,t,id,category,x,y\n0,0.0,a0,0,3.0,1.0\n", encoding="utf-8")
@@ -575,7 +583,7 @@ def test_world_stream_does_not_read_the_tile_grid(command, tmp_path):
 _SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1]]
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 @pytest.mark.parametrize(
     "second_tile, message",
     [
@@ -593,7 +601,7 @@ def test_bad_tile_grid_names_the_file(command, second_tile, message, tmp_path, c
     assert message.format(grid=grid) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 def test_area_map_without_a_target_line_is_input_error(command, gen_dir, tmp_path, capsys):
     """An area map that lacks a line some agent can need exits 2 naming the
     file and the line, checked when the map is loaded."""
@@ -792,7 +800,7 @@ def test_truth_frame_rate_other_than_the_streams_is_input_error(command, fps, tm
     assert f"cannot read ground truth {truth_path}: fps must be 30, got {fps!r}" in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 def test_category_change_is_input_error(command, tmp_path, capsys):
     stream = tmp_path / "stream.csv"
     stream.write_text(
@@ -919,7 +927,7 @@ def test_too_few_search_episodes_names_the_category(tmp_path, capsys):
     )
 
 
-@pytest.mark.parametrize("command", ["evaluate", "build-dataset", "replay"])
+@pytest.mark.parametrize("command", ["evaluate", "build-dataset"])
 @pytest.mark.parametrize("t", ["0.0333", "0.02"], ids=["repeated", "backward"])
 def test_non_increasing_time_is_input_error(command, t, tmp_path, capsys):
     stream = tmp_path / "stream.csv"
@@ -1128,9 +1136,8 @@ def test_malformed_bundle_is_input_error(case, gen_dir, tmp_path, capsys):
     assert str(bundle) in err and "model entry (i=0, q=1)" in err
 
 
-@pytest.mark.parametrize("command", ["evaluate", "replay"])
 @pytest.mark.parametrize("rows", ["all", "none"])
-def test_bundle_missing_a_pair_is_input_error(command, rows, gen_dir, tmp_path, capsys):
+def test_bundle_missing_a_pair_is_input_error(rows, gen_dir, tmp_path, capsys):
     """A bundle file without a predictor for one pair exits 2 naming the
     pair, checked before the first frame: on a header-only stream too."""
     from crossrisk.predictors import TrainedModelBundle
@@ -1143,7 +1150,7 @@ def test_bundle_missing_a_pair_is_input_error(command, rows, gen_dir, tmp_path, 
     if rows == "none":
         stream = tmp_path / "stream.csv"
         stream.write_text((gen_dir / "stream.csv").read_text().splitlines()[0] + "\n")
-    code = _stream_command(command, stream, tmp_path, "--models", str(tmp_path / "bundle.json"))
+    code = _stream_command("evaluate", stream, tmp_path, "--models", str(tmp_path / "bundle.json"))
     assert code == EXIT_INPUT
     assert "no predictor for (i=1, q=2)" in capsys.readouterr().err
 
@@ -1323,6 +1330,43 @@ def test_negative_seed_is_input_error_naming_its_flag_or_file(argv, doc, tmp_pat
         assert str(bad) in err and "seed must be 0 or more, got -1" in err
 
 
+def test_vehicle_rate_beyond_the_limit_is_rejected_before_generation(tmp_path):
+    """A spec with 1e12 vehicles a minute per lane never finished scheduling
+    them; it is rejected by the constructor and by ScenarioSpec.load, which
+    names the file and the field. The test does not run gen, so it cannot
+    hang where the limit is missing."""
+    from crossrisk.errors import InfeasibleSpec, ManifestError
+    from crossrisk.synthgen import MAX_VEHICLE_RATE_PER_MIN, ScenarioSpec
+
+    with pytest.raises(InfeasibleSpec, match="vehicle_rate_per_min must be at most 120.0, got 1"):
+        ScenarioSpec(vehicle_rate_per_min=1e12)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"vehicle_rate_per_min": MAX_VEHICLE_RATE_PER_MIN * 1.000001}), encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"cannot read scenario spec {spec}: vehicle_rate_per_min must be at most"):
+        ScenarioSpec.load(str(spec))
+    assert ScenarioSpec(vehicle_rate_per_min=MAX_VEHICLE_RATE_PER_MIN).vehicle_rate_per_min == 120.0
+
+
+def test_grid_range_of_too_many_values_is_rejected_before_the_search(tmp_path):
+    """A range of 10^12 + 1 values has a finite count, but the search would
+    build a list of them; it is rejected by the constructor and by
+    GridSpec.load, which names the file. The test does not run tune, so it
+    cannot exhaust memory where the limit is missing."""
+    from crossrisk.calibration import MAX_GRID_VALUES, GridSpec, IntervalGrid
+    from crossrisk.errors import ManifestError
+
+    with pytest.raises(ValueError, match=r"grid range \[0.0, 1000000000000.0\] in steps of 1.0 has 1000000000001 values"):
+        IntervalGrid(0.0, 1e12, 1.0, 0.0, 0.0, 1.0)
+    grid = tmp_path / "grid.json"
+    grid.write_text(json.dumps(_SMALL_GRID).replace("[-1.0, -1.0, 1.0]", "[0, 1e12, 1]", 1), encoding="utf-8")
+    with pytest.raises(ManifestError, match=f"cannot read grid spec {grid}: grid range .* more than 1000"):
+        GridSpec.load(str(grid))
+    at_limit = IntervalGrid(0.0, MAX_GRID_VALUES - 1.0, 1.0, 0.0, 0.0, 1.0)
+    assert len(at_limit.pairs()) == 1  # alpha <= beta = 0 keeps alpha = 0 only
+    with pytest.raises(ValueError, match=f"has {MAX_GRID_VALUES + 1} values"):
+        IntervalGrid(0.0, 0.0, 1.0, 0.0, float(MAX_GRID_VALUES), 1.0)
+
+
 def test_duration_beyond_the_limit_is_rejected_before_generation(tmp_path):
     """A spec lasting 1e308 s never finished generating; it is rejected by the
     constructor and by ScenarioSpec.load, which names the file. The test does
@@ -1410,7 +1454,8 @@ def test_unreadable_input_file_is_input_error_naming_it(reader, content, tmp_pat
 
 
 _WRITERS = {
-    "replay": ["replay", "--stream", "{stream}", "--area-map", "{area_map}", "--out", "{new}/latency.json"],
+    "evaluate": ["evaluate", "--stream", "{stream}", "--area-map", "{area_map}", "--out", "{tmp}/out",
+                 "--latency-out", "{new}/latency.json"],
     "tune": ["tune", "--trace", "{trace}", "--truth", "{truth}", "--grid", "{grid}", "--k", "5",
              "--out", "{new}/calibration.json", "--thresholds-out", "{new}/thresholds.json",
              "--points-csv", "{new}/points.csv"],
@@ -1431,7 +1476,7 @@ def test_output_into_a_missing_directory_creates_it(command, tmp_path):
 
 def test_output_path_that_cannot_be_written_is_input_error_naming_it(tmp_path, capsys, monkeypatch):
     """Each file output of _WRITERS that names an existing directory exits 2
-    before the command's work: replay runs no frame, tune searches no grid.
+    before the command's work: evaluate runs no frame, tune searches no grid.
     An output the process may not write is not tested: root writes any file."""
     from crossrisk import cli
     from crossrisk.pipeline import RiskPipeline

@@ -67,9 +67,6 @@ class Smoke:
     def evaluate(self, out, *extra, stream=None):
         return ("evaluate", "--stream", stream or self.stream, "--area-map", self.area_map, *extra, "--out", out)
 
-    def replay(self, out, *extra, stream=None):
-        return ("replay", "--stream", stream or self.stream, "--area-map", self.area_map, *extra, "--out", out)
-
     def build_dataset(self, out):
         return ("build-dataset", "--stream", self.stream, "--area-map", self.area_map, "--truth", self.truth,
                 "--out", out)
@@ -146,19 +143,18 @@ def test_evaluate_twice_gives_identical_outputs(smoke):
         same(smoke.dir / "eval" / name, smoke.dir / "eval_again" / name)
 
 
-def test_replay_with_the_baseline_bundle_is_within_budget(smoke):
-    run(*smoke.replay(smoke.dir / "replay_baseline.json", *BUDGETS))
+def test_evaluate_with_the_baseline_bundle_is_within_budget(smoke):
+    run(*smoke.evaluate(smoke.dir / "eval_budget", "--latency-out", smoke.dir / "latency_baseline.json", *BUDGETS))
 
 
 # --- pixel stream ---------------------------------------------------------------
 
 
-def test_pixel_stream_through_homography_evaluates_and_replays(smoke):
-    pixel = ("--tile-grid", smoke.grid)
-    run(*smoke.evaluate(smoke.dir / "eval_pixel", *pixel, "--truth", smoke.truth, stream=smoke.pixel))
+def test_pixel_stream_through_homography_evaluates_within_budget(smoke):
+    run(*smoke.evaluate(smoke.dir / "eval_pixel", "--tile-grid", smoke.grid, "--truth", smoke.truth,
+                        "--latency-out", smoke.dir / "latency_pixel.json", *BUDGETS, stream=smoke.pixel))
     nonempty(smoke.dir / "eval_pixel" / "summary.json")
-    run(*smoke.replay(smoke.dir / "replay_pixel.json", *pixel, *BUDGETS, stream=smoke.pixel))
-    report = load(smoke.dir / "replay_pixel.json")
+    report = load(smoke.dir / "latency_pixel.json")
     assert "transform_ms" in report and "ingest_ms" in report, sorted(report)
 
 
@@ -182,9 +178,10 @@ def test_evaluate_the_pixel_stream_with_the_trained_bundle_twice_gives_identical
     same(smoke.dir / "eval_pixel_models_a" / "ppet_trace.csv", smoke.dir / "eval_pixel_models_b" / "ppet_trace.csv")
 
 
-def test_replay_with_the_trained_bundle_reports_the_tail(smoke):
-    run(*smoke.replay(smoke.dir / "replay.json", "--models", smoke.bundle, *BUDGETS))
-    report = load(smoke.dir / "replay.json")
+def test_evaluate_with_the_trained_bundle_reports_the_tail(smoke):
+    run(*smoke.evaluate(smoke.dir / "eval_models_budget", "--models", smoke.bundle,
+                        "--latency-out", smoke.dir / "latency_models.json", *BUDGETS))
+    report = load(smoke.dir / "latency_models.json")
     assert "safety_evaluation_p99_ms" in report and "ingest_ms" in report, sorted(report)
 
 
@@ -244,8 +241,8 @@ def test_train_on_a_version_2_samples_file_exits_2(smoke):
     assert code == EXIT_INPUT
 
 
-def test_replay_into_a_directory_exits_2(smoke):
-    assert exit_code(*smoke.replay(smoke.dir)) == EXIT_INPUT
+def test_latency_report_into_a_directory_exits_2(smoke):
+    assert exit_code(*smoke.evaluate(smoke.dir / "eval_latency_dir", "--latency-out", smoke.dir)) == EXIT_INPUT
 
 
 def test_gen_and_evaluate_into_an_existing_file_exit_2(smoke, gen_again):
